@@ -20,7 +20,6 @@ target, within a bounded adjustment factor.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Protocol, Sequence, runtime_checkable
@@ -482,6 +481,16 @@ class GenericSink:
         self.commands.append((now_ms, binding_id, payload))
 
 
+ACTUATOR_KINDS: dict[str, type] = {
+    "relay": Relay,
+    "rgb_led": RgbLed,
+    "electrical_stimulation": ElectricalStimulation,
+    "message_to_file": MessageToFile,
+    "message_to_ip": MessageToIp,
+    "generic_sink": GenericSink,
+}
+
+
 # -- bindings and the engine ---------------------------------------------------
 
 
@@ -538,24 +547,28 @@ class Binding:
         if self.cooldown_s < 0:
             raise ValueError(f"{self.id}: cooldown must be >= 0")
 
-    def payload_fields(self) -> frozenset[str]:
-        fields = set()
-        for _, name, _, _ in string.Formatter().parse(self.payload):
-            if name:
-                fields.add(name.split(".")[0].split("[")[0])
-        return frozenset(fields)
-
     def validate_against(self, detector_ids: frozenset[str] | set[str]) -> None:
+        """Reject references to unknown detectors and payloads that cannot render.
+
+        The payload is rendered once with every detector at 0.0; vector
+        entries are always floats, so a template that renders for 0.0
+        renders for every reading.
+        """
         unknown = self.expression.identifiers() - set(detector_ids)
         if unknown:
             raise ValueError(
                 f"binding {self.id!r} references unknown detectors: {sorted(unknown)}"
             )
-        bad = self.payload_fields() - set(detector_ids)
-        if bad:
+        try:
+            self.render(dict.fromkeys(detector_ids, 0.0))
+        except KeyError as exc:
             raise ValueError(
-                f"binding {self.id!r} payload references unknown detectors: {sorted(bad)}"
-            )
+                f"binding {self.id!r} payload references unknown detector {exc}"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"binding {self.id!r} payload {self.payload!r} cannot render: {exc}"
+            ) from None
 
     def render(self, vector: dict[str, float]) -> str:
         return self.payload.format_map(vector)

@@ -1,10 +1,9 @@
-"""Channel registry, sample records, acquisition scheduling and quantization.
+"""Channel registry, sample records, acquisition order and quantization.
 
 Every value that enters the system passes through here: channels declare
 their unit, range and device resolution, records carry one quantized
-reading per configured channel, and the acquisition schedule fixes the
-sampling order (voltage channels first, then impedance, then everything
-else).
+reading per configured channel, and acquisition_order fixes the sampling
+order (voltage channels first, then impedance, then everything else).
 """
 
 from __future__ import annotations
@@ -194,9 +193,6 @@ class Record:
             raise TypeError("timestamp_ms must be an integer millisecond count")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
-    def value(self, channel: str) -> float:
-        return self.values[channel]
-
 
 def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
     """Check a record against the configured channel set and declared ranges."""
@@ -217,31 +213,6 @@ def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class AcquisitionSchedule:
-    """Sampling cadence and the fixed channel ordering for one experiment."""
-
-    period_s: float
-    stimulation_interval_s: float
-    channel_order: tuple[ChannelId, ...]
-
-    def __post_init__(self) -> None:
-        if not (MIN_PERIOD_S <= self.period_s <= MAX_PERIOD_S):
-            raise ValueError(
-                f"period must lie in [{MIN_PERIOD_S}, {MAX_PERIOD_S}] s, "
-                f"got {self.period_s}"
-            )
-        if self.stimulation_interval_s <= 0:
-            raise ValueError("stimulation interval must be positive")
-        validate_unique_names(self.channel_order)
-        rank = [_CATEGORY_RANK[ch.category] for ch in self.channel_order]
-        if rank != sorted(rank):
-            raise ValueError(
-                "channel order must place biopotential channels first, "
-                "then impedance, then all other sensors"
-            )
-
-
 _CATEGORY_RANK = {
     ChannelCategory.BIOPOTENTIAL: 0,
     ChannelCategory.IMPEDANCE: 1,
@@ -252,20 +223,3 @@ _CATEGORY_RANK = {
 def acquisition_order(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
     """Channels sorted voltage -> impedance -> environment, stably."""
     return tuple(sorted(channels, key=lambda ch: _CATEGORY_RANK[ch.category]))
-
-
-def build_schedule(
-    channels: Sequence[ChannelId],
-    period_s: float,
-    stimulation_interval_s: float = 10.0,
-) -> AcquisitionSchedule:
-    """Order channels voltage -> impedance -> environment and fix the cadence.
-
-    The relative order within each group follows the input sequence.  Periods
-    outside [0.1, 100] s are configuration errors.
-    """
-    return AcquisitionSchedule(
-        period_s=period_s,
-        stimulation_interval_s=stimulation_interval_s,
-        channel_order=acquisition_order(channels),
-    )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import BenchConfig, ConfigError, load_config
 from .fra import run_sweep, write_sweep_csv
-from .logstore import render_report, replay
+from .logstore import csv_header, csv_row, render_report, replay
 from .runtime import Runtime
 from .simulator import PlantSimulator, sweep_responder
 
@@ -79,11 +79,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     names = [c.name for c in config.channels]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
-        out.write("timestamp_ms," + ",".join(names) + "\n")
+        out.write(csv_header(names))
         for i in range(cycles):
             record = sim.record_at(i * period_ms)
-            row = ",".join(repr(record.values[n]) for n in names)
-            out.write(f"{record.timestamp_ms},{row}\n")
+            row = map(record.values.__getitem__, names)
+            out.write(csv_row(record.timestamp_ms, row))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -97,10 +97,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     def on_record(record) -> None:
         nonlocal header_done
         if not header_done:
-            print("timestamp_ms," + ",".join(record.values))
+            sys.stdout.write(csv_header(record.values))
             header_done = True
-        row = ",".join(repr(v) for v in record.values.values())
-        print(f"{record.timestamp_ms},{row}")
+        sys.stdout.write(csv_row(record.timestamp_ms, record.values.values()))
 
     count = replay(args.store, on_record, speed=args.speed)
     print(f"replayed {count} records", file=sys.stderr)

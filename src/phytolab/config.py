@@ -8,36 +8,33 @@ Sections:
   [impedance]     excitation frequency, amplitude, buffer, rate, gain, noise
   [pipe]          tier capacities and hand-off strides
   [detector.ID]   kind = ... plus that detector's parameters
-  [actuator.ID]   kind = relay | rgb_led | electrical_stimulation |
-                  message_to_file | message_to_ip | generic_sink
+  [actuator.ID]   kind = one of actuation.ACTUATOR_KINDS, plus the fields
+                  its constructor takes (path, host and port, intensity)
   [binding.ID]    expression, actuator, payload, cooldown, homeostat knobs
   [events]        scripted stimuli: touch / wound = t_seconds[:channel], ...
   [sweep]         frequency sweep plan for the sweep command
   [store]         segment and capacity sizes for the record stores
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
-detector kinds, channels or detector references fail at load time, not at
-runtime.
+keys, detector or actuator kinds, channels, detector references, payloads
+that cannot render and store sizes the store would refuse fail at load time,
+not at runtime.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import inspect
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .actuation import (
+    ACTUATOR_KINDS,
     Actuator,
     Binding,
-    ElectricalStimulation,
-    GenericSink,
     HomeostatConfig,
-    MessageToFile,
-    MessageToIp,
-    Relay,
-    RgbLed,
     parse_expression,
 )
 from .channels import (
@@ -50,7 +47,7 @@ from .channels import (
 )
 from .detectors import DETECTOR_KINDS, Detector, build_detector
 from .fra import SweepSpec
-from .logstore import CAPACITY_BYTES, SEGMENT_BYTES
+from .logstore import CAPACITY_BYTES, SEGMENT_BYTES, check_store_sizes
 from .pipes import LONG, MIDDLE, SHORT, TierLayout
 from .simulator import Event, EventKind, SimParams, TissueModel
 
@@ -66,11 +63,25 @@ class StoreParams:
     segment_bytes: int = SEGMENT_BYTES
     capacity_bytes: int = CAPACITY_BYTES
 
+    def __post_init__(self) -> None:
+        check_store_sizes(self.segment_bytes, self.capacity_bytes)
+
+
+# each actuator kind's constructor parameters after id
+_ACTUATOR_PARAMS = {
+    kind: tuple(inspect.signature(cls).parameters.values())[1:]
+    for kind, cls in ACTUATOR_KINDS.items()
+}
+
 
 @dataclass(frozen=True)
 class ActuatorSpec:
     """Deferred actuator construction: file paths resolve against the run
-    dir and electrical stimulation binds to the run's simulator."""
+    dir and electrical stimulation binds to the run's simulator.
+
+    kind names an ACTUATOR_KINDS entry.  The class's constructor parameters
+    after id say which fields it takes; those without a default must be set.
+    """
 
     id: str
     kind: str
@@ -79,22 +90,24 @@ class ActuatorSpec:
     port: int = 0
     intensity: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ACTUATOR_KINDS:
+            raise ValueError(f"unknown actuator kind {self.kind!r}")
+        params = _ACTUATOR_PARAMS[self.kind]
+        required = [p.name for p in params if p.default is p.empty]
+        if not all(getattr(self, name) for name in required):
+            raise ValueError(f"{self.kind} needs {' and '.join(required)}")
+
     def build(self, out_dir: Path, simulator=None) -> Actuator:
-        if self.kind == "message_to_file":
-            return MessageToFile(self.id, str(out_dir / self.path))
-        if self.kind == "message_to_ip":
-            return MessageToIp(self.id, self.host, self.port)
-        if self.kind == "relay":
-            return Relay(self.id)
-        if self.kind == "rgb_led":
-            return RgbLed(self.id)
-        if self.kind == "electrical_stimulation":
-            return ElectricalStimulation(
-                self.id, intensity=self.intensity, target=simulator
-            )
-        if self.kind == "generic_sink":
-            return GenericSink(self.id)
-        raise ConfigError(f"unknown actuator kind {self.kind!r}")
+        wiring = {
+            "path": str(out_dir / self.path),
+            "host": self.host,
+            "port": self.port,
+            "intensity": self.intensity,
+            "target": simulator,
+        }
+        kwargs = {p.name: wiring[p.name] for p in _ACTUATOR_PARAMS[self.kind]}
+        return ACTUATOR_KINDS[self.kind](self.id, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -174,6 +187,15 @@ _KNOWN_SECTIONS = {
     "store",
 }
 
+_SYSTEM_KEYS = {
+    "seed",
+    "period_s",
+    "stimulation_interval_s",
+    "duration_s",
+    "log_dir",
+    "report",
+}
+
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
@@ -200,6 +222,17 @@ def _get_typed(section, key: str, conv, default, where: str):
         return conv(section[key])
     except ValueError:
         raise ConfigError(f"{where}: {key} = {section[key]!r} is not a {conv.__name__}")
+
+
+def _id_sections(parser, head: str):
+    """(section name, id, keys) for every [head.ID] section, in file order."""
+    for name in parser.sections():
+        if not name.startswith(head + "."):
+            continue
+        raw = dict(parser[name])
+        if "id" in raw:
+            raise ConfigError(f"[{name}]: id comes from the section name")
+        yield name, name.split(".", 1)[1], raw
 
 
 def _parse_channels(section) -> tuple[ChannelId, ...]:
@@ -267,7 +300,10 @@ def parse_config(text: str) -> BenchConfig:
         if name not in _KNOWN_SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
 
-    system = parser["system"] if parser.has_section("system") else {}
+    system = dict(parser["system"]) if parser.has_section("system") else {}
+    for key in system:
+        if key not in _SYSTEM_KEYS:
+            raise ConfigError(f"[system]: unknown parameter {key!r}")
     seed = _get_typed(system, "seed", int, 42, "[system]")
     period_s = _get_typed(system, "period_s", float, 1.0, "[system]")
     if not (MIN_PERIOD_S <= period_s <= MAX_PERIOD_S):
@@ -276,8 +312,8 @@ def parse_config(text: str) -> BenchConfig:
         )
     stim_s = _get_typed(system, "stimulation_interval_s", float, 10.0, "[system]")
     duration_s = _get_typed(system, "duration_s", float, 600.0, "[system]")
-    log_dir = system.get("log_dir", "bench_run") if system else "bench_run"
-    report = system.get("report", "") if system else ""
+    log_dir = system.get("log_dir", "bench_run")
+    report = system.get("report", "")
 
     if parser.has_section("channels") and parser.options("channels"):
         channels = _parse_channels(parser["channels"])
@@ -330,13 +366,7 @@ def parse_config(text: str) -> BenchConfig:
         raise ConfigError(f"[pipe]: {exc}") from None
 
     detectors = []
-    for name in parser.sections():
-        if not name.startswith("detector."):
-            continue
-        det_id = name.split(".", 1)[1]
-        raw = dict(parser[name])
-        if "id" in raw:
-            raise ConfigError(f"[{name}]: id comes from the section name")
+    for name, det_id, raw in _id_sections(parser, "detector"):
         kind = raw.pop("kind", None)
         if kind is None:
             raise ConfigError(f"[{name}] needs kind = <detector kind>")
@@ -358,41 +388,18 @@ def parse_config(text: str) -> BenchConfig:
             raise ConfigError(f"[{name}]: {exc}") from None
 
     actuator_specs = []
-    for name in parser.sections():
-        if not name.startswith("actuator."):
-            continue
-        act_id = name.split(".", 1)[1]
-        raw = dict(parser[name])
-        if "id" in raw:
-            raise ConfigError(f"[{name}]: id comes from the section name")
+    for name, act_id, raw in _id_sections(parser, "actuator"):
         kind = raw.pop("kind", None)
-        if kind not in (
-            "message_to_file",
-            "message_to_ip",
-            "relay",
-            "rgb_led",
-            "electrical_stimulation",
-            "generic_sink",
-        ):
-            raise ConfigError(f"[{name}]: unknown actuator kind {kind!r}")
         spec_kwargs = _coerce_params(ActuatorSpec, raw, f"[{name}]")
-        if kind == "message_to_file" and not spec_kwargs.get("path"):
-            raise ConfigError(f"[{name}]: message_to_file needs path")
-        if kind == "message_to_ip":
-            if not spec_kwargs.get("host") or not spec_kwargs.get("port"):
-                raise ConfigError(f"[{name}]: message_to_ip needs host and port")
-        actuator_specs.append(ActuatorSpec(id=act_id, kind=kind, **spec_kwargs))
+        try:
+            actuator_specs.append(ActuatorSpec(id=act_id, kind=kind, **spec_kwargs))
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
     actuator_ids = {a.id for a in actuator_specs}
 
     binding_specs = []
     detector_ids = frozenset(d.id for d in detectors)
-    for name in parser.sections():
-        if not name.startswith("binding."):
-            continue
-        b_id = name.split(".", 1)[1]
-        raw = dict(parser[name])
-        if "id" in raw:
-            raise ConfigError(f"[{name}]: id comes from the section name")
+    for name, b_id, raw in _id_sections(parser, "binding"):
         if "expression" not in raw or "actuator" not in raw:
             raise ConfigError(f"[{name}] needs expression and actuator")
         spec = BindingSpec(id=b_id, **_coerce_params(BindingSpec, raw, f"[{name}]"))
@@ -414,7 +421,11 @@ def parse_config(text: str) -> BenchConfig:
         raise ConfigError(f"[sweep]: {exc}") from None
 
     store_raw = dict(parser["store"]) if parser.has_section("store") else {}
-    store = StoreParams(**_coerce_params(StoreParams, store_raw, "[store]"))
+    store_kwargs = _coerce_params(StoreParams, store_raw, "[store]")
+    try:
+        store = StoreParams(**store_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[store]: {exc}") from None
 
     config = BenchConfig(
         seed=seed,

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .pipes import MIDDLE, SHORT, TieredPipes
+from .pipes import MIDDLE, SHORT, Pipe, TieredPipes
 
 # Unbiased sigma estimate from the median absolute deviation for a normal
 # population: sigma ~= 1.4826 * MAD.
@@ -36,23 +36,48 @@ class Detector(Protocol):
     def evaluate(self, tiers: TieredPipes, now_ms: int) -> float: ...
 
 
-def _window(tiers: TieredPipes, tier: str, channel: str, n: int) -> np.ndarray:
-    return tiers.tier(tier).values(channel, n)
+@dataclass(frozen=True, kw_only=True)
+class WindowedDetector:
+    """Shared shape of the detectors that read one channel's recent window.
+
+    evaluate fetches the last `window` readings of `channel` from `tier` and
+    returns NO_DATA while fewer than required_samples() have arrived;
+    otherwise the subclass's _measure turns the window into the output.
+    """
+
+    id: str
+    channel: str
+    tier: str = SHORT
+    window: int = 60
+    min_samples: int = 2
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("detector id must be non-empty")
+        needed = self.required_samples()
+        if needed < 2:
+            raise ValueError(f"{self.id}: min_samples must be >= 2, got {needed}")
+        if self.window < needed:
+            raise ValueError(
+                f"{self.id}: window {self.window} smaller than min_samples {needed}"
+            )
+
+    def required_samples(self) -> int:
+        return self.min_samples
+
+    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
+        pipe = tiers.tier(self.tier)
+        x = pipe.values(self.channel, self.window)
+        if x.shape[0] < self.required_samples():
+            return NO_DATA
+        return self._measure(x, pipe)
+
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
+        raise NotImplementedError
 
 
-def _check_common(det_id: str, window: int, min_samples: int) -> None:
-    if not det_id:
-        raise ValueError("detector id must be non-empty")
-    if min_samples < 2:
-        raise ValueError(f"{det_id}: min_samples must be >= 2, got {min_samples}")
-    if window < min_samples:
-        raise ValueError(
-            f"{det_id}: window {window} smaller than min_samples {min_samples}"
-        )
-
-
-@dataclass(frozen=True)
-class PeakDetector:
+@dataclass(frozen=True, kw_only=True)
+class PeakDetector(WindowedDetector):
     """Robust outlier flag: newest |x - median| beyond sigma * noise scale.
 
     Each sample is judged once, on arrival, so a spike already inside the
@@ -63,22 +88,15 @@ class PeakDetector:
     noise estimate claims a perfectly quiet channel.
     """
 
-    id: str
-    channel: str
-    tier: str = SHORT
-    window: int = 60
     sigma: float = 5.0
     min_samples: int = 12
 
     def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
+        super().__post_init__()
         if self.sigma <= 0:
             raise ValueError(f"{self.id}: sigma must be positive")
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         dev = np.abs(x - np.median(x))
         peak = float(dev[-1])
         diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
@@ -88,30 +106,23 @@ class PeakDetector:
         return FIRED if peak > self.sigma * scale else QUIET
 
 
-@dataclass(frozen=True)
-class GradientDetector:
+@dataclass(frozen=True, kw_only=True)
+class GradientDetector(WindowedDetector):
     """Least-squares drift of a window, thresholded in units per hour."""
 
-    id: str
-    channel: str
     per_hour: float
     tier: str = MIDDLE
-    window: int = 60
     direction: str = "either"  # rising | falling | either
     min_samples: int = 6
 
     def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
+        super().__post_init__()
         if self.per_hour <= 0:
             raise ValueError(f"{self.id}: per_hour threshold must be positive")
         if self.direction not in ("rising", "falling", "either"):
             raise ValueError(f"{self.id}: bad direction {self.direction!r}")
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        pipe = tiers.tier(self.tier)
-        x = pipe.values(self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         t = pipe.timestamps_ms(self.window).astype(np.float64) / MS_PER_HOUR
         t -= t.mean()
         denom = float(np.dot(t, t))
@@ -125,55 +136,43 @@ class GradientDetector:
         return FIRED if abs(slope) > self.per_hour else QUIET
 
 
-@dataclass(frozen=True)
-class NoiseLevelDetector:
+@dataclass(frozen=True, kw_only=True)
+class NoiseLevelDetector(WindowedDetector):
     """Numeric: high-frequency noise RMS, from first differences over sqrt(2).
 
     Differencing cancels slow structure; for white noise of sigma the
     expectation is sigma itself, for a constant or slow ramp nearly zero.
     """
 
-    id: str
-    channel: str
-    tier: str = SHORT
-    window: int = 60
     min_samples: int = 8
 
-    def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
-
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         d = np.diff(x)
         return float(np.sqrt(np.mean(d * d) / 2.0))
 
 
-@dataclass(frozen=True)
-class CyclicalDetector:
-    """Fires when the lag autocorrelation of the window exceeds a threshold."""
+@dataclass(frozen=True, kw_only=True)
+class CyclicalDetector(WindowedDetector):
+    """Fires when the lag autocorrelation of the window exceeds a threshold.
 
-    id: str
-    channel: str
+    The window must hold at least lag + 2 samples, whatever min_samples says.
+    """
+
     lag: int
     tier: str = MIDDLE
-    window: int = 60
     threshold: float = 0.5
-    min_samples: int = 2
 
     def __post_init__(self) -> None:
         if self.lag < 1:
             raise ValueError(f"{self.id}: lag must be >= 1")
-        needed = max(self.min_samples, self.lag + 2)
-        _check_common(self.id, self.window, needed)
+        super().__post_init__()
         if not (-1.0 < self.threshold < 1.0):
             raise ValueError(f"{self.id}: threshold must be inside (-1, 1)")
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < max(self.min_samples, self.lag + 2):
-            return NO_DATA
+    def required_samples(self) -> int:
+        return max(self.min_samples, self.lag + 2)
+
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         y = x - x.mean()
         denom = float(np.dot(y, y))
         if denom == 0.0:
@@ -229,43 +228,23 @@ class TimeOfDayGate:
         return FIRED if inside else QUIET
 
 
-@dataclass(frozen=True)
-class MeanDetector:
+@dataclass(frozen=True, kw_only=True)
+class MeanDetector(WindowedDetector):
     """Numeric: arithmetic mean of the window."""
 
-    id: str
-    channel: str
-    tier: str = SHORT
-    window: int = 60
     min_samples: int = 4
 
-    def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
-
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         return float(x.mean())
 
 
-@dataclass(frozen=True)
-class StdDevDetector:
+@dataclass(frozen=True, kw_only=True)
+class StdDevDetector(WindowedDetector):
     """Numeric: population standard deviation of the window."""
 
-    id: str
-    channel: str
-    tier: str = SHORT
-    window: int = 60
     min_samples: int = 4
 
-    def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
-
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         return float(x.std())
 
 
@@ -278,58 +257,42 @@ def _latest_zscore(x: np.ndarray) -> float:
     return (float(x[-1]) - float(rest.mean())) / sigma
 
 
-@dataclass(frozen=True)
-class ZScoreDetector:
+@dataclass(frozen=True, kw_only=True)
+class ZScoreDetector(WindowedDetector):
     """Numeric: z of the latest sample against the preceding window.
 
     The latest sample is excluded from the reference statistics so a real
     excursion cannot mask itself; a flat reference (zero sigma) yields 0.
     """
 
-    id: str
-    channel: str
-    tier: str = SHORT
-    window: int = 60
     min_samples: int = 5
 
-    def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
-
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         return _latest_zscore(x)
 
 
-@dataclass(frozen=True)
-class PathogenicityDetector:
+@dataclass(frozen=True, kw_only=True)
+class PathogenicityDetector(WindowedDetector):
     """Numeric traffic light from the latest-sample z: 0 green, 1 yellow, 2 red.
 
     |z| below z_yellow is green, between z_yellow and z_red yellow, at or
     beyond z_red red.
     """
 
-    id: str
-    channel: str
     tier: str = MIDDLE
-    window: int = 60
     z_yellow: float = 2.0
     z_red: float = 4.0
     min_samples: int = 5
 
     def __post_init__(self) -> None:
-        _check_common(self.id, self.window, self.min_samples)
+        super().__post_init__()
         if not (0.0 < self.z_yellow < self.z_red):
             raise ValueError(
                 f"{self.id}: need 0 < z_yellow < z_red, got "
                 f"{self.z_yellow}, {self.z_red}"
             )
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        x = _window(tiers, self.tier, self.channel, self.window)
-        if x.shape[0] < self.min_samples:
-            return NO_DATA
+    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         z = abs(_latest_zscore(x))
         if z < self.z_yellow:
             return 0.0

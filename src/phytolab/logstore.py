@@ -16,7 +16,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .channels import Record
 
@@ -24,6 +24,24 @@ SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.csv$")
+
+
+def check_store_sizes(segment_bytes: int, capacity_bytes: int) -> None:
+    """Reject a segment under 256 bytes or a capacity below two segments."""
+    if segment_bytes < 256:
+        raise ValueError(f"segment size {segment_bytes} too small")
+    if capacity_bytes < 2 * segment_bytes:
+        raise ValueError("capacity must hold at least two segments")
+
+
+def csv_header(columns: Iterable[str]) -> str:
+    return "timestamp_ms," + ",".join(columns) + "\n"
+
+
+def csv_row(timestamp_ms: int, values: Iterable[float]) -> str:
+    """One CSV line: the timestamp, then each value as repr(float(v))."""
+    # float() first: numpy scalars repr as np.float64(...) otherwise
+    return f"{timestamp_ms},{','.join(map(repr, map(float, values)))}\n"
 
 
 def _segment_name(index: int) -> str:
@@ -62,16 +80,13 @@ class LogStore:
                 raise ValueError(f"bad column name {name!r}")
         if len(set(columns)) != len(columns):
             raise ValueError("duplicate column names")
-        if segment_bytes < 256:
-            raise ValueError(f"segment size {segment_bytes} too small")
-        if capacity_bytes < 2 * segment_bytes:
-            raise ValueError("capacity must hold at least two segments")
+        check_store_sizes(segment_bytes, capacity_bytes)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.columns = tuple(columns)
         self.segment_bytes = segment_bytes
         self.capacity_bytes = capacity_bytes
-        self._header = "timestamp_ms," + ",".join(self.columns) + "\n"
+        self._header = csv_header(self.columns)
         self._closed_bytes: dict[int, int] = {}
         self._closed_total = 0
         self._fh = None
@@ -133,11 +148,9 @@ class LogStore:
                 f"record has {len(values)} values, store expects {len(self.columns)}"
             )
         try:
-            # float() first: numpy scalars repr as np.float64(...) otherwise
-            row = ",".join(repr(float(values[c])) for c in self.columns)
+            line = csv_row(record.timestamp_ms, map(values.__getitem__, self.columns))
         except KeyError as exc:
             raise ValueError(f"record missing column {exc.args[0]!r}") from None
-        line = f"{record.timestamp_ms},{row}\n"
         self._fh.write(line)
         self._active_bytes += len(line.encode("utf-8"))
         if self._active_bytes >= self.segment_bytes:

@@ -305,17 +305,24 @@ class PlantSimulator:
         """Noiseless, unquantized reading: the oracle for record_at."""
         ch = self._channel(name)
         if ch.category is ChannelCategory.BIOPOTENTIAL:
-            if (
-                self.params.blank_bio_during_stimulation
-                and self._stimulates
-                and int(t_ms) % self._interval_ms == 0
-            ):
+            if self._blanked(t_ms):
                 return self.params.bio_baseline_v
             return self._bio_clean(name, t_ms)
         if ch.category is ChannelCategory.IMPEDANCE:
-            slot = (int(t_ms) // self._interval_ms) * self._interval_ms
-            return self._cell_at(slot).magnitude(self.params.excitation_hz)
+            return self._cell_at(self._slot(t_ms)).magnitude(self.params.excitation_hz)
         return self._env_clean(ch.kind, t_ms)
+
+    def _blanked(self, t_ms: int) -> bool:
+        """Biopotential inputs held at baseline: excitation fires at slot starts."""
+        return bool(
+            self.params.blank_bio_during_stimulation
+            and self._stimulates
+            and int(t_ms) % self._interval_ms == 0
+        )
+
+    def _slot(self, t_ms: int) -> int:
+        """Start of the stimulation slot holding t_ms."""
+        return (int(t_ms) // self._interval_ms) * self._interval_ms
 
     def _channel(self, name: str) -> ChannelId:
         for ch in self.channels:
@@ -331,12 +338,7 @@ class PlantSimulator:
 
     def _raw_value(self, ch: ChannelId, t_ms: int) -> float:
         if ch.category is ChannelCategory.BIOPOTENTIAL:
-            if (
-                self.params.blank_bio_during_stimulation
-                and self._stimulates
-                and int(t_ms) % self._interval_ms == 0
-            ):
-                # excitation fires at slot starts: hold the input at baseline
+            if self._blanked(t_ms):
                 return self.params.bio_baseline_v
             clean = self._bio_clean(ch.name, t_ms)
             return clean + self._noise(ch.name, t_ms, self.params.bio_noise_rms_v)
@@ -366,7 +368,7 @@ class PlantSimulator:
     # -- impedance ------------------------------------------------------------
 
     def _impedance_value(self, name: str, t_ms: int) -> float:
-        slot = (int(t_ms) // self._interval_ms) * self._interval_ms
+        slot = self._slot(t_ms)
         key = (name, slot)
         got = self._imp_cache.get(key)
         if got is None:

@@ -302,6 +302,10 @@ def test_binding_validation_against_detector_ids():
         b.validate_against({"z1"})
     with pytest.raises(ValueError, match="payload"):
         b.validate_against({"peak1"})
+    # each of these passes a field-name scan but raises on the first render
+    for payload in ("x {}", "x {g[0]}", "x {g:q}", "x {g!z}"):
+        with pytest.raises(ValueError, match="payload"):
+            binding("g == 1", payload=payload).validate_against({"g"})
 
 
 def test_binding_payload_render():

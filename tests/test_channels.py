@@ -123,30 +123,10 @@ def test_record_rejects_non_integer_timestamp():
         ch.Record(timestamp_ms=1.5, values={})  # type: ignore[arg-type]
 
 
-def test_schedule_period_bounds():
-    chans = ch.default_channels()
-    ch.build_schedule(chans, period_s=0.1)
-    ch.build_schedule(chans, period_s=100.0)
-    with pytest.raises(ValueError):
-        ch.build_schedule(chans, period_s=0.05)
-    with pytest.raises(ValueError):
-        ch.build_schedule(chans, period_s=101.0)
-
-
 def test_schedule_orders_biopotential_before_impedance_before_environment():
-    chans = ch.default_channels()
-    sched = ch.build_schedule(chans, period_s=1.0)
-    cats = [c.category for c in sched.channel_order]
+    chans = tuple(reversed(ch.default_channels()))
+    cats = [c.category for c in ch.acquisition_order(chans)]
     first_imp = cats.index(ch.ChannelCategory.IMPEDANCE)
     assert all(c is ch.ChannelCategory.BIOPOTENTIAL for c in cats[:first_imp])
     first_env = cats.index(ch.ChannelCategory.ENVIRONMENT)
     assert all(c is not ch.ChannelCategory.ENVIRONMENT for c in cats[:first_env])
-
-
-def test_schedule_rejects_shuffled_order():
-    chans = ch.default_channels()
-    shuffled = tuple(reversed(chans))
-    with pytest.raises(ValueError):
-        ch.AcquisitionSchedule(
-            period_s=1.0, stimulation_interval_s=10.0, channel_order=shuffled
-        )

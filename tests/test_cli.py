@@ -114,3 +114,30 @@ def test_missing_store_exits_1(tmp_path, capsys):
     code = main(["replay", str(tmp_path / "nowhere")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_store_and_replay_write_the_same_bytes(tmp_path, capsys):
+    # config order differs from acquisition order, and a touch lands in range
+    ini = tmp_path / "bench.ini"
+    ini.write_text(
+        "[system]\nperiod_s = 0.5\n"
+        "[channels]\nlight = light\nimp1 = impedance1\nbio1 = biopotential1\n"
+        "[events]\ntouch = 3.2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(ini), "--out", str(out), "--cycles", "40"]) == 0
+    (segment,) = (out / "records").glob("segment-*.csv")
+    stored = segment.read_bytes()
+
+    dump = tmp_path / "dump.csv"
+    args = ["simulate", "--config", str(ini), "--seconds", "20", "--out", str(dump)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(["replay", str(out / "records")]) == 0
+    replayed = capsys.readouterr().out.encode("utf-8")
+
+    assert stored.startswith(b"timestamp_ms,light,imp1,bio1\n")
+    assert stored.count(b"\n") == 41
+    assert dump.read_bytes() == stored
+    assert replayed == stored

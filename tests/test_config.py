@@ -250,6 +250,7 @@ BAD_CASES = [
     ("[system]\nseed = lots\n", "not a int"),
     ("[system]\nperiod_s = 0.001\n", "outside"),
     ("[system]\nperiod_s = 500\n", "outside"),
+    ("[system]\nperod_s = 0.5\nsed = 3\n", "unknown parameter"),
     ("[channels]\nb = biopotential9\n", "unknown kind"),
     ("[channels]\na = biopotential1\na = biopotential2\n", "malformed INI"),
     ("[tissue]\nrs = -5\n", "out of range"),
@@ -274,6 +275,12 @@ BAD_CASES = [
         "port",
     ),
     ("[binding.x]\nexpression = a == 1\n", "needs expression and actuator"),
+    (
+        "[detector.d]\nkind = mean\nchannel = bio1\n"
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = d > 1\nactuator = r\npayload = d={d:q}\n",
+        "payload",
+    ),
     (
         "[binding.x]\nexpression = a == 1\nactuator = ghost\n",
         "unknown actuator",
@@ -300,6 +307,8 @@ BAD_CASES = [
     ("[events]\ntouch = -5\n", "non-negative"),
     ("[events]\nelectrical = 5:bio1\n", "not a channel"),
     ("[sweep]\nstart_hz = 1\n", "sweep"),
+    ("[store]\nsegment_bytes = 10\n", "too small"),
+    ("[store]\nsegment_bytes = 4096\ncapacity_bytes = 4096\n", "two segments"),
     ("no section header", "malformed INI"),
 ]
 
