@@ -289,6 +289,12 @@ class Expression:
     def __repr__(self) -> str:
         return f"Expression({self.text!r})"
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Expression) and other.text == self.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
     def identifiers(self) -> frozenset[str]:
         found: set[str] = set()
 
@@ -635,11 +641,12 @@ class ActuationEngine:
             fired = is_true and not state.prev_true and not cooling
             state.prev_true = is_true
             if fired:
-                # refractory and homeostat advance even if dispatch fails: the
-                # decision to fire was made, only the output misbehaved
+                # refractory and homeostat advance even if the payload cannot
+                # render or dispatch fails: the decision to fire was made, only
+                # the output misbehaved
                 state.last_fire_ms = now_ms
-                payload = binding.render(vector)
                 try:
+                    payload = binding.render(vector)
                     binding.actuator.fire(now_ms, binding.id, payload)
                 except Exception:
                     self.dispatch_errors += 1

@@ -9,9 +9,9 @@ from pathlib import Path
 
 from .config import BenchConfig, ConfigError, load_config
 from .fra import run_sweep, write_sweep_csv
-from .logstore import csv_header, csv_row, render_report, replay
+from .logstore import csv_header, csv_row, emit_report, replay
 from .runtime import Runtime
-from .simulator import PlantSimulator, sweep_responder
+from .simulator import sweep_responder
 
 
 def _load(path: Path | None) -> BenchConfig:
@@ -52,28 +52,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{len(results)} points -> {args.out}")
     if args.report is not None:
         freqs = [r.frequency_hz for r in results]
-        html = render_report(
+        emit_report(
+            args.report,
             f"impedance sweep: {len(results)} points",
             [
                 ("magnitude_ohm", freqs, [r.magnitude for r in results]),
                 ("phase_deg", freqs, [r.phase_deg for r in results]),
             ],
         )
-        Path(args.report).write_text(html, encoding="utf-8")
         print(f"report -> {args.report}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args.config)
-    sim = PlantSimulator(
-        channels=config.channels,
-        tissue=config.tissue,
-        params=config.sim_params,
-        seed=config.seed,
-    )
-    for event in config.events:
-        sim.add_event(event)
+    sim = config.build_simulator()
     period_ms = round(config.period_s * 1000.0)
     cycles = max(1, round(args.seconds / config.period_s))
     names = [c.name for c in config.channels]

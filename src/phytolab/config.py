@@ -1,30 +1,43 @@
 """INI configuration: one file describes a whole bench run.
 
-Sections:
-  [system]        seed, period, stimulation interval, run length, output dir
+Sections and their keys:
+  [system]        seed, period_s, stimulation_interval_s, duration_s, log_dir,
+                  report
   [channels]      name = kind pairs; omit for the full default inventory
-  [tissue]        cell parameters rs / rp / cp
-  [biopotential]  baseline, noise and event shapes for the simulator
-  [impedance]     excitation frequency, amplitude, buffer, rate, gain, noise
-  [pipe]          tier capacities and hand-off strides
-  [detector.ID]   kind = ... plus that detector's parameters
-  [actuator.ID]   kind = one of actuation.ACTUATOR_KINDS, plus the fields
-                  its constructor takes (path, host and port, intensity)
-  [binding.ID]    expression, actuator, payload, cooldown, homeostat knobs
+  [tissue]        rs, rp, cp
+  [biopotential]  baseline_v, noise_rms_v, ap_amplitude_v, ap_duration_s,
+                  vp_amplitude_v, vp_duration_s, day_length_s,
+                  blank_during_stimulation
+  [impedance]     frequency_hz, amplitude_v, samples, sample_rate_hz, gain,
+                  noise_rms_v
+  [pipe]          short/middle/long_capacity, middle_stride, long_stride
+  [detector.ID]   kind = one of detectors.DETECTOR_KINDS, plus that class's
+                  fields other than id
+  [actuator.ID]   kind = one of actuation.ACTUATOR_KINDS, plus what that
+                  class's constructor takes: path (message_to_file), host and
+                  port (message_to_ip), intensity (electrical_stimulation)
+  [binding.ID]    expression, actuator, payload, cooldown_s,
+                  homeostat_target_per_hour, homeostat_alpha, homeostat_step,
+                  homeostat_lo, homeostat_hi
   [events]        scripted stimuli: touch / wound = t_seconds[:channel], ...
-  [sweep]         frequency sweep plan for the sweep command
-  [store]         segment and capacity sizes for the record stores
+  [sweep]         start_hz, stop_hz, points, amplitude_v, samples, mode,
+                  cycles, max_rate, fixed_rate
+  [store]         segment_bytes, capacity_bytes
+
+Every key has one name and fills one field of the dataclass (or constructor)
+it configures.  Its default lives there, as does its range check (except
+period_s's bounds), and its type is read from the field's annotation.  The
+tables below only say which field each key sets.
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
-keys, detector or actuator kinds, channels, detector references, payloads
-that cannot render and store sizes the store would refuse fail at load time,
-not at runtime.
+keys outside their section's table, detector or actuator kinds, channels,
+detector references, payloads that cannot render and store sizes the store
+would refuse fail at load time, not at runtime.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import inspect
 import io
 from dataclasses import dataclass, field
@@ -34,6 +47,7 @@ from .actuation import (
     ACTUATOR_KINDS,
     Actuator,
     Binding,
+    Expression,
     HomeostatConfig,
     parse_expression,
 )
@@ -48,8 +62,8 @@ from .channels import (
 from .detectors import DETECTOR_KINDS, Detector, build_detector
 from .fra import SweepSpec
 from .logstore import CAPACITY_BYTES, SEGMENT_BYTES, check_store_sizes
-from .pipes import LONG, MIDDLE, SHORT, TierLayout
-from .simulator import Event, EventKind, SimParams, TissueModel
+from .pipes import TierLayout
+from .simulator import Event, EventKind, PlantSimulator, SimParams, TissueModel
 
 _KIND_BY_VALUE = {k.value: k for k in ChannelKind}
 
@@ -67,10 +81,9 @@ class StoreParams:
         check_store_sizes(self.segment_bytes, self.capacity_bytes)
 
 
-# each actuator kind's constructor parameters after id
+# every actuator kind's constructor parameters
 _ACTUATOR_PARAMS = {
-    kind: tuple(inspect.signature(cls).parameters.values())[1:]
-    for kind, cls in ACTUATOR_KINDS.items()
+    kind: inspect.signature(cls).parameters for kind, cls in ACTUATOR_KINDS.items()
 }
 
 
@@ -79,49 +92,44 @@ class ActuatorSpec:
     """Deferred actuator construction: file paths resolve against the run
     dir and electrical stimulation binds to the run's simulator.
 
-    kind names an ACTUATOR_KINDS entry.  The class's constructor parameters
-    after id say which fields it takes; those without a default must be set.
+    kind names an ACTUATOR_KINDS entry; params are keyword arguments of that
+    class's constructor, and the ones without a default must be set.
     """
 
     id: str
     kind: str
-    path: str = ""
-    host: str = ""
-    port: int = 0
-    intensity: float = 1.0
+    params: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ACTUATOR_KINDS:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
-        params = _ACTUATOR_PARAMS[self.kind]
-        required = [p.name for p in params if p.default is p.empty]
-        if not all(getattr(self, name) for name in required):
+        required = [
+            name
+            for name in _ACTUATOR_KEYS[self.kind]
+            if _ACTUATOR_PARAMS[self.kind][name].default is inspect.Parameter.empty
+        ]
+        if not all(self.params.get(name) for name in required):
             raise ValueError(f"{self.kind} needs {' and '.join(required)}")
 
     def build(self, out_dir: Path, simulator=None) -> Actuator:
-        wiring = {
-            "path": str(out_dir / self.path),
-            "host": self.host,
-            "port": self.port,
-            "intensity": self.intensity,
-            "target": simulator,
-        }
-        kwargs = {p.name: wiring[p.name] for p in _ACTUATOR_PARAMS[self.kind]}
+        kwargs = dict(self.params)
+        if "path" in kwargs:
+            kwargs["path"] = str(out_dir / kwargs["path"])
+        if "target" in _ACTUATOR_PARAMS[self.kind]:
+            kwargs["target"] = simulator
         return ACTUATOR_KINDS[self.kind](self.id, **kwargs)
 
 
 @dataclass(frozen=True)
 class BindingSpec:
+    """A Binding whose actuator is named by id until the run builds it."""
+
     id: str
-    expression: str
+    expression: Expression
     actuator: str
     payload: str = "fired"
     cooldown_s: float = 0.0
-    homeostat_target_per_hour: float = 0.0
-    homeostat_alpha: float = 0.05
-    homeostat_step: float = 1.05
-    homeostat_lo: float = 0.1
-    homeostat_hi: float = 10.0
+    homeostat: HomeostatConfig = field(default_factory=HomeostatConfig)
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,6 @@ class BenchConfig:
 
     seed: int = 42
     period_s: float = 1.0
-    stimulation_interval_s: float = 10.0
     duration_s: float = 600.0
     log_dir: str = "bench_run"
     report: str = ""
@@ -145,6 +152,18 @@ class BenchConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     store: StoreParams = field(default_factory=StoreParams)
 
+    def build_simulator(self) -> PlantSimulator:
+        """The configured plant with the scripted events scheduled."""
+        simulator = PlantSimulator(
+            channels=self.channels,
+            tissue=self.tissue,
+            params=self.sim_params,
+            seed=self.seed,
+        )
+        for event in self.events:
+            simulator.add_event(event)
+        return simulator
+
     def build_bindings(
         self, out_dir: Path, simulator=None
     ) -> tuple[list[Binding], dict[str, Actuator]]:
@@ -155,73 +174,124 @@ class BenchConfig:
         detector_ids = frozenset(d.id for d in self.detectors)
         bindings = []
         for spec in self.binding_specs:
-            per_cycle = spec.homeostat_target_per_hour * self.period_s / 3600.0
             binding = Binding(
                 id=spec.id,
-                expression=parse_expression(spec.expression),
+                expression=spec.expression,
                 actuator=actuators[spec.actuator],
                 payload=spec.payload,
                 cooldown_s=spec.cooldown_s,
-                homeostat=HomeostatConfig(
-                    target_per_cycle=per_cycle,
-                    alpha=spec.homeostat_alpha,
-                    step=spec.homeostat_step,
-                    lo=spec.homeostat_lo,
-                    hi=spec.homeostat_hi,
-                ),
+                homeostat=spec.homeostat,
             )
             binding.validate_against(detector_ids)
             bindings.append(binding)
         return bindings, actuators
 
 
-_KNOWN_SECTIONS = {
-    "system",
-    "channels",
-    "tissue",
-    "biopotential",
-    "impedance",
-    "pipe",
-    "events",
-    "sweep",
-    "store",
+# -- key tables: INI key -> (class, field, type name) -----------------------------
+
+_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _table(cls, names=None, **renamed) -> dict[str, tuple[type, str, str]]:
+    """Keys for cls's int, float and str constructor parameters other than id.
+
+    names (default: all of them) keep their field's name; renamed maps an INI
+    key to the field it sets.
+    """
+    types = {}
+    for p in inspect.signature(cls).parameters.values():
+        base = str(p.annotation).split("|")[0].strip()
+        if base in _TYPES and p.name != "id":
+            types[p.name] = base
+    fields = {name: name for name in (types if names is None else names)} | renamed
+    return {key: (cls, name, types[name]) for key, name in fields.items()}
+
+
+_SECTIONS = {
+    "system": _table(BenchConfig) | _table(SimParams, ["stimulation_interval_s"]),
+    "tissue": _table(TissueModel),
+    "biopotential": _table(
+        SimParams,
+        [
+            "ap_amplitude_v",
+            "ap_duration_s",
+            "vp_amplitude_v",
+            "vp_duration_s",
+            "day_length_s",
+        ],
+        baseline_v="bio_baseline_v",
+        noise_rms_v="bio_noise_rms_v",
+        blank_during_stimulation="blank_bio_during_stimulation",
+    ),
+    "impedance": _table(
+        SimParams,
+        [],
+        frequency_hz="excitation_hz",
+        amplitude_v="excitation_amplitude_v",
+        samples="excitation_samples",
+        sample_rate_hz="excitation_rate_hz",
+        gain="transimpedance_gain",
+        noise_rms_v="impedance_noise_rms_v",
+    ),
+    "pipe": _table(TierLayout),
+    "sweep": _table(
+        SweepSpec,
+        ["start_hz", "stop_hz", "points", "mode", "cycles", "max_rate", "fixed_rate"],
+        amplitude_v="amplitude",
+        samples="n_samples",
+    ),
+    "store": _table(StoreParams),
 }
 
-_SYSTEM_KEYS = {
-    "seed",
-    "period_s",
-    "stimulation_interval_s",
-    "duration_s",
-    "log_dir",
-    "report",
+# BenchConfig field -> the class the sections above fill, and where they are
+_PARTS = {
+    "tissue": (TissueModel, "[tissue]"),
+    "sim_params": (SimParams, "[system]/[biopotential]/[impedance]"),
+    "tier_layout": (TierLayout, "[pipe]"),
+    "sweep": (SweepSpec, "[sweep]"),
+    "store": (StoreParams, "[store]"),
 }
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+_DETECTOR_KEYS = {kind: _table(cls) for kind, cls in DETECTOR_KINDS.items()}
+_ACTUATOR_KEYS = {kind: _table(cls) for kind, cls in ACTUATOR_KINDS.items()}
+_BINDING_KEYS = (
+    _table(BindingSpec)
+    | {"expression": (BindingSpec, "expression", "str")}
+    | _table(
+        HomeostatConfig,
+        [],
+        # converted from per hour to per cycle once the period is known
+        homeostat_target_per_hour="target_per_cycle",
+        homeostat_alpha="alpha",
+        homeostat_step="step",
+        homeostat_lo="lo",
+        homeostat_hi="hi",
+    )
+)
 
 
-def _coerce_params(cls: type, raw: dict[str, str], where: str) -> dict:
-    by_name = {f.name: f for f in dataclasses.fields(cls)}
-    out = {}
+def _read(where: str, raw, table, into: dict | None = None) -> dict[type, dict]:
+    """Type every key = text of raw by its table entry into into[class][field]."""
+    into = {} if into is None else into
     for key, text in raw.items():
-        f = by_name.get(key)
-        if f is None:
+        if key not in table:
             raise ConfigError(f"{where}: unknown parameter {key!r}")
-        base = str(f.type).split("|")[0].strip()
-        conv = _FIELD_TYPES.get(base, str)
+        cls, name, base = table[key]
         try:
-            out[key] = conv(text)
+            into.setdefault(cls, {})[name] = _TYPES[base](text)
         except ValueError:
-            raise ConfigError(f"{where}: {key} = {text!r} is not a valid {base}")
-    return out
+            raise ConfigError(
+                f"{where}: {key} = {text!r} is not a valid {base}"
+            ) from None
+    return into
 
 
-def _get_typed(section, key: str, conv, default, where: str):
-    if key not in section:
-        return default
+def _make(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError reported against where."""
     try:
-        return conv(section[key])
-    except ValueError:
-        raise ConfigError(f"{where}: {key} = {section[key]!r} is not a {conv.__name__}")
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _id_sections(parser, head: str):
@@ -245,10 +315,7 @@ def _parse_channels(section) -> tuple[ChannelId, ...]:
                 f"expected one of {sorted(_KIND_BY_VALUE)}"
             )
         chans.append(ChannelId(name=name, kind=kind))
-    try:
-        validate_unique_names(chans)
-    except ValueError as exc:
-        raise ConfigError(f"[channels]: {exc}") from None
+    _make("[channels]", validate_unique_names, chans)
     return tuple(chans)
 
 
@@ -273,12 +340,7 @@ def _parse_events(section, channel_names: set[str]) -> tuple[Event, ...]:
                 at_s = float(item)
             except ValueError:
                 raise ConfigError(f"[events]: bad timestamp {item!r}")
-            try:
-                events.append(
-                    Event(kind=kind, at_ms=round(at_s * 1000.0), channel=channel)
-                )
-            except ValueError as exc:
-                raise ConfigError(f"[events]: {exc}") from None
+            events.append(_make("[events]", Event, kind, round(at_s * 1000.0), channel))
     return tuple(sorted(events, key=lambda e: e.at_ms))
 
 
@@ -297,73 +359,29 @@ def parse_config(text: str) -> BenchConfig:
             if "." not in name or not name.split(".", 1)[1]:
                 raise ConfigError(f"section [{name}] needs an id: [{head}.some_id]")
             continue
-        if name not in _KNOWN_SECTIONS:
+        if name not in _SECTIONS and name not in ("channels", "events"):
             raise ConfigError(f"unknown section [{name}]")
 
-    system = dict(parser["system"]) if parser.has_section("system") else {}
-    for key in system:
-        if key not in _SYSTEM_KEYS:
-            raise ConfigError(f"[system]: unknown parameter {key!r}")
-    seed = _get_typed(system, "seed", int, 42, "[system]")
-    period_s = _get_typed(system, "period_s", float, 1.0, "[system]")
+    kwargs: dict[type, dict] = {}
+    for section, table in _SECTIONS.items():
+        if parser.has_section(section):
+            _read(f"[{section}]", parser[section], table, kwargs)
+    system = kwargs.get(BenchConfig, {})
+    period_s = system.get("period_s", BenchConfig.period_s)
     if not (MIN_PERIOD_S <= period_s <= MAX_PERIOD_S):
         raise ConfigError(
             f"[system]: period_s {period_s} outside [{MIN_PERIOD_S}, {MAX_PERIOD_S}]"
         )
-    stim_s = _get_typed(system, "stimulation_interval_s", float, 10.0, "[system]")
-    duration_s = _get_typed(system, "duration_s", float, 600.0, "[system]")
-    log_dir = system.get("log_dir", "bench_run")
-    report = system.get("report", "")
+    parts = {
+        name: _make(where, cls, **kwargs.get(cls, {}))
+        for name, (cls, where) in _PARTS.items()
+    }
 
     if parser.has_section("channels") and parser.options("channels"):
         channels = _parse_channels(parser["channels"])
     else:
         channels = default_channels()
     channel_names = {c.name for c in channels}
-
-    tissue_raw = dict(parser["tissue"]) if parser.has_section("tissue") else {}
-    tissue_kwargs = _coerce_params(TissueModel, tissue_raw, "[tissue]")
-    try:
-        tissue = TissueModel(**tissue_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[tissue]: {exc}") from None
-
-    sim_kwargs: dict = {}
-    if parser.has_section("biopotential"):
-        alias = {
-            "baseline_v": "bio_baseline_v",
-            "noise_rms_v": "bio_noise_rms_v",
-            "blank_during_stimulation": "blank_bio_during_stimulation",
-        }
-        for key, text_v in parser["biopotential"].items():
-            sim_kwargs[alias.get(key, key)] = text_v
-    if parser.has_section("impedance"):
-        alias = {
-            "frequency_hz": "excitation_hz",
-            "amplitude_v": "excitation_amplitude_v",
-            "samples": "excitation_samples",
-            "sample_rate_hz": "excitation_rate_hz",
-            "gain": "transimpedance_gain",
-            "noise_rms_v": "impedance_noise_rms_v",
-        }
-        for key, text_v in parser["impedance"].items():
-            mapped = alias.get(key)
-            if mapped is None:
-                raise ConfigError(f"[impedance]: unknown parameter {key!r}")
-            sim_kwargs[mapped] = text_v
-    sim_kwargs["stimulation_interval_s"] = repr(stim_s)
-    typed = _coerce_params(SimParams, sim_kwargs, "[biopotential]/[impedance]")
-    try:
-        sim_params = SimParams(**typed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    pipe_raw = dict(parser["pipe"]) if parser.has_section("pipe") else {}
-    pipe_kwargs = _coerce_params(TierLayout, pipe_raw, "[pipe]")
-    try:
-        tier_layout = TierLayout(**pipe_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[pipe]: {exc}") from None
 
     detectors = []
     for name, det_id, raw in _id_sections(parser, "detector"):
@@ -375,77 +393,54 @@ def parse_config(text: str) -> BenchConfig:
                 f"[{name}]: unknown kind {kind!r}, expected one of "
                 f"{sorted(DETECTOR_KINDS)}"
             )
-        params = _coerce_params(DETECTOR_KINDS[kind], raw, f"[{name}]")
+        typed = _read(f"[{name}]", raw, _DETECTOR_KEYS[kind])
+        params = typed.get(DETECTOR_KINDS[kind], {})
         chan = params.get("channel")
         if chan is not None and chan not in channel_names:
             raise ConfigError(f"[{name}]: unknown channel {chan!r}")
-        tier = params.get("tier")
-        if tier is not None and tier not in (SHORT, MIDDLE, LONG):
-            raise ConfigError(f"[{name}]: unknown tier {tier!r}")
-        try:
-            detectors.append(build_detector(kind, id=det_id, **params))
-        except ValueError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from None
+        detectors.append(_make(f"[{name}]", build_detector, kind, id=det_id, **params))
 
     actuator_specs = []
     for name, act_id, raw in _id_sections(parser, "actuator"):
         kind = raw.pop("kind", None)
-        spec_kwargs = _coerce_params(ActuatorSpec, raw, f"[{name}]")
-        try:
-            actuator_specs.append(ActuatorSpec(id=act_id, kind=kind, **spec_kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from None
+        # an unknown kind has no table: ActuatorSpec rejects it by name
+        if kind in ACTUATOR_KINDS:
+            typed = _read(f"[{name}]", raw, _ACTUATOR_KEYS[kind])
+            raw = typed.get(ACTUATOR_KINDS[kind], {})
+        actuator_specs.append(_make(f"[{name}]", ActuatorSpec, act_id, kind, raw))
     actuator_ids = {a.id for a in actuator_specs}
 
     binding_specs = []
-    detector_ids = frozenset(d.id for d in detectors)
     for name, b_id, raw in _id_sections(parser, "binding"):
+        where = f"[{name}]"
         if "expression" not in raw or "actuator" not in raw:
-            raise ConfigError(f"[{name}] needs expression and actuator")
-        spec = BindingSpec(id=b_id, **_coerce_params(BindingSpec, raw, f"[{name}]"))
-        if spec.actuator not in actuator_ids:
-            raise ConfigError(f"[{name}]: unknown actuator {spec.actuator!r}")
-        binding_specs.append(spec)
+            raise ConfigError(f"{where} needs expression and actuator")
+        typed = _read(where, raw, _BINDING_KEYS)
+        spec, homeostat = typed[BindingSpec], typed.get(HomeostatConfig, {})
+        if spec["actuator"] not in actuator_ids:
+            raise ConfigError(f"{where}: unknown actuator {spec['actuator']!r}")
+        if "target_per_cycle" in homeostat:
+            per_hour = homeostat["target_per_cycle"]
+            homeostat["target_per_cycle"] = per_hour * period_s / 3600.0
+        spec["expression"] = _make(where, parse_expression, spec["expression"])
+        spec["homeostat"] = _make(where, HomeostatConfig, **homeostat)
+        binding_specs.append(BindingSpec(id=b_id, **spec))
 
     events = ()
     if parser.has_section("events"):
         events = _parse_events(parser["events"], channel_names)
 
-    sweep_raw = dict(parser["sweep"]) if parser.has_section("sweep") else {}
-    alias = {"amplitude_v": "amplitude", "samples": "n_samples"}
-    sweep_raw = {alias.get(k, k): v for k, v in sweep_raw.items()}
-    sweep_kwargs = _coerce_params(SweepSpec, sweep_raw, "[sweep]")
-    try:
-        sweep = SweepSpec(**sweep_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[sweep]: {exc}") from None
-
-    store_raw = dict(parser["store"]) if parser.has_section("store") else {}
-    store_kwargs = _coerce_params(StoreParams, store_raw, "[store]")
-    try:
-        store = StoreParams(**store_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[store]: {exc}") from None
-
     config = BenchConfig(
-        seed=seed,
-        period_s=period_s,
-        stimulation_interval_s=stim_s,
-        duration_s=duration_s,
-        log_dir=log_dir,
-        report=report,
+        **system,
+        **parts,
         channels=channels,
-        tissue=tissue,
-        sim_params=sim_params,
-        tier_layout=tier_layout,
         detectors=tuple(detectors),
         actuator_specs=tuple(actuator_specs),
         binding_specs=tuple(binding_specs),
         events=events,
-        sweep=sweep,
-        store=store,
     )
-    # fail fast on expression or reference errors, then throw the build away
+    # fail fast on detector references, payloads and actuator arguments, then
+    # throw the build away
     try:
         config.build_bindings(Path("."))
     except ValueError as exc:

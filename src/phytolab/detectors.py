@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .pipes import MIDDLE, SHORT, Pipe, TieredPipes
+from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes
 
 # Unbiased sigma estimate from the median absolute deviation for a normal
 # population: sigma ~= 1.4826 * MAD.
@@ -54,6 +54,8 @@ class WindowedDetector:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("detector id must be non-empty")
+        if self.tier not in (SHORT, MIDDLE, LONG):
+            raise ValueError(f"{self.id}: unknown tier {self.tier!r}")
         needed = self.required_samples()
         if needed < 2:
             raise ValueError(f"{self.id}: min_samples must be >= 2, got {needed}")

@@ -18,7 +18,6 @@ from .config import BenchConfig
 from .detectors import DetectorBank
 from .logstore import LogStore, emit_report, iter_store
 from .pipes import TieredPipes
-from .simulator import PlantSimulator
 
 
 class VirtualClock:
@@ -60,14 +59,7 @@ class Runtime:
         if self._period_ms <= 0:
             raise ValueError(f"period {config.period_s}s rounds to no time at all")
 
-        self.simulator = PlantSimulator(
-            channels=config.channels,
-            tissue=config.tissue,
-            params=config.sim_params,
-            seed=config.seed,
-        )
-        for event in config.events:
-            self.simulator.add_event(event)
+        self.simulator = config.build_simulator()
 
         self.tiers = TieredPipes(
             base_period_s=config.period_s, layout=config.tier_layout

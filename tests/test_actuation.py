@@ -383,6 +383,17 @@ def test_engine_counts_dispatch_errors_and_keeps_going():
     assert [f.binding_id for f in out] == ["good"]
     assert sink.calls == [(1000, "good", "fired")]
 
+    # a payload that cannot render fails its dispatch, not the cycle
+    engine = ActuationEngine(
+        [
+            binding("a == 1", Sink(), id="bad", payload="x {a:q}"),
+            binding("a == 1", sink, id="good"),
+        ]
+    )
+    out = engine.cycle({"a": 1.0}, 2000)
+    assert engine.dispatch_errors == 1
+    assert [f.binding_id for f in out] == ["good"]
+
 
 def test_failed_dispatch_still_starts_cooldown():
     jammed = Relay("led")

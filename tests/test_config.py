@@ -1,4 +1,9 @@
-"""INI parsing: defaults, aliases, typed coercion and every rejection path."""
+"""INI parsing: defaults, key names, typed coercion and every rejection path."""
+
+import configparser
+import dataclasses
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from phytolab.actuation import (
     RgbLed,
 )
 from phytolab.channels import ChannelKind, default_channels
+from phytolab import config as config_module
 from phytolab.config import ConfigError, load_config, parse_config
 from phytolab.detectors import GradientDetector, PeakDetector
 from phytolab.simulator import EventKind
@@ -132,7 +138,6 @@ def test_full_config_round_trip():
     config = parse_config(FULL_INI)
     assert config.seed == 7
     assert config.period_s == 0.5
-    assert config.stimulation_interval_s == 5.0
     assert config.duration_s == 120.0
     assert config.log_dir == "my_run"
     assert config.report == "run.html"
@@ -188,7 +193,8 @@ def test_full_config_round_trip():
     assert spec.actuator == "log"
     assert spec.payload == "spike at {spike}"
     assert spec.cooldown_s == 30.0
-    assert spec.homeostat_target_per_hour == 7.2
+    # 7.2 firings per hour at period 0.5 s is 0.001 per cycle
+    assert spec.homeostat.target_per_cycle == pytest.approx(0.001)
 
     assert [(e.kind, e.at_ms, e.channel) for e in config.events] == [
         (EventKind.TOUCH, 100_000, None),
@@ -230,6 +236,12 @@ def test_build_bindings_materializes_actuators(tmp_path):
     assert binding.expression.identifiers() == {"spike", "drift"}
 
 
+def test_same_text_parses_to_equal_configs():
+    config = parse_config(FULL_INI)
+    assert config == parse_config(FULL_INI)
+    assert hash(config) == hash(parse_config(FULL_INI))
+
+
 def test_case_of_names_is_preserved():
     config = parse_config(FULL_INI)
     assert {c.name for c in config.channels} == {"BioA", "BioB", "imp", "light"}
@@ -247,7 +259,7 @@ def test_load_config_reads_file(tmp_path):
 BAD_CASES = [
     ("[mystery]\nx = 1\n", "unknown section"),
     ("[detector]\nkind = peak\n", "needs an id"),
-    ("[system]\nseed = lots\n", "not a int"),
+    ("[system]\nseed = lots\n", "not a valid int"),
     ("[system]\nperiod_s = 0.001\n", "outside"),
     ("[system]\nperiod_s = 500\n", "outside"),
     ("[system]\nperod_s = 0.5\nsed = 3\n", "unknown parameter"),
@@ -310,6 +322,18 @@ BAD_CASES = [
     ("[store]\nsegment_bytes = 10\n", "too small"),
     ("[store]\nsegment_bytes = 4096\ncapacity_bytes = 4096\n", "two segments"),
     ("no section header", "malformed INI"),
+    # a key belongs to one section, under one name
+    ("[biopotential]\nstimulation_interval_s = 3\n", "unknown parameter"),
+    ("[biopotential]\nexcitation_hz = 700\n", "unknown parameter"),
+    ("[sweep]\nn_samples = 512\n", "unknown parameter"),
+    # an actuator takes only what its kind's constructor takes
+    ("[actuator.x]\nkind = relay\npath = a.txt\n", "unknown parameter"),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\n"
+        "homeostat_step = 0.5\n",
+        r"\[binding\.x\]: step",
+    ),
 ]
 
 
@@ -317,3 +341,47 @@ BAD_CASES = [
 def test_bad_configs_are_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_default_ini_is_all_defaults():
+    assert load_config(REPO / "configs" / "default.ini") == parse_config("")
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "configs").glob("*.ini")), ids=lambda p: p.name
+)
+def test_shipped_configs_load(path):
+    load_config(path)
+
+
+@pytest.mark.parametrize(
+    "name,interval_s", [("BENCH_LOOP_INI", 5.0), ("CLOSED_LOOP_INI", 1.0)]
+)
+def test_benchmark_loop_configs_load(monkeypatch, name, interval_s):
+    # the benchmark's loop workloads set up through parse_config
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    workloads = importlib.import_module("workloads")
+    config = parse_config(getattr(workloads, name).format(seed=1))
+    assert config.period_s == 0.1
+    assert config.sim_params.stimulation_interval_s == interval_s
+
+
+def test_every_setting_has_one_key_and_default_ini_lists_it():
+    sections = config_module._SECTIONS
+    homes = [
+        (cls, name) for table in sections.values() for cls, name, _ in table.values()
+    ]
+    assert len(homes) == len(set(homes))
+    for cls in {cls for cls, _ in homes}:
+        fields = dataclasses.fields(cls)
+        scalar = {f.name for f in fields if f.type in ("int", "float", "str")}
+        assert scalar == {name for c, name in homes if c is cls}, cls.__name__
+
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(REPO / "configs" / "default.ini", encoding="utf-8")
+    listed = {(s, key) for s in sections if parser.has_section(s) for key in parser[s]}
+    assert listed == {(s, key) for s, table in sections.items() for key in table}

@@ -291,6 +291,8 @@ def test_config_validation_errors():
         PeakDetector(id="p", channel="x", sigma=0.0)
     with pytest.raises(ValueError):
         PeakDetector(id="p", channel="x", window=5, min_samples=12)
+    with pytest.raises(ValueError, match="unknown tier"):
+        PeakDetector(id="p", channel="x", tier="weekly")
     with pytest.raises(ValueError):
         GradientDetector(id="g", channel="x", per_hour=1.0, direction="sideways")
     with pytest.raises(ValueError):
