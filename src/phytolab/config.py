@@ -61,7 +61,12 @@ from .channels import (
 )
 from .detectors import DETECTOR_KINDS, Detector, build_detector
 from .fra import SweepSpec
-from .logstore import CAPACITY_BYTES, SEGMENT_BYTES, check_store_sizes
+from .logstore import (
+    CAPACITY_BYTES,
+    SEGMENT_BYTES,
+    check_column_name,
+    check_store_sizes,
+)
 from .pipes import TierLayout
 from .simulator import Event, EventKind, PlantSimulator, SimParams, TissueModel
 
@@ -314,6 +319,7 @@ def _parse_channels(section) -> tuple[ChannelId, ...]:
                 f"[channels]: unknown kind {kind_text!r} for {name!r}; "
                 f"expected one of {sorted(_KIND_BY_VALUE)}"
             )
+        _make("[channels]", check_column_name, name)
         chans.append(ChannelId(name=name, kind=kind))
     _make("[channels]", validate_unique_names, chans)
     return tuple(chans)
@@ -385,6 +391,7 @@ def parse_config(text: str) -> BenchConfig:
 
     detectors = []
     for name, det_id, raw in _id_sections(parser, "detector"):
+        _make(f"[{name}]", check_column_name, det_id)
         kind = raw.pop("kind", None)
         if kind is None:
             raise ConfigError(f"[{name}] needs kind = <detector kind>")

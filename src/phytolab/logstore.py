@@ -24,6 +24,7 @@ SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.csv$")
+_BAD_NAME_RE = re.compile(r"[,\n\r]")
 
 
 def check_store_sizes(segment_bytes: int, capacity_bytes: int) -> None:
@@ -32,6 +33,12 @@ def check_store_sizes(segment_bytes: int, capacity_bytes: int) -> None:
         raise ValueError(f"segment size {segment_bytes} too small")
     if capacity_bytes < 2 * segment_bytes:
         raise ValueError("capacity must hold at least two segments")
+
+
+def check_column_name(name: str) -> None:
+    """Reject a name a CSV header cannot hold: empty, or with ',', '\\n', '\\r'."""
+    if not name or _BAD_NAME_RE.search(name):
+        raise ValueError(f"bad column name {name!r}")
 
 
 def csv_header(columns: Iterable[str]) -> str:
@@ -76,8 +83,7 @@ class LogStore:
         if not columns:
             raise ValueError("need at least one column")
         for name in columns:
-            if not name or re.search(r"[,\n\r]", name):
-                raise ValueError(f"bad column name {name!r}")
+            check_column_name(name)
         if len(set(columns)) != len(columns):
             raise ValueError("duplicate column names")
         check_store_sizes(segment_bytes, capacity_bytes)

@@ -5,13 +5,17 @@ testing.  It is deliberately analytic: every generated value is a closed-form
 function of the configuration, the seed and the timestamp, so tests can hold
 outputs against independent oracles and repeated runs are bit-identical.
 
-Noise is drawn from a generator seeded per (seed, channel stream, timestamp),
-never from shared mutable state, which makes any single reading reproducible
-without replaying the readings before it.
+Reading noise is keyed by (seed, timestamp): one generator seeded with both
+draws a standard-normal vector with one entry per channel (the channel's
+position is its stream), scaled by that channel's RMS.  No state is shared
+between timestamps, so any single reading is reproducible without replaying
+the readings before it (the counter-based idea of Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -223,6 +227,16 @@ _ENV_NOISE_RMS = {
 }
 
 
+def _channel_noise_rms(ch: ChannelId, params: SimParams) -> float:
+    """RMS of the reading noise on one channel; 0 for impedance channels."""
+    category = ch.category
+    if category is ChannelCategory.BIOPOTENTIAL:
+        return max(0.0, params.bio_noise_rms_v)
+    if category is ChannelCategory.IMPEDANCE:
+        return 0.0
+    return _ENV_NOISE_RMS[ch.kind]
+
+
 class PlantSimulator:
     """Deterministic record source over a configured channel set.
 
@@ -231,6 +245,13 @@ class PlantSimulator:
     yields identical readings.  Impedance channels are sampled and held per
     stimulation slot, mirroring a front-end that excites the tissue every
     stimulation_interval_s and keeps the last magnitude in between.
+
+    Each timestamp draws one noise vector for all channels.  Events are kept
+    in two lists sorted by time (touch/wound, electrical), and a reading
+    visits only the events whose kernel can still be non-zero at t_ms, so its
+    cost does not grow with the number of expired events.  The impedance
+    cache holds the current slot only; a query for another slot measures
+    again, which the increasing runtime clock never needs.
 
     Electrical stimulation events close the actuation loop: each one scales
     the cell's parallel resistance by (1 - 0.1 * intensity) for
@@ -258,8 +279,19 @@ class PlantSimulator:
         self._stimulates = any(
             ch.category is ChannelCategory.IMPEDANCE for ch in self.channels
         )
+        p = self.params
+        self._noise_rms = np.array([_channel_noise_rms(ch, p) for ch in self.channels])
+        self._noise_t: int | None = None
+        self._noise_row: list[float] = []
+        # touch/wound events older than this add exactly 0 (kernel support + 1 ms)
+        support_s = max(p.ap_duration_s, VP_CUTOFF_TAUS * p.vp_duration_s / 5.0)
+        self._bio_support_ms = math.ceil(support_s * 1000.0) + 1
         self._events: list[Event] = []
-        self._imp_cache: dict[tuple[str, int], float] = {}
+        # each an (at_ms list, event list) pair sorted by at_ms, for _window
+        self._bio_events: tuple[list[int], list[Event]] = ([], [])
+        self._electrical_events: tuple[list[int], list[Event]] = ([], [])
+        self._imp_slot: int | None = None
+        self._imp_cache: dict[str, float] = {}
         self._excitation = fra.synthesize_excitation(
             self.params.excitation_hz,
             self.params.excitation_amplitude_v,
@@ -273,6 +305,13 @@ class PlantSimulator:
         if event.channel is not None and event.channel not in self._streams:
             raise ValueError(f"unknown channel {event.channel!r}")
         self._events.append(event)
+        if event.kind is EventKind.ELECTRICAL:
+            times, events = self._electrical_events
+        else:
+            times, events = self._bio_events
+        i = bisect.bisect_right(times, event.at_ms)
+        times.insert(i, event.at_ms)
+        events.insert(i, event)
 
     def add_touch(self, at_ms: int, channel: str | None = None) -> None:
         self.add_event(Event(EventKind.TOUCH, at_ms, channel))
@@ -330,34 +369,44 @@ class PlantSimulator:
                 return ch
         raise KeyError(name)
 
-    def _noise(self, name: str, t_ms: int, rms: float) -> float:
-        if rms <= 0.0:
-            return 0.0
-        rng = np.random.default_rng([self.seed, self._streams[name], int(t_ms)])
-        return float(rng.normal(0.0, rms))
+    def _noise(self, name: str, t_ms: int) -> float:
+        """This channel's entry of the noise vector drawn for t_ms."""
+        t_ms = int(t_ms)
+        if t_ms != self._noise_t:
+            rng = np.random.default_rng([self.seed, t_ms])
+            z = rng.standard_normal(len(self.channels))
+            self._noise_row = (z * self._noise_rms).tolist()
+            self._noise_t = t_ms
+        return self._noise_row[self._streams[name]]
 
     def _raw_value(self, ch: ChannelId, t_ms: int) -> float:
         if ch.category is ChannelCategory.BIOPOTENTIAL:
             if self._blanked(t_ms):
                 return self.params.bio_baseline_v
-            clean = self._bio_clean(ch.name, t_ms)
-            return clean + self._noise(ch.name, t_ms, self.params.bio_noise_rms_v)
+            return self._bio_clean(ch.name, t_ms) + self._noise(ch.name, t_ms)
         if ch.category is ChannelCategory.IMPEDANCE:
             return self._impedance_value(ch.name, t_ms)
-        clean = self._env_clean(ch.kind, t_ms)
-        return clean + self._noise(ch.name, t_ms, _ENV_NOISE_RMS[ch.kind])
+        return self._env_clean(ch.kind, t_ms) + self._noise(ch.name, t_ms)
+
+    @staticmethod
+    def _window(
+        sorted_events: tuple[list[int], list[Event]], after_ms: int, upto_ms: int
+    ) -> list[Event]:
+        """Events with after_ms < at_ms <= upto_ms, in time order."""
+        times, events = sorted_events
+        lo = bisect.bisect_right(times, after_ms)
+        return events[lo : bisect.bisect_right(times, upto_ms, lo)]
 
     # -- biopotential ---------------------------------------------------------
 
     def _bio_clean(self, name: str, t_ms: int) -> float:
         p = self.params
         total = p.bio_baseline_v
-        for ev in self._events:
+        since = t_ms - self._bio_support_ms
+        for ev in self._window(self._bio_events, since, t_ms):
             if ev.channel is not None and ev.channel != name:
                 continue
             dt = (t_ms - ev.at_ms) / 1000.0
-            if dt < 0.0:
-                continue
             if ev.kind is EventKind.TOUCH:
                 total += ev.scale * p.ap_amplitude_v * ap_kernel(dt / p.ap_duration_s)
             elif ev.kind is EventKind.WOUND:
@@ -369,11 +418,13 @@ class PlantSimulator:
 
     def _impedance_value(self, name: str, t_ms: int) -> float:
         slot = self._slot(t_ms)
-        key = (name, slot)
-        got = self._imp_cache.get(key)
+        if slot != self._imp_slot:
+            self._imp_slot = slot
+            self._imp_cache = {}
+        got = self._imp_cache.get(name)
         if got is None:
             got = self._measure_impedance(name, slot)
-            self._imp_cache[key] = got
+            self._imp_cache[name] = got
         return got
 
     def _cell_at(self, slot_ms: int) -> TissueModel:
@@ -385,11 +436,8 @@ class PlantSimulator:
         """
         factor = 1.0
         dur_ms = round(self.params.vp_duration_s * 1000.0)
-        for ev in self._events:
-            if ev.kind is not EventKind.ELECTRICAL:
-                continue
-            if ev.at_ms <= slot_ms < ev.at_ms + dur_ms:
-                factor *= 1.0 - 0.1 * ev.scale
+        for ev in self._window(self._electrical_events, slot_ms - dur_ms, slot_ms):
+            factor *= 1.0 - 0.1 * ev.scale
         if factor == 1.0:
             return self.tissue
         return replace(self.tissue, rp=self.tissue.rp * factor)

@@ -264,6 +264,7 @@ BAD_CASES = [
     ("[system]\nperiod_s = 500\n", "outside"),
     ("[system]\nperod_s = 0.5\nsed = 3\n", "unknown parameter"),
     ("[channels]\nb = biopotential9\n", "unknown kind"),
+    ("[channels]\na,b = biopotential1\n", "bad column name"),
     ("[channels]\na = biopotential1\na = biopotential2\n", "malformed INI"),
     ("[tissue]\nrs = -5\n", "out of range"),
     ("[tissue]\nohms = 5\n", "unknown parameter"),
@@ -271,6 +272,7 @@ BAD_CASES = [
     ("[impedance]\nfrequency_hz = fast\n", "not a valid float"),
     ("[biopotential]\nblank_during_stimulation = 2\n", "0 or 1"),
     ("[pipe]\nmiddle_stride = 1\n", "strides must grow"),
+    ("[detector.a,b]\nkind = mean\nchannel = bio1\n", "bad column name"),
     ("[detector.x]\nchannel = bio1\n", "needs kind"),
     ("[detector.x]\nkind = psychic\n", "unknown kind"),
     ("[detector.x]\nkind = peak\nchannel = nope\n", "unknown channel"),

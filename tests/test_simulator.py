@@ -1,6 +1,7 @@
 """Simulator tests against the closed-form cell and kernel oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -338,3 +339,145 @@ def test_bio_values_always_on_quantization_grid(t):
     plant = sim.PlantSimulator(seed=9)
     v = plant.record_at(t).values["bio1"]
     assert v == 64e-9 * round(v / 64e-9)
+
+
+# -- event windows, one-slot impedance cache and the noise stream -------------
+
+
+def brute_bio_clean(plant, name, t):
+    """Every touch/wound event ever added, summed in at_ms order."""
+    p = plant.params
+    total = p.bio_baseline_v
+    for ev in sorted(plant.events, key=lambda e: e.at_ms):
+        if ev.kind is sim.EventKind.ELECTRICAL:
+            continue
+        if ev.channel is not None and ev.channel != name:
+            continue
+        dt = (t - ev.at_ms) / 1000.0
+        if dt < 0.0:
+            continue
+        if ev.kind is sim.EventKind.TOUCH:
+            total += ev.scale * p.ap_amplitude_v * sim.ap_kernel(dt / p.ap_duration_s)
+        else:
+            tau = p.vp_duration_s / 5.0
+            total += ev.scale * p.vp_amplitude_v * sim.vp_kernel(dt / tau)
+    return total
+
+
+def brute_rp(plant, slot):
+    """Every electrical event ever added, multiplied in at_ms order."""
+    factor = 1.0
+    dur_ms = round(plant.params.vp_duration_s * 1000.0)
+    for ev in sorted(plant.events, key=lambda e: e.at_ms):
+        if ev.kind is sim.EventKind.ELECTRICAL and ev.at_ms <= slot < ev.at_ms + dur_ms:
+            factor *= 1.0 - 0.1 * ev.scale
+    return plant.tissue.rp * factor
+
+
+@st.composite
+def plants_with_events(draw):
+    ap_s = draw(st.sampled_from([0.0015, 1.0]) | st.floats(0.001, 5.0))
+    vp_s = draw(st.sampled_from([0.005, 20.0]) | st.floats(0.001, 40.0))
+    params = sim.SimParams(ap_duration_s=ap_s, vp_duration_s=vp_s)
+    plant = sim.PlantSimulator(params=params, seed=0)
+    t = draw(st.integers(0, 300_000))
+    slot = plant._slot(t)
+    # events exactly on, and one ms either side of, each support edge
+    edges = [
+        t - round(ap_s * 1000.0),
+        t - round(5.0 * vp_s * 1000.0),  # 25 tau, tau = vp / 5
+        slot - round(vp_s * 1000.0),
+    ]
+    near = [e + d for e in edges for d in (-1, 0, 1) if e + d >= 0]
+    at_ms = st.integers(0, 400_000)
+    if near:
+        at_ms = at_ms | st.sampled_from(near)
+    bio_event = st.builds(
+        sim.Event,
+        st.sampled_from([sim.EventKind.TOUCH, sim.EventKind.WOUND]),
+        at_ms,
+        st.sampled_from([None, "bio1", "bio2"]),
+        st.floats(0.1, 3.0),
+    )
+    electrical = st.builds(
+        sim.Event,
+        st.just(sim.EventKind.ELECTRICAL),
+        at_ms,
+        st.none(),
+        st.floats(0.01, 1.0),
+    )
+    for ev in draw(st.lists(bio_event | electrical, max_size=40)):
+        plant.add_event(ev)
+    return plant, t
+
+
+@given(case=plants_with_events())
+@settings(max_examples=200, deadline=None)
+def test_event_windows_match_a_scan_of_every_event(case):
+    plant, t = case
+    for name in ("bio1", "bio2"):
+        assert plant._bio_clean(name, t) == brute_bio_clean(plant, name, t)
+    slot = plant._slot(t)
+    assert plant._cell_at(slot).rp == brute_rp(plant, slot)
+
+
+def loaded_plant():
+    plant = sim.PlantSimulator(
+        params=sim.SimParams(impedance_noise_rms_v=1e-4), seed=7
+    )
+    plant.add_touch(3_000)
+    plant.add_wound(12_000, channel="bio2")
+    plant.add_touch(26_500, channel="bio1")
+    # added out of time order on purpose
+    for at_ms in (41_000, 5_000, 19_500, 18_000):
+        plant.add_electrical(at_ms, intensity=0.5)
+    return plant
+
+
+def test_records_with_events_do_not_depend_on_query_order():
+    # 20 s slot, then other slots, then back to the evicted 20 s slot
+    first = [20_000, 50_000, 29_999, 5_000, 21_000, 20_000]
+    rest = list(range(0, 60_000, 1_300))
+    random.Random(4).shuffle(rest)
+    fresh = loaded_plant()
+    want = {t: fresh.record_at(t) for t in sorted(set(first + rest))}
+    plant = loaded_plant()
+    for t in first + rest:
+        assert plant.record_at(t) == want[t]
+
+
+def test_reading_noise_has_its_rms_and_is_uncorrelated():
+    plant = sim.PlantSimulator(seed=1)
+    times = range(4_000)
+    records = [plant.record_at(t) for t in times]
+
+    def noise(name):
+        clean = [plant.expected_value(name, t) for t in times]
+        return np.array([r.values[name] for r in records]) - clean
+
+    bio1, bio2 = noise("bio1"), noise("bio2")
+    air = noise("air_temperature")
+    assert np.sqrt(np.mean(bio1**2)) == pytest.approx(5e-6, rel=0.1)
+    assert np.sqrt(np.mean(air**2)) == pytest.approx(0.01, rel=0.1)
+    assert abs(np.corrcoef(bio1[:-1], bio1[1:])[0, 1]) < 0.1
+    assert abs(np.corrcoef(bio1, bio2)[0, 1]) < 0.1
+    other = sim.PlantSimulator(seed=2)
+    assert [other.record_at(t).values["bio1"] for t in range(20)] != [
+        r.values["bio1"] for r in records[:20]
+    ]
+
+
+def test_expired_events_call_no_kernel(monkeypatch):
+    calls = []
+    for name in ("ap_kernel", "vp_kernel"):
+        kernel = getattr(sim, name)
+        monkeypatch.setattr(
+            sim, name, lambda u, kernel=kernel: (calls.append(u), kernel(u))[1]
+        )
+    plant = sim.PlantSimulator(seed=0)
+    for i in range(1_000):
+        plant.add_touch(i * 100)
+        plant.add_wound(i * 100 + 50)
+    # the last wound is 900 s old; its kernel ends after 25 tau = 100 s
+    plant.record_at(1_000_000)
+    assert calls == []
