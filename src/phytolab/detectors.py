@@ -29,6 +29,37 @@ QUIET = -1.0
 MS_PER_HOUR = 3_600_000.0
 
 
+# Scalar kernels for the windowed detectors.  Each does what numpy's own
+# median, mean or std does internally on a 1-D float64 array, in the same
+# order, so the results are bit-identical, without the per-call overhead of
+# the numpy functions.  Sums go through np.add.reduce (numpy's pairwise sum),
+# never through a dot product, which sums in another order.
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median: the middle of the sorted window, or the mean of the middle
+    pair taken with numpy's own sum (which also settles the sign of a zero);
+    NaN anywhere makes it NaN."""
+    s = np.sort(x)
+    if math.isnan(s[-1]):
+        return math.nan
+    n = s.shape[0]
+    hi = n // 2 + 1
+    lo = hi - 2 + n % 2
+    return float(np.add.reduce(s[lo:hi])) / (hi - lo)
+
+
+def _mean(x: np.ndarray) -> float:
+    """x.mean(): numpy's pairwise sum over the count."""
+    return float(np.add.reduce(x)) / x.shape[0]
+
+
+def _std(x: np.ndarray) -> float:
+    """x.std(): population deviation from the squared residuals' pairwise sum."""
+    d = x - _mean(x)
+    return math.sqrt(float(np.add.reduce(d * d)) / x.shape[0])
+
+
 @runtime_checkable
 class Detector(Protocol):
     id: str
@@ -99,10 +130,10 @@ class PeakDetector(WindowedDetector):
             raise ValueError(f"{self.id}: sigma must be positive")
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        dev = np.abs(x - np.median(x))
+        dev = np.abs(x - _median(x))
         peak = float(dev[-1])
-        diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
-        scale = MAD_SIGMA * max(float(np.median(dev)), diff_mad)
+        diff_mad = _median(np.abs(x[1:] - x[:-1])) / math.sqrt(2.0)
+        scale = MAD_SIGMA * max(_median(dev), diff_mad)
         if scale == 0.0:
             return FIRED if peak > 0.0 else QUIET
         return FIRED if peak > self.sigma * scale else QUIET
@@ -126,11 +157,11 @@ class GradientDetector(WindowedDetector):
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         t = pipe.timestamps_ms(self.window).astype(np.float64) / MS_PER_HOUR
-        t -= t.mean()
+        t -= _mean(t)
         denom = float(np.dot(t, t))
         if denom == 0.0:
             return NO_DATA
-        slope = float(np.dot(t, x - x.mean())) / denom
+        slope = float(np.dot(t, x - _mean(x))) / denom
         if self.direction == "rising":
             return FIRED if slope > self.per_hour else QUIET
         if self.direction == "falling":
@@ -149,8 +180,8 @@ class NoiseLevelDetector(WindowedDetector):
     min_samples: int = 8
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        d = np.diff(x)
-        return float(np.sqrt(np.mean(d * d) / 2.0))
+        d = x[1:] - x[:-1]
+        return math.sqrt(_mean(d * d) / 2.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,7 +206,7 @@ class CyclicalDetector(WindowedDetector):
         return max(self.min_samples, self.lag + 2)
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        y = x - x.mean()
+        y = x - _mean(x)
         denom = float(np.dot(y, y))
         if denom == 0.0:
             return QUIET  # constant series carries no cycle
@@ -237,7 +268,7 @@ class MeanDetector(WindowedDetector):
     min_samples: int = 4
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return float(x.mean())
+        return _mean(x)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -247,16 +278,16 @@ class StdDevDetector(WindowedDetector):
     min_samples: int = 4
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return float(x.std())
+        return _std(x)
 
 
 def _latest_zscore(x: np.ndarray) -> float:
     """z of the newest sample against the rest of the window (excluded)."""
     rest = x[:-1]
-    sigma = float(rest.std())
+    sigma = _std(rest)
     if sigma == 0.0:
         return 0.0
-    return (float(x[-1]) - float(rest.mean())) / sigma
+    return (float(x[-1]) - _mean(rest)) / sigma
 
 
 @dataclass(frozen=True, kw_only=True)

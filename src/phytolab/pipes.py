@@ -5,11 +5,16 @@ tier completes a full span of pushes it hands the span's last record to the
 tier above, so the middle tier sees one record per minute of base pushes and
 the long tier one per hour, without any averaging or resampling.  Detectors
 read fixed-length windows out of whichever tier matches their time scale.
+
+Each tier stores its readings column-wise: one float64 row per channel and
+one int64 timestamp row, every sample written twice, at its ring slot and
+again one capacity further on.  The last n samples, for any n up to the
+capacity, are then one contiguous slice of the doubled row, so a window is a
+slice copy with no gathering or concatenation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +25,21 @@ SHORT, MIDDLE, LONG = "short", "middle", "long"
 
 
 class Pipe:
-    """Fixed-capacity ring of records at a single cadence.
+    """Fixed-capacity ring of records at a single cadence, stored by column.
 
     Push order must have strictly increasing timestamps; once capacity is
     reached the oldest record is evicted.  total_pushed counts every record
     ever pushed, not just the retained ones.
+
+    The first record pushed fixes the channel columns, names and order; a
+    later record with other names, or the same names in another order, is
+    refused.  Sample k lands in slot i = k mod capacity of a
+    (channels, 2 * capacity) float64 array and of a 2 * capacity int64
+    timestamp array, at i and again at i + capacity, so the retained samples
+    always sit oldest first in [end - len, end), with end one past the
+    newest.  values() and timestamps_ms() return copies of such slices, which
+    later pushes cannot change.  latest is the pushed Record object itself;
+    records() rebuilds Records from the columns.
     """
 
     def __init__(self, name: str, capacity: int, period_s: float) -> None:
@@ -35,43 +50,73 @@ class Pipe:
         self.name = name
         self.capacity = capacity
         self.period_s = period_s
-        self._ring: deque[Record] = deque(maxlen=capacity)
         self.total_pushed = 0
+        self._names: tuple[str, ...] | None = None
+        self._rows: dict[str, int] = {}
+        self._data = np.empty((0, 2 * capacity), dtype=np.float64)
+        self._ts = np.zeros(2 * capacity, dtype=np.int64)
+        self._end = capacity
+        self._len = 0
+        self._latest: Record | None = None
 
     def push(self, record: Record) -> None:
-        if self._ring and record.timestamp_ms <= self._ring[-1].timestamp_ms:
+        latest = self._latest
+        if latest is not None and record.timestamp_ms <= latest.timestamp_ms:
             raise ValueError(
                 f"pipe {self.name!r}: timestamp {record.timestamp_ms} not after "
-                f"{self._ring[-1].timestamp_ms}"
+                f"{latest.timestamp_ms}"
             )
-        self._ring.append(record)
+        values = record.values
+        names = tuple(values)
+        if names != self._names:
+            if self._names is not None:
+                raise ValueError(
+                    f"pipe {self.name!r}: record channels {list(names)} differ "
+                    f"from {list(self._names)}"
+                )
+            self._names = names
+            self._rows = {name: row for row, name in enumerate(names)}
+            self._data = np.zeros((len(names), 2 * self.capacity), dtype=np.float64)
+        column = np.fromiter(values.values(), np.float64, len(names))
+        cap = self.capacity
+        i = self._end % cap
+        self._data[:, i] = self._data[:, i + cap] = column
+        self._ts[i] = self._ts[i + cap] = record.timestamp_ms
+        self._end = i + cap + 1
+        if self._len < cap:
+            self._len += 1
+        self._latest = record
         self.total_pushed += 1
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._len
 
     @property
     def latest(self) -> Record | None:
-        return self._ring[-1] if self._ring else None
+        return self._latest
 
     def records(self) -> tuple[Record, ...]:
-        """Retained records, oldest first."""
-        return tuple(self._ring)
+        """Retained records, oldest first, rebuilt from the columns."""
+        if not self._len:
+            return ()
+        window = slice(self._end - self._len, self._end)
+        return tuple(
+            Record(timestamp_ms=t, values=dict(zip(self._names, column)))
+            for t, column in zip(
+                self._ts[window].tolist(), self._data[:, window].T.tolist()
+            )
+        )
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
         """Last n readings of one channel, oldest first (all retained if n is None)."""
-        if n is None or n >= len(self._ring):
-            picked = self._ring
-        else:
-            picked = [self._ring[i] for i in range(len(self._ring) - n, len(self._ring))]
-        return np.array([r.values[channel] for r in picked], dtype=np.float64)
+        if not self._len:
+            return np.empty(0, dtype=np.float64)
+        k = self._len if n is None or n > self._len else n
+        return self._data[self._rows[channel], self._end - k : self._end].copy()
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
-        if n is None or n >= len(self._ring):
-            picked = self._ring
-        else:
-            picked = [self._ring[i] for i in range(len(self._ring) - n, len(self._ring))]
-        return np.array([r.timestamp_ms for r in picked], dtype=np.int64)
+        k = self._len if n is None or n > self._len else n
+        return self._ts[self._end - k : self._end].copy()
 
 
 @dataclass(frozen=True)

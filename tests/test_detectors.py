@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from phytolab.channels import Record
 from phytolab.detectors import (
+    FIRED,
+    MAD_SIGMA,
+    MS_PER_HOUR,
+    NO_DATA,
+    QUIET,
     CyclicalDetector,
     DetectorBank,
     GradientDetector,
@@ -19,9 +24,12 @@ from phytolab.detectors import (
     TimeIntervalGate,
     TimeOfDayGate,
     ZScoreDetector,
+    _mean,
+    _median,
+    _std,
     build_detector,
 )
-from phytolab.pipes import TieredPipes
+from phytolab.pipes import TierLayout, TieredPipes
 
 
 def feed(values, period_ms=1000, timestamps_ms=None):
@@ -303,3 +311,169 @@ def test_config_validation_errors():
         TimeOfDayGate(id="t", start_hour=25.0, end_hour=3.0)
     with pytest.raises(ValueError):
         PathogenicityDetector(id="h", channel="x", z_yellow=4.0, z_red=2.0)
+
+
+# --- bit-identity oracle: the scalar kernels and the detectors built on them
+# reproduce numpy's own results, and the parent's detector formulas, exactly.
+
+magnitudes = st.floats(min_value=1e-9, max_value=1e9)
+window_values = st.one_of(
+    st.builds(lambda m, neg: -m if neg else m, magnitudes, st.booleans()),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def float_windows(draw, min_size=2, max_size=120):
+    """Windows of 2-120 samples drawn from a pool: a one-value pool gives a
+    constant window, a small pool ties, a large one mostly distinct values."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    pool = draw(st.lists(window_values, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+def same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+@given(x=float_windows())
+@settings(max_examples=400, deadline=None)
+def test_kernels_match_numpy_bit_for_bit(x):
+    assert same_bits(_median(x), np.median(x))
+    assert same_bits(_mean(x), x.mean())
+    assert same_bits(_std(x), x.std())
+
+
+def test_median_kernel_odd_even_and_nan():
+    assert _median(np.array([3.0, 1.0, 2.0])) == 2.0
+    assert _median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+    assert same_bits(_median(np.array([-0.0, -0.0])), np.median([-0.0, -0.0]))
+    assert math.isnan(_median(np.array([1.0, math.nan, 2.0])))
+
+
+def parent_peak(x, sigma):
+    dev = np.abs(x - np.median(x))
+    peak = float(dev[-1])
+    diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
+    scale = MAD_SIGMA * max(float(np.median(dev)), diff_mad)
+    if scale == 0.0:
+        return FIRED if peak > 0.0 else QUIET
+    return FIRED if peak > sigma * scale else QUIET
+
+
+def parent_slope(x, t_ms):
+    t = t_ms.astype(np.float64) / MS_PER_HOUR
+    t -= t.mean()
+    denom = float(np.dot(t, t))
+    if denom == 0.0:
+        return None
+    return float(np.dot(t, x - x.mean())) / denom
+
+
+def parent_gradient(x, t_ms, per_hour, direction):
+    slope = parent_slope(x, t_ms)
+    if slope is None:
+        return NO_DATA
+    if direction == "rising":
+        return FIRED if slope > per_hour else QUIET
+    if direction == "falling":
+        return FIRED if slope < -per_hour else QUIET
+    return FIRED if abs(slope) > per_hour else QUIET
+
+
+def parent_noise_level(x):
+    d = np.diff(x)
+    return float(np.sqrt(np.mean(d * d) / 2.0))
+
+
+def parent_autocorr(x, lag):
+    y = x - x.mean()
+    denom = float(np.dot(y, y))
+    if denom == 0.0:
+        return None
+    return float(np.dot(y[lag:], y[:-lag])) / denom
+
+
+def parent_zscore(x):
+    rest = x[:-1]
+    sigma = float(rest.std())
+    if sigma == 0.0:
+        return 0.0
+    return (float(x[-1]) - float(rest.mean())) / sigma
+
+
+def parent_pathogenicity(x, z_yellow, z_red):
+    z = abs(parent_zscore(x))
+    if z < z_yellow:
+        return 0.0
+    if z < z_red:
+        return 1.0
+    return 2.0
+
+
+def on_the_edge(value, fallback, lo=0.0, hi=math.inf):
+    """A threshold equal to the parent's own statistic, so a result one ulp
+    off on either side flips the decision; the fallback when it is unusable."""
+    if value is not None and math.isfinite(value) and lo < value < hi:
+        return value
+    return fallback
+
+
+@given(
+    x=float_windows(min_size=3),
+    lead=st.lists(window_values, max_size=10),
+    gaps=st.lists(st.integers(min_value=1, max_value=10**6), min_size=130, max_size=130),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_windowed_detectors_match_the_parent_formulas(x, lead, gaps, data):
+    """Each windowed detector, reading its window back out of a ring that has
+    wrapped, returns exactly what the formula it replaced returns."""
+    n = len(x)
+    tiers = TieredPipes(layout=TierLayout(short_capacity=n))
+    stamps = np.cumsum(gaps[: len(lead) + n]).tolist()
+    for t, v in zip(stamps, lead + x.tolist()):
+        tiers.push(Record(timestamp_ms=t, values={"x": v}))
+    now = stamps[-1]
+    t_ms = np.array(stamps[-n:], dtype=np.int64)
+    common = dict(channel="x", tier="short", window=n, min_samples=2)
+
+    def check(det, want):
+        assert same_bits(det.evaluate(tiers, now), want)
+
+    dev = np.abs(x - np.median(x))
+    scale = MAD_SIGMA * max(
+        float(np.median(dev)), float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
+    )
+    edge_sigma = float(dev[-1]) / scale if scale > 0.0 else None
+    sigma = data.draw(st.sampled_from([on_the_edge(edge_sigma, 5.0), 5.0]))
+    check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
+
+    slope = parent_slope(x, t_ms)
+    per_hour = on_the_edge(None if slope is None else abs(slope), 1.0)
+    for direction in ("rising", "falling", "either"):
+        check(
+            GradientDetector(id="g", per_hour=per_hour, direction=direction, **common),
+            parent_gradient(x, t_ms, per_hour, direction),
+        )
+
+    check(NoiseLevelDetector(id="n", **common), parent_noise_level(x))
+
+    lag = data.draw(st.integers(min_value=1, max_value=n - 2))
+    r = parent_autocorr(x, lag)
+    threshold = on_the_edge(r, 0.5, lo=-1.0, hi=1.0)
+    want = QUIET if r is None else (FIRED if r > threshold else QUIET)
+    check(CyclicalDetector(id="c", lag=lag, threshold=threshold, **common), want)
+
+    check(MeanDetector(id="m", **common), float(x.mean()))
+    check(StdDevDetector(id="s", **common), float(x.std()))
+    check(ZScoreDetector(id="z", **common), parent_zscore(x))
+
+    z = abs(parent_zscore(x))
+    z_yellow = on_the_edge(z, 2.0, hi=1e300)
+    for z_red in (2.0 * z_yellow, math.nextafter(z_yellow, math.inf)):
+        check(
+            PathogenicityDetector(id="h", z_yellow=z_yellow, z_red=z_red, **common),
+            parent_pathogenicity(x, z_yellow, z_red),
+        )

@@ -1,5 +1,7 @@
 """Tier cadence and ring-buffer behaviour, checked by direct enumeration."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,3 +119,79 @@ def test_counts_match_integer_division(n):
     assert len(tiers.short) == min(n, 7)
     assert len(tiers.middle) == min(n // 10, 5)
     assert len(tiers.long) == min(n // 50, 3)
+
+
+def test_pipe_refuses_records_with_other_channels():
+    p = Pipe("short", 4, 1.0)
+    p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
+    for values in ({"b": 2.0, "a": 1.0}, {"a": 1.0}, {"a": 1.0, "c": 2.0},
+                   {"a": 1.0, "b": 2.0, "c": 3.0}):
+        with pytest.raises(ValueError, match="channels"):
+            p.push(Record(timestamp_ms=1000, values=values))
+    # a refused record leaves the ring as it was
+    assert len(p) == 1 and p.total_pushed == 1
+    np.testing.assert_array_equal(p.values("b"), [2.0])
+    np.testing.assert_array_equal(p.timestamps_ms(), [0])
+
+
+def test_pipe_unknown_channel_and_empty_windows():
+    p = Pipe("short", 4, 1.0)
+    # nothing pushed yet: every window is empty, whatever the channel
+    assert p.values("anything").shape == (0,)
+    assert p.values("anything").dtype == np.float64
+    assert p.timestamps_ms().shape == (0,)
+    assert p.timestamps_ms().dtype == np.int64
+    assert p.latest is None and p.records() == ()
+    p.push(rec(0, 1.0))
+    with pytest.raises(KeyError):
+        p.values("y")
+
+
+def _window(model, n):
+    """The reference window: the last n of the deque, all if n is None."""
+    kept = list(model)
+    k = len(kept) if n is None else min(n, len(kept))
+    return kept[len(kept) - k:]
+
+
+readings = st.floats(allow_nan=False, width=64)
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    pushes=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=10**9), readings, readings),
+        max_size=25,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_pipe_matches_a_deque_of_records(capacity, pushes):
+    """The columnar ring reads back exactly what a deque(maxlen) of the same
+    records holds, bit for bit, and arrays handed out earlier never change."""
+    pipe = Pipe("p", capacity, 1.0)
+    model: deque[Record] = deque(maxlen=capacity)
+    handed_out: list[tuple[np.ndarray, bytes]] = []
+    t = 0
+    for pushed, (gap, a, b) in enumerate(pushes, start=1):
+        t += gap
+        record = Record(timestamp_ms=t, values={"a": a, "b": b})
+        pipe.push(record)
+        model.append(record)
+        assert len(pipe) == len(model)
+        assert pipe.total_pushed == pushed
+        assert pipe.latest is record
+        assert pipe.records() == tuple(model)
+        for n in (None, 0, 1, len(model), capacity, capacity + 3):
+            want = _window(model, n)
+            for ch in ("a", "b"):
+                got = pipe.values(ch, n)
+                expected = np.array([r.values[ch] for r in want], dtype=np.float64)
+                assert got.dtype == np.float64
+                assert got.tobytes() == expected.tobytes()
+                handed_out.append((got, got.tobytes()))
+            stamps = pipe.timestamps_ms(n)
+            assert stamps.dtype == np.int64
+            assert stamps.tolist() == [r.timestamp_ms for r in want]
+            handed_out.append((stamps, stamps.tobytes()))
+        for array, snapshot in handed_out:
+            assert array.tobytes() == snapshot
