@@ -597,12 +597,21 @@ class _BindingState:
         self.last_fire_ms: int | None = None
 
 
+# Last word of every Bernoulli seed key (ASCII "bern").  The simulator keys its
+# noise [seed, t] and [seed, stream, slot]; numpy's SeedSequence pads short
+# keys with zeros, so without a nonzero final tag [seed, b, t] would be the
+# impedance noise of stream b at slot t, and [seed, b, 0] the reading noise
+# at t = b.
+_BERNOULLI_DOMAIN = 0x6265726E
+
+
 class ActuationEngine:
     """Evaluates every binding once per cycle and drives the actuators.
 
-    Bernoulli draws are seeded per (seed, binding index, timestamp), so a run
-    is reproducible sample for sample and bindings cannot influence each
-    other's randomness.
+    Bernoulli draws are seeded per (seed, binding index, timestamp, domain
+    tag), so a run is reproducible sample for sample, bindings cannot
+    influence each other's randomness, and no draw shares its stream with the
+    simulator's noise.
     """
 
     def __init__(self, bindings: Sequence[Binding], seed: int = 0) -> None:
@@ -626,8 +635,9 @@ class ActuationEngine:
             n = binding.expression.n_bernoulli
             uniforms: Sequence[float] = ()
             if n:
+                stream = self._streams[binding.id]
                 rng = np.random.default_rng(
-                    [self.seed, self._streams[binding.id], int(now_ms)]
+                    [self.seed, stream, int(now_ms), _BERNOULLI_DOMAIN]
                 )
                 uniforms = rng.uniform(size=n)
             result = binding.expression.evaluate(

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from phytolab.actuation import (
@@ -354,6 +355,39 @@ def test_engine_is_deterministic_per_seed():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+def test_bernoulli_draws_share_no_stream_with_the_simulator(monkeypatch):
+    """No generator the engine seeds for a BERNOULLI draw produces the bits
+    of a simulator noise key: reading noise [seed, t] or impedance noise
+    [seed, stream, slot]."""
+    real_rng = np.random.default_rng
+    keys = []
+
+    def recording_rng(key):
+        keys.append(key)
+        return real_rng(key)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    seeds, streams, times = (0, 1), range(16), (0, 1, 100, 1000)
+    for seed in seeds:
+        engine = ActuationEngine(
+            [binding("a == 1 AND BERNOULLI(0.5)", id=f"b{i}") for i in streams],
+            seed=seed,
+        )
+        for t in times:
+            engine.cycle({"a": 1.0}, t)
+    monkeypatch.undo()
+    assert len(keys) == len(seeds) * len(streams) * len(times)
+
+    def first_words(key):
+        return tuple(real_rng(key).bit_generator.random_raw(4).tolist())
+
+    simulator = {first_words([s, t]) for s in seeds for t in times}
+    simulator |= {
+        first_words([s, stream, t]) for s in seeds for stream in streams for t in times
+    }
+    assert not {first_words(key) for key in keys} & simulator
 
 
 def test_engine_rejects_duplicate_binding_ids():
