@@ -56,7 +56,6 @@ class Pipe:
         self._data = np.empty((0, 2 * capacity), dtype=np.float64)
         self._ts = np.zeros(2 * capacity, dtype=np.int64)
         self._end = capacity
-        self._len = 0
         self._latest: Record | None = None
 
     def push(self, record: Record) -> None:
@@ -83,13 +82,11 @@ class Pipe:
         self._data[:, i] = self._data[:, i + cap] = column
         self._ts[i] = self._ts[i + cap] = record.timestamp_ms
         self._end = i + cap + 1
-        if self._len < cap:
-            self._len += 1
         self._latest = record
         self.total_pushed += 1
 
     def __len__(self) -> int:
-        return self._len
+        return min(self.total_pushed, self.capacity)
 
     @property
     def latest(self) -> Record | None:
@@ -97,9 +94,7 @@ class Pipe:
 
     def records(self) -> tuple[Record, ...]:
         """Retained records, oldest first, rebuilt from the columns."""
-        if not self._len:
-            return ()
-        window = slice(self._end - self._len, self._end)
+        window = slice(self._end - len(self), self._end)
         return tuple(
             Record(timestamp_ms=t, values=dict(zip(self._names, column)))
             for t, column in zip(
@@ -109,13 +104,15 @@ class Pipe:
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
         """Last n readings of one channel, oldest first (all retained if n is None)."""
-        if not self._len:
+        size = len(self)
+        if not size:
             return np.empty(0, dtype=np.float64)
-        k = self._len if n is None or n > self._len else n
+        k = size if n is None or n > size else n
         return self._data[self._rows[channel], self._end - k : self._end].copy()
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
-        k = self._len if n is None or n > self._len else n
+        size = len(self)
+        k = size if n is None or n > size else n
         return self._ts[self._end - k : self._end].copy()
 
 
