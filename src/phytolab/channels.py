@@ -2,8 +2,9 @@
 
 Every value that enters the system passes through here: channels declare
 their unit, range and device resolution, records carry one quantized
-reading per configured channel, and acquisition_order fixes the sampling
-order (voltage channels first, then impedance, then everything else).
+reading per configured channel, and each kind belongs to one category
+(biopotential, impedance or environment), the order the simulator samples
+them in.
 """
 
 from __future__ import annotations
@@ -211,15 +212,3 @@ def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
             raise ValueError(
                 f"reading on {name!r} out of range [{spec.lo}, {spec.hi}]: {value}"
             )
-
-
-_CATEGORY_RANK = {
-    ChannelCategory.BIOPOTENTIAL: 0,
-    ChannelCategory.IMPEDANCE: 1,
-    ChannelCategory.ENVIRONMENT: 2,
-}
-
-
-def acquisition_order(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
-    """Channels sorted voltage -> impedance -> environment, stably."""
-    return tuple(sorted(channels, key=lambda ch: _CATEGORY_RANK[ch.category]))

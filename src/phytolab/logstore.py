@@ -16,7 +16,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .channels import Record
 
@@ -146,15 +146,17 @@ class LogStore:
     # -- public API
 
     def append(self, record: Record) -> None:
+        self.append_row(record.timestamp_ms, record.values)
+
+    def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
-        values = record.values
         if len(values) != len(self.columns):
             raise ValueError(
                 f"record has {len(values)} values, store expects {len(self.columns)}"
             )
         try:
-            line = csv_row(record.timestamp_ms, map(values.__getitem__, self.columns))
+            line = csv_row(int(timestamp_ms), map(values.__getitem__, self.columns))
         except KeyError as exc:
             raise ValueError(f"record missing column {exc.args[0]!r}") from None
         self._fh.write(line)
@@ -162,9 +164,6 @@ class LogStore:
         if self._active_bytes >= self.segment_bytes:
             self._roll()
         self._evict()
-
-    def append_row(self, timestamp_ms: int, values: dict[str, float]) -> None:
-        self.append(Record(timestamp_ms=int(timestamp_ms), values=values))
 
     def flush(self) -> None:
         if self._fh is not None:

@@ -28,7 +28,6 @@ from .channels import (
     ChannelId,
     ChannelKind,
     Record,
-    acquisition_order,
     default_channels,
     quantize_for,
 )
@@ -207,34 +206,31 @@ class SimParams:
             raise ValueError("day length must be positive")
         if self.blank_bio_during_stimulation not in (0, 1):
             raise ValueError("blanking flag must be 0 or 1")
+        for name in ("bio_noise_rms_v", "impedance_noise_rms_v"):
+            rms = getattr(self, name)
+            if not (math.isfinite(rms) and rms >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {rms}")
 
 
-# Environment noise floors (RMS) by channel kind; biopotential noise comes
-# from SimParams and impedance noise from the response buffer instead.
-_ENV_NOISE_RMS = {
-    ChannelKind.TRANSPIRATION: 0.05,
-    ChannelKind.SAP_FLOW: 2e-6,
-    ChannelKind.SOIL_MOISTURE: 0.02,
-    ChannelKind.SOIL_TEMPERATURE: 0.005,
-    ChannelKind.AIR_TEMPERATURE: 0.01,
-    ChannelKind.AIR_HUMIDITY: 0.05,
-    ChannelKind.AIR_PRESSURE: 0.02,
-    ChannelKind.LIGHT: 2.0,
-    ChannelKind.MAGNETOMETER_XYZ: 5e-9,
-    ChannelKind.ACCELEROMETER_XYZ: 0.005,
-    ChannelKind.RF_POWER: 0.1,
-    ChannelKind.EXTERNAL_TEMPERATURE: 2e-4,
+# Environment model by channel kind: (noise RMS, offset, coefficient, basis).
+# The clean reading is offset + coefficient * basis, one of the curves that
+# _env_bases computes per timestamp; constant channels take coefficient 0.
+# Biopotential noise comes from SimParams and impedance noise from the
+# response buffer instead.
+_ENV_MODEL = {
+    ChannelKind.TRANSPIRATION: (0.05, 30.0, 25.0, "daylight"),
+    ChannelKind.SAP_FLOW: (2e-6, 0.002, 0.001, "daylight"),
+    ChannelKind.SOIL_MOISTURE: (0.02, 50.0, 5.0, "moisture"),
+    ChannelKind.SOIL_TEMPERATURE: (0.005, 20.0, 1.5, "soil"),
+    ChannelKind.AIR_TEMPERATURE: (0.01, 22.0, 4.0, "s"),
+    ChannelKind.AIR_HUMIDITY: (0.05, 55.0, -12.0, "s"),
+    ChannelKind.AIR_PRESSURE: (0.02, 1013.0, 1.5, "pressure"),
+    ChannelKind.LIGHT: (2.0, 0.0, 1.0, "light"),
+    ChannelKind.MAGNETOMETER_XYZ: (5e-9, 4.8e-5, 0.0, "s"),
+    ChannelKind.ACCELEROMETER_XYZ: (0.005, 9.81, 0.0, "s"),
+    ChannelKind.RF_POWER: (0.1, -80.0, 0.0, "s"),
+    ChannelKind.EXTERNAL_TEMPERATURE: (2e-4, 21.0, 3.0, "s"),
 }
-
-
-def _channel_noise_rms(ch: ChannelId, params: SimParams) -> float:
-    """RMS of the reading noise on one channel; 0 for impedance channels."""
-    category = ch.category
-    if category is ChannelCategory.BIOPOTENTIAL:
-        return max(0.0, params.bio_noise_rms_v)
-    if category is ChannelCategory.IMPEDANCE:
-        return 0.0
-    return _ENV_NOISE_RMS[ch.kind]
 
 
 class PlantSimulator:
@@ -273,16 +269,27 @@ class PlantSimulator:
         self._streams = {ch.name: i for i, ch in enumerate(self.channels)}
         if len(self._streams) != len(self.channels):
             raise ValueError("duplicate channel names")
-        self._order = acquisition_order(self.channels)
-        # the clock is integer milliseconds, so sub-ms intervals clamp to 1
-        self._interval_ms = max(1, round(self.params.stimulation_interval_s * 1000.0))
-        self._stimulates = any(
-            ch.category is ChannelCategory.IMPEDANCE for ch in self.channels
-        )
         p = self.params
-        self._noise_rms = np.array([_channel_noise_rms(ch, p) for ch in self.channels])
-        self._noise_t: int | None = None
-        self._noise_row: list[float] = []
+        # the channel plan: one list per category, each entry carrying the
+        # channel's position in the noise vector (its stream)
+        self._bio: list[tuple[ChannelId, int]] = []
+        self._imp: list[ChannelId] = []
+        self._env: list[tuple[ChannelId, int, float, float, str]] = []
+        noise_rms = []
+        for i, ch in enumerate(self.channels):
+            if ch.category is ChannelCategory.BIOPOTENTIAL:
+                self._bio.append((ch, i))
+                noise_rms.append(p.bio_noise_rms_v)
+            elif ch.category is ChannelCategory.IMPEDANCE:
+                self._imp.append(ch)
+                noise_rms.append(0.0)
+            else:
+                rms, offset, coefficient, basis = _ENV_MODEL[ch.kind]
+                self._env.append((ch, i, offset, coefficient, basis))
+                noise_rms.append(rms)
+        self._noise_rms = np.array(noise_rms)
+        # the clock is integer milliseconds, so sub-ms intervals clamp to 1
+        self._interval_ms = max(1, round(p.stimulation_interval_s * 1000.0))
         # touch/wound events older than this add exactly 0 (kernel support + 1 ms)
         support_s = max(p.ap_duration_s, VP_CUTOFF_TAUS * p.vp_duration_s / 5.0)
         self._bio_support_ms = math.ceil(support_s * 1000.0) + 1
@@ -335,10 +342,25 @@ class PlantSimulator:
         matter how they were configured, so the voltage readings never sit
         downstream of the excitation within a cycle.
         """
+        t_ms = int(t_ms)
+        rng = np.random.default_rng([self.seed, t_ms])
+        noise = (rng.standard_normal(len(self.channels)) * self._noise_rms).tolist()
         values: dict[str, float] = {}
-        for ch in self._order:
-            values[ch.name] = quantize_for(ch, self._raw_value(ch, t_ms))
-        return Record(timestamp_ms=int(t_ms), values=values)
+        blanked = self._blanked(t_ms)
+        for ch, i in self._bio:
+            if blanked:
+                raw = self.params.bio_baseline_v
+            else:
+                raw = self._bio_clean(ch.name, t_ms) + noise[i]
+            values[ch.name] = quantize_for(ch, raw)
+        for ch in self._imp:
+            values[ch.name] = quantize_for(ch, self._impedance_value(ch.name, t_ms))
+        if self._env:
+            bases = self._env_bases(t_ms)
+            for ch, i, offset, coefficient, basis in self._env:
+                raw = offset + coefficient * bases[basis] + noise[i]
+                values[ch.name] = quantize_for(ch, raw)
+        return Record(timestamp_ms=t_ms, values=values)
 
     def expected_value(self, name: str, t_ms: int) -> float:
         """Noiseless, unquantized reading: the oracle for record_at."""
@@ -349,13 +371,14 @@ class PlantSimulator:
             return self._bio_clean(name, t_ms)
         if ch.category is ChannelCategory.IMPEDANCE:
             return self._cell_at(self._slot(t_ms)).magnitude(self.params.excitation_hz)
-        return self._env_clean(ch.kind, t_ms)
+        _, offset, coefficient, basis = _ENV_MODEL[ch.kind]
+        return offset + coefficient * self._env_bases(t_ms)[basis]
 
     def _blanked(self, t_ms: int) -> bool:
-        """Biopotential inputs held at baseline: excitation fires at slot starts."""
+        """Bio inputs held at baseline: impedance excitation fires at slot starts."""
         return bool(
             self.params.blank_bio_during_stimulation
-            and self._stimulates
+            and self._imp
             and int(t_ms) % self._interval_ms == 0
         )
 
@@ -368,25 +391,6 @@ class PlantSimulator:
             if ch.name == name:
                 return ch
         raise KeyError(name)
-
-    def _noise(self, name: str, t_ms: int) -> float:
-        """This channel's entry of the noise vector drawn for t_ms."""
-        t_ms = int(t_ms)
-        if t_ms != self._noise_t:
-            rng = np.random.default_rng([self.seed, t_ms])
-            z = rng.standard_normal(len(self.channels))
-            self._noise_row = (z * self._noise_rms).tolist()
-            self._noise_t = t_ms
-        return self._noise_row[self._streams[name]]
-
-    def _raw_value(self, ch: ChannelId, t_ms: int) -> float:
-        if ch.category is ChannelCategory.BIOPOTENTIAL:
-            if self._blanked(t_ms):
-                return self.params.bio_baseline_v
-            return self._bio_clean(ch.name, t_ms) + self._noise(ch.name, t_ms)
-        if ch.category is ChannelCategory.IMPEDANCE:
-            return self._impedance_value(ch.name, t_ms)
-        return self._env_clean(ch.kind, t_ms) + self._noise(ch.name, t_ms)
 
     @staticmethod
     def _window(
@@ -459,34 +463,21 @@ class PlantSimulator:
 
     # -- environment ------------------------------------------------------------
 
-    def _env_clean(self, kind: ChannelKind, t_ms: int) -> float:
+    def _env_bases(self, t_ms: int) -> dict[str, float]:
+        """The curves _ENV_MODEL scales, at t_ms.
+
+        math.sin, not np.sin: numpy's SIMD paths can differ from libm by an ulp.
+        """
         t = t_ms / 1000.0
         day = self.params.day_length_s
         # solar phase: zero-crossing rising at 06:00, peak at noon
         s = math.sin(2.0 * math.pi * (t - day / 4.0) / day)
         daylight = max(0.0, s)
-        if kind is ChannelKind.LIGHT:
-            return 2.0e4 * daylight * daylight
-        if kind is ChannelKind.AIR_TEMPERATURE:
-            return 22.0 + 4.0 * s
-        if kind is ChannelKind.SOIL_TEMPERATURE:
-            return 20.0 + 1.5 * math.sin(2.0 * math.pi * (t - day / 3.0) / day)
-        if kind is ChannelKind.AIR_HUMIDITY:
-            return 55.0 - 12.0 * s
-        if kind is ChannelKind.AIR_PRESSURE:
-            return 1013.0 + 1.5 * math.sin(4.0 * math.pi * t / day)
-        if kind is ChannelKind.TRANSPIRATION:
-            return 30.0 + 25.0 * daylight
-        if kind is ChannelKind.SAP_FLOW:
-            return 0.002 + 0.001 * daylight
-        if kind is ChannelKind.SOIL_MOISTURE:
-            return 50.0 + 5.0 * math.sin(2.0 * math.pi * t / (3.0 * day))
-        if kind is ChannelKind.MAGNETOMETER_XYZ:
-            return 4.8e-5
-        if kind is ChannelKind.ACCELEROMETER_XYZ:
-            return 9.81
-        if kind is ChannelKind.RF_POWER:
-            return -80.0
-        if kind is ChannelKind.EXTERNAL_TEMPERATURE:
-            return 21.0 + 3.0 * s
-        raise ValueError(f"no environment model for {kind}")
+        return {
+            "s": s,
+            "daylight": daylight,
+            "light": 2.0e4 * daylight * daylight,
+            "soil": math.sin(2.0 * math.pi * (t - day / 3.0) / day),
+            "pressure": math.sin(4.0 * math.pi * t / day),
+            "moisture": math.sin(2.0 * math.pi * t / (3.0 * day)),
+        }

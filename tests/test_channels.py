@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phytolab import channels as ch
+from phytolab.simulator import PlantSimulator
 
 
 def test_channel_registry_covers_every_kind():
@@ -15,7 +16,7 @@ def test_channel_registry_covers_every_kind():
 def test_default_channels_unique_and_ordered_by_category():
     chans = ch.default_channels()
     ch.validate_unique_names(chans)
-    ranks = [ch._CATEGORY_RANK[c.category] for c in chans]
+    ranks = [list(ch.ChannelCategory).index(c.category) for c in chans]
     assert ranks == sorted(ranks)
 
 
@@ -125,8 +126,14 @@ def test_record_rejects_non_integer_timestamp():
 
 def test_schedule_orders_biopotential_before_impedance_before_environment():
     chans = tuple(reversed(ch.default_channels()))
-    cats = [c.category for c in ch.acquisition_order(chans)]
+    rec = PlantSimulator(channels=chans, seed=0).record_at(0)
+    category = {c.name: c.category for c in chans}
+    cats = [category[name] for name in rec.values]
     first_imp = cats.index(ch.ChannelCategory.IMPEDANCE)
     assert all(c is ch.ChannelCategory.BIOPOTENTIAL for c in cats[:first_imp])
     first_env = cats.index(ch.ChannelCategory.ENVIRONMENT)
     assert all(c is not ch.ChannelCategory.ENVIRONMENT for c in cats[:first_env])
+    # within a category the configured order stands
+    assert list(rec.values) == [
+        c.name for cat in ch.ChannelCategory for c in chans if c.category is cat
+    ]

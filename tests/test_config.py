@@ -345,6 +345,14 @@ def test_bad_configs_are_rejected(text, match):
         parse_config(text)
 
 
+@pytest.mark.parametrize("section", ["biopotential", "impedance"])
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+def test_noise_rms_must_be_finite_and_non_negative(section, value):
+    # a negative or NaN RMS would otherwise load and mean "no noise"
+    with pytest.raises(ConfigError, match="noise_rms_v must be finite and >= 0"):
+        parse_config(f"[{section}]\nnoise_rms_v = {value}\n")
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 

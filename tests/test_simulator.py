@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from phytolab import fra
 from phytolab import simulator as sim
 from phytolab.channels import (
+    ChannelCategory,
     ChannelId,
     ChannelKind,
+    Record,
     default_channels,
+    quantize_for,
     validate_record,
 )
 
@@ -276,7 +279,7 @@ def test_environment_day_cycle():
     assert rec.values["air_temperature"] == pytest.approx(26.0, abs=0.1)
 
 
-def test_record_samples_bio_then_impedance_then_environment():
+def test_record_samples_bio_then_impedance_then_environment(monkeypatch):
     # channels configured backwards on purpose
     chans = (
         ChannelId("light", ChannelKind.LIGHT),
@@ -285,10 +288,14 @@ def test_record_samples_bio_then_impedance_then_environment():
     )
     plant = sim.PlantSimulator(channels=chans, seed=0)
     seen = []
-    inner = plant._raw_value
-    plant._raw_value = lambda ch, t: (seen.append(ch.name), inner(ch, t))[1]
+    bio_clean, env_bases, analyze = plant._bio_clean, plant._env_bases, fra.analyze_pair
+    plant._bio_clean = lambda name, t: (seen.append(name), bio_clean(name, t))[1]
+    plant._env_bases = lambda t: (seen.append("environment"), env_bases(t))[1]
+    monkeypatch.setattr(
+        fra, "analyze_pair", lambda *a, **k: (seen.append("excitation"), analyze(*a, **k))[1]
+    )
     rec = plant.record_at(0)
-    assert seen == ["bio1", "imp1", "light"]
+    assert seen == ["bio1", "excitation", "environment"]
     assert list(rec.values) == ["bio1", "imp1", "light"]
 
 
@@ -481,3 +488,195 @@ def test_expired_events_call_no_kernel(monkeypatch):
     # the last wound is 900 s old; its kernel ends after 25 tau = 100 s
     plant.record_at(1_000_000)
     assert calls == []
+
+
+# -- the channel plan against the per-channel path it replaced ----------------
+
+REFERENCE_ENV_NOISE_RMS = {
+    ChannelKind.TRANSPIRATION: 0.05,
+    ChannelKind.SAP_FLOW: 2e-6,
+    ChannelKind.SOIL_MOISTURE: 0.02,
+    ChannelKind.SOIL_TEMPERATURE: 0.005,
+    ChannelKind.AIR_TEMPERATURE: 0.01,
+    ChannelKind.AIR_HUMIDITY: 0.05,
+    ChannelKind.AIR_PRESSURE: 0.02,
+    ChannelKind.LIGHT: 2.0,
+    ChannelKind.MAGNETOMETER_XYZ: 5e-9,
+    ChannelKind.ACCELEROMETER_XYZ: 0.005,
+    ChannelKind.RF_POWER: 0.1,
+    ChannelKind.EXTERNAL_TEMPERATURE: 2e-4,
+}
+
+
+def reference_env_clean(plant, kind, t_ms):
+    """One if-branch per environment kind, as the simulator once computed it."""
+    t = t_ms / 1000.0
+    day = plant.params.day_length_s
+    s = math.sin(2.0 * math.pi * (t - day / 4.0) / day)
+    daylight = max(0.0, s)
+    if kind is ChannelKind.LIGHT:
+        return 2.0e4 * daylight * daylight
+    if kind is ChannelKind.AIR_TEMPERATURE:
+        return 22.0 + 4.0 * s
+    if kind is ChannelKind.SOIL_TEMPERATURE:
+        return 20.0 + 1.5 * math.sin(2.0 * math.pi * (t - day / 3.0) / day)
+    if kind is ChannelKind.AIR_HUMIDITY:
+        return 55.0 - 12.0 * s
+    if kind is ChannelKind.AIR_PRESSURE:
+        return 1013.0 + 1.5 * math.sin(4.0 * math.pi * t / day)
+    if kind is ChannelKind.TRANSPIRATION:
+        return 30.0 + 25.0 * daylight
+    if kind is ChannelKind.SAP_FLOW:
+        return 0.002 + 0.001 * daylight
+    if kind is ChannelKind.SOIL_MOISTURE:
+        return 50.0 + 5.0 * math.sin(2.0 * math.pi * t / (3.0 * day))
+    if kind is ChannelKind.MAGNETOMETER_XYZ:
+        return 4.8e-5
+    if kind is ChannelKind.ACCELEROMETER_XYZ:
+        return 9.81
+    if kind is ChannelKind.RF_POWER:
+        return -80.0
+    if kind is ChannelKind.EXTERNAL_TEMPERATURE:
+        return 21.0 + 3.0 * s
+    raise ValueError(f"no environment model for {kind}")
+
+
+def reference_record_at(plant, t_ms):
+    """record_at with a category lookup per reading, sorted stably by category.
+
+    Returns the record and the (name, raw.hex()) pairs it quantized.
+    """
+    rank = {
+        ChannelCategory.BIOPOTENTIAL: 0,
+        ChannelCategory.IMPEDANCE: 1,
+        ChannelCategory.ENVIRONMENT: 2,
+    }
+    rms = [
+        plant.params.bio_noise_rms_v
+        if ch.category is ChannelCategory.BIOPOTENTIAL
+        else 0.0
+        if ch.category is ChannelCategory.IMPEDANCE
+        else REFERENCE_ENV_NOISE_RMS[ch.kind]
+        for ch in plant.channels
+    ]
+    z = np.random.default_rng([plant.seed, t_ms]).standard_normal(len(plant.channels))
+    noise = (z * np.array(rms)).tolist()
+    stream = {ch.name: i for i, ch in enumerate(plant.channels)}
+    values, raws = {}, []
+    for ch in sorted(plant.channels, key=lambda ch: rank[ch.category]):
+        if ch.category is ChannelCategory.BIOPOTENTIAL:
+            if plant._blanked(t_ms):
+                raw = plant.params.bio_baseline_v
+            else:
+                raw = plant._bio_clean(ch.name, t_ms) + noise[stream[ch.name]]
+        elif ch.category is ChannelCategory.IMPEDANCE:
+            raw = plant._impedance_value(ch.name, t_ms)
+        else:
+            raw = reference_env_clean(plant, ch.kind, t_ms) + noise[stream[ch.name]]
+        raws.append((ch.name, raw.hex()))
+        values[ch.name] = quantize_for(ch, raw)
+    return Record(timestamp_ms=t_ms, values=values), raws
+
+
+def hexed(rec):
+    return rec.timestamp_ms, [(name, v.hex()) for name, v in rec.values.items()]
+
+
+def planned_record_at(plant, t_ms):
+    """record_at(t_ms) and the (name, raw.hex()) pairs it passed to quantize_for.
+
+    The raw values are compared too: quantization would hide a clean value
+    or a sum that moved by an ulp.
+    """
+    raws = []
+
+    def spy(ch, raw, clamp=True):
+        raws.append((ch.name, raw.hex()))
+        return quantize_for(ch, raw, clamp)
+
+    sim.quantize_for = spy
+    try:
+        return plant.record_at(t_ms), raws
+    finally:
+        sim.quantize_for = quantize_for
+
+
+def assert_matches_reference(plant, t_ms):
+    got, got_raws = planned_record_at(plant, t_ms)
+    want, want_raws = reference_record_at(plant, t_ms)
+    assert got_raws == want_raws
+    assert hexed(got) == hexed(want)
+    for ch in plant.channels:
+        if ch.category is ChannelCategory.ENVIRONMENT:
+            clean = reference_env_clean(plant, ch.kind, t_ms)
+            assert plant.expected_value(ch.name, t_ms).hex() == clean.hex()
+    return got
+
+
+DAY_MS = 86_400_000
+
+
+@st.composite
+def planned_plants(draw):
+    chans = draw(st.permutations(default_channels()))
+    chans = chans[: draw(st.integers(1, len(chans)))]
+    params = sim.SimParams(
+        # 0 V with a tiny noise quantizes to -0.0; +-0.9999 V with 10 mV
+        # noise clamps at the +-1 V range ends
+        bio_baseline_v=draw(st.sampled_from([-0.05, 0.0, 0.9999, -0.9999])),
+        bio_noise_rms_v=draw(st.sampled_from([0.0, 1e-12, 5e-6, 0.01])),
+        impedance_noise_rms_v=draw(st.sampled_from([0.0, 1e-4])),
+        blank_bio_during_stimulation=draw(st.sampled_from([0, 1])),
+    )
+    plant = sim.PlantSimulator(
+        channels=chans, params=params, seed=draw(st.integers(0, 2**32 - 1))
+    )
+    # whole days, with slot starts (where blanking acts) drawn often
+    t = draw(
+        st.integers(0, 3 * DAY_MS)
+        | st.integers(0, 3 * DAY_MS // 10_000).map(lambda k: k * 10_000)
+    )
+    bios = [c.name for c in chans if c.category is ChannelCategory.BIOPOTENTIAL]
+    for back_ms in draw(st.lists(st.integers(0, 60_000), max_size=4)):
+        kind = draw(st.sampled_from([sim.EventKind.TOUCH, sim.EventKind.WOUND]))
+        channel = draw(st.sampled_from([None, *bios]))
+        plant.add_event(sim.Event(kind, max(0, t - back_ms), channel))
+    return plant, t
+
+
+@given(case=planned_plants())
+@settings(max_examples=300, deadline=None)
+def test_record_at_matches_the_per_channel_path_bit_for_bit(case):
+    plant, t = case
+    assert_matches_reference(plant, t)
+
+
+@pytest.mark.parametrize(
+    "baseline,noise,t,want",
+    [
+        (0.0, 1e-12, 1, None),  # some reading is -0.0
+        (0.9999, 0.01, 1, 1.0),  # clamps high
+        (-0.9999, 0.01, 1, -1.0),  # clamps low
+    ],
+)
+def test_record_at_matches_the_per_channel_path_at_the_edges(baseline, noise, t, want):
+    params = sim.SimParams(bio_baseline_v=baseline, bio_noise_rms_v=noise)
+    reached = False
+    for seed in range(20):
+        plant = sim.PlantSimulator(params=params, seed=seed)
+        got = assert_matches_reference(plant, t)
+        bio = [got.values["bio1"], got.values["bio2"]]
+        if want is None:
+            reached |= any(v == 0.0 and math.copysign(1.0, v) < 0 for v in bio)
+        else:
+            reached |= want in bio
+    assert reached
+
+
+def test_record_at_matches_the_per_channel_path_while_blanked():
+    params = sim.SimParams(blank_bio_during_stimulation=1, impedance_noise_rms_v=1e-4)
+    plant = sim.PlantSimulator(params=params, seed=3)
+    plant.add_touch(29_600)
+    for t in (0, 30_000, 30_001, DAY_MS // 2, DAY_MS - 10_000):
+        got = assert_matches_reference(plant, t)
+    assert got.values["bio1"] == -0.05
