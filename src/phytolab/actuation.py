@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Protocol, Sequence, runtime_checkable
 
-import numpy as np
+from . import streams
 
 # three-valued logic: True, False, or None for unknown
 
@@ -597,21 +597,12 @@ class _BindingState:
         self.last_fire_ms: int | None = None
 
 
-# Last word of every Bernoulli seed key (ASCII "bern").  The simulator keys its
-# noise [seed, t] and [seed, stream, slot]; numpy's SeedSequence pads short
-# keys with zeros, so without a nonzero final tag [seed, b, t] would be the
-# impedance noise of stream b at slot t, and [seed, b, 0] the reading noise
-# at t = b.
-_BERNOULLI_DOMAIN = 0x6265726E
-
-
 class ActuationEngine:
     """Evaluates every binding once per cycle and drives the actuators.
 
-    Bernoulli draws are seeded per (seed, binding index, timestamp, domain
-    tag), so a run is reproducible sample for sample, bindings cannot
-    influence each other's randomness, and no draw shares its stream with the
-    simulator's noise.
+    A binding's BERNOULLI uniforms at now_ms come from the Bernoulli source
+    at position now_ms, stream the binding's index, so a run is reproducible
+    sample for sample and bindings cannot influence each other's randomness.
     """
 
     def __init__(self, bindings: Sequence[Binding], seed: int = 0) -> None:
@@ -623,23 +614,19 @@ class ActuationEngine:
         self.seed = int(seed)
         self.dispatch_errors = 0
         self._state = {b.id: _BindingState() for b in bindings}
-        self._streams = {b.id: i for i, b in enumerate(bindings)}
+        self._bernoulli = streams.Source(self.seed, streams.BERNOULLI)
 
     def state_of(self, binding_id: str) -> _BindingState:
         return self._state[binding_id]
 
     def cycle(self, vector: dict[str, float], now_ms: int) -> list[Firing]:
         firings: list[Firing] = []
-        for binding in self.bindings:
+        for stream, binding in enumerate(self.bindings):
             state = self._state[binding.id]
             n = binding.expression.n_bernoulli
             uniforms: Sequence[float] = ()
             if n:
-                stream = self._streams[binding.id]
-                rng = np.random.default_rng(
-                    [self.seed, stream, int(now_ms), _BERNOULLI_DOMAIN]
-                )
-                uniforms = rng.uniform(size=n)
+                uniforms = self._bernoulli.at(int(now_ms), stream).uniform(size=n)
             result = binding.expression.evaluate(
                 vector, uniforms, adjust=state.adjust
             )

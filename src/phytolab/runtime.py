@@ -107,6 +107,9 @@ class Runtime:
             self._firing_log.write(
                 f"{_iso_utc(firing.at_ms)}\t{firing.binding_id}\t{firing.payload}\n"
             )
+        if firings:
+            # a crash must not lose a firing whose actuator already acted
+            self._firing_log.flush()
         self.fired_total += len(firings)
         self.clock.advance(self._period_ms)
         self._cycles += 1

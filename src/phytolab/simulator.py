@@ -4,13 +4,6 @@ The simulator stands in for the instrument front-end during development and
 testing.  It is deliberately analytic: every generated value is a closed-form
 function of the configuration, the seed and the timestamp, so tests can hold
 outputs against independent oracles and repeated runs are bit-identical.
-
-Reading noise is keyed by (seed, timestamp): one generator seeded with both
-draws a standard-normal vector with one entry per channel (the channel's
-position is its stream), scaled by that channel's RMS.  No state is shared
-between timestamps, so any single reading is reproducible without replaying
-the readings before it (the counter-based idea of Salmon et al., "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import fra
+from . import fra, streams
 from .channels import (
     ChannelCategory,
     ChannelId,
@@ -84,8 +77,7 @@ def tissue_response(
     amp = gain * excitation.amplitude * abs(y)
     phi = math.atan2(y.imag, y.real)
     n = excitation.n_samples
-    m = (excitation.cycles * np.arange(n, dtype=np.int64)) % n
-    theta = (2.0 * np.pi / n) * m
+    theta = fra._bin_phases(n, excitation.cycles)
     samples = amp * (np.sin(theta) * math.cos(phi) + np.cos(theta) * math.sin(phi))
     if noise_rms > 0.0:
         if rng is None:
@@ -104,12 +96,17 @@ def sweep_responder(
     noise_rms: float = 0.0,
     seed: int = 0,
 ):
-    """Response callback for fra.run_sweep, deterministic per frequency."""
+    """Response callback for fra.run_sweep, deterministic per frequency.
+
+    The noise of a frequency f is the sweep-noise source at position
+    round(f * 1e6).
+    """
+    noise = streams.Source(seed, streams.SWEEP_NOISE)
 
     def respond(vv: fra.ExcitationWaveform) -> fra.ResponseBuffer:
         rng = None
         if noise_rms > 0.0:
-            rng = np.random.default_rng([seed, round(vv.frequency * 1e6)])
+            rng = noise.at(round(vv.frequency * 1e6))
         return tissue_response(vv, tissue, gain=gain, noise_rms=noise_rms, rng=rng)
 
     return respond
@@ -242,7 +239,11 @@ class PlantSimulator:
     stimulation slot, mirroring a front-end that excites the tissue every
     stimulation_interval_s and keeps the last magnitude in between.
 
-    Each timestamp draws one noise vector for all channels.  Events are kept
+    Each timestamp t_ms draws one noise vector for all channels from the
+    reading-noise source at position t_ms; a channel's position in the
+    vector is its config position.  An impedance measurement draws its
+    response noise from the impedance-noise source at position slot, stream
+    the channel's config position.  Events are kept
     in two lists sorted by time (touch/wound, electrical), and a reading
     visits only the events whose kernel can still be non-zero at t_ms, so its
     cost does not grow with the number of expired events.  The impedance
@@ -266,6 +267,8 @@ class PlantSimulator:
         self.tissue = tissue if tissue is not None else TissueModel()
         self.params = params if params is not None else SimParams()
         self.seed = int(seed)
+        self._reading_noise = streams.Source(self.seed, streams.READING_NOISE)
+        self._impedance_noise = streams.Source(self.seed, streams.IMPEDANCE_NOISE)
         self._streams = {ch.name: i for i, ch in enumerate(self.channels)}
         if len(self._streams) != len(self.channels):
             raise ValueError("duplicate channel names")
@@ -343,8 +346,8 @@ class PlantSimulator:
         downstream of the excitation within a cycle.
         """
         t_ms = int(t_ms)
-        rng = np.random.default_rng([self.seed, t_ms])
-        noise = (rng.standard_normal(len(self.channels)) * self._noise_rms).tolist()
+        z = self._reading_noise.at(t_ms).standard_normal(len(self.channels))
+        noise = (z * self._noise_rms).tolist()
         values: dict[str, float] = {}
         blanked = self._blanked(t_ms)
         for ch, i in self._bio:
@@ -450,7 +453,7 @@ class PlantSimulator:
         p = self.params
         rng = None
         if p.impedance_noise_rms_v > 0.0:
-            rng = np.random.default_rng([self.seed, self._streams[name], slot_ms])
+            rng = self._impedance_noise.at(slot_ms, self._streams[name])
         vi = tissue_response(
             self._excitation,
             self._cell_at(slot_ms),

@@ -80,6 +80,20 @@ def test_touch_reaches_the_actuator(tmp_path):
     assert alert_lines == ["1970-01-01T00:01:20.000+00:00\tfired"]
 
 
+def test_firings_log_holds_a_firing_before_close(tmp_path):
+    config = parse_config(
+        "[channels]\nbio1 = biopotential1\n"
+        "[detector.gate]\nkind = time_interval\nstart_ms = 0\nend_ms = 86400000\n"
+        "[actuator.sink]\nkind = generic_sink\n"
+        "[binding.open]\nexpression = gate == 1\nactuator = sink\n"
+    )
+    with Runtime(config, out_dir=tmp_path / "run") as runtime:
+        assert runtime.step()
+        # read while the log is still open, as after a crash
+        text = (tmp_path / "run" / "firings.log").read_text(encoding="utf-8")
+    assert text == "1970-01-01T00:00:00.000+00:00\topen\tfired\n"
+
+
 def test_quiet_run_never_fires(tmp_path):
     text = CAUSALITY_INI.replace("[events]\ntouch = 79.6\n", "")
     config = parse_config(text)

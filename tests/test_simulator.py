@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from phytolab import fra
 from phytolab import simulator as sim
+from phytolab.streams import READING_NOISE, Source
 from phytolab.channels import (
     ChannelCategory,
     ChannelId,
@@ -559,7 +560,7 @@ def reference_record_at(plant, t_ms):
         else REFERENCE_ENV_NOISE_RMS[ch.kind]
         for ch in plant.channels
     ]
-    z = np.random.default_rng([plant.seed, t_ms]).standard_normal(len(plant.channels))
+    z = Source(plant.seed, READING_NOISE).at(t_ms).standard_normal(len(plant.channels))
     noise = (z * np.array(rms)).tolist()
     stream = {ch.name: i for i, ch in enumerate(plant.channels)}
     values, raws = {}, []
