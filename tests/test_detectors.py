@@ -1,6 +1,7 @@
 """Detector bank tests with enumeration and closed-form oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from phytolab.detectors import (
     ZScoreDetector,
     _mean,
     _median,
+    _peak_bar,
     _std,
     build_detector,
 )
@@ -46,16 +48,57 @@ def now_of(tiers):
     return tiers.short.latest.timestamp_ms
 
 
-# peak: [0,1]*6 gives median 1 and MAD 1, so the 5-sigma bar sits at 7.413
+# peak: [0,1]*6 gives median 1 and MAD 1 (scale 1.4826); the 5-sigma bar on
+# 13 samples is _peak_bar(5, 13) = 13.599 scales, so it sits at 1 + 20.162
 PEAK_BASE = [0.0, 1.0] * 6
 
 
 def test_peak_fires_above_mad_threshold():
     det = PeakDetector(id="p", channel="x", window=60, sigma=5.0)
-    hot = feed(PEAK_BASE + [8.5])
+    hot = feed(PEAK_BASE + [21.3])
     assert det.evaluate(hot, now_of(hot)) == 1.0
-    cool = feed(PEAK_BASE + [8.3])
+    cool = feed(PEAK_BASE + [21.0])
     assert det.evaluate(cool, now_of(cool)) == -1.0
+    # above the unwidened 5 * scale bar (1 + 7.413), below the widened one
+    short_of_it = feed(PEAK_BASE + [8.5])
+    assert det.evaluate(short_of_it, now_of(short_of_it)) == -1.0
+
+
+def quiet_crossing_rate(n, bar, windows, rng):
+    """Per-sample rate at which Gaussian noise crosses a peak bar of `bar`
+    scales on an n-sample window: the newest sample's tail beyond the bar,
+    integrated over simulated histories of n - 1 samples.  A sample that far
+    out is the window's largest deviation and difference, so the median and
+    scale are those of the history plus one extreme value."""
+    h = rng.standard_normal((windows, n - 1))
+    total = 0.0
+    for sign in (1.0, -1.0):
+        x = np.concatenate([h, np.full((windows, 1), sign * 1e9)], axis=1)
+        med = np.median(x, axis=1)
+        mad = np.median(np.abs(x - med[:, None]), axis=1)
+        diff_mad = np.median(np.abs(np.diff(x, axis=1)), axis=1) / math.sqrt(2.0)
+        edge = sign * med + bar * MAD_SIGMA * np.maximum(mad, diff_mad)
+        total += sum(0.5 * math.erfc(e / math.sqrt(2.0)) for e in edge)
+    return total / windows
+
+
+def test_peak_bar_keeps_quiet_noise_at_the_sigma_rate():
+    # a 5-sigma Gaussian event has two-sided probability 5.7e-7; on the
+    # default 60-sample window the plain 5 * scale bar is crossed ~15 times
+    # as often, the widened one at 0.7-1.4 times (seeds 0-5 of this estimate)
+    nominal = math.erfc(5.0 / math.sqrt(2.0))
+    widened = quiet_crossing_rate(60, _peak_bar(5.0, 60), 20_000, np.random.default_rng(0))
+    plain = quiet_crossing_rate(60, 5.0, 20_000, np.random.default_rng(0))
+    assert widened < 2.0 * nominal
+    assert plain > 8.0 * nominal
+
+
+def test_peak_bar_narrows_to_sigma_as_the_window_grows():
+    bars = [_peak_bar(5.0, n) for n in (2, 12, 13, 60, 120, 1000, 10**6)]
+    assert bars == sorted(bars, reverse=True)
+    assert bars[-1] == pytest.approx(5.0, rel=1e-4)
+    assert all(math.isfinite(b) and b > 5.0 for b in bars)
+    assert _peak_bar(3.0, 60) < _peak_bar(5.0, 60) < _peak_bar(7.0, 60)
 
 
 def test_peak_constant_window_fires_on_any_deviation():
@@ -79,7 +122,7 @@ def test_peak_needs_enough_samples():
 @settings(max_examples=40, deadline=None)
 def test_peak_decision_is_affine_invariant(a, b):
     det = PeakDetector(id="p", channel="x", window=60, sigma=5.0)
-    base = PEAK_BASE + [8.5]
+    base = PEAK_BASE + [21.3]
     plain = feed(base)
     scaled = feed([a * v + b for v in base])
     assert det.evaluate(plain, now_of(plain)) == det.evaluate(scaled, now_of(scaled))
@@ -448,7 +491,11 @@ def test_windowed_detectors_match_the_parent_formulas(x, lead, gaps, data):
     )
     edge_sigma = float(dev[-1]) / scale if scale > 0.0 else None
     sigma = data.draw(st.sampled_from([on_the_edge(edge_sigma, 5.0), 5.0]))
-    check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
+    # the parent's bar was sigma itself; with it restored, the statistic
+    # is checked at its own edge, then the widened bar at sigma 5
+    with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
+        check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
+    check(PeakDetector(id="p", sigma=5.0, **common), parent_peak(x, _peak_bar(5.0, n)))
 
     slope = parent_slope(x, t_ms)
     per_hour = on_the_edge(None if slope is None else abs(slope), 1.0)
