@@ -9,6 +9,7 @@ them in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +67,11 @@ def channel_category(kind: ChannelKind) -> ChannelCategory:
     return _CATEGORY.get(kind, ChannelCategory.ENVIRONMENT)
 
 
+def _check_resolution(resolution: float) -> None:
+    if not (resolution > 0.0) or not math.isfinite(resolution):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Unit, admissible range and device resolution for one channel kind."""
@@ -74,6 +80,11 @@ class ChannelSpec:
     lo: float
     hi: float
     resolution: float
+
+    def __post_init__(self) -> None:
+        _check_resolution(self.resolution)
+        if not self.lo <= self.hi:
+            raise ValueError(f"range [{self.lo}, {self.hi}] is inverted")
 
 
 # Per-kind device behaviour.  Ranges are generous physical envelopes; the
@@ -111,7 +122,7 @@ class ChannelId:
         if not self.name:
             raise ValueError("channel name must be non-empty")
 
-    @property
+    @functools.cached_property
     def spec(self) -> ChannelSpec:
         return CHANNEL_SPECS[self.kind]
 
@@ -152,8 +163,12 @@ def quantize(raw: float, resolution: float) -> float:
     treated symmetrically.  The result is exactly representable as
     resolution times an integer, and |result - raw| <= resolution/2.
     """
-    if not (resolution > 0.0) or not math.isfinite(resolution):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    _check_resolution(resolution)
+    return _snap(raw, resolution)
+
+
+def _snap(raw: float, resolution: float) -> float:
+    """quantize() for a resolution already checked, as in a ChannelSpec."""
     if not math.isfinite(raw):
         raise ValueError(f"cannot quantize non-finite value {raw}")
     steps = math.floor(abs(raw) / resolution + 0.5)
@@ -166,16 +181,16 @@ def quantize_for(channel: ChannelId, raw: float, clamp: bool = True) -> float:
     With clamp=False an out-of-range reading raises instead of saturating.
     """
     spec = channel.spec
-    value = quantize(raw, spec.resolution)
+    value = _snap(raw, spec.resolution)
     if spec.lo <= value <= spec.hi:
         return value
     if not clamp:
         raise ValueError(
             f"{channel.name!r} reading {raw} outside [{spec.lo}, {spec.hi}]"
         )
-    value = min(max(value, quantize(spec.lo, spec.resolution)), spec.hi)
+    value = min(max(value, _snap(spec.lo, spec.resolution)), spec.hi)
     # re-snap after clamping against a non-grid range bound
-    return quantize(value, spec.resolution)
+    return _snap(value, spec.resolution)
 
 
 @dataclass(frozen=True)

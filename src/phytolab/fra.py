@@ -10,11 +10,16 @@ exact amplitude/phase detector for harmonic signals.  The module provides:
 * a combined per-frequency analysis bundling all of the above,
 * frequency sweeps with period-stable planning and CSV export,
 * scope-mode harmonic decomposition for distortion analysis.
+
+Every bin's cos/sin pair comes from `_basis`, one read-only pair per
+(N, cycles) in an LRU cache bounded at 64 pairs of 16 * N bytes (1 MiB at
+N = 1024), so a sweep or a fixed excitation computes its trig only once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,11 +66,17 @@ def exact_cycles(frequency: float, n_samples: int, sample_rate: float) -> int:
     return int(rounded)
 
 
-def _bin_phases(n_samples: int, cycles: int) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos theta, sin theta) of bin `cycles` over `n_samples`."""
     # reduce c*k modulo N in exact integer arithmetic before taking 2*pi*m/N;
     # keeps trig arguments small and the projection accurate to ~1 ulp
     m = (cycles * np.arange(n_samples, dtype=np.int64)) % n_samples
-    return (2.0 * np.pi / n_samples) * m
+    theta = (2.0 * np.pi / n_samples) * m
+    cos, sin = np.cos(theta), np.sin(theta)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +99,7 @@ class ExcitationWaveform:
     def n_samples(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
+    @functools.cached_property
     def cycles(self) -> int:
         return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
 
@@ -111,7 +122,7 @@ class ResponseBuffer:
     def n_samples(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
+    @functools.cached_property
     def cycles(self) -> int:
         return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
 
@@ -155,7 +166,7 @@ def synthesize_excitation(
             f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
         )
     cycles = exact_cycles(frequency, n_samples, sample_rate)
-    samples = amplitude * np.sin(_bin_phases(n_samples, cycles))
+    samples = amplitude * _basis(n_samples, cycles)[1]
     return ExcitationWaveform(
         frequency=frequency,
         amplitude=amplitude,
@@ -190,9 +201,9 @@ def fra_single_point(
     c = int(cycles_per_buffer)
     if not (1 <= c < n / 2):
         raise ValueError(f"cycles_per_buffer must satisfy 1 <= c < N/2, got {c}")
-    theta = _bin_phases(n, c)
-    re = float(np.dot(x, np.cos(theta))) / n
-    im = -float(np.dot(x, np.sin(theta))) / n
+    cos, sin = _basis(n, c)
+    re = float(np.dot(x, cos)) / n
+    im = -float(np.dot(x, sin)) / n
     return ComplexResponse(re=re, im=im)
 
 

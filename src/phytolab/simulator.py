@@ -77,8 +77,8 @@ def tissue_response(
     amp = gain * excitation.amplitude * abs(y)
     phi = math.atan2(y.imag, y.real)
     n = excitation.n_samples
-    theta = fra._bin_phases(n, excitation.cycles)
-    samples = amp * (np.sin(theta) * math.cos(phi) + np.cos(theta) * math.sin(phi))
+    cos, sin = fra._basis(n, excitation.cycles)
+    samples = amp * (sin * math.cos(phi) + cos * math.sin(phi))
     if noise_rms > 0.0:
         if rng is None:
             raise ValueError("noise_rms > 0 requires an rng")
@@ -469,7 +469,7 @@ class PlantSimulator:
     def _env_bases(self, t_ms: int) -> dict[str, float]:
         """The curves _ENV_MODEL scales, at t_ms.
 
-        math.sin, not np.sin: numpy's SIMD paths can differ from libm by an ulp.
+        math.sin, not numpy's sin: its SIMD paths can differ from libm by an ulp.
         """
         t = t_ms / 1000.0
         day = self.params.day_length_s

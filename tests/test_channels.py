@@ -137,3 +137,45 @@ def test_schedule_orders_biopotential_before_impedance_before_environment():
     assert list(rec.values) == [
         c.name for cat in ch.ChannelCategory for c in chans if c.category is cat
     ]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, resolution",
+    [
+        (0.0, 1.0, 0.0),
+        (0.0, 1.0, -1e-3),
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+        (1.0, 0.0, 1e-3),
+        (math.nan, 1.0, 1e-3),
+    ],
+)
+def test_channel_spec_is_validated_at_construction(lo, hi, resolution):
+    with pytest.raises(ValueError):
+        ch.ChannelSpec("V", lo, hi, resolution)
+
+
+def parent_quantize_for(channel, raw, clamp=True):
+    """quantize_for as it was before specs were validated once: public checks."""
+    spec = ch.CHANNEL_SPECS[channel.kind]
+    value = ch.quantize(raw, spec.resolution)
+    if spec.lo <= value <= spec.hi:
+        return value
+    if not clamp:
+        raise ValueError(raw)
+    value = min(max(value, ch.quantize(spec.lo, spec.resolution)), spec.hi)
+    return ch.quantize(value, spec.resolution)
+
+
+@given(
+    kind=st.sampled_from(list(ch.ChannelKind)),
+    # beyond about 1e300 / resolution both paths overflow in math.floor
+    raw=st.floats(min_value=-1e15, max_value=1e15),
+)
+def test_quantize_for_matches_the_checked_path_bit_for_bit(kind, raw):
+    channel = ch.ChannelId("x", kind)
+    assert channel.spec is ch.CHANNEL_SPECS[kind]
+    assert ch.quantize_for(channel, raw).hex() == parent_quantize_for(channel, raw).hex()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ch.quantize_for(channel, bad)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phytolab import fra
+from phytolab.simulator import TissueModel, tissue_response
 
 
 def dft_bin_oracle(x, c):
@@ -316,3 +317,102 @@ def test_lockin_phase_invariant_under_rescale(scale):
         fra.rms(vv.samples),
     )
     assert p == pytest.approx(p0, abs=1e-9)
+
+
+def parent_theta(n, c):
+    """The bin angles as every caller computed them before the basis cache."""
+    return (2.0 * np.pi / n) * ((c * np.arange(n, dtype=np.int64)) % n)
+
+
+def hexes(a):
+    return [float.hex(v) for v in np.asarray(a).tolist()]
+
+
+@st.composite
+def bins(draw):
+    n = draw(st.integers(8, 4096))
+    return n, draw(st.integers(1, (n - 1) // 2))
+
+
+@given(
+    key=bins(),
+    amplitude=st.floats(min_value=fra.MIN_AMPLITUDE_V, max_value=fra.MAX_AMPLITUDE_V),
+    frequency=st.floats(min_value=fra.MIN_FREQUENCY_HZ, max_value=fra.MAX_FREQUENCY_HZ),
+    rp=st.floats(min_value=1e2, max_value=1e6),
+    cp=st.floats(min_value=1e-9, max_value=1e-4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_cached_basis_matches_the_parent_formulas(key, amplitude, frequency, rp, cp, seed):
+    # 150 examples over about 4 million (N, c) keys overrun the 64-entry
+    # cache, so keys are evicted and recomputed along the way
+    n, c = key
+    rate = frequency * n / c
+    theta = parent_theta(n, c)
+    vv = fra.synthesize_excitation(frequency, amplitude, n, rate)
+    assert vv.cycles == c
+    assert hexes(vv.samples) == hexes(amplitude * np.sin(theta))
+
+    x = np.random.default_rng(seed).normal(size=n)
+    got = fra.fra_single_point(x, c)
+    assert got.re.hex() == (float(np.dot(x, np.cos(theta))) / n).hex()
+    assert got.im.hex() == (-float(np.dot(x, np.sin(theta))) / n).hex()
+
+    tissue = TissueModel(rs=1e3, rp=rp, cp=cp)
+    y = 1.0 / tissue.impedance(frequency)
+    amp = 1e3 * amplitude * abs(y)
+    phi = math.atan2(y.imag, y.real)
+    want = amp * (np.sin(theta) * math.cos(phi) + np.cos(theta) * math.sin(phi))
+    assert hexes(tissue_response(vv, tissue, gain=1e3).samples) == hexes(want)
+
+
+def test_basis_cache_evicts_and_refills_bit_identically():
+    first = [a.copy() for a in fra._basis(1000, 7)]
+    for c in range(1, 100):  # 99 newer keys push (1000, 7) out
+        fra._basis(2048, c)
+    assert fra._basis.cache_info().currsize == fra._basis.cache_info().maxsize
+    misses = fra._basis.cache_info().misses
+    again = fra._basis(1000, 7)
+    assert fra._basis.cache_info().misses == misses + 1
+    assert [hexes(a) for a in again] == [hexes(a) for a in first]
+    assert fra._basis(1000, 7)[0] is again[0]
+
+
+def test_basis_arrays_are_read_only():
+    for a in fra._basis(1024, 16):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+
+def test_excitation_samples_are_not_the_cached_basis():
+    _, sin = fra._basis(1024, 16)
+    vv = fra.synthesize_excitation(500.0, 1.0, 1024, 32000.0)
+    assert hexes(vv.samples) == hexes(sin)
+    assert vv.samples is not sin
+    assert not np.shares_memory(vv.samples, sin)
+
+
+def test_cycles_are_validated_once_per_buffer(monkeypatch):
+    calls = []
+    real = fra.exact_cycles
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fra, "exact_cycles", counting)
+    vv = fra.ExcitationWaveform(500.0, 0.1, 32000.0, np.zeros(1024))
+    vi = fra.ResponseBuffer(frequency=500.0, sample_rate=32000.0, samples=np.ones(1024))
+    assert [vv.cycles, vv.cycles, vi.cycles, vi.cycles] == [16, 16, 16, 16]
+    assert len(calls) == 2
+    # 500 Hz at 33 kHz gives 15.5 cycles per 1024 samples
+    with pytest.raises(fra.PeriodStabilityError):
+        fra.ExcitationWaveform(500.0, 0.1, 33000.0, np.zeros(1024))
+    unstable = fra.ResponseBuffer(
+        frequency=500.0, sample_rate=33000.0, samples=np.ones(1024)
+    )
+    for _ in range(2):
+        with pytest.raises(fra.PeriodStabilityError):
+            unstable.cycles
