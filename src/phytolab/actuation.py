@@ -2,7 +2,7 @@
 
 Bindings couple a boolean expression over the detector output vector to an
 actuator.  Expressions use three-valued logic: a comparison touching a
-detector entry that still reads 0.0 (the no-data marker) is unknown rather
+detector entry that still reads `detectors.NO_DATA` (0.0) is unknown rather
 than false, and unknown never fires an actuator.  Comparing explicitly
 against a literal 0 opts out of that rule, which is how pathogenicity green
 (status 0) stays testable.
@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from typing import Protocol, Sequence, runtime_checkable
 
 from . import streams
+from .detectors import NO_DATA
 
 # three-valued logic: True, False, or None for unknown
 
@@ -93,7 +94,7 @@ class Cmp:
         for operand in (self.lhs, self.rhs):
             if isinstance(operand, Ident):
                 v = ctx.vector[operand.name]
-                if v == 0.0 and not zero_literal:
+                if v == NO_DATA and not zero_literal:
                     return None  # no data yet
                 vals.append(v)
             else:
@@ -355,6 +356,11 @@ def _iso_utc(now_ms: int) -> str:
     return dt.isoformat(timespec="milliseconds")
 
 
+def firing_line(now_ms: int, binding_id: str, payload: str) -> str:
+    """One firings.log line, also the datagram format: time, binding, payload."""
+    return f"{_iso_utc(now_ms)}\t{binding_id}\t{payload}\n"
+
+
 class MessageToFile:
     """Appends one timestamped line per firing to a text file.
 
@@ -395,7 +401,7 @@ class MessageToIp:
         self.sent: list[str] = []
 
     def fire(self, now_ms: int, binding_id: str, payload: str) -> None:
-        self.sent.append(f"{_iso_utc(now_ms)}\t{binding_id}\t{payload}\n")
+        self.sent.append(firing_line(now_ms, binding_id, payload))
 
 
 class Relay:

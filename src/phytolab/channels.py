@@ -161,33 +161,38 @@ def quantize(raw: float, resolution: float) -> float:
 
     Rounding is half-away-from-zero so positive and negative readings are
     treated symmetrically.  The result is exactly representable as
-    resolution times an integer, and |result - raw| <= resolution/2.
+    resolution times an integer, and |result - raw| <= resolution/2.  A
+    reading whose grid index overflows a float raises ValueError.
     """
     _check_resolution(resolution)
-    return _snap(raw, resolution)
+    value = _snap(raw, resolution)
+    if math.isinf(value):
+        raise ValueError(f"{raw} overflows the grid of step {resolution}")
+    return value
 
 
 def _snap(raw: float, resolution: float) -> float:
-    """quantize() for a resolution already checked, as in a ChannelSpec."""
+    """quantize() for a resolution already checked, as in a ChannelSpec; a
+    finite reading whose grid index overflows snaps to a signed infinity."""
     if not math.isfinite(raw):
         raise ValueError(f"cannot quantize non-finite value {raw}")
-    steps = math.floor(abs(raw) / resolution + 0.5)
+    try:
+        steps = math.floor(abs(raw) / resolution + 0.5)
+    except OverflowError:
+        return math.copysign(math.inf, raw)
     return math.copysign(steps * resolution, raw) if raw != 0.0 else 0.0
 
 
-def quantize_for(channel: ChannelId, raw: float, clamp: bool = True) -> float:
+def quantize_for(channel: ChannelId, raw: float) -> float:
     """Quantize to the channel's resolution and clamp into its range.
 
-    With clamp=False an out-of-range reading raises instead of saturating.
+    Any finite reading outside the range, however large, saturates at the
+    range end; a non-finite one raises ValueError.
     """
     spec = channel.spec
     value = _snap(raw, spec.resolution)
     if spec.lo <= value <= spec.hi:
         return value
-    if not clamp:
-        raise ValueError(
-            f"{channel.name!r} reading {raw} outside [{spec.lo}, {spec.hi}]"
-        )
     value = min(max(value, _snap(spec.lo, spec.resolution)), spec.hi)
     # re-snap after clamping against a non-grid range bound
     return _snap(value, spec.resolution)

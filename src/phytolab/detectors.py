@@ -2,10 +2,10 @@
 
 Each detector reads a window of one channel from one tier and contributes a
 single float to the output vector.  Boolean detectors emit 1.0 (condition
-holds), -1.0 (condition checked and absent) or 0.0 (not enough data yet);
-numeric detectors emit their measurement, with 0.0 doubling as the
-insufficient-data marker.  All threshold comparisons are strict, so a value
-exactly at a threshold does not fire.
+holds), -1.0 (condition checked and absent) or NO_DATA (0.0, not enough
+data yet); numeric detectors emit their measurement, with NO_DATA doubling as
+the insufficient-data marker.  All threshold comparisons are strict, so a
+value exactly at a threshold does not fire.
 """
 
 from __future__ import annotations

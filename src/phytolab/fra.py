@@ -79,8 +79,25 @@ def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+class _Buffer:
+    """Read-only float64 samples and their cycle count at (frequency, sample_rate)."""
+
+    def __post_init__(self) -> None:
+        samples = np.asarray(self.samples, dtype=np.float64)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.samples.shape[0])
+
+    @functools.cached_property
+    def cycles(self) -> int:
+        return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
+
+
 @dataclass(frozen=True, eq=False)
-class ExcitationWaveform:
+class ExcitationWaveform(_Buffer):
     """One buffer of the synthesized AC excitation at a single frequency."""
 
     frequency: float
@@ -89,42 +106,17 @@ class ExcitationWaveform:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64)
-        )
-        self.samples.setflags(write=False)
+        super().__post_init__()
         self.cycles  # validates period stability
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.shape[0])
-
-    @functools.cached_property
-    def cycles(self) -> int:
-        return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
-class ResponseBuffer:
+class ResponseBuffer(_Buffer):
     """Digitized current-proportional response paired with an excitation."""
 
     frequency: float
     sample_rate: float
     samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64)
-        )
-        self.samples.setflags(write=False)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.shape[0])
-
-    @functools.cached_property
-    def cycles(self) -> int:
-        return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -176,8 +168,7 @@ def synthesize_excitation(
 
 
 def fra_single_point(
-    buffer: ResponseBuffer | np.ndarray | Sequence[float],
-    cycles_per_buffer: int | None = None,
+    buffer: np.ndarray | Sequence[float], cycles_per_buffer: int
 ) -> ComplexResponse:
     """Single-bin discrete Fourier projection of one buffer.
 
@@ -185,14 +176,7 @@ def fra_single_point(
     with c the integer number of cycles per buffer.  Identical to bin c of the
     full DFT divided by N.
     """
-    if isinstance(buffer, ResponseBuffer):
-        x = buffer.samples
-        if cycles_per_buffer is None:
-            cycles_per_buffer = buffer.cycles
-    else:
-        x = np.asarray(buffer, dtype=np.float64)
-        if cycles_per_buffer is None:
-            raise ValueError("cycles_per_buffer required for a raw sample buffer")
+    x = np.asarray(buffer, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty buffer")
@@ -246,12 +230,11 @@ def rms_resistivity(vv_rms: float, vi_rms: float) -> float:
 
 
 def lockin_correlation(
-    vi: ResponseBuffer | np.ndarray | Sequence[float],
-    vv: ExcitationWaveform | np.ndarray | Sequence[float],
+    vi: np.ndarray | Sequence[float], vv: np.ndarray | Sequence[float]
 ) -> float:
     """Mean sample-wise product of response and excitation buffers."""
-    xi = vi.samples if isinstance(vi, ResponseBuffer) else np.asarray(vi, float)
-    xv = vv.samples if isinstance(vv, ExcitationWaveform) else np.asarray(vv, float)
+    xi = np.asarray(vi, dtype=np.float64)
+    xv = np.asarray(vv, dtype=np.float64)
     if xi.shape[0] != xv.shape[0]:
         raise ValueError(f"length mismatch: {xi.shape[0]} vs {xv.shape[0]}")
     if xi.shape[0] == 0:
@@ -519,7 +502,6 @@ def write_sweep_csv(out: IO[str], results: Iterable[ImpedanceAnalysis]) -> None:
 class HarmonicSpectrum:
     """Scope-mode decomposition of a buffer at a fundamental and its harmonics."""
 
-    fundamental_hz: float
     harmonics: tuple[ComplexResponse, ...]  # index 0 is the fundamental
 
     def amplitude(self, order: int) -> float:
@@ -540,21 +522,14 @@ class HarmonicSpectrum:
 
 
 def scope_spectrum(
-    buffer: ResponseBuffer | np.ndarray | Sequence[float],
-    fundamental_cycles: int,
-    n_harmonics: int = 5,
-    fundamental_hz: float = 0.0,
+    buffer: np.ndarray | Sequence[float], fundamental_cycles: int, n_harmonics: int = 5
 ) -> HarmonicSpectrum:
     """Project a buffer onto a fundamental bin and its first harmonics.
 
     Harmonic orders whose bin would reach Nyquist are cut off; at least the
     fundamental must fit.
     """
-    if isinstance(buffer, ResponseBuffer):
-        x = buffer.samples
-        fundamental_hz = buffer.frequency
-    else:
-        x = np.asarray(buffer, dtype=np.float64)
+    x = np.asarray(buffer, dtype=np.float64)
     n = x.shape[0]
     if n_harmonics < 1:
         raise ValueError("need at least the fundamental")
@@ -568,6 +543,4 @@ def scope_spectrum(
         raise ValueError(
             f"fundamental bin {fundamental_cycles} does not fit in N={n}"
         )
-    return HarmonicSpectrum(
-        fundamental_hz=fundamental_hz, harmonics=tuple(harmonics)
-    )
+    return HarmonicSpectrum(harmonics=tuple(harmonics))

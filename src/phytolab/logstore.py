@@ -186,10 +186,6 @@ class LogStore:
     def total_bytes(self) -> int:
         return self._closed_total + self._active_bytes
 
-    def iter_records(self) -> Iterator[Record]:
-        self.flush()
-        yield from iter_store(self.root)
-
 
 def iter_store(root: str | Path) -> Iterator[Record]:
     """Read a store back, oldest segment first, exact float round-trip."""

@@ -169,19 +169,15 @@ class TieredPipes:
         except KeyError:
             raise KeyError(f"unknown tier {name!r}, expected one of {list(self._tiers)}")
 
-    def push(self, record: Record) -> tuple[str, ...]:
-        """Feed one base-rate record; returns the tiers that accepted it.
+    def push(self, record: Record) -> None:
+        """Feed one base-rate record.
 
         The record closing a middle-stride span is handed to the middle tier,
         and the one closing a long-stride span also to the long tier, so the
         slower tiers always carry real samples, not aggregates.
         """
         self.short.push(record)
-        touched = [SHORT]
         if self.short.total_pushed % self.layout.middle_stride == 0:
             self.middle.push(record)
-            touched.append(MIDDLE)
         if self.short.total_pushed % self.layout.long_stride == 0:
             self.long.push(record)
-            touched.append(LONG)
-        return tuple(touched)

@@ -13,11 +13,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actuation import ActuationEngine, Actuator, Firing, _iso_utc
+from .actuation import ActuationEngine, Firing, firing_line
 from .config import BenchConfig
 from .detectors import DetectorBank
 from .logstore import LogStore, emit_report, iter_store
 from .pipes import TieredPipes
+
+REPORT_MAX_POINTS = 1200  # a report charts about this many points per channel
 
 
 class VirtualClock:
@@ -46,15 +48,12 @@ class Runtime:
     """Wires a BenchConfig into a runnable bench in a fresh output directory."""
 
     def __init__(
-        self,
-        config: BenchConfig,
-        out_dir: str | Path | None = None,
-        start_ms: int = 0,
+        self, config: BenchConfig, out_dir: str | Path | None = None
     ) -> None:
         self.config = config
         self.out_dir = Path(out_dir) if out_dir is not None else Path(config.log_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.clock = VirtualClock(start_ms)
+        self.clock = VirtualClock()
         self._period_ms = round(config.period_s * 1000.0)
         if self._period_ms <= 0:
             raise ValueError(f"period {config.period_s}s rounds to no time at all")
@@ -105,7 +104,7 @@ class Runtime:
             self.vector_store.append_row(now, vector)
         for firing in firings:
             self._firing_log.write(
-                f"{_iso_utc(firing.at_ms)}\t{firing.binding_id}\t{firing.payload}\n"
+                firing_line(firing.at_ms, firing.binding_id, firing.payload)
             )
         if firings:
             # a crash must not lose a firing whose actuator already acted
@@ -168,12 +167,12 @@ class Runtime:
 
     # -- reporting
 
-    def emit_report(self, filename: str, max_points: int = 1200) -> Path:
+    def emit_report(self, filename: str) -> Path:
         """Chart every record channel from the store into one HTML file."""
         records = list(iter_store(self.out_dir / "records"))
         series = []
         if records:
-            stride = max(1, len(records) // max_points)
+            stride = max(1, len(records) // REPORT_MAX_POINTS)
             picked = records[::stride]
             ts = [r.timestamp_ms for r in picked]
             for chan in self.config.channels:

@@ -367,7 +367,7 @@ class PlantSimulator:
 
     def expected_value(self, name: str, t_ms: int) -> float:
         """Noiseless, unquantized reading: the oracle for record_at."""
-        ch = self._channel(name)
+        ch = self.channels[self._streams[name]]
         if ch.category is ChannelCategory.BIOPOTENTIAL:
             if self._blanked(t_ms):
                 return self.params.bio_baseline_v
@@ -388,12 +388,6 @@ class PlantSimulator:
     def _slot(self, t_ms: int) -> int:
         """Start of the stimulation slot holding t_ms."""
         return (int(t_ms) // self._interval_ms) * self._interval_ms
-
-    def _channel(self, name: str) -> ChannelId:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise KeyError(name)
 
     @staticmethod
     def _window(

@@ -65,6 +65,8 @@ def test_quantize_rejects_bad_inputs():
         ch.quantize(math.nan, 1e-3)
     with pytest.raises(ValueError):
         ch.quantize(math.inf, 1e-3)
+    with pytest.raises(ValueError):
+        ch.quantize(1e308, 1e-3)
 
 
 @given(
@@ -89,8 +91,18 @@ def test_quantize_for_clamps_to_range():
     bio = ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1)
     assert ch.quantize_for(bio, 2.0) == ch.quantize(1.0, 64e-9)
     assert ch.quantize_for(bio, -2.0) == ch.quantize(-1.0, 64e-9)
+
+
+@pytest.mark.parametrize("raw", [1.2e301, -1.2e301, 1e308, -1e308])
+def test_huge_finite_readings_clamp_in_quantize_for_and_raise_in_quantize(raw):
+    # |raw| / resolution overflows a float, so no grid index exists
+    end = 1.0 if raw > 0 else -1.0
+    bio = ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1)
+    assert ch.quantize_for(bio, raw) == ch.quantize(end, 64e-9)
+    imp = ch.ChannelId("imp1", ch.ChannelKind.IMPEDANCE_1)
+    assert ch.quantize_for(imp, raw) == (1e9 if raw > 0 else 0.0)
     with pytest.raises(ValueError):
-        ch.quantize_for(bio, 2.0, clamp=False)
+        ch.quantize(raw, 64e-9)
 
 
 def test_validate_record_schema_and_range():
@@ -155,27 +167,27 @@ def test_channel_spec_is_validated_at_construction(lo, hi, resolution):
         ch.ChannelSpec("V", lo, hi, resolution)
 
 
-def parent_quantize_for(channel, raw, clamp=True):
+def parent_quantize_for(channel, raw):
     """quantize_for as it was before specs were validated once: public checks."""
     spec = ch.CHANNEL_SPECS[channel.kind]
     value = ch.quantize(raw, spec.resolution)
     if spec.lo <= value <= spec.hi:
         return value
-    if not clamp:
-        raise ValueError(raw)
     value = min(max(value, ch.quantize(spec.lo, spec.resolution)), spec.hi)
     return ch.quantize(value, spec.resolution)
 
 
 @given(
     kind=st.sampled_from(list(ch.ChannelKind)),
-    # beyond about 1e300 / resolution both paths overflow in math.floor
-    raw=st.floats(min_value=-1e15, max_value=1e15),
+    raw=st.floats(allow_nan=False, allow_infinity=False),
 )
 def test_quantize_for_matches_the_checked_path_bit_for_bit(kind, raw):
     channel = ch.ChannelId("x", kind)
     assert channel.spec is ch.CHANNEL_SPECS[kind]
-    assert ch.quantize_for(channel, raw).hex() == parent_quantize_for(channel, raw).hex()
+    # every range lies far inside +-1e15, so a reading beyond it clamps like
+    # one at +-1e15, which the checked path can still quantize
+    near = min(max(raw, -1e15), 1e15)
+    assert ch.quantize_for(channel, raw).hex() == parent_quantize_for(channel, near).hex()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ch.quantize_for(channel, bad)

@@ -20,7 +20,8 @@ def test_round_trip_is_exact(tmp_path):
     with LogStore(tmp_path / "s", columns=["a", "b"]) as store:
         for i, v in enumerate(AWKWARD):
             store.append_row(i * 1000, {"a": v, "b": -v})
-        got = list(store.iter_records())
+        store.flush()
+        got = list(iter_store(store.root))
     assert len(got) == len(AWKWARD)
     for i, (rec, v) in enumerate(zip(got, AWKWARD)):
         assert rec.timestamp_ms == i * 1000

@@ -591,9 +591,9 @@ def planned_record_at(plant, t_ms):
     """
     raws = []
 
-    def spy(ch, raw, clamp=True):
+    def spy(ch, raw):
         raws.append((ch.name, raw.hex()))
-        return quantize_for(ch, raw, clamp)
+        return quantize_for(ch, raw)
 
     sim.quantize_for = spy
     try:
