@@ -7,9 +7,9 @@ than false, and unknown never fires an actuator.  Comparing explicitly
 against a literal 0 opts out of that rule, which is how pathogenicity green
 (status 0) stays testable.
 
-Every binding must be provably quiet on an idle bench: with all comparisons
-forced false and every BERNOULLI forced true the expression has to come out
-not-true, otherwise the configuration is rejected.  This closes the door on
+Every binding must be provably quiet on an idle bench: with every comparison
+false and every BERNOULLI true the expression has to come out false,
+otherwise the configuration is rejected.  This closes the door on
 NOT-constructions that would actuate spontaneously.
 
 A per-binding homeostat tracks the smoothed firing rate and scales the
@@ -61,45 +61,27 @@ _CMP_OPS = {
 
 
 @dataclass(frozen=True)
-class _Ctx:
-    vector: dict[str, float]
-    uniforms: Sequence[float]
-    adjust: float
-    forced: bool
-
-
-@dataclass(frozen=True)
-class Ident:
-    name: str
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: float
-
-
-@dataclass(frozen=True)
 class Cmp:
-    lhs: Ident | Literal
+    lhs: str | float  # a detector id or a literal
     op: str
-    rhs: Ident | Literal
+    rhs: str | float
+    # a literal 0 on either side opts out of the no-data rule
+    no_data_unknown: bool = field(init=False, repr=False, compare=False)
 
-    def eval(self, ctx: _Ctx) -> bool | None:
-        if ctx.forced:
-            return False
-        zero_literal = any(
-            isinstance(o, Literal) and o.value == 0.0 for o in (self.lhs, self.rhs)
-        )
-        vals = []
-        for operand in (self.lhs, self.rhs):
-            if isinstance(operand, Ident):
-                v = ctx.vector[operand.name]
-                if v == NO_DATA and not zero_literal:
-                    return None  # no data yet
-                vals.append(v)
-            else:
-                vals.append(operand.value)
-        return _CMP_OPS[self.op](vals[0], vals[1])
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "no_data_unknown", 0.0 not in (self.lhs, self.rhs))
+
+    def eval(self, vector, uniforms, adjust) -> bool | None:
+        a, b = self.lhs, self.rhs
+        if type(a) is str:
+            a = vector[a]
+            if a == NO_DATA and self.no_data_unknown:
+                return None  # no data yet
+        if type(b) is str:
+            b = vector[b]
+            if b == NO_DATA and self.no_data_unknown:
+                return None
+        return _CMP_OPS[self.op](a, b)
 
 
 @dataclass(frozen=True)
@@ -107,29 +89,26 @@ class Bernoulli:
     p: float
     index: int  # position in the expression's uniform draw
 
-    def eval(self, ctx: _Ctx) -> bool | None:
-        if ctx.forced:
-            return True
-        p_eff = min(1.0, self.p / ctx.adjust)
-        return bool(ctx.uniforms[self.index] < p_eff)
+    def eval(self, vector, uniforms, adjust) -> bool | None:
+        return bool(uniforms[self.index] < min(1.0, self.p / adjust))
 
 
 @dataclass(frozen=True)
 class Not:
     item: object
 
-    def eval(self, ctx: _Ctx) -> bool | None:
-        return _not3(self.item.eval(ctx))
+    def eval(self, vector, uniforms, adjust) -> bool | None:
+        return _not3(self.item.eval(vector, uniforms, adjust))
 
 
 @dataclass(frozen=True)
 class And:
     items: tuple
 
-    def eval(self, ctx: _Ctx) -> bool | None:
+    def eval(self, vector, uniforms, adjust) -> bool | None:
         out: bool | None = True
         for item in self.items:
-            out = _and3(out, item.eval(ctx))
+            out = _and3(out, item.eval(vector, uniforms, adjust))
             if out is False:
                 return False
         return out
@@ -139,13 +118,24 @@ class And:
 class Or:
     items: tuple
 
-    def eval(self, ctx: _Ctx) -> bool | None:
+    def eval(self, vector, uniforms, adjust) -> bool | None:
         out: bool | None = False
         for item in self.items:
-            out = _or3(out, item.eval(ctx))
+            out = _or3(out, item.eval(vector, uniforms, adjust))
             if out is True:
                 return True
         return out
+
+
+def _fires_idle(node) -> bool:
+    """The node on an idle bench: every comparison false, every BERNOULLI true."""
+    if isinstance(node, Cmp):
+        return False
+    if isinstance(node, Bernoulli):
+        return True
+    if isinstance(node, Not):
+        return not _fires_idle(node.item)
+    return (all if isinstance(node, And) else any)(map(_fires_idle, node.items))
 
 
 class ExpressionError(ValueError):
@@ -193,6 +183,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n_bernoulli = 0
+        self.names: set[str] = set()
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -272,9 +263,10 @@ class _Parser:
     def parse_operand(self):
         tok = self.take()
         if tok[0] == "num":
-            return Literal(float(tok[1]))
+            return float(tok[1])
         if tok[0] == "name":
-            return Ident(tok[1])
+            self.names.add(tok[1])
+            return tok[1]
         raise ExpressionError(f"expected a detector id or number, got {tok[1]!r}")
 
 
@@ -286,6 +278,7 @@ class Expression:
         self.text = text
         self.root = parser.parse()
         self.n_bernoulli = parser.n_bernoulli
+        self._identifiers = frozenset(parser.names)
 
     def __repr__(self) -> str:
         return f"Expression({self.text!r})"
@@ -297,21 +290,7 @@ class Expression:
         return hash(self.text)
 
     def identifiers(self) -> frozenset[str]:
-        found: set[str] = set()
-
-        def walk(node) -> None:
-            if isinstance(node, Cmp):
-                for o in (node.lhs, node.rhs):
-                    if isinstance(o, Ident):
-                        found.add(o.name)
-            elif isinstance(node, Not):
-                walk(node.item)
-            elif isinstance(node, (And, Or)):
-                for item in node.items:
-                    walk(item)
-
-        walk(self.root)
-        return frozenset(found)
+        return self._identifiers
 
     def evaluate(
         self,
@@ -324,16 +303,12 @@ class Expression:
             raise ValueError(
                 f"expression needs {self.n_bernoulli} uniform draws, got {len(uniforms)}"
             )
-        return self.root.eval(_Ctx(vector, uniforms, adjust, forced=False))
-
-    def evaluate_forced(self) -> bool | None:
-        """Worst-case idle evaluation: comparisons false, BERNOULLI true."""
-        return self.root.eval(_Ctx({}, (), 1.0, forced=True))
+        return self.root.eval(vector, uniforms, adjust)
 
 
 def parse_expression(text: str) -> Expression:
     expr = Expression(text)
-    if expr.evaluate_forced() is True:
+    if _fires_idle(expr.root):
         raise ExpressionError(
             f"expression {text!r} can fire with no detector condition met; "
             "rewrite it without the spontaneous path"

@@ -26,9 +26,6 @@ LM35_VOLTS_PER_DEGC = 0.010
 LM35_ADC_LSB_VOLTS = 10.0 / 2**22
 EXTERNAL_TEMP_RESOLUTION_C = LM35_ADC_LSB_VOLTS / LM35_VOLTS_PER_DEGC
 
-MIN_PERIOD_S = 0.1
-MAX_PERIOD_S = 100.0
-
 
 class ChannelKind(Enum):
     BIOPOTENTIAL_1 = "biopotential1"

@@ -25,9 +25,9 @@ Sections and their keys:
   [store]         segment_bytes, capacity_bytes
 
 Every key has one name and fills one field of the dataclass (or constructor)
-it configures.  Its default lives there, as does its range check (except
-period_s's bounds), and its type is read from the field's annotation.  The
-tables below only say which field each key sets.
+it configures.  Its default lives there, as does its range check, and its
+type is read from the field's annotation.  The tables below only say which
+field each key sets.
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
@@ -51,14 +51,7 @@ from .actuation import (
     HomeostatConfig,
     parse_expression,
 )
-from .channels import (
-    MAX_PERIOD_S,
-    MIN_PERIOD_S,
-    ChannelId,
-    ChannelKind,
-    default_channels,
-    validate_unique_names,
-)
+from .channels import ChannelId, ChannelKind, default_channels, validate_unique_names
 from .detectors import DETECTOR_KINDS, Detector, build_detector
 from .fra import SweepSpec
 from .logstore import (
@@ -71,6 +64,9 @@ from .pipes import TierLayout
 from .simulator import Event, EventKind, PlantSimulator, SimParams, TissueModel
 
 _KIND_BY_VALUE = {k.value: k for k in ChannelKind}
+
+MIN_PERIOD_S = 0.1
+MAX_PERIOD_S = 100.0
 
 
 class ConfigError(ValueError):
@@ -98,7 +94,8 @@ class ActuatorSpec:
     dir and electrical stimulation binds to the run's simulator.
 
     kind names an ACTUATOR_KINDS entry; params are keyword arguments of that
-    class's constructor, and the ones without a default must be set.
+    class's constructor, and the ones without a default must be given and not
+    empty (a falsy port = 0 goes on to MessageToIp's own range check).
     """
 
     id: str
@@ -113,7 +110,7 @@ class ActuatorSpec:
             for name in _ACTUATOR_KEYS[self.kind]
             if _ACTUATOR_PARAMS[self.kind][name].default is inspect.Parameter.empty
         ]
-        if not all(self.params.get(name) for name in required):
+        if any(self.params.get(name) in (None, "") for name in required):
             raise ValueError(f"{self.kind} needs {' and '.join(required)}")
 
     def build(self, out_dir: Path, simulator=None) -> Actuator:
@@ -156,6 +153,12 @@ class BenchConfig:
     events: tuple[Event, ...] = ()
     sweep: SweepSpec = field(default_factory=SweepSpec)
     store: StoreParams = field(default_factory=StoreParams)
+
+    def __post_init__(self) -> None:
+        if not (MIN_PERIOD_S <= self.period_s <= MAX_PERIOD_S):
+            raise ValueError(
+                f"period_s {self.period_s} outside [{MIN_PERIOD_S}, {MAX_PERIOD_S}]"
+            )
 
     def build_simulator(self) -> PlantSimulator:
         """The configured plant with the scripted events scheduled."""
@@ -374,10 +377,6 @@ def parse_config(text: str) -> BenchConfig:
             _read(f"[{section}]", parser[section], table, kwargs)
     system = kwargs.get(BenchConfig, {})
     period_s = system.get("period_s", BenchConfig.period_s)
-    if not (MIN_PERIOD_S <= period_s <= MAX_PERIOD_S):
-        raise ConfigError(
-            f"[system]: period_s {period_s} outside [{MIN_PERIOD_S}, {MAX_PERIOD_S}]"
-        )
     parts = {
         name: _make(where, cls, **kwargs.get(cls, {}))
         for name, (cls, where) in _PARTS.items()
@@ -437,7 +436,9 @@ def parse_config(text: str) -> BenchConfig:
     if parser.has_section("events"):
         events = _parse_events(parser["events"], channel_names)
 
-    config = BenchConfig(
+    config = _make(
+        "[system]",
+        BenchConfig,
         **system,
         **parts,
         channels=channels,

@@ -80,10 +80,10 @@ def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Buffer:
-    """Read-only float64 samples and their cycle count at (frequency, sample_rate)."""
+    """A read-only float64 copy of the samples; cycles at (frequency, sample_rate)."""
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 

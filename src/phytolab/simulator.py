@@ -296,7 +296,6 @@ class PlantSimulator:
         # touch/wound events older than this add exactly 0 (kernel support + 1 ms)
         support_s = max(p.ap_duration_s, VP_CUTOFF_TAUS * p.vp_duration_s / 5.0)
         self._bio_support_ms = math.ceil(support_s * 1000.0) + 1
-        self._events: list[Event] = []
         # each an (at_ms list, event list) pair sorted by at_ms, for _window
         self._bio_events: tuple[list[int], list[Event]] = ([], [])
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
@@ -314,7 +313,6 @@ class PlantSimulator:
     def add_event(self, event: Event) -> None:
         if event.channel is not None and event.channel not in self._streams:
             raise ValueError(f"unknown channel {event.channel!r}")
-        self._events.append(event)
         if event.kind is EventKind.ELECTRICAL:
             times, events = self._electrical_events
         else:
@@ -334,7 +332,8 @@ class PlantSimulator:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return tuple(self._events)
+        """Every event added: touch/wound first, then electrical, each in time order."""
+        return (*self._bio_events[1], *self._electrical_events[1])
 
     # -- reading generation ---------------------------------------------------
 

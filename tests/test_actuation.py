@@ -1,6 +1,7 @@
 """Expression semantics, actuators, binding engine and homeostat tests."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,52 @@ def test_guard_rejects_bare_bernoulli():
 def test_guard_accepts_gated_not_and_bernoulli():
     parse_expression("a == 1 AND NOT b == 1")
     parse_expression("a == 1 AND BERNOULLI(0.25)")
+
+
+# detector ids that are Python keywords or start like this grammar's keywords
+_IDS = ("d0", "d1", "in", "None", "pass", "orx", "NOTE", "_b2")
+_ATOMS = st.one_of(
+    st.sampled_from(_IDS).map(lambda name: f"{name} == 1"),
+    st.floats(1e-9, 1.0).map(lambda p: f"BERNOULLI({p!r})"),
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"NOT {e}"),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(
+            st.sampled_from([" AND ", " OR ", " and ", " or "]),
+            st.lists(inner, min_size=2, max_size=3),
+        ).map(lambda t: t[0].join(t[1])),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EXPRESSIONS)
+def test_guard_refuses_exactly_what_fires_on_an_idle_bench(text):
+    # every comparison false (a reading of -1 is data, not NO_DATA) and every
+    # BERNOULLI true (a uniform of 0 is below any p > 0)
+    expr = Expression(text)
+    idle = dict.fromkeys(_IDS, -1.0)
+    fires = expr.evaluate(idle, [0.0] * expr.n_bernoulli) is True
+    if fires:
+        with pytest.raises(ExpressionError, match="spontaneous"):
+            parse_expression(text)
+    else:
+        assert parse_expression(text) == expr
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_EXPRESSIONS)
+def test_identifiers_are_the_name_tokens(text):
+    # a letter inside a number such as 1e-09 is not a name
+    names = re.findall(r"(?<![0-9A-Za-z_.])[A-Za-z_][A-Za-z0-9_]*", text)
+    keywords = {"and", "or", "not", "bernoulli"}
+    ids = Expression(text).identifiers()
+    assert isinstance(ids, frozenset)
+    assert ids == {n for n in names if n.lower() not in keywords}
 
 
 # -- bernoulli

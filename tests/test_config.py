@@ -17,7 +17,7 @@ from phytolab.actuation import (
 )
 from phytolab.channels import ChannelKind, default_channels
 from phytolab import config as config_module
-from phytolab.config import ConfigError, load_config, parse_config
+from phytolab.config import BenchConfig, ConfigError, load_config, parse_config
 from phytolab.detectors import GradientDetector, PeakDetector
 from phytolab.simulator import EventKind
 
@@ -288,6 +288,10 @@ BAD_CASES = [
         "[actuator.x]\nkind = message_to_ip\nhost = h\nport = 99999\n",
         "port",
     ),
+    # a falsy but present value is checked by the constructor, not called missing
+    ("[actuator.x]\nkind = message_to_ip\nhost = h\nport = 0\n", "port 0 out of range"),
+    ("[actuator.x]\nkind = message_to_ip\nhost =\nport = 80\n", "needs host and port"),
+    ("[actuator.x]\nkind = message_to_file\npath =\n", "needs path"),
     ("[binding.x]\nexpression = a == 1\n", "needs expression and actuator"),
     (
         "[detector.d]\nkind = mean\nchannel = bio1\n"
@@ -343,6 +347,15 @@ BAD_CASES = [
 def test_bad_configs_are_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize("period_s", [0.001, 0.0999, 100.5, 500.0])
+def test_bench_config_owns_the_period_bounds(period_s):
+    # the bounds hold for a config built in code, not only for a parsed one
+    with pytest.raises(ValueError, match="period_s .* outside"):
+        BenchConfig(period_s=period_s)
+    for edge in (config_module.MIN_PERIOD_S, config_module.MAX_PERIOD_S):
+        assert BenchConfig(period_s=edge).period_s == edge
 
 
 @pytest.mark.parametrize("section", ["biopotential", "impedance"])

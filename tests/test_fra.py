@@ -133,6 +133,25 @@ def test_excitation_samples_are_read_only():
         vv.samples[0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: fra.ExcitationWaveform(500.0, 0.1, 32000.0, a),
+        lambda a: fra.ResponseBuffer(500.0, 32000.0, a),
+    ],
+    ids=["excitation", "response"],
+)
+def test_buffers_freeze_a_copy_not_the_callers_array(build):
+    a = np.zeros(1024)
+    buf = build(a)
+    assert a.flags.writeable
+    a[0] = 1.0  # the caller may reuse its array
+    assert buf.samples[0] == 0.0
+    assert not np.shares_memory(buf.samples, a)
+    with pytest.raises(ValueError):
+        buf.samples[0] = 1.0
+
+
 def test_analyze_pair_recovers_cell_impedance():
     respond = make_ideal_responder(gain=1.0)
     for f in (8.0, 500.0, 12500.0, 3.0e5):

@@ -179,6 +179,23 @@ def test_events_do_not_act_before_their_time():
     assert rec.values["bio1"] == pytest.approx(-0.05, abs=1e-7)
 
 
+def test_events_list_touch_and_wound_then_electrical_each_in_time_order():
+    plant = quiet_sim()
+    plant.add_electrical(9_000)
+    plant.add_touch(10_000)
+    plant.add_wound(2_000, channel="bio1")
+    plant.add_electrical(3_000, intensity=0.5)
+    plant.add_touch(10_000, channel="bio2")
+    got = [(e.kind.value, e.at_ms, e.channel) for e in plant.events]
+    assert got == [
+        ("wound", 2_000, "bio1"),
+        ("touch", 10_000, None),
+        ("touch", 10_000, "bio2"),
+        ("electrical", 3_000, None),
+        ("electrical", 9_000, None),
+    ]
+
+
 def test_overlapping_events_superpose_linearly():
     plant = quiet_sim()
     plant.add_touch(10_000)
