@@ -81,7 +81,7 @@ class Cmp:
             b = vector[b]
             if b == NO_DATA and self.no_data_unknown:
                 return None
-        return _CMP_OPS[self.op](a, b)
+        return bool(_CMP_OPS[self.op](a, b))
 
 
 @dataclass(frozen=True)

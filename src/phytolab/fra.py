@@ -7,7 +7,8 @@ exact amplitude/phase detector for harmonic signals.  The module provides:
 * single-bin discrete Fourier projection (re/im, magnitude, phase),
 * RMS estimators and the excitation/response RMS ratio,
 * lock-in correlation and the correlation-derived phase,
-* a combined per-frequency analysis bundling all of the above,
+* a combined per-frequency analysis bundling all of the above (the sweep's),
+  and the transfer ratio alone (the loop's, which keeps only its magnitude),
 * frequency sweeps with period-stable planning and CSV export,
 * scope-mode harmonic decomposition for distortion analysis.
 
@@ -79,11 +80,18 @@ def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+class _Fresh(np.ndarray):
+    """A fresh float64 array made for one buffer alone: frozen, not copied."""
+
+
 class _Buffer:
-    """A read-only float64 copy of the samples; cycles at (frequency, sample_rate)."""
+    """Read-only float64 samples, a copy unless _Fresh; cycles at (frequency, rate)."""
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
+        if type(self.samples) is _Fresh:
+            samples = self.samples.view(np.ndarray)
+        else:
+            samples = np.array(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -163,7 +171,7 @@ def synthesize_excitation(
         frequency=frequency,
         amplitude=amplitude,
         sample_rate=sample_rate,
-        samples=samples,
+        samples=samples.view(_Fresh),
     )
 
 
@@ -189,6 +197,13 @@ def fra_single_point(
     re = float(np.dot(x, cos)) / n
     im = -float(np.dot(x, sin)) / n
     return ComplexResponse(re=re, im=im)
+
+
+def transfer_ratio(x_v: complex, x_i: complex, gain: float) -> complex:
+    """Excitation over response projection, times the transimpedance gain."""
+    if x_i == 0:
+        raise OpenCircuitError("response has no component at the excitation frequency")
+    return x_v / x_i * gain
 
 
 def _normalize_degrees(p: float) -> float:
@@ -318,9 +333,7 @@ def analyze_pair(
 
     x_v = fra_single_point(vv.samples, cycles).as_complex
     x_i = fra_single_point(vi.samples, cycles).as_complex
-    if x_i == 0:
-        raise OpenCircuitError("response has no component at the excitation frequency")
-    ratio = x_v / x_i * gain
+    ratio = transfer_ratio(x_v, x_i, gain)
 
     magnitude = abs(ratio)
     phase = _normalize_degrees(math.degrees(math.atan2(ratio.imag, ratio.real)))

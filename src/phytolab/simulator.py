@@ -82,11 +82,11 @@ def tissue_response(
     if noise_rms > 0.0:
         if rng is None:
             raise ValueError("noise_rms > 0 requires an rng")
-        samples = samples + rng.normal(0.0, noise_rms, n)
+        samples += rng.normal(0.0, noise_rms, n)
     return fra.ResponseBuffer(
         frequency=excitation.frequency,
         sample_rate=excitation.sample_rate,
-        samples=samples,
+        samples=samples.view(fra._Fresh),
     )
 
 
@@ -237,7 +237,9 @@ class PlantSimulator:
     scheduled events, t_ms): querying timestamps in any order, or twice,
     yields identical readings.  Impedance channels are sampled and held per
     stimulation slot, mirroring a front-end that excites the tissue every
-    stimulation_interval_s and keeps the last magnitude in between.
+    stimulation_interval_s and keeps the last magnitude in between.  The
+    fixed excitation is projected once; a measurement projects only the
+    response and keeps |fra.transfer_ratio|, the magnitude a sweep reports.
 
     Each timestamp t_ms draws one noise vector for all channels from the
     reading-noise source at position t_ms; a channel's position in the
@@ -301,12 +303,11 @@ class PlantSimulator:
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
         self._imp_slot: int | None = None
         self._imp_cache: dict[str, float] = {}
-        self._excitation = fra.synthesize_excitation(
-            self.params.excitation_hz,
-            self.params.excitation_amplitude_v,
-            self.params.excitation_samples,
-            self.params.excitation_rate_hz,
+        self._excitation = ex = fra.synthesize_excitation(
+            p.excitation_hz, p.excitation_amplitude_v,
+            p.excitation_samples, p.excitation_rate_hz,
         )
+        self._x_v = fra.fra_single_point(ex.samples, ex.cycles).as_complex
 
     # -- stimulus scheduling ------------------------------------------------
 
@@ -454,8 +455,8 @@ class PlantSimulator:
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
-        out = fra.analyze_pair(self._excitation, vi, gain=p.transimpedance_gain)
-        return out.magnitude
+        x_i = fra.fra_single_point(vi.samples, self._excitation.cycles).as_complex
+        return abs(fra.transfer_ratio(self._x_v, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------
 

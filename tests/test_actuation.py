@@ -648,3 +648,14 @@ def test_homeostat_boosts_starved_binding():
         engine.cycle({"a": 1.0 if t % 2 == 0 else -1.0}, t * 1000)
     # underfiring drives the adjustment below 1, boosting the probability
     assert engine.state_of("b1").adjust < 1.0
+
+
+def test_numpy_scalar_readings_fire_like_floats():
+    # a comparison returns Python's True even for a numpy reading, and the
+    # engine fires only on `is True`
+    assert parse_expression("x > 1").evaluate({"x": np.float64(2.0)}) is True
+    assert parse_expression("x > 1").evaluate({"x": np.float64(0.5)}) is False
+    sink = Sink()
+    engine = ActuationEngine([binding("a == 1 and b > 2", sink)])
+    engine.cycle({"a": np.float64(1.0), "b": np.float64(3.0)}, 0)
+    assert [c[0] for c in sink.calls] == [0]

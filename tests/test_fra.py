@@ -435,3 +435,35 @@ def test_cycles_are_validated_once_per_buffer(monkeypatch):
     for _ in range(2):
         with pytest.raises(fra.PeriodStabilityError):
             unstable.cycles
+
+
+@pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
+def test_built_buffers_are_read_only_and_not_the_cached_basis(noise_rms):
+    # synthesize_excitation and tissue_response hand their fresh arrays over
+    # without a copy; those must still be frozen and not a cached basis array
+    cos, sin = fra._basis(1024, 16)
+    vv = fra.synthesize_excitation(500.0, 1.0, 1024, 32000.0)
+    rng = np.random.default_rng(0) if noise_rms else None
+    vi = tissue_response(vv, TissueModel(), gain=1e3, noise_rms=noise_rms, rng=rng)
+    for buf in (vv, vi):
+        assert buf.samples.dtype == np.float64
+        assert type(buf.samples) is np.ndarray
+        with pytest.raises(ValueError):
+            buf.samples[0] = 1.0
+        for basis in (cos, sin):
+            assert not np.shares_memory(buf.samples, basis)
+    assert not np.shares_memory(vv.samples, vi.samples)
+
+
+def test_transfer_ratio_is_analyze_pairs_ratio():
+    vv = fra.synthesize_excitation(500.0, 0.1, 1024, 64000.0)
+    vi = tissue_response(vv, TissueModel(), gain=1e3)
+    out = fra.analyze_pair(vv, vi, gain=1e3)
+    ratio = fra.transfer_ratio(
+        fra.fra_single_point(vv.samples, vv.cycles).as_complex,
+        fra.fra_single_point(vi.samples, vv.cycles).as_complex,
+        1e3,
+    )
+    assert (ratio.real.hex(), ratio.imag.hex()) == (out.re.hex(), out.im.hex())
+    with pytest.raises(fra.OpenCircuitError):
+        fra.transfer_ratio(1 + 0j, 0j, 1e3)

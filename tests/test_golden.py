@@ -9,7 +9,10 @@ pins compare against the bytes the code produced when they were taken:
   config's seed and for seeds 0-19 in order (one seed can miss a last-bit
   change that shows on another);
 * the records, vectors and `firings.log` of a 200-cycle run of
-  `configs/touch_demo.ini` (impedance slots, touches and firings included).
+  `configs/touch_demo.ini` (impedance slots, touches and firings included);
+* the same files of a 300-cycle run of `STIMULATION_INI`, whose impedance
+  channels carry response noise and whose `electrical_stimulation` binding
+  feeds back into the cell that later impedance slots measure.
 
 A change meant to alter these outputs must update the pins in a commit of
 its own and name the old and new digests in CHANGES.md; a pure performance
@@ -20,7 +23,7 @@ import hashlib
 import io
 from pathlib import Path
 
-from phytolab.config import load_config
+from phytolab.config import load_config, parse_config
 from phytolab.fra import run_sweep, write_sweep_csv
 from phytolab.runtime import Runtime
 from phytolab.simulator import sweep_responder
@@ -30,6 +33,50 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NOISY_SWEEP_CSV_SHA256 = "6a4c6ada2766eaa0"
 NOISY_SWEEP_20_SEEDS_SHA256 = "550f0e04061169e3"
 TOUCH_DEMO_RUN_SHA256 = "ec36bdddb902bbe6"
+STIMULATION_RUN_SHA256 = "3090ae7484e71689"
+
+# 30 stimulation slots of noisy impedance on two channels; the stimulation
+# fires on about a fifth of cycles and lowers rp for vp_duration_s after each
+STIMULATION_INI = """
+[system]
+seed = 3
+period_s = 0.1
+stimulation_interval_s = 1.0
+
+[channels]
+bio1 = biopotential1
+imp1 = impedance1
+imp2 = impedance2
+
+[impedance]
+noise_rms_v = 1e-4
+
+[detector.gate]
+kind = time_interval
+start_ms = 0
+end_ms = 86400000
+
+[detector.zimp]
+kind = zscore
+channel = imp1
+
+[actuator.stim]
+kind = electrical_stimulation
+intensity = 0.5
+
+[actuator.notes]
+kind = message_to_file
+path = notes.txt
+
+[binding.pulse]
+expression = BERNOULLI(0.2) and gate == 1
+actuator = stim
+
+[binding.note]
+expression = zimp > 1.5
+actuator = notes
+payload = impedance rise z={zimp}
+"""
 
 
 def _prefix(blob: bytes) -> str:
@@ -61,15 +108,25 @@ def test_noisy_sweep_csv_digest_over_20_seeds():
     assert _prefix(blob.encode("utf-8")) == NOISY_SWEEP_20_SEEDS_SHA256
 
 
-def test_touch_demo_run_digest(tmp_path):
-    config = load_config(CONFIGS / "touch_demo.ini")
-    Runtime(config, out_dir=tmp_path).run(cycles=200)
+def _run_digest(config, out_dir: Path, cycles: int) -> str:
+    """Digest of a run's records, vectors and firings.log, paths included."""
+    Runtime(config, out_dir=out_dir).run(cycles=cycles)
     digest = hashlib.sha256()
-    files = sorted((tmp_path / "records").glob("*.csv"))
-    files += sorted((tmp_path / "vectors").glob("*.csv"))
-    files.append(tmp_path / "firings.log")
+    files = sorted((out_dir / "records").glob("*.csv"))
+    files += sorted((out_dir / "vectors").glob("*.csv"))
+    files.append(out_dir / "firings.log")
     for path in files:
-        digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8"))
+        digest.update(path.relative_to(out_dir).as_posix().encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
-    assert digest.hexdigest()[:16] == TOUCH_DEMO_RUN_SHA256
+    return digest.hexdigest()[:16]
+
+
+def test_touch_demo_run_digest(tmp_path):
+    config = load_config(CONFIGS / "touch_demo.ini")
+    assert _run_digest(config, tmp_path, 200) == TOUCH_DEMO_RUN_SHA256
+
+
+def test_stimulated_noisy_impedance_run_digest(tmp_path):
+    config = parse_config(STIMULATION_INI)
+    assert _run_digest(config, tmp_path, 300) == STIMULATION_RUN_SHA256

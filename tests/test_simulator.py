@@ -306,11 +306,11 @@ def test_record_samples_bio_then_impedance_then_environment(monkeypatch):
     )
     plant = sim.PlantSimulator(channels=chans, seed=0)
     seen = []
-    bio_clean, env_bases, analyze = plant._bio_clean, plant._env_bases, fra.analyze_pair
+    bio_clean, env_bases, project = plant._bio_clean, plant._env_bases, fra.fra_single_point
     plant._bio_clean = lambda name, t: (seen.append(name), bio_clean(name, t))[1]
     plant._env_bases = lambda t: (seen.append("environment"), env_bases(t))[1]
     monkeypatch.setattr(
-        fra, "analyze_pair", lambda *a, **k: (seen.append("excitation"), analyze(*a, **k))[1]
+        fra, "fra_single_point", lambda *a, **k: (seen.append("excitation"), project(*a, **k))[1]
     )
     rec = plant.record_at(0)
     assert seen == ["bio1", "excitation", "environment"]
@@ -698,3 +698,48 @@ def test_record_at_matches_the_per_channel_path_while_blanked():
     for t in (0, 30_000, 30_001, DAY_MS // 2, DAY_MS - 10_000):
         got = assert_matches_reference(plant, t)
     assert got.values["bio1"] == -0.05
+
+
+@given(
+    rs=st.floats(0.0, 1e4),
+    rp=st.floats(1e2, 1e6),
+    cp=st.floats(1e-9, 1e-4),
+    gain=st.floats(1.0, 1e6),
+    noise_rms=st.just(0.0) | st.floats(1e-7, 1e-2),
+    cycles=st.integers(1, 511),  # 1,024 samples at 64 kHz: bins 62.5 Hz apart
+    amplitude=st.floats(fra.MIN_AMPLITUDE_V, fra.MAX_AMPLITUDE_V),
+    slot=st.integers(0, 100),
+    before_ms=st.lists(
+        st.tuples(st.integers(0, 30_000), st.floats(0.05, 1.0)), max_size=5
+    ),
+    channel=st.sampled_from(["imp1", "imp2"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_loop_impedance_is_analyze_pairs_magnitude(
+    rs, rp, cp, gain, noise_rms, cycles, amplitude, slot, before_ms, channel, seed
+):
+    params = sim.SimParams(
+        excitation_hz=cycles * 62.5,
+        excitation_amplitude_v=amplitude,
+        transimpedance_gain=gain,
+        impedance_noise_rms_v=noise_rms,
+    )
+    plant = sim.PlantSimulator(tissue=sim.TissueModel(rs, rp, cp), params=params, seed=seed)
+    slot_ms = slot * 10_000
+    for dt, intensity in before_ms:  # stimulation in the 30 s before the slot
+        plant.add_electrical(max(0, slot_ms - dt), intensity)
+    rng = None
+    if noise_rms:
+        rng = plant._impedance_noise.at(slot_ms, plant._streams[channel])
+    vi = sim.tissue_response(
+        plant._excitation, plant._cell_at(slot_ms), gain, noise_rms, rng
+    )
+    want = fra.analyze_pair(plant._excitation, vi, gain=gain).magnitude
+    assert plant._measure_impedance(channel, slot_ms).hex() == want.hex()
+
+
+def test_zero_transimpedance_gain_is_an_open_circuit():
+    plant = sim.PlantSimulator(params=sim.SimParams(transimpedance_gain=0.0), seed=0)
+    with pytest.raises(fra.OpenCircuitError):
+        plant.record_at(0)
