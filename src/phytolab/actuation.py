@@ -9,8 +9,9 @@ against a literal 0 opts out of that rule, which is how pathogenicity green
 
 Every binding must be provably quiet on an idle bench: with every comparison
 false and every BERNOULLI true the expression has to come out false,
-otherwise the configuration is rejected.  This closes the door on
-NOT-constructions that would actuate spontaneously.
+otherwise parse_expression rejects its text and Binding rejects it too, so
+a binding built in code is held to the same rule as a configured one.  This
+closes the door on NOT-constructions that would actuate spontaneously.
 
 A per-binding homeostat tracks the smoothed firing rate and scales the
 probability of the expression's BERNOULLI terms to steer the rate toward a
@@ -306,14 +307,18 @@ class Expression:
         return self.root.eval(vector, uniforms, adjust)
 
 
-def parse_expression(text: str) -> Expression:
-    expr = Expression(text)
+def _check_quiet(expr: Expression) -> Expression:
+    """expr, or ExpressionError if it fires on an idle bench (see _fires_idle)."""
     if _fires_idle(expr.root):
         raise ExpressionError(
-            f"expression {text!r} can fire with no detector condition met; "
+            f"expression {expr.text!r} can fire with no detector condition met; "
             "rewrite it without the spontaneous path"
         )
     return expr
+
+
+def parse_expression(text: str) -> Expression:
+    return _check_quiet(Expression(text))
 
 
 # -- actuators ----------------------------------------------------------------
@@ -498,11 +503,11 @@ class HomeostatConfig:
     hi: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.target_per_cycle < 0:
-            raise ValueError("target rate must be >= 0")
+        if not self.target_per_cycle >= 0:
+            raise ValueError(f"target rate must be >= 0, got {self.target_per_cycle}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha {self.alpha} outside (0, 1]")
-        if self.step <= 1.0:
+        if not self.step > 1.0:
             raise ValueError(f"step {self.step} must exceed 1")
         if not (0.0 < self.lo <= 1.0 <= self.hi):
             raise ValueError(f"need lo <= 1 <= hi, got [{self.lo}, {self.hi}]")
@@ -531,8 +536,11 @@ class Binding:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("binding id must be non-empty")
-        if self.cooldown_s < 0:
-            raise ValueError(f"{self.id}: cooldown must be >= 0")
+        if not self.cooldown_s >= 0:
+            raise ValueError(
+                f"binding {self.id!r}: cooldown must be >= 0, got {self.cooldown_s}"
+            )
+        _check_quiet(self.expression)
 
     def validate_against(self, detector_ids: frozenset[str] | set[str]) -> None:
         """Reject references to unknown detectors and payloads that cannot render.

@@ -31,8 +31,10 @@ field each key sets.
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
-detector references, payloads that cannot render and store sizes the store
-would refuse fail at load time, not at runtime.
+detector references, payloads that cannot render, store sizes the store
+would refuse, non-finite or out-of-range cell, front-end and binding values,
+and an excitation outside the device envelope or not period-stable fail at
+load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -175,14 +177,20 @@ class BenchConfig:
     def build_bindings(
         self, out_dir: Path, simulator=None
     ) -> tuple[list[Binding], dict[str, Actuator]]:
-        """Materialize actuators in out_dir and wire the bindings to them."""
+        """Materialize actuators in out_dir and wire the bindings to them.
+
+        A binding's ValueError is reported against its [binding.ID] section.
+        """
         actuators = {
             spec.id: spec.build(out_dir, simulator) for spec in self.actuator_specs
         }
         detector_ids = frozenset(d.id for d in self.detectors)
         bindings = []
         for spec in self.binding_specs:
-            binding = Binding(
+            where = f"[binding.{spec.id}]"
+            binding = _make(
+                where,
+                Binding,
                 id=spec.id,
                 expression=spec.expression,
                 actuator=actuators[spec.actuator],
@@ -190,7 +198,7 @@ class BenchConfig:
                 cooldown_s=spec.cooldown_s,
                 homeostat=spec.homeostat,
             )
-            binding.validate_against(detector_ids)
+            _make(where, binding.validate_against, detector_ids)
             bindings.append(binding)
         return bindings, actuators
 
@@ -346,10 +354,10 @@ def _parse_events(section, channel_names: set[str]) -> tuple[Event, ...]:
                 if channel not in channel_names:
                     raise ConfigError(f"[events]: unknown channel {channel!r}")
             try:
-                at_s = float(item)
-            except ValueError:
+                at_ms = round(float(item) * 1000.0)
+            except (ValueError, OverflowError):  # not a number, NaN or infinite
                 raise ConfigError(f"[events]: bad timestamp {item!r}")
-            events.append(_make("[events]", Event, kind, round(at_s * 1000.0), channel))
+            events.append(_make("[events]", Event, kind, at_ms, channel))
     return tuple(sorted(events, key=lambda e: e.at_ms))
 
 

@@ -4,12 +4,14 @@ All estimators work on buffers holding an exact integer number of excitation
 cycles, which removes spectral leakage and makes the single-bin projection an
 exact amplitude/phase detector for harmonic signals.  The module provides:
 
-* single-bin discrete Fourier projection (re/im, magnitude, phase),
+* single-bin discrete Fourier projection, a Python complex, and its polar
+  form (magnitude, phase),
 * RMS estimators and the excitation/response RMS ratio,
 * lock-in correlation and the correlation-derived phase,
 * a combined per-frequency analysis bundling all of the above (the sweep's),
   and the transfer ratio alone (the loop's, which keeps only its magnitude),
-* frequency sweeps with period-stable planning and CSV export,
+* frequency sweeps with period-stable planning and CSV export, whose columns
+  come from one column-to-field table,
 * scope-mode harmonic decomposition for distortion analysis.
 
 Every bin's cos/sin pair comes from `_basis`, one read-only pair per
@@ -127,20 +129,20 @@ class ResponseBuffer(_Buffer):
     samples: np.ndarray
 
 
-@dataclass(frozen=True)
-class ComplexResponse:
-    """In-phase and quadrature components of a single-bin projection."""
-
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"non-finite components ({self.re}, {self.im})")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
+def check_excitation(
+    frequency: float, amplitude: float, n_samples: int, sample_rate: float
+) -> int:
+    """Cycles per buffer of an excitation inside the device envelope, or raise."""
+    if not (MIN_FREQUENCY_HZ <= frequency <= MAX_FREQUENCY_HZ):
+        raise ValueError(
+            f"frequency {frequency} Hz outside "
+            f"[{MIN_FREQUENCY_HZ}, {MAX_FREQUENCY_HZ}] Hz"
+        )
+    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
+        raise ValueError(
+            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
+        )
+    return exact_cycles(frequency, n_samples, sample_rate)
 
 
 def synthesize_excitation(
@@ -154,18 +156,9 @@ def synthesize_excitation(
     The (frequency, n_samples, sample_rate) triple must give an integer
     number of cycles; otherwise the caller has to adjust the frequency first
     (see plan_sweep).  Frequency and amplitude must lie within the device
-    envelope.
+    envelope (see check_excitation).
     """
-    if not (MIN_FREQUENCY_HZ <= frequency <= MAX_FREQUENCY_HZ):
-        raise ValueError(
-            f"frequency {frequency} Hz outside "
-            f"[{MIN_FREQUENCY_HZ}, {MAX_FREQUENCY_HZ}] Hz"
-        )
-    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
-        raise ValueError(
-            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
-        )
-    cycles = exact_cycles(frequency, n_samples, sample_rate)
+    cycles = check_excitation(frequency, amplitude, n_samples, sample_rate)
     samples = amplitude * _basis(n_samples, cycles)[1]
     return ExcitationWaveform(
         frequency=frequency,
@@ -177,12 +170,12 @@ def synthesize_excitation(
 
 def fra_single_point(
     buffer: np.ndarray | Sequence[float], cycles_per_buffer: int
-) -> ComplexResponse:
-    """Single-bin discrete Fourier projection of one buffer.
+) -> complex:
+    """Single-bin discrete Fourier projection of one buffer, as re + 1j * im.
 
     re = (1/N) sum x[k] cos(2*pi*c*k/N), im = -(1/N) sum x[k] sin(2*pi*c*k/N),
     with c the integer number of cycles per buffer.  Identical to bin c of the
-    full DFT divided by N.
+    full DFT divided by N.  A buffer holding inf or NaN raises ValueError.
     """
     x = np.asarray(buffer, dtype=np.float64)
     n = x.shape[0]
@@ -196,7 +189,9 @@ def fra_single_point(
     cos, sin = _basis(n, c)
     re = float(np.dot(x, cos)) / n
     im = -float(np.dot(x, sin)) / n
-    return ComplexResponse(re=re, im=im)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"non-finite components ({re}, {im})")
+    return complex(re, im)
 
 
 def transfer_ratio(x_v: complex, x_i: complex, gain: float) -> complex:
@@ -206,25 +201,16 @@ def transfer_ratio(x_v: complex, x_i: complex, gain: float) -> complex:
     return x_v / x_i * gain
 
 
-def _normalize_degrees(p: float) -> float:
-    # map into (-180, 180]
-    p = math.remainder(p, 360.0)
-    if p <= -180.0:
-        p += 360.0
-    return p
+def magnitude_phase(z: complex) -> tuple[float, float]:
+    """Magnitude and full-quadrant phase (degrees) of a projection or ratio.
 
-
-def magnitude_phase(c: ComplexResponse) -> tuple[float, float]:
-    """Magnitude and full-quadrant phase (degrees) of a projection.
-
-    Phase lies in (-180, 180].  For the zero projection the magnitude is 0 and
-    the phase is undefined, flagged as NaN.
+    Phase lies in (-180, 180].  For zero the magnitude is 0 and the phase is
+    undefined, flagged as NaN.
     """
-    magnitude = math.hypot(c.re, c.im)
-    if c.re == 0.0 and c.im == 0.0:
+    if z == 0:
         return 0.0, math.nan
-    phase = _normalize_degrees(math.degrees(math.atan2(c.im, c.re)))
-    return magnitude, phase
+    phase = math.remainder(math.degrees(math.atan2(z.imag, z.real)), 360.0)
+    return abs(z), phase + 360.0 if phase <= -180.0 else phase
 
 
 def rms(samples: np.ndarray | Sequence[float]) -> float:
@@ -257,15 +243,13 @@ def lockin_correlation(
     return float(np.dot(xi, xv)) / xi.shape[0]
 
 
-def lockin_phase(
-    correlation: float, vi_rms: float, vv_rms: float
-) -> tuple[float, float]:
+def lockin_phase(correlation: float, vi_rms: float, vv_rms: float) -> float:
     """Phase offset (degrees, unsigned) recovered from the correlation.
 
-    Returns (phase_deg, norm).  norm = 1/(vi_rms*vv_rms) scales the
-    correlation into [-1, 1] for pure sinusoids, so acos gives the absolute
-    phase offset in [0, 180] degrees.  Sign information is not recoverable
-    here; take it from the projection phase when needed.
+    norm = 1/(vi_rms*vv_rms) scales the correlation into [-1, 1] for pure
+    sinusoids, so acos gives the absolute phase offset in [0, 180] degrees.
+    Sign information is not recoverable here; take it from the projection
+    phase when needed.
     """
     if vi_rms <= 0.0 or vv_rms <= 0.0:
         raise ValueError("RMS values must be positive for phase recovery")
@@ -279,7 +263,7 @@ def lockin_phase(
             stacklevel=2,
         )
     arg = min(1.0, max(-1.0, arg))
-    return math.degrees(math.acos(arg)), norm
+    return math.degrees(math.acos(arg))
 
 
 @dataclass(frozen=True)
@@ -304,7 +288,6 @@ class ImpedanceAnalysis:
     rms_magnitude: float
     correlation: float
     correlation_phase_deg: float
-    amplitude_norm: float
 
 
 def analyze_pair(
@@ -331,15 +314,13 @@ def analyze_pair(
     if vi_rms == 0.0:
         raise OpenCircuitError("zero response buffer: open circuit")
 
-    x_v = fra_single_point(vv.samples, cycles).as_complex
-    x_i = fra_single_point(vi.samples, cycles).as_complex
+    x_v = fra_single_point(vv.samples, cycles)
+    x_i = fra_single_point(vi.samples, cycles)
     ratio = transfer_ratio(x_v, x_i, gain)
 
-    magnitude = abs(ratio)
-    phase = _normalize_degrees(math.degrees(math.atan2(ratio.imag, ratio.real)))
+    magnitude, phase = magnitude_phase(ratio)
     m_rms = rms_resistivity(vv_rms, vi_rms) * gain
     corr = lockin_correlation(vi.samples, vv.samples)
-    p_c, norm = lockin_phase(corr, vi_rms, vv_rms)
     return ImpedanceAnalysis(
         frequency_hz=vv.frequency,
         re=ratio.real,
@@ -350,8 +331,7 @@ def analyze_pair(
         vv_rms=vv_rms,
         rms_magnitude=m_rms,
         correlation=corr,
-        correlation_phase_deg=p_c,
-        amplitude_norm=norm,
+        correlation_phase_deg=lockin_phase(corr, vi_rms, vv_rms),
     )
 
 
@@ -475,18 +455,20 @@ def run_sweep(
     return results
 
 
-SWEEP_CSV_FIELDS = (
-    "frequency_hz",
-    "re",
-    "im",
-    "magnitude",
-    "phase_deg",
-    "vi_rms",
-    "vv_rms",
-    "m_rms",
-    "c",
-    "p_c",
-)
+# sweep CSV column -> the ImpedanceAnalysis field it holds, in column order
+_SWEEP_CSV = {
+    "frequency_hz": "frequency_hz",
+    "re": "re",
+    "im": "im",
+    "magnitude": "magnitude",
+    "phase_deg": "phase_deg",
+    "vi_rms": "vi_rms",
+    "vv_rms": "vv_rms",
+    "m_rms": "rms_magnitude",
+    "c": "correlation",
+    "p_c": "correlation_phase_deg",
+}
+SWEEP_CSV_FIELDS = tuple(_SWEEP_CSV)
 
 
 def write_sweep_csv(out: IO[str], results: Iterable[ImpedanceAnalysis]) -> None:
@@ -494,33 +476,18 @@ def write_sweep_csv(out: IO[str], results: Iterable[ImpedanceAnalysis]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_FIELDS)
     for r in results:
-        writer.writerow(
-            repr(v)
-            for v in (
-                r.frequency_hz,
-                r.re,
-                r.im,
-                r.magnitude,
-                r.phase_deg,
-                r.vi_rms,
-                r.vv_rms,
-                r.rms_magnitude,
-                r.correlation,
-                r.correlation_phase_deg,
-            )
-        )
+        writer.writerow(repr(getattr(r, field)) for field in _SWEEP_CSV.values())
 
 
 @dataclass(frozen=True)
 class HarmonicSpectrum:
     """Scope-mode decomposition of a buffer at a fundamental and its harmonics."""
 
-    harmonics: tuple[ComplexResponse, ...]  # index 0 is the fundamental
+    harmonics: tuple[complex, ...]  # index 0 is the fundamental
 
     def amplitude(self, order: int) -> float:
         """Peak amplitude of harmonic `order` (1 = fundamental)."""
-        c = self.harmonics[order - 1]
-        return 2.0 * math.hypot(c.re, c.im)
+        return 2.0 * abs(self.harmonics[order - 1])
 
     @property
     def thd(self) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -40,7 +40,7 @@ class TissueModel:
     cp: float = 1.0e-6
 
     def __post_init__(self) -> None:
-        if self.rs < 0 or self.rp <= 0 or self.cp <= 0:
+        if not (self.rs >= 0 and self.rp > 0 and self.cp > 0):
             raise ValueError(
                 f"cell parameters out of range: rs={self.rs} rp={self.rp} cp={self.cp}"
             )
@@ -195,6 +195,16 @@ class SimParams:
     blank_bio_during_stimulation: int = 0
 
     def __post_init__(self) -> None:
+        # every float is finite first: a NaN would pass the range checks below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "float":
+                continue
+            if f.name.endswith("noise_rms_v"):
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.ap_duration_s <= 0 or self.vp_duration_s <= 0:
             raise ValueError("event durations must be positive")
         if self.stimulation_interval_s <= 0:
@@ -203,10 +213,10 @@ class SimParams:
             raise ValueError("day length must be positive")
         if self.blank_bio_during_stimulation not in (0, 1):
             raise ValueError("blanking flag must be 0 or 1")
-        for name in ("bio_noise_rms_v", "impedance_noise_rms_v"):
-            rms = getattr(self, name)
-            if not (math.isfinite(rms) and rms >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {rms}")
+        fra.check_excitation(
+            self.excitation_hz, self.excitation_amplitude_v,
+            self.excitation_samples, self.excitation_rate_hz,
+        )
 
 
 # Environment model by channel kind: (noise RMS, offset, coefficient, basis).
@@ -307,7 +317,7 @@ class PlantSimulator:
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
         )
-        self._x_v = fra.fra_single_point(ex.samples, ex.cycles).as_complex
+        self._x_v = fra.fra_single_point(ex.samples, ex.cycles)
 
     # -- stimulus scheduling ------------------------------------------------
 
@@ -455,7 +465,7 @@ class PlantSimulator:
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
-        x_i = fra.fra_single_point(vi.samples, self._excitation.cycles).as_complex
+        x_i = fra.fra_single_point(vi.samples, self._excitation.cycles)
         return abs(fra.transfer_ratio(self._x_v, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------

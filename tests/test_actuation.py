@@ -167,6 +167,23 @@ def test_guard_accepts_gated_not_and_bernoulli():
     parse_expression("a == 1 AND BERNOULLI(0.25)")
 
 
+def test_binding_built_in_code_must_be_quiet_on_an_idle_bench():
+    # Expression alone does not guard; a Binding holds it to the parse rule
+    expr = Expression("not a == 1")
+    with pytest.raises(ExpressionError, match="spontaneous"):
+        Binding(id="b", expression=expr, actuator=GenericSink("s"))
+    quiet = Binding(
+        id="b", expression=Expression("a == 1 and not c == 1"), actuator=GenericSink("s")
+    )
+    assert ActuationEngine([quiet]).cycle({"a": -1.0, "c": -1.0}, 0) == []
+
+
+@pytest.mark.parametrize("cooldown_s", [-1.0, float("nan")])
+def test_binding_cooldown_must_be_non_negative(cooldown_s):
+    with pytest.raises(ValueError, match="cooldown must be >= 0"):
+        binding("a == 1", cooldown_s=cooldown_s)
+
+
 # detector ids that are Python keywords or start like this grammar's keywords
 _IDS = ("d0", "d1", "in", "None", "pass", "orx", "NOTE", "_b2")
 _ATOMS = st.one_of(

@@ -322,6 +322,8 @@ BAD_CASES = [
     ("[events]\nquake = 100\n", "unknown event kind"),
     ("[events]\ntouch = 100:nochan\n", "unknown channel"),
     ("[events]\ntouch = soon\n", "bad timestamp"),
+    ("[events]\ntouch = nan\n", "bad timestamp"),
+    ("[events]\nwound = inf\n", "bad timestamp"),
     ("[events]\ntouch = -5\n", "non-negative"),
     ("[events]\nelectrical = 5:bio1\n", "not a channel"),
     ("[sweep]\nstart_hz = 1\n", "sweep"),
@@ -339,6 +341,30 @@ BAD_CASES = [
         "[binding.x]\nexpression = a == 1\nactuator = r\n"
         "homeostat_step = 0.5\n",
         r"\[binding\.x\]: step",
+    ),
+    # each of these loaded and then failed only at run time, or never
+    ("[tissue]\nrs = nan\n", r"\[tissue\]: cell parameters out of range"),
+    ("[impedance]\nfrequency_hz = 1e9\n", r"\[impedance\]: frequency .* outside"),
+    ("[impedance]\nsamples = 1000\n", r"\[impedance\]: not period-stable"),
+    (
+        "[biopotential]\nap_amplitude_v = nan\n",
+        r"\[biopotential\].*: ap_amplitude_v must be finite",
+    ),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\ncooldown_s = nan\n",
+        r"\[binding\.x\]: binding 'x': cooldown must be >= 0",
+    ),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\n"
+        "homeostat_target_per_hour = nan\n",
+        r"\[binding\.x\]: target rate must be >= 0",
+    ),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_step = nan\n",
+        r"\[binding\.x\]: step nan must exceed 1",
     ),
 ]
 

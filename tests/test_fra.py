@@ -57,8 +57,8 @@ def test_projection_matches_fsum_oracle_on_noise():
     for c in (1, 3, 17, 100):
         got = fra.fra_single_point(x, c)
         re, im = dft_bin_oracle(x, c)
-        assert got.re == pytest.approx(re, rel=1e-10, abs=1e-12)
-        assert got.im == pytest.approx(im, rel=1e-10, abs=1e-12)
+        assert got.real == pytest.approx(re, rel=1e-10, abs=1e-12)
+        assert got.imag == pytest.approx(im, rel=1e-10, abs=1e-12)
 
 
 def test_projection_matches_fft_bin_tightly():
@@ -70,7 +70,7 @@ def test_projection_matches_fft_bin_tightly():
     for c in (1, 2, 5, 64, 1000, 2047):
         got = fra.fra_single_point(x, c)
         want = spectrum[c]
-        assert abs(got.as_complex - want) <= 1e-12 * scale
+        assert abs(got - want) <= 1e-12 * scale
 
 
 def test_projection_recovers_amplitude_and_phase():
@@ -90,9 +90,17 @@ def test_projection_recovers_amplitude_and_phase():
 
 
 def test_magnitude_phase_zero_projection():
-    mag, phase = fra.magnitude_phase(fra.ComplexResponse(0.0, 0.0))
+    mag, phase = fra.magnitude_phase(0j)
     assert mag == 0.0
     assert math.isnan(phase)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_projection_refuses_non_finite_buffers(bad):
+    x = np.sin(2.0 * np.pi * 3 * np.arange(64) / 64)
+    x[5] = bad
+    with pytest.raises(ValueError, match="non-finite components"):
+        fra.fra_single_point(x, 3)
 
 
 def test_rms_of_pure_tone_is_amplitude_over_sqrt2():
@@ -191,10 +199,10 @@ def test_estimator_equivalence_on_pure_tones():
 
 def test_lockin_phase_clamps_and_warns():
     with pytest.warns(RuntimeWarning):
-        phase, _ = fra.lockin_phase(0.5 * (1.0 + 1e-6), math.sqrt(0.5), math.sqrt(0.5))
+        phase = fra.lockin_phase(0.5 * (1.0 + 1e-6), math.sqrt(0.5), math.sqrt(0.5))
     assert phase == 0.0
     # sub-threshold excess clamps silently
-    phase, _ = fra.lockin_phase(0.5 * (1.0 + 1e-12), math.sqrt(0.5), math.sqrt(0.5))
+    phase = fra.lockin_phase(0.5 * (1.0 + 1e-12), math.sqrt(0.5), math.sqrt(0.5))
     assert phase == 0.0
 
 
@@ -304,11 +312,8 @@ def test_projection_is_linear(data):
     a = data.draw(st.floats(min_value=-10, max_value=10, allow_nan=False))
     b = data.draw(st.floats(min_value=-10, max_value=10, allow_nan=False))
     c = data.draw(st.integers(min_value=1, max_value=63))
-    lhs = fra.fra_single_point(a * x + b * y, c).as_complex
-    rhs = (
-        a * fra.fra_single_point(x, c).as_complex
-        + b * fra.fra_single_point(y, c).as_complex
-    )
+    lhs = fra.fra_single_point(a * x + b * y, c)
+    rhs = a * fra.fra_single_point(x, c) + b * fra.fra_single_point(y, c)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
@@ -329,8 +334,8 @@ def test_lockin_phase_invariant_under_rescale(scale):
     vv = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
     vi = respond(vv)
     corr = fra.lockin_correlation(vi.samples * scale, vv.samples)
-    p, _ = fra.lockin_phase(corr, fra.rms(vi.samples * scale), fra.rms(vv.samples))
-    p0, _ = fra.lockin_phase(
+    p = fra.lockin_phase(corr, fra.rms(vi.samples * scale), fra.rms(vv.samples))
+    p0 = fra.lockin_phase(
         fra.lockin_correlation(vi.samples, vv.samples),
         fra.rms(vi.samples),
         fra.rms(vv.samples),
@@ -374,8 +379,8 @@ def test_cached_basis_matches_the_parent_formulas(key, amplitude, frequency, rp,
 
     x = np.random.default_rng(seed).normal(size=n)
     got = fra.fra_single_point(x, c)
-    assert got.re.hex() == (float(np.dot(x, np.cos(theta))) / n).hex()
-    assert got.im.hex() == (-float(np.dot(x, np.sin(theta))) / n).hex()
+    assert got.real.hex() == (float(np.dot(x, np.cos(theta))) / n).hex()
+    assert got.imag.hex() == (-float(np.dot(x, np.sin(theta))) / n).hex()
 
     tissue = TissueModel(rs=1e3, rp=rp, cp=cp)
     y = 1.0 / tissue.impedance(frequency)
@@ -460,10 +465,40 @@ def test_transfer_ratio_is_analyze_pairs_ratio():
     vi = tissue_response(vv, TissueModel(), gain=1e3)
     out = fra.analyze_pair(vv, vi, gain=1e3)
     ratio = fra.transfer_ratio(
-        fra.fra_single_point(vv.samples, vv.cycles).as_complex,
-        fra.fra_single_point(vi.samples, vv.cycles).as_complex,
+        fra.fra_single_point(vv.samples, vv.cycles),
+        fra.fra_single_point(vi.samples, vv.cycles),
         1e3,
     )
     assert (ratio.real.hex(), ratio.imag.hex()) == (out.re.hex(), out.im.hex())
     with pytest.raises(fra.OpenCircuitError):
         fra.transfer_ratio(1 + 0j, 0j, 1e3)
+
+
+@given(
+    point=st.sampled_from(fra.plan_sweep(fra.SweepSpec(points=40))),
+    rs=st.floats(min_value=0.0, max_value=1e5),
+    rp=st.floats(min_value=1e1, max_value=1e7),
+    cp=st.floats(min_value=1e-10, max_value=1e-3),
+    gain=st.floats(min_value=1e-3, max_value=1e6),
+    noise_rms=st.sampled_from([0.0, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_analyze_pair_polar_form_is_magnitude_phase(
+    point, rs, rp, cp, gain, noise_rms, seed
+):
+    # one owner for the polar form: the sweep's magnitude and phase are
+    # magnitude_phase of the transfer ratio, bit for bit
+    vv = fra.synthesize_excitation(
+        point.frequency_hz, 0.1, point.n_samples, point.sample_rate
+    )
+    rng = np.random.default_rng(seed) if noise_rms else None
+    vi = tissue_response(vv, TissueModel(rs, rp, cp), gain, noise_rms, rng)
+    out = fra.analyze_pair(vv, vi, gain=gain)
+    ratio = fra.transfer_ratio(
+        fra.fra_single_point(vv.samples, vv.cycles),
+        fra.fra_single_point(vi.samples, vv.cycles),
+        gain,
+    )
+    magnitude, phase = fra.magnitude_phase(ratio)
+    assert (out.magnitude.hex(), out.phase_deg.hex()) == (magnitude.hex(), phase.hex())
