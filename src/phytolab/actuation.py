@@ -523,7 +523,8 @@ class Binding:
 
     Fires on the rising edge of its expression, then stays quiet for
     cooldown_s.  The payload may interpolate detector values with
-    str.format placeholders, e.g. 'z={z1:.2f}'.
+    str.format placeholders, e.g. 'z={z1:.2f}'.  Neither holds a line break,
+    nor the id a tab, so each firing stays one firing_line.
     """
 
     id: str
@@ -536,6 +537,12 @@ class Binding:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("binding id must be non-empty")
+        if any(c in self.id for c in "\t\n\r"):
+            raise ValueError(f"binding id {self.id!r} holds a tab or line break")
+        if any(c in self.payload for c in "\n\r"):
+            raise ValueError(
+                f"binding {self.id!r}: payload {self.payload!r} holds a line break"
+            )
         if not self.cooldown_s >= 0:
             raise ValueError(
                 f"binding {self.id!r}: cooldown must be >= 0, got {self.cooldown_s}"

@@ -38,32 +38,26 @@ class Pipe:
     timestamp array, at i and again at i + capacity, so the retained samples
     always sit oldest first in [end - len, end), with end one past the
     newest.  values() and timestamps_ms() return copies of such slices, which
-    later pushes cannot change.  latest is the pushed Record object itself;
-    records() rebuilds Records from the columns.
+    later pushes cannot change; the pushed Record itself is not kept.
     """
 
-    def __init__(self, name: str, capacity: int, period_s: float) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if period_s <= 0:
-            raise ValueError(f"period must be positive, got {period_s}")
         self.name = name
         self.capacity = capacity
-        self.period_s = period_s
         self.total_pushed = 0
         self._names: tuple[str, ...] | None = None
         self._rows: dict[str, int] = {}
         self._data = np.empty((0, 2 * capacity), dtype=np.float64)
         self._ts = np.zeros(2 * capacity, dtype=np.int64)
         self._end = capacity
-        self._latest: Record | None = None
 
     def push(self, record: Record) -> None:
-        latest = self._latest
-        if latest is not None and record.timestamp_ms <= latest.timestamp_ms:
+        if self.total_pushed and record.timestamp_ms <= self._ts[self._end - 1]:
             raise ValueError(
                 f"pipe {self.name!r}: timestamp {record.timestamp_ms} not after "
-                f"{latest.timestamp_ms}"
+                f"{self._ts[self._end - 1]}"
             )
         values = record.values
         names = tuple(values)
@@ -82,25 +76,10 @@ class Pipe:
         self._data[:, i] = self._data[:, i + cap] = column
         self._ts[i] = self._ts[i + cap] = record.timestamp_ms
         self._end = i + cap + 1
-        self._latest = record
         self.total_pushed += 1
 
     def __len__(self) -> int:
         return min(self.total_pushed, self.capacity)
-
-    @property
-    def latest(self) -> Record | None:
-        return self._latest
-
-    def records(self) -> tuple[Record, ...]:
-        """Retained records, oldest first, rebuilt from the columns."""
-        window = slice(self._end - len(self), self._end)
-        return tuple(
-            Record(timestamp_ms=t, values=dict(zip(self._names, column)))
-            for t, column in zip(
-                self._ts[window].tolist(), self._data[:, window].T.tolist()
-            )
-        )
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
         """Last n readings of one channel, oldest first (all retained if n is None)."""
@@ -148,19 +127,18 @@ class TierLayout:
 class TieredPipes:
     """The three retention tiers fed from one push stream.
 
-    With the default layout and a one-second base period the short tier holds
-    the last minute at full rate, the middle tier the last hour at one record
-    per minute, and the long tier the last day at one record per hour.
+    The tiers count pushes, not seconds; the cycle period is the bench
+    config's.  With the default layout and a one-second period the short tier
+    holds the last minute at full rate, the middle tier the last hour at one
+    record per minute, and the long tier the last day at one record per hour.
     """
 
-    def __init__(self, base_period_s: float = 1.0, layout: TierLayout | None = None):
+    def __init__(self, layout: TierLayout | None = None):
         layout = layout if layout is not None else TierLayout()
         self.layout = layout
-        self.short = Pipe(SHORT, layout.short_capacity, base_period_s)
-        self.middle = Pipe(
-            MIDDLE, layout.middle_capacity, base_period_s * layout.middle_stride
-        )
-        self.long = Pipe(LONG, layout.long_capacity, base_period_s * layout.long_stride)
+        self.short = Pipe(SHORT, layout.short_capacity)
+        self.middle = Pipe(MIDDLE, layout.middle_capacity)
+        self.long = Pipe(LONG, layout.long_capacity)
         self._tiers = {SHORT: self.short, MIDDLE: self.middle, LONG: self.long}
 
     def tier(self, name: str) -> Pipe:

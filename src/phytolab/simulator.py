@@ -211,6 +211,10 @@ class SimParams:
             raise ValueError("stimulation interval must be positive")
         if self.day_length_s <= 0:
             raise ValueError("day length must be positive")
+        if self.transimpedance_gain <= 0:
+            raise ValueError(
+                f"transimpedance gain must be positive, got {self.transimpedance_gain}"
+            )
         if self.blank_bio_during_stimulation not in (0, 1):
             raise ValueError("blanking flag must be 0 or 1")
         fra.check_excitation(

@@ -140,7 +140,7 @@ def test_criterion_04_scope_mode_resolves_ten_percent_third_harmonic():
 
 
 def test_criterion_05_tier_cadence_over_one_day():
-    tiers = TieredPipes(base_period_s=1.0)
+    tiers = TieredPipes()
     for i in range(86400):
         tiers.push(Record(timestamp_ms=i * 1000, values={"x": float(i)}))
 
@@ -149,9 +149,9 @@ def test_criterion_05_tier_cadence_over_one_day():
         return set(np.diff(ts).tolist())
 
     ok = (
-        len(tiers.short.records()) == 60
-        and len(tiers.middle.records()) == 60
-        and len(tiers.long.records()) == 24
+        len(tiers.short) == 60
+        and len(tiers.middle) == 60
+        and len(tiers.long) == 24
         and spacing(tiers.short) == {1000}
         and spacing(tiers.middle) == {60_000}
         and spacing(tiers.long) == {3_600_000}
@@ -160,8 +160,8 @@ def test_criterion_05_tier_cadence_over_one_day():
     )
     verdict(
         5,
-        f"after 86400 1s pushes tiers hold {len(tiers.short.records())}/"
-        f"{len(tiers.middle.records())}/{len(tiers.long.records())} records "
+        f"after 86400 1s pushes tiers hold {len(tiers.short)}/"
+        f"{len(tiers.middle)}/{len(tiers.long)} records "
         f"spaced 1s/60s/3600s (middle saw {tiers.middle.total_pushed})",
         ok,
     )

@@ -184,6 +184,17 @@ def test_binding_cooldown_must_be_non_negative(cooldown_s):
         binding("a == 1", cooldown_s=cooldown_s)
 
 
+@pytest.mark.parametrize(
+    "kw", [{"id": "a\tb"}, {"id": "a\nb"}, {"id": "a\rb"},
+           {"payload": "one\ntwo"}, {"payload": "one\rtwo"}],
+)
+def test_binding_cannot_break_the_one_line_firing_format(kw):
+    # firings.log and the datagrams split a line into time, id and payload
+    with pytest.raises(ValueError, match="holds a (tab or )?line break"):
+        binding("a == 1", **kw)
+    binding("a == 1", id="a b", payload="tabs\tare\tfine")
+
+
 # detector ids that are Python keywords or start like this grammar's keywords
 _IDS = ("d0", "d1", "in", "None", "pass", "orx", "NOTE", "_b2")
 _ATOMS = st.one_of(

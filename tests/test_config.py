@@ -346,6 +346,8 @@ BAD_CASES = [
     ("[tissue]\nrs = nan\n", r"\[tissue\]: cell parameters out of range"),
     ("[impedance]\nfrequency_hz = 1e9\n", r"\[impedance\]: frequency .* outside"),
     ("[impedance]\nsamples = 1000\n", r"\[impedance\]: not period-stable"),
+    ("[impedance]\ngain = 0\n", r"\[impedance\]: transimpedance gain must be"),
+    ("[impedance]\ngain = -1000\n", r"\[impedance\]: transimpedance gain must be"),
     (
         "[biopotential]\nap_amplitude_v = nan\n",
         r"\[biopotential\].*: ap_amplitude_v must be finite",
@@ -365,6 +367,18 @@ BAD_CASES = [
         "[actuator.r]\nkind = relay\n"
         "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_step = nan\n",
         r"\[binding\.x\]: step nan must exceed 1",
+    ),
+    # each of these loaded and then broke firings.log's one line per firing
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\n"
+        "payload = first line\n  second line\n",
+        r"\[binding\.x\]: binding 'x': payload .* holds a line break",
+    ),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.a\tb]\nexpression = a == 1\nactuator = r\n",
+        r"\[binding\.a\tb\]: binding id 'a\\tb' holds a tab",
     ),
 ]
 

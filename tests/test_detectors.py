@@ -36,7 +36,7 @@ from phytolab.pipes import TierLayout, TieredPipes
 
 def feed(values, period_ms=1000, timestamps_ms=None):
     """Short-tier fixture: one channel named x."""
-    tiers = TieredPipes(base_period_s=period_ms / 1000.0)
+    tiers = TieredPipes()
     if timestamps_ms is None:
         timestamps_ms = [i * period_ms for i in range(len(values))]
     for t, v in zip(timestamps_ms, values):
@@ -45,7 +45,7 @@ def feed(values, period_ms=1000, timestamps_ms=None):
 
 
 def now_of(tiers):
-    return tiers.short.latest.timestamp_ms
+    return int(tiers.short.timestamps_ms(1)[0])
 
 
 # peak: [0,1]*6 gives median 1 and MAD 1 (scale 1.4826); the 5-sigma bar on

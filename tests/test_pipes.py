@@ -15,17 +15,17 @@ def rec(t_s, v=0.0):
 
 
 def test_pipe_capacity_and_eviction_order():
-    p = Pipe("short", 3, 1.0)
+    p = Pipe("short", 3)
     for t in range(5):
         p.push(rec(t, float(t)))
     assert len(p) == 3
-    assert [r.timestamp_ms for r in p.records()] == [2000, 3000, 4000]
+    assert p.timestamps_ms().tolist() == [2000, 3000, 4000]
     assert p.total_pushed == 5
-    assert p.latest.values["x"] == 4.0
+    assert p.values("x").tolist() == [2.0, 3.0, 4.0]
 
 
 def test_pipe_rejects_non_increasing_timestamps():
-    p = Pipe("short", 3, 1.0)
+    p = Pipe("short", 3)
     p.push(rec(5))
     with pytest.raises(ValueError):
         p.push(rec(5))
@@ -34,7 +34,7 @@ def test_pipe_rejects_non_increasing_timestamps():
 
 
 def test_pipe_values_window():
-    p = Pipe("short", 10, 1.0)
+    p = Pipe("short", 10)
     for t in range(6):
         p.push(rec(t, float(t * t)))
     np.testing.assert_array_equal(p.values("x"), [0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
@@ -55,7 +55,7 @@ def test_layout_validation():
 
 
 def test_one_day_of_pushes_fills_tiers_to_60_60_24():
-    tiers = TieredPipes(base_period_s=1.0)
+    tiers = TieredPipes()
     for t in range(86_400):
         tiers.push(rec(t, float(t)))
     assert tiers.short.total_pushed == 86_400
@@ -66,25 +66,34 @@ def test_one_day_of_pushes_fills_tiers_to_60_60_24():
     assert len(tiers.long) == 24
 
 
+def assert_newest_equal(slower, short):
+    """The slower tier's newest sample is the short tier's, stamp and value."""
+    assert slower.timestamps_ms(1).tolist() == short.timestamps_ms(1).tolist()
+    assert slower.values("x", 1).tolist() == short.values("x", 1).tolist()
+
+
 def test_handoff_is_last_record_of_completed_span():
-    tiers = TieredPipes(base_period_s=1.0)
+    tiers = TieredPipes()
     for t in range(120):
         tiers.push(rec(t, float(t)))
         assert tiers.middle.total_pushed == (t + 1) // 60
         if t == 59 or t == 119:
-            assert tiers.middle.latest is tiers.short.latest
+            assert_newest_equal(tiers.middle, tiers.short)
     # middle carries the closing sample of each minute, not an average
-    assert [r.timestamp_ms for r in tiers.middle.records()] == [59_000, 119_000]
+    assert tiers.middle.timestamps_ms().tolist() == [59_000, 119_000]
+    assert tiers.middle.values("x").tolist() == [59.0, 119.0]
 
 
 def test_long_tier_receives_hourly_closing_sample():
-    tiers = TieredPipes(base_period_s=1.0)
+    tiers = TieredPipes()
     for t in range(7200):
-        tiers.push(rec(t))
+        tiers.push(rec(t, float(t)))
         assert tiers.long.total_pushed == (t + 1) // 3600
         if t == 3599 or t == 7199:
-            assert tiers.long.latest is tiers.middle.latest is tiers.short.latest
-    assert [r.timestamp_ms for r in tiers.long.records()] == [3_599_000, 7_199_000]
+            assert_newest_equal(tiers.middle, tiers.short)
+            assert_newest_equal(tiers.long, tiers.short)
+    assert tiers.long.timestamps_ms().tolist() == [3_599_000, 7_199_000]
+    assert tiers.long.values("x").tolist() == [3599.0, 7199.0]
 
 
 def test_tier_lookup():
@@ -95,13 +104,6 @@ def test_tier_lookup():
         tiers.tier("weekly")
 
 
-def test_tier_periods_scale_with_strides():
-    tiers = TieredPipes(base_period_s=2.0)
-    assert tiers.short.period_s == 2.0
-    assert tiers.middle.period_s == 120.0
-    assert tiers.long.period_s == 7200.0
-
-
 @given(n=st.integers(min_value=0, max_value=5000))
 @settings(max_examples=30, deadline=None)
 def test_counts_match_integer_division(n):
@@ -109,7 +111,7 @@ def test_counts_match_integer_division(n):
         short_capacity=7, middle_capacity=5, long_capacity=3,
         middle_stride=10, long_stride=50,
     )
-    tiers = TieredPipes(base_period_s=1.0, layout=layout)
+    tiers = TieredPipes(layout)
     for t in range(n):
         tiers.push(rec(t))
     assert tiers.short.total_pushed == n
@@ -121,7 +123,7 @@ def test_counts_match_integer_division(n):
 
 
 def test_pipe_refuses_records_with_other_channels():
-    p = Pipe("short", 4, 1.0)
+    p = Pipe("short", 4)
     p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
     for values in ({"b": 2.0, "a": 1.0}, {"a": 1.0}, {"a": 1.0, "c": 2.0},
                    {"a": 1.0, "b": 2.0, "c": 3.0}):
@@ -134,13 +136,12 @@ def test_pipe_refuses_records_with_other_channels():
 
 
 def test_pipe_unknown_channel_and_empty_windows():
-    p = Pipe("short", 4, 1.0)
+    p = Pipe("short", 4)
     # nothing pushed yet: every window is empty, whatever the channel
     assert p.values("anything").shape == (0,)
     assert p.values("anything").dtype == np.float64
     assert p.timestamps_ms().shape == (0,)
     assert p.timestamps_ms().dtype == np.int64
-    assert p.latest is None and p.records() == ()
     p.push(rec(0, 1.0))
     with pytest.raises(KeyError):
         p.values("y")
@@ -154,32 +155,36 @@ def _window(model, n):
 
 
 readings = st.floats(allow_nan=False, width=64)
+# a gap <= 0 after the first push is a stale timestamp, which must be refused
+gaps = st.one_of(st.integers(min_value=1, max_value=10**9), st.integers(-3, 0))
 
 
 @given(
     capacity=st.integers(min_value=1, max_value=8),
-    pushes=st.lists(
-        st.tuples(st.integers(min_value=1, max_value=10**9), readings, readings),
-        max_size=25,
-    ),
+    pushes=st.lists(st.tuples(gaps, readings, readings), max_size=25),
 )
 @settings(max_examples=200, deadline=None)
 def test_pipe_matches_a_deque_of_records(capacity, pushes):
     """The columnar ring reads back exactly what a deque(maxlen) of the same
-    records holds, bit for bit, and arrays handed out earlier never change."""
-    pipe = Pipe("p", capacity, 1.0)
+    records holds, bit for bit, and arrays handed out earlier never change.
+    A stale push raises and leaves the ring as it was, also once wrapped."""
+    pipe = Pipe("p", capacity)
     model: deque[Record] = deque(maxlen=capacity)
     handed_out: list[tuple[np.ndarray, bytes]] = []
     t = 0
-    for pushed, (gap, a, b) in enumerate(pushes, start=1):
-        t += gap
-        record = Record(timestamp_ms=t, values={"a": a, "b": b})
-        pipe.push(record)
-        model.append(record)
+    pushed = 0
+    for gap, a, b in pushes:
+        record = Record(timestamp_ms=t + gap, values={"a": a, "b": b})
+        if gap <= 0 and model:
+            with pytest.raises(ValueError, match="not after"):
+                pipe.push(record)
+        else:
+            t += gap
+            pipe.push(record)
+            model.append(record)
+            pushed += 1
         assert len(pipe) == len(model)
         assert pipe.total_pushed == pushed
-        assert pipe.latest is record
-        assert pipe.records() == tuple(model)
         for n in (None, 0, 1, len(model), capacity, capacity + 3):
             want = _window(model, n)
             for ch in ("a", "b"):

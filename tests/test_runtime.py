@@ -2,12 +2,13 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from phytolab.config import parse_config
-from phytolab.logstore import iter_store
-from phytolab.runtime import Runtime, VirtualClock
+from phytolab.logstore import emit_report, iter_store
+from phytolab.runtime import REPORT_MAX_POINTS, Runtime, VirtualClock
 
 CAUSALITY_INI = """
 [system]
@@ -180,6 +181,33 @@ def test_report_is_emitted_when_configured(tmp_path):
     html = (tmp_path / "run" / "run.html").read_text(encoding="utf-8")
     assert "<svg" in html and "bio1" in html
     assert "20 cycles" in html
+
+
+def test_report_holds_only_the_records_it_charts(tmp_path):
+    # a day at 0.1 s is 864,000 rows, too many to hold just to chart 1,200
+    config = parse_config("")
+    runtime = Runtime(config, out_dir=tmp_path / "run")
+    names = [c.name for c in config.channels]
+    for i in range(6000):
+        row = {n: i + k / 7 for k, n in enumerate(names)}
+        runtime.record_store.append_row(i * 100, row)
+    runtime.close()
+    tracemalloc.start()
+    try:
+        out = runtime.emit_report("run.html")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the same bytes as slicing every stride-th record out of the whole store
+    records = list(iter_store(tmp_path / "run" / "records"))
+    picked = records[:: max(1, len(records) // REPORT_MAX_POINTS)]
+    ts = [r.timestamp_ms for r in picked]
+    series = [(n, ts, [r.values[n] for r in picked]) for n in names]
+    emit_report(tmp_path / "want.html", "bench run: 0 cycles, 0 actuations", series)
+    assert out.read_bytes() == (tmp_path / "want.html").read_bytes()
+    # holding all 6,000 16-channel records peaks near 6.8 MB, the 1,200
+    # charted ones near 1.9 MB
+    assert peak < 4_000_000
 
 
 def test_context_manager_closes_stores(tmp_path):

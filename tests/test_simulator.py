@@ -740,6 +740,8 @@ def test_loop_impedance_is_analyze_pairs_magnitude(
 
 
 def test_zero_transimpedance_gain_is_an_open_circuit():
-    plant = sim.PlantSimulator(params=sim.SimParams(transimpedance_gain=0.0), seed=0)
+    # the smallest positive gain underflows the response to zero
+    params = sim.SimParams(transimpedance_gain=5e-324)
+    plant = sim.PlantSimulator(params=params, seed=0)
     with pytest.raises(fra.OpenCircuitError):
         plant.record_at(0)
