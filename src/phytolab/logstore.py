@@ -206,6 +206,19 @@ def iter_store(root: str | Path) -> Iterator[Record]:
                 )
 
 
+def count_rows(root: str | Path) -> int:
+    """Rows iter_store would yield, counted by line without parsing a value.
+
+    It checks nothing: only iter_store validates a row.
+    """
+    rows = 0
+    for _, path in _scan_segments(Path(root)):
+        with open(path, "rb") as fh:
+            fh.readline()
+            rows += sum(1 for _ in fh)
+    return rows
+
+
 def replay(
     root: str | Path,
     on_record: Callable[[Record], None],

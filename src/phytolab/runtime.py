@@ -17,7 +17,7 @@ from pathlib import Path
 from .actuation import ActuationEngine, Firing, firing_line
 from .config import BenchConfig
 from .detectors import DetectorBank
-from .logstore import LogStore, emit_report, iter_store
+from .logstore import LogStore, count_rows, emit_report, iter_store
 from .pipes import TieredPipes
 
 REPORT_MAX_POINTS = 1200  # a report charts about this many points per channel
@@ -167,12 +167,12 @@ class Runtime:
     def emit_report(self, filename: str) -> Path:
         """Chart every record channel from the store into one HTML file."""
         root = self.out_dir / "records"
-        # two passes, so only the charted records are ever held in memory
-        count = sum(1 for _ in iter_store(root))
+        # count lines first, so only the charted records are ever held in
+        # memory; the picking pass parses, and so checks, every row
+        stride = max(1, count_rows(root) // REPORT_MAX_POINTS)
+        picked = list(itertools.islice(iter_store(root), 0, None, stride))
         series = []
-        if count:
-            stride = max(1, count // REPORT_MAX_POINTS)
-            picked = list(itertools.islice(iter_store(root), 0, None, stride))
+        if picked:
             ts = [r.timestamp_ms for r in picked]
             for chan in self.config.channels:
                 series.append(

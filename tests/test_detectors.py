@@ -1,6 +1,7 @@
 """Detector bank tests with enumeration and closed-form oracles."""
 
 import math
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from phytolab.detectors import (
     StdDevDetector,
     TimeIntervalGate,
     TimeOfDayGate,
+    WindowedDetector,
     ZScoreDetector,
     _mean,
     _median,
@@ -324,6 +326,185 @@ def test_bank_rejects_non_finite_detector_output():
     bank = DetectorBank([Broken()])
     with pytest.raises(ValueError, match="non-finite"):
         bank.evaluate(TieredPipes(), 0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CountingMean(MeanDetector):
+    """A mean detector that logs the clock of every evaluate call."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def evaluate(self, tiers, now_ms):
+        self.calls.append(now_ms)
+        return super().evaluate(tiers, now_ms)
+
+
+class CountingGate:
+    id = "gate"
+
+    def __init__(self):
+        self.calls = []
+
+    def evaluate(self, tiers, now_ms):
+        self.calls.append(now_ms)
+        return FIRED
+
+
+def push_cycle(tiers, t, value):
+    tiers.push(Record(timestamp_ms=t, values={"x": value}))
+
+
+def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
+    layout = TierLayout(middle_stride=5, long_stride=20)
+    short = CountingMean(id="s", channel="x", tier="short", window=10)
+    middle = CountingMean(id="m", channel="x", tier="middle", window=10)
+    gate = CountingGate()
+    bank = DetectorBank([short, middle, gate])
+    tiers = TieredPipes(layout)
+    stamps = [i * 1000 for i in range(50)]
+    for i, t in enumerate(stamps):
+        push_cycle(tiers, t, float(i))
+        bank.evaluate(tiers, t)
+    # a gate reads the clock, so it runs even on a call no push preceded
+    bank.evaluate(tiers, 99_000)
+    assert gate.calls == stamps + [99_000]
+    assert short.calls == stamps
+    # on the first call, then once per middle push, on the cycle that pushed it
+    assert middle.calls == [0] + stamps[4::5]
+
+
+def test_bank_calls_stand_ins_put_in_after_construction():
+    """A tracer swaps the bank's detectors for stand-ins carrying only an id
+    and an evaluate; the bank must still call each one when its tier moves."""
+
+    class StandIn:
+        def __init__(self, detector):
+            self.id = detector.id
+            self.calls = []
+
+            def evaluate(tiers, now_ms):
+                self.calls.append(now_ms)
+                return detector.evaluate(tiers, now_ms)
+
+            self.evaluate = evaluate
+
+    layout = TierLayout(middle_stride=4, long_stride=8)
+    detectors = [
+        StdDevDetector(id="s", channel="x", tier="short", window=6),
+        GradientDetector(id="g", channel="x", per_hour=1.0, window=6),
+        MeanDetector(id="l", channel="x", tier="long", window=6),
+        TimeIntervalGate(id="t", start_ms=0, end_ms=10_000),
+    ]
+    bank = DetectorBank(detectors)
+    bank.detectors = tuple(StandIn(d) for d in bank.detectors)
+    reference = DetectorBank(detectors)
+    tiers = TieredPipes(layout)
+    stamps = [i * 1000 for i in range(40)]
+    for i, t in enumerate(stamps):
+        push_cycle(tiers, t, float(i % 7))
+        assert bank.evaluate(tiers, t) == reference.evaluate(tiers, t)
+    calls = [d.calls for d in bank.detectors]
+    assert calls == [stamps, [0] + stamps[3::4], [0] + stamps[7::8], stamps]
+
+
+def test_bank_retries_a_non_finite_detector_on_every_call():
+    @dataclass(frozen=True, kw_only=True)
+    class Broken(WindowedDetector):
+        def _measure(self, x, pipe):
+            return math.nan
+
+    bank = DetectorBank([Broken(id="b", channel="x", tier="middle")])
+    tiers = TieredPipes(TierLayout(middle_stride=2, long_stride=4))
+    for t in (0, 1000, 2000):
+        push_cycle(tiers, t, 1.0)
+        assert bank.evaluate(tiers, t) == {"b": NO_DATA}
+    push_cycle(tiers, 3000, 1.0)  # the middle tier's second sample
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            bank.evaluate(tiers, 3000)
+    push_cycle(tiers, 4000, 1.0)  # a cycle that leaves the middle tier be
+    with pytest.raises(ValueError, match="non-finite"):
+        bank.evaluate(tiers, 4000)
+
+
+def bank_bits(vector):
+    return [(k, float(v).hex()) for k, v in vector.items()]
+
+
+def fresh_bits(detectors, tiers, now_ms):
+    """The vector of a fresh bank, which must be every detector's own value."""
+    want = bank_bits(DetectorBank(detectors).evaluate(tiers, now_ms))
+    assert want == bank_bits({d.id: d.evaluate(tiers, now_ms) for d in detectors})
+    return want
+
+
+@st.composite
+def tiered_banks(draw):
+    """A random tier layout and a bank of windowed detectors on all three
+    tiers, in random order, plus the two gates."""
+    middle_stride = draw(st.integers(2, 5))
+    layout = TierLayout(
+        short_capacity=draw(st.integers(1, 12)),
+        middle_capacity=draw(st.integers(1, 8)),
+        long_capacity=draw(st.integers(1, 6)),
+        middle_stride=middle_stride,
+        long_stride=middle_stride * draw(st.integers(2, 4)),
+    )
+    detectors = [
+        TimeIntervalGate(id="ti", start_ms=draw(st.integers(0, 20_000)), end_ms=40_000),
+        TimeOfDayGate(id="td", start_hour=0.0, end_hour=0.005),
+    ]
+    kinds = [
+        (PeakDetector, {}),
+        (GradientDetector, {"per_hour": 100.0}),
+        (NoiseLevelDetector, {}),
+        (CyclicalDetector, {"lag": 1}),
+        (MeanDetector, {}),
+        (StdDevDetector, {}),
+        (ZScoreDetector, {}),
+        (PathogenicityDetector, {}),
+    ]
+    for tier in ("short", "middle", "long"):
+        for k in draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4)):
+            cls, params = kinds[k]
+            needed = cls(id="probe", channel="x", tier=tier, **params).required_samples()
+            window = draw(st.integers(needed, needed + 6))
+            ident = f"{tier}{len(detectors)}"
+            detectors.append(cls(id=ident, channel="x", tier=tier, window=window, **params))
+    return layout, draw(st.permutations(detectors))
+
+
+cycle_values = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=60
+)
+
+
+@given(bank=tiered_banks(), values=cycle_values)
+@settings(max_examples=60, deadline=None)
+def test_bank_vector_equals_a_fresh_bank_on_every_cycle(bank, values):
+    layout, detectors = bank
+    memo = DetectorBank(detectors)
+    tiers = TieredPipes(layout)
+    for i, v in enumerate(values):
+        t = i * 1000
+        push_cycle(tiers, t, v)
+        assert bank_bits(memo.evaluate(tiers, t)) == fresh_bits(detectors, tiers, t)
+
+
+@given(bank=tiered_banks(), values=cycle_values, offset=st.floats(1.0, 50.0))
+@settings(max_examples=40, deadline=None)
+def test_bank_never_returns_values_of_other_tiers(bank, values, offset):
+    """One bank evaluated against two tier sets in turn, pushed in lockstep so
+    their push counts agree, answers each call from the tiers it was given."""
+    layout, detectors = bank
+    memo = DetectorBank(detectors)
+    a, b = TieredPipes(layout), TieredPipes(layout)
+    for i, v in enumerate(values):
+        t = i * 1000
+        push_cycle(a, t, v)
+        push_cycle(b, t, v * 0.5 + offset)
+        for tiers in (a, b) if i % 2 else (b, a):
+            assert bank_bits(memo.evaluate(tiers, t)) == fresh_bits(detectors, tiers, t)
 
 
 def test_build_detector_factory():

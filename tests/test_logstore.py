@@ -7,6 +7,7 @@ import pytest
 from phytolab.channels import Record
 from phytolab.logstore import (
     LogStore,
+    count_rows,
     emit_report,
     iter_store,
     render_report,
@@ -43,6 +44,7 @@ def test_segments_roll_at_size(tmp_path):
     assert [r.values["x"] for r in iter_store(tmp_path / "s")] == [
         float(i) + 0.5 for i in range(200)
     ]
+    assert count_rows(tmp_path / "s") == 200
 
 
 def test_eviction_drops_oldest_whole_segments(tmp_path):
@@ -57,6 +59,7 @@ def test_eviction_drops_oldest_whole_segments(tmp_path):
     left = [r.timestamp_ms for r in iter_store(tmp_path / "s")]
     # survivors are a contiguous, ordered tail of the input
     assert left == list(range(left[0], 2000))
+    assert count_rows(tmp_path / "s") == len(left)
     assert sum(p.stat().st_size for p in segs) <= 2048
 
 
