@@ -15,6 +15,7 @@ read the clock and run on every cycle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -38,20 +39,36 @@ MS_PER_HOUR = 3_600_000.0
 # median, mean or std does internally on a 1-D float64 array, in the same
 # order, so the results are bit-identical, without the per-call overhead of
 # the numpy functions.  Sums go through np.add.reduce (numpy's pairwise sum),
-# never through a dot product, which sums in another order.
+# never through a dot product, which sums in another order.  Windows are
+# sorted, and residuals squared, in place, but only in a copy or a temporary
+# the kernel made itself, never in the caller's window: ndarray.sort on a
+# copy is what np.sort runs, without np.sort's dispatch and wrapper.
+
+
+def _median_of_sorted(s: np.ndarray) -> float:
+    """np.median of a window already sorted ascending (NaNs last, as sort
+    puts them): NaN if any, else the middle element or the middle pair's mean.
+
+    numpy sums the middle with np.add.reduce, which starts from +0.0, so a
+    middle of -0.0 comes out +0.0.  0.0 + ... repeats that sign rule and
+    changes no other value.  The peak detector, the one detector that takes
+    a median, reads it only through |x - m| anyway, so a zero's sign cannot
+    reach its output.
+    """
+    n = s.shape[0]
+    if math.isnan(s[-1]):
+        return math.nan
+    h = n // 2
+    if n % 2:
+        return 0.0 + s.item(h)
+    return (0.0 + s.item(h - 1) + s.item(h)) / 2
 
 
 def _median(x: np.ndarray) -> float:
-    """np.median: the middle of the sorted window, or the mean of the middle
-    pair taken with numpy's own sum (which also settles the sign of a zero);
-    NaN anywhere makes it NaN."""
-    s = np.sort(x)
-    if math.isnan(s[-1]):
-        return math.nan
-    n = s.shape[0]
-    hi = n // 2 + 1
-    lo = hi - 2 + n % 2
-    return float(np.add.reduce(s[lo:hi])) / (hi - lo)
+    """np.median: the middle of a sorted copy of the window."""
+    s = x.copy()
+    s.sort()
+    return _median_of_sorted(s)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -59,12 +76,21 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / x.shape[0]
 
 
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """(x.mean(), x.std()): the population deviation comes from the pairwise
+    sum of the residuals, squared in their own temporary."""
+    mean = _mean(x)
+    d = x - mean
+    d *= d
+    return mean, math.sqrt(float(np.add.reduce(d)) / x.shape[0])
+
+
 def _std(x: np.ndarray) -> float:
-    """x.std(): population deviation from the squared residuals' pairwise sum."""
-    d = x - _mean(x)
-    return math.sqrt(float(np.add.reduce(d * d)) / x.shape[0])
+    """x.std()."""
+    return _mean_std(x)[1]
 
 
+@functools.lru_cache(maxsize=256)
 def _peak_bar(sigma: float, n: int) -> float:
     """The peak detector's bar, in scale units, for an n-sample window.
 
@@ -155,10 +181,18 @@ class PeakDetector(WindowedDetector):
             raise ValueError(f"{self.id}: sigma must be positive")
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        dev = np.abs(x - _median(x))
-        peak = float(dev[-1])
-        diff_mad = _median(np.abs(x[1:] - x[:-1])) / math.sqrt(2.0)
-        scale = MAD_SIGMA * max(_median(dev), diff_mad)
+        # one sorted copy gives the median; the same buffer then takes |x - m|
+        s = x.copy()
+        s.sort()
+        dev = np.subtract(x, _median_of_sorted(s), out=s)
+        np.abs(dev, out=dev)
+        peak = dev.item(-1)
+        dev.sort()
+        diff = x[1:] - x[:-1]
+        np.abs(diff, out=diff)
+        diff.sort()
+        diff_mad = _median_of_sorted(diff) / math.sqrt(2.0)
+        scale = MAD_SIGMA * max(_median_of_sorted(dev), diff_mad)
         if scale == 0.0:
             return FIRED if peak > 0.0 else QUIET
         return FIRED if peak > _peak_bar(self.sigma, x.shape[0]) * scale else QUIET
@@ -206,7 +240,8 @@ class NoiseLevelDetector(WindowedDetector):
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         d = x[1:] - x[:-1]
-        return math.sqrt(_mean(d * d) / 2.0)
+        d *= d
+        return math.sqrt(_mean(d) / 2.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -308,11 +343,10 @@ class StdDevDetector(WindowedDetector):
 
 def _latest_zscore(x: np.ndarray) -> float:
     """z of the newest sample against the rest of the window (excluded)."""
-    rest = x[:-1]
-    sigma = _std(rest)
+    mean, sigma = _mean_std(x[:-1])
     if sigma == 0.0:
         return 0.0
-    return (float(x[-1]) - _mean(rest)) / sigma
+    return (x.item(-1) - mean) / sigma
 
 
 @dataclass(frozen=True, kw_only=True)

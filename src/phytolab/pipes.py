@@ -83,14 +83,14 @@ class Pipe:
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
         """Last n readings of one channel, oldest first (all retained if n is None)."""
-        size = len(self)
+        size = self.total_pushed if self.total_pushed < self.capacity else self.capacity
         if not size:
             return np.empty(0, dtype=np.float64)
         k = size if n is None or n > size else n
         return self._data[self._rows[channel], self._end - k : self._end].copy()
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
-        size = len(self)
+        size = self.total_pushed if self.total_pushed < self.capacity else self.capacity
         k = size if n is None or n > size else n
         return self._ts[self._end - k : self._end].copy()
 
