@@ -42,6 +42,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -259,13 +260,13 @@ _SECTIONS = {
     "store": _table(StoreParams),
 }
 
-# BenchConfig field -> the class the sections above fill, and where they are
+# BenchConfig field -> the class the sections above fill
 _PARTS = {
-    "tissue": (TissueModel, "[tissue]"),
-    "sim_params": (SimParams, "[system]/[biopotential]/[impedance]"),
-    "tier_layout": (TierLayout, "[pipe]"),
-    "sweep": (SweepSpec, "[sweep]"),
-    "store": (StoreParams, "[store]"),
+    "tissue": TissueModel,
+    "sim_params": SimParams,
+    "tier_layout": TierLayout,
+    "sweep": SweepSpec,
+    "store": StoreParams,
 }
 
 _DETECTOR_KEYS = {kind: _table(cls) for kind, cls in DETECTOR_KINDS.items()}
@@ -308,6 +309,30 @@ def _make(where: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _make_part(cls, given: dict, origin: dict):
+    """cls(**given), a ValueError reported against the INI section and key
+    that set the field to blame, in the key's words.
+
+    The defaults are valid, so the field to blame is the first one, in the
+    order read, whose value makes cls refuse it together with the fields
+    read before it.  origin maps (cls, field) to (section, key, text).
+    """
+    try:
+        return cls(**given)
+    except ValueError:
+        pass
+    tried = {}
+    for name, value in given.items():
+        tried[name] = value
+        try:
+            cls(**tried)
+        except ValueError as exc:
+            section, key, text = origin[cls, name]
+            message = re.sub(rf"\b{name}\b", key, str(exc))
+            raise ConfigError(f"[{section}]: {message} ({key} = {text})") from None
+    raise AssertionError(f"{cls.__name__} refused {given}, then accepted it")
 
 
 def _id_sections(parser, head: str):
@@ -380,14 +405,17 @@ def parse_config(text: str) -> BenchConfig:
             raise ConfigError(f"unknown section [{name}]")
 
     kwargs: dict[type, dict] = {}
+    origin = {}
     for section, table in _SECTIONS.items():
         if parser.has_section(section):
             _read(f"[{section}]", parser[section], table, kwargs)
+            for key, text in parser[section].items():
+                origin[table[key][:2]] = (section, key, text)
     system = kwargs.get(BenchConfig, {})
     period_s = system.get("period_s", BenchConfig.period_s)
     parts = {
-        name: _make(where, cls, **kwargs.get(cls, {}))
-        for name, (cls, where) in _PARTS.items()
+        name: _make_part(cls, kwargs.get(cls, {}), origin)
+        for name, cls in _PARTS.items()
     }
 
     if parser.has_section("channels") and parser.options("channels"):

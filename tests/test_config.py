@@ -368,6 +368,31 @@ BAD_CASES = [
         "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_step = nan\n",
         r"\[binding\.x\]: step nan must exceed 1",
     ),
+    # a cell, front-end or tier value is reported against the one section
+    # and key that set it, in the key's words, not the dataclass field's
+    (
+        "[biopotential]\nnoise_rms_v = nan\n",
+        r"^\[biopotential\]: noise_rms_v must be finite .* \(noise_rms_v = nan\)$",
+    ),
+    (
+        "[impedance]\nnoise_rms_v = -1\n",
+        r"^\[impedance\]: noise_rms_v must be finite .* \(noise_rms_v = -1\)$",
+    ),
+    (
+        "[impedance]\nfrequency_hz = 1e9\n",
+        r"^\[impedance\]: frequency .* outside .* \(frequency_hz = 1e9\)$",
+    ),
+    (
+        "[system]\nstimulation_interval_s = 0\n",
+        r"^\[system\]: stimulation interval .* \(stimulation_interval_s = 0\)$",
+    ),
+    ("[tissue]\nrp = -1\n", r"^\[tissue\]: cell parameters .* \(rp = -1\)$"),
+    ("[pipe]\nlong_stride = 70\n", r"^\[pipe\]: long stride .* \(long_stride = 70\)$"),
+    # of two keys valid alone, the one read second completes the fault
+    (
+        "[impedance]\nfrequency_hz = 250\nsamples = 1000\n",
+        r"^\[impedance\]: not period-stable: .* \(samples = 1000\)$",
+    ),
     # each of these loaded and then broke firings.log's one line per firing
     (
         "[actuator.r]\nkind = relay\n"

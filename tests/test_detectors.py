@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phytolab.channels import Record
 from phytolab.detectors import (
+    DETECTOR_KINDS,
     FIRED,
     MAD_SIGMA,
     MS_PER_HOUR,
@@ -28,7 +29,9 @@ from phytolab.detectors import (
     WindowedDetector,
     ZScoreDetector,
     _mean,
+    _mean_std,
     _median,
+    _median_of_sorted,
     _peak_bar,
     _std,
     build_detector,
@@ -548,11 +551,11 @@ window_values = st.one_of(
 
 
 @st.composite
-def float_windows(draw, min_size=2, max_size=120):
+def float_windows(draw, min_size=2, max_size=120, values=window_values):
     """Windows of 2-120 samples drawn from a pool: a one-value pool gives a
     constant window, a small pool ties, a large one mostly distinct values."""
     n = draw(st.integers(min_value=min_size, max_value=max_size))
-    pool = draw(st.lists(window_values, min_size=1, max_size=n))
+    pool = draw(st.lists(values, min_size=1, max_size=n))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
     return np.array([pool[i] for i in picks], dtype=np.float64)
 
@@ -561,12 +564,42 @@ def same_bits(a, b):
     return float(a).hex() == float(b).hex()
 
 
-@given(x=float_windows())
+@given(x=float_windows(values=st.one_of(window_values, st.just(math.nan))))
+@example(x=np.array([-0.0, -0.0, -0.0]))
+@example(x=np.array([-0.0, -0.0]))
+@example(x=np.array([-0.0, math.nan, 0.0]))
+@example(x=np.array([math.nan, -0.0]))
 @settings(max_examples=400, deadline=None)
 def test_kernels_match_numpy_bit_for_bit(x):
     assert same_bits(_median(x), np.median(x))
+    assert same_bits(_median_of_sorted(np.sort(x)), np.median(x))
     assert same_bits(_mean(x), x.mean())
     assert same_bits(_std(x), x.std())
+    mean, std = _mean_std(x)
+    assert same_bits(mean, x.mean()) and same_bits(std, x.std())
+
+
+@given(x=float_windows(min_size=3), lead=st.lists(window_values, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_measure_writes_neither_its_window_nor_the_pipe(x, lead):
+    """Kernels sort and square in place only in buffers they made: the window
+    handed to _measure and the pipe it came from keep every bit."""
+    n = len(x)
+    tiers = TieredPipes(layout=TierLayout(short_capacity=n))
+    for i, v in enumerate(lead + x.tolist()):
+        tiers.push(Record(timestamp_ms=i * 1000, values={"x": v}))
+    pipe = tiers.short
+    required = {"gradient": {"per_hour": 1.0}, "cyclical": {"lag": 1}}
+    for kind, cls in DETECTOR_KINDS.items():
+        if not issubclass(cls, WindowedDetector):
+            continue
+        det = cls(id="d", channel="x", window=n, min_samples=2, **required.get(kind, {}))
+        window = pipe.values("x", n)
+        held = (window.tobytes(), pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes())
+        det._measure(window, pipe)
+        assert (
+            window.tobytes(), pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes()
+        ) == held, kind
 
 
 def test_median_kernel_odd_even_and_nan():
