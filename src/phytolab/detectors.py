@@ -342,9 +342,18 @@ class StdDevDetector(WindowedDetector):
 
 
 def _latest_zscore(x: np.ndarray) -> float:
-    """z of the newest sample against the rest of the window (excluded)."""
-    mean, sigma = _mean_std(x[:-1])
-    if sigma == 0.0:
+    """z of the newest sample against the rest of the window (excluded); a
+    flat reference, all of its samples equal, scores 0.
+
+    The mean of equal samples can round off by a few ulps and leave a sigma
+    of that size, so a sigma within 4 n ulps of the mean (the pairwise sum's
+    worst rounding) is checked against the samples themselves.
+    """
+    rest = x[:-1]
+    mean, sigma = _mean_std(rest)
+    if sigma == 0.0 or (
+        sigma <= 4 * rest.shape[0] * math.ulp(mean) and rest.min() == rest.max()
+    ):
         return 0.0
     return (x.item(-1) - mean) / sigma
 

@@ -32,6 +32,7 @@ from phytolab.detectors import (
     _mean_std,
     _median,
     _median_of_sorted,
+    _latest_zscore,
     _peak_bar,
     _std,
     build_detector,
@@ -274,6 +275,18 @@ def test_zscore_flat_reference_yields_zero():
     det = ZScoreDetector(id="z", channel="x", window=60)
     tiers = feed([1.0, 1.0, 1.0, 1.0, 5.0])
     assert det.evaluate(tiers, now_of(tiers)) == 0.0
+
+
+def test_zscore_flat_reference_whose_mean_rounds_off_yields_zero():
+    # ten readings of 1059.085 average to 1059.0849999999998, which leaves a
+    # sigma of 2.27e-13, and the next reading once scored z = 6.24e12
+    x = np.array([1059.085] * 10 + [1060.504])
+    assert _mean(x[:-1]) != 1059.085 and _std(x[:-1]) > 0.0
+    assert _latest_zscore(x) == 0.0
+    tiers = feed(x.tolist())
+    assert ZScoreDetector(id="z", channel="x", window=60).evaluate(tiers, now_of(tiers)) == 0.0
+    light = PathogenicityDetector(id="h", channel="x", tier="short", window=60)
+    assert light.evaluate(tiers, now_of(tiers)) == 0.0
 
 
 @given(
@@ -655,7 +668,9 @@ def parent_autocorr(x, lag):
 def parent_zscore(x):
     rest = x[:-1]
     sigma = float(rest.std())
-    if sigma == 0.0:
+    # a flat reference scores 0, also where its mean rounds off and leaves a
+    # sigma of a few ulps, which the parent divided by
+    if sigma == 0.0 or rest.min() == rest.max():
         return 0.0
     return (float(x[-1]) - float(rest.mean())) / sigma
 
