@@ -64,13 +64,6 @@ def _median_of_sorted(s: np.ndarray) -> float:
     return (0.0 + s.item(h - 1) + s.item(h)) / 2
 
 
-def _median(x: np.ndarray) -> float:
-    """np.median: the middle of a sorted copy of the window."""
-    s = x.copy()
-    s.sort()
-    return _median_of_sorted(s)
-
-
 def _mean(x: np.ndarray) -> float:
     """x.mean(): numpy's pairwise sum over the count."""
     return float(np.add.reduce(x)) / x.shape[0]
