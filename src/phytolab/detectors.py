@@ -55,7 +55,7 @@ def _median_of_sorted(s: np.ndarray) -> float:
     a median, reads it only through |x - m| anyway, so a zero's sign cannot
     reach its output.
     """
-    n = s.shape[0]
+    n = len(s)
     if math.isnan(s[-1]):
         return math.nan
     h = n // 2
@@ -66,7 +66,7 @@ def _median_of_sorted(s: np.ndarray) -> float:
 
 def _mean(x: np.ndarray) -> float:
     """x.mean(): numpy's pairwise sum over the count."""
-    return float(np.add.reduce(x)) / x.shape[0]
+    return float(np.add.reduce(x)) / len(x)
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -75,7 +75,7 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     mean = _mean(x)
     d = x - mean
     d *= d
-    return mean, math.sqrt(float(np.add.reduce(d)) / x.shape[0])
+    return mean, math.sqrt(float(np.add.reduce(d)) / len(x))
 
 
 def _std(x: np.ndarray) -> float:
@@ -142,7 +142,7 @@ class WindowedDetector:
     def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
         pipe = tiers.tier(self.tier)
         x = pipe.values(self.channel, self.window)
-        if x.shape[0] < self.required_samples():
+        if len(x) < self.required_samples():
             return NO_DATA
         return self._measure(x, pipe)
 
@@ -188,7 +188,7 @@ class PeakDetector(WindowedDetector):
         scale = MAD_SIGMA * max(_median_of_sorted(dev), diff_mad)
         if scale == 0.0:
             return FIRED if peak > 0.0 else QUIET
-        return FIRED if peak > _peak_bar(self.sigma, x.shape[0]) * scale else QUIET
+        return FIRED if peak > _peak_bar(self.sigma, len(x)) * scale else QUIET
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -345,7 +345,7 @@ def _latest_zscore(x: np.ndarray) -> float:
     rest = x[:-1]
     mean, sigma = _mean_std(rest)
     if sigma == 0.0 or (
-        sigma <= 4 * rest.shape[0] * math.ulp(mean) and rest.min() == rest.max()
+        sigma <= 4 * len(rest) * math.ulp(mean) and rest.min() == rest.max()
     ):
         return 0.0
     return (x.item(-1) - mean) / sigma
