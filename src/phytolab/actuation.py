@@ -7,11 +7,11 @@ than false, and unknown never fires an actuator.  Comparing explicitly
 against a literal 0 opts out of that rule, which is how pathogenicity green
 (status 0) stays testable.
 
-Every binding must be provably quiet on an idle bench: with every comparison
-false and every BERNOULLI true the expression has to come out false,
-otherwise parse_expression rejects its text and Binding rejects it too, so
-a binding built in code is held to the same rule as a configured one.  This
-closes the door on NOT-constructions that would actuate spontaneously.
+Every expression is provably quiet on an idle bench: with every comparison
+false and every BERNOULLI true it has to come out false, or Expression
+refuses its text, so a binding built in code is held to the same rule as a
+configured one.  This closes the door on NOT-constructions that would
+actuate spontaneously.
 
 A per-binding homeostat tracks the smoothed firing rate and scales the
 probability of the expression's BERNOULLI terms to steer the rate toward a
@@ -23,9 +23,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from . import streams
+from .channels import check_unique_names
 from .detectors import NO_DATA
 
 # three-valued logic: True, False, or None for unknown
@@ -272,12 +273,20 @@ class _Parser:
 
 
 class Expression:
-    """Parsed trigger expression over the detector output vector."""
+    """Parsed trigger expression over the detector output vector.
+
+    Text that would fire on an idle bench (see _fires_idle) is refused.
+    """
 
     def __init__(self, text: str) -> None:
         parser = _Parser(text)
         self.text = text
         self.root = parser.parse()
+        if _fires_idle(self.root):
+            raise ExpressionError(
+                f"expression {text!r} can fire with no detector condition met; "
+                "rewrite it without the spontaneous path"
+            )
         self.n_bernoulli = parser.n_bernoulli
         self._identifiers = frozenset(parser.names)
 
@@ -307,24 +316,9 @@ class Expression:
         return self.root.eval(vector, uniforms, adjust)
 
 
-def _check_quiet(expr: Expression) -> Expression:
-    """expr, or ExpressionError if it fires on an idle bench (see _fires_idle)."""
-    if _fires_idle(expr.root):
-        raise ExpressionError(
-            f"expression {expr.text!r} can fire with no detector condition met; "
-            "rewrite it without the spontaneous path"
-        )
-    return expr
-
-
-def parse_expression(text: str) -> Expression:
-    return _check_quiet(Expression(text))
-
-
 # -- actuators ----------------------------------------------------------------
 
 
-@runtime_checkable
 class Actuator(Protocol):
     id: str
 
@@ -547,7 +541,6 @@ class Binding:
             raise ValueError(
                 f"binding {self.id!r}: cooldown must be >= 0, got {self.cooldown_s}"
             )
-        _check_quiet(self.expression)
 
     def validate_against(self, detector_ids: frozenset[str] | set[str]) -> None:
         """Reject references to unknown detectors and payloads that cannot render.
@@ -602,10 +595,7 @@ class ActuationEngine:
     """
 
     def __init__(self, bindings: Sequence[Binding], seed: int = 0) -> None:
-        ids = [b.id for b in bindings]
-        dupes = {i for i in ids if ids.count(i) > 1}
-        if dupes:
-            raise ValueError(f"duplicate binding ids: {sorted(dupes)}")
+        check_unique_names("binding ids", [b.id for b in bindings])
         self.bindings = tuple(bindings)
         self.seed = int(seed)
         self.dispatch_errors = 0

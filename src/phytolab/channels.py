@@ -2,9 +2,9 @@
 
 Every value that enters the system passes through here: channels declare
 their unit, range and device resolution, records carry one quantized
-reading per configured channel, and each kind belongs to one category
-(biopotential, impedance or environment), the order the simulator samples
-them in.
+reading per configured channel.  CHANNEL_SPECS holds one row per kind:
+its device behaviour, its category (biopotential, impedance or environment,
+the order the simulator samples them in) and its default channel name.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # Biopotential front-end resolution, volts per LSB.
 BIOPOTENTIAL_RESOLUTION_V = 64e-9
@@ -52,18 +52,6 @@ class ChannelCategory(Enum):
     ENVIRONMENT = "environment"
 
 
-_CATEGORY = {
-    ChannelKind.BIOPOTENTIAL_1: ChannelCategory.BIOPOTENTIAL,
-    ChannelKind.BIOPOTENTIAL_2: ChannelCategory.BIOPOTENTIAL,
-    ChannelKind.IMPEDANCE_1: ChannelCategory.IMPEDANCE,
-    ChannelKind.IMPEDANCE_2: ChannelCategory.IMPEDANCE,
-}
-
-
-def channel_category(kind: ChannelKind) -> ChannelCategory:
-    return _CATEGORY.get(kind, ChannelCategory.ENVIRONMENT)
-
-
 def _check_resolution(resolution: float) -> None:
     if not (resolution > 0.0) or not math.isfinite(resolution):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
@@ -71,12 +59,16 @@ def _check_resolution(resolution: float) -> None:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Unit, admissible range and device resolution for one channel kind."""
+    """One channel kind's row: unit, admissible range and device resolution,
+    the category the simulator samples it in, and the name default_channels()
+    gives it (empty: the kind's INI name, ChannelKind.value)."""
 
     unit: str
     lo: float
     hi: float
     resolution: float
+    category: ChannelCategory = ChannelCategory.ENVIRONMENT
+    default_name: str = ""
 
     def __post_init__(self) -> None:
         _check_resolution(self.resolution)
@@ -84,13 +76,21 @@ class ChannelSpec:
             raise ValueError(f"range [{self.lo}, {self.hi}] is inverted")
 
 
-# Per-kind device behaviour.  Ranges are generous physical envelopes; the
-# resolution is the quantization step applied to every stored reading.
+# One row per kind.  Ranges are generous physical envelopes; the resolution
+# is the quantization step applied to every stored reading.
 CHANNEL_SPECS: dict[ChannelKind, ChannelSpec] = {
-    ChannelKind.BIOPOTENTIAL_1: ChannelSpec("V", -1.0, 1.0, BIOPOTENTIAL_RESOLUTION_V),
-    ChannelKind.BIOPOTENTIAL_2: ChannelSpec("V", -1.0, 1.0, BIOPOTENTIAL_RESOLUTION_V),
-    ChannelKind.IMPEDANCE_1: ChannelSpec("ohm", 0.0, 1e9, 1e-3),
-    ChannelKind.IMPEDANCE_2: ChannelSpec("ohm", 0.0, 1e9, 1e-3),
+    ChannelKind.BIOPOTENTIAL_1: ChannelSpec(
+        "V", -1.0, 1.0, BIOPOTENTIAL_RESOLUTION_V, ChannelCategory.BIOPOTENTIAL, "bio1"
+    ),
+    ChannelKind.BIOPOTENTIAL_2: ChannelSpec(
+        "V", -1.0, 1.0, BIOPOTENTIAL_RESOLUTION_V, ChannelCategory.BIOPOTENTIAL, "bio2"
+    ),
+    ChannelKind.IMPEDANCE_1: ChannelSpec(
+        "ohm", 0.0, 1e9, 1e-3, ChannelCategory.IMPEDANCE, "imp1"
+    ),
+    ChannelKind.IMPEDANCE_2: ChannelSpec(
+        "ohm", 0.0, 1e9, 1e-3, ChannelCategory.IMPEDANCE, "imp2"
+    ),
     ChannelKind.TRANSPIRATION: ChannelSpec("%", 0.0, 100.0, 0.01),
     ChannelKind.SAP_FLOW: ChannelSpec("V", -1.0, 1.0, 1e-6),
     ChannelKind.SOIL_MOISTURE: ChannelSpec("%", 0.0, 100.0, 0.01),
@@ -99,8 +99,12 @@ CHANNEL_SPECS: dict[ChannelKind, ChannelSpec] = {
     ChannelKind.AIR_HUMIDITY: ChannelSpec("%", 0.0, 100.0, 0.01),
     ChannelKind.AIR_PRESSURE: ChannelSpec("hPa", 300.0, 1100.0, 0.01),
     ChannelKind.LIGHT: ChannelSpec("lux", 0.0, 2e5, 0.1),
-    ChannelKind.MAGNETOMETER_XYZ: ChannelSpec("T", -1e-3, 1e-3, 1e-9),
-    ChannelKind.ACCELEROMETER_XYZ: ChannelSpec("m/s2", -40.0, 40.0, 1e-3),
+    ChannelKind.MAGNETOMETER_XYZ: ChannelSpec(
+        "T", -1e-3, 1e-3, 1e-9, default_name="magnetometer"
+    ),
+    ChannelKind.ACCELEROMETER_XYZ: ChannelSpec(
+        "m/s2", -40.0, 40.0, 1e-3, default_name="accelerometer"
+    ),
     ChannelKind.RF_POWER: ChannelSpec("dBm", -120.0, 30.0, 0.1),
     ChannelKind.EXTERNAL_TEMPERATURE: ChannelSpec(
         "degC", -40.0, 110.0, EXTERNAL_TEMP_RESOLUTION_C
@@ -125,32 +129,22 @@ class ChannelId:
 
     @property
     def category(self) -> ChannelCategory:
-        return channel_category(self.kind)
-
-
-_DEFAULT_NAMES = {
-    ChannelKind.BIOPOTENTIAL_1: "bio1",
-    ChannelKind.BIOPOTENTIAL_2: "bio2",
-    ChannelKind.IMPEDANCE_1: "imp1",
-    ChannelKind.IMPEDANCE_2: "imp2",
-    ChannelKind.MAGNETOMETER_XYZ: "magnetometer",
-    ChannelKind.ACCELEROMETER_XYZ: "accelerometer",
-}
+        return self.spec.category
 
 
 def default_channels() -> tuple[ChannelId, ...]:
-    """Full sensor inventory with conventional short names."""
+    """Full sensor inventory, in ChannelKind order, under the default names."""
     return tuple(
-        ChannelId(_DEFAULT_NAMES.get(kind, kind.value), kind) for kind in ChannelKind
+        ChannelId(CHANNEL_SPECS[kind].default_name or kind.value, kind)
+        for kind in ChannelKind
     )
 
 
-def validate_unique_names(channels: Iterable[ChannelId]) -> None:
-    seen: set[str] = set()
-    for ch in channels:
-        if ch.name in seen:
-            raise ValueError(f"duplicate channel name: {ch.name!r}")
-        seen.add(ch.name)
+def check_unique_names(what: str, names: Sequence[str]) -> None:
+    """ValueError naming the names that repeat; what says what they are."""
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"duplicate {what}: {repeated}")
 
 
 def quantize(raw: float, resolution: float) -> float:

@@ -46,15 +46,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .actuation import (
-    ACTUATOR_KINDS,
-    Actuator,
-    Binding,
-    Expression,
-    HomeostatConfig,
-    parse_expression,
-)
-from .channels import ChannelId, ChannelKind, default_channels, validate_unique_names
+from .actuation import ACTUATOR_KINDS, Actuator, Binding, Expression, HomeostatConfig
+from .channels import ChannelId, ChannelKind, default_channels
 from .detectors import DETECTOR_KINDS, Detector, build_detector
 from .fra import SweepSpec
 from .logstore import (
@@ -65,8 +58,6 @@ from .logstore import (
 )
 from .pipes import TierLayout
 from .simulator import Event, EventKind, PlantSimulator, SimParams, TissueModel
-
-_KIND_BY_VALUE = {k.value: k for k in ChannelKind}
 
 MIN_PERIOD_S = 0.1
 MAX_PERIOD_S = 100.0
@@ -347,17 +338,18 @@ def _id_sections(parser, head: str):
 
 
 def _parse_channels(section) -> tuple[ChannelId, ...]:
+    """The channels in file order; the INI parser refuses a repeated name."""
     chans = []
     for name, kind_text in section.items():
-        kind = _KIND_BY_VALUE.get(kind_text.strip())
-        if kind is None:
+        try:
+            kind = ChannelKind(kind_text.strip())
+        except ValueError:
             raise ConfigError(
                 f"[channels]: unknown kind {kind_text!r} for {name!r}; "
-                f"expected one of {sorted(_KIND_BY_VALUE)}"
-            )
+                f"expected one of {sorted(k.value for k in ChannelKind)}"
+            ) from None
         _make("[channels]", check_column_name, name)
         chans.append(ChannelId(name=name, kind=kind))
-    _make("[channels]", validate_unique_names, chans)
     return tuple(chans)
 
 
@@ -464,7 +456,7 @@ def parse_config(text: str) -> BenchConfig:
         if "target_per_cycle" in homeostat:
             per_hour = homeostat["target_per_cycle"]
             homeostat["target_per_cycle"] = per_hour * period_s / 3600.0
-        spec["expression"] = _make(where, parse_expression, spec["expression"])
+        spec["expression"] = _make(where, Expression, spec["expression"])
         spec["homeostat"] = _make(where, HomeostatConfig, **homeostat)
         binding_specs.append(BindingSpec(id=b_id, **spec))
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from .channels import check_unique_names
 from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes
 
 # Unbiased sigma estimate from the median absolute deviation for a normal
@@ -101,7 +102,6 @@ def _peak_bar(sigma: float, n: int) -> float:
     return math.sqrt(nu * math.expm1(sigma * sigma * (nu - 1.5) / (nu - 1.0) ** 2))
 
 
-@runtime_checkable
 class Detector(Protocol):
     id: str
 
@@ -440,10 +440,7 @@ class DetectorBank:
     """
 
     def __init__(self, detectors: Sequence[Detector]) -> None:
-        ids = [d.id for d in detectors]
-        dupes = {i for i in ids if ids.count(i) > 1}
-        if dupes:
-            raise ValueError(f"duplicate detector ids: {sorted(dupes)}")
+        check_unique_names("detector ids", [d.id for d in detectors])
         self.detectors = tuple(detectors)
         # None, the tier of a detector that runs every call, is always moved
         self._tier_of = tuple(

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .channels import Record
+from .channels import Record, check_unique_names
 
 SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
@@ -84,8 +84,7 @@ class LogStore:
             raise ValueError("need at least one column")
         for name in columns:
             check_column_name(name)
-        if len(set(columns)) != len(columns):
-            raise ValueError("duplicate column names")
+        check_unique_names("column names", columns)
         check_store_sizes(segment_bytes, capacity_bytes)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)

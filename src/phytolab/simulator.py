@@ -21,6 +21,7 @@ from .channels import (
     ChannelId,
     ChannelKind,
     Record,
+    check_unique_names,
     default_channels,
     quantize_for,
 )
@@ -51,11 +52,10 @@ class TissueModel:
         return self.rs + self.rp / (1.0 + 2j * math.pi * frequency * self.rp * self.cp)
 
     def magnitude(self, frequency: float) -> float:
-        return abs(self.impedance(frequency))
+        return fra.magnitude_phase(self.impedance(frequency))[0]
 
     def phase_deg(self, frequency: float) -> float:
-        z = self.impedance(frequency)
-        return math.degrees(math.atan2(z.imag, z.real))
+        return fra.magnitude_phase(self.impedance(frequency))[1]
 
 
 def tissue_response(
@@ -285,9 +285,8 @@ class PlantSimulator:
         self.seed = int(seed)
         self._reading_noise = streams.Source(self.seed, streams.READING_NOISE)
         self._impedance_noise = streams.Source(self.seed, streams.IMPEDANCE_NOISE)
+        check_unique_names("channel names", [ch.name for ch in self.channels])
         self._streams = {ch.name: i for i, ch in enumerate(self.channels)}
-        if len(self._streams) != len(self.channels):
-            raise ValueError("duplicate channel names")
         p = self.params
         # the channel plan: one list per category, each entry carrying the
         # channel's position in the noise vector (its stream)

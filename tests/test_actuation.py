@@ -28,7 +28,7 @@ from phytolab.actuation import (
     _iso_utc,
     _not3,
     _or3,
-    parse_expression,
+    _Parser,
 )
 from phytolab.config import parse_config
 from phytolab.fra import SweepSpec, run_sweep
@@ -141,7 +141,8 @@ def test_unknown_propagates_through_logic():
     assert Expression("p == 1 AND q == 1").evaluate(vec) is None
     assert Expression("p == 1 OR q == 1").evaluate(vec) is True
     assert Expression("p == 1 AND q == 2").evaluate(vec) is False
-    assert Expression("NOT (p == 1)").evaluate(vec) is None
+    # an Expression refuses a bare NOT, so evaluate the parser's tree
+    assert _Parser("NOT (p == 1)").parse().eval(vec, (), 1.0) is None
 
 
 # -- spontaneous-fire guard
@@ -149,29 +150,28 @@ def test_unknown_propagates_through_logic():
 
 def test_guard_rejects_bare_not():
     with pytest.raises(ExpressionError, match="spontaneous"):
-        parse_expression("NOT a == 1")
+        Expression("NOT a == 1")
 
 
 def test_guard_rejects_or_with_not_branch():
     with pytest.raises(ExpressionError):
-        parse_expression("a == 1 OR NOT b == 1")
+        Expression("a == 1 OR NOT b == 1")
 
 
 def test_guard_rejects_bare_bernoulli():
     with pytest.raises(ExpressionError):
-        parse_expression("BERNOULLI(0.5)")
+        Expression("BERNOULLI(0.5)")
 
 
 def test_guard_accepts_gated_not_and_bernoulli():
-    parse_expression("a == 1 AND NOT b == 1")
-    parse_expression("a == 1 AND BERNOULLI(0.25)")
+    Expression("a == 1 AND NOT b == 1")
+    Expression("a == 1 AND BERNOULLI(0.25)")
 
 
 def test_binding_built_in_code_must_be_quiet_on_an_idle_bench():
-    # Expression alone does not guard; a Binding holds it to the parse rule
-    expr = Expression("not a == 1")
+    # the Expression a Binding holds refuses the spontaneous path itself
     with pytest.raises(ExpressionError, match="spontaneous"):
-        Binding(id="b", expression=expr, actuator=GenericSink("s"))
+        Expression("not a == 1")
     quiet = Binding(
         id="b", expression=Expression("a == 1 and not c == 1"), actuator=GenericSink("s")
     )
@@ -220,14 +220,15 @@ _EXPRESSIONS = st.recursive(
 def test_guard_refuses_exactly_what_fires_on_an_idle_bench(text):
     # every comparison false (a reading of -1 is data, not NO_DATA) and every
     # BERNOULLI true (a uniform of 0 is below any p > 0)
-    expr = Expression(text)
+    parser = _Parser(text)
+    root = parser.parse()
     idle = dict.fromkeys(_IDS, -1.0)
-    fires = expr.evaluate(idle, [0.0] * expr.n_bernoulli) is True
+    fires = root.eval(idle, [0.0] * parser.n_bernoulli, 1.0) is True
     if fires:
         with pytest.raises(ExpressionError, match="spontaneous"):
-            parse_expression(text)
+            Expression(text)
     else:
-        assert parse_expression(text) == expr
+        assert Expression(text).root == root
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,9 +237,16 @@ def test_identifiers_are_the_name_tokens(text):
     # a letter inside a number such as 1e-09 is not a name
     names = re.findall(r"(?<![0-9A-Za-z_.])[A-Za-z_][A-Za-z0-9_]*", text)
     keywords = {"and", "or", "not", "bernoulli"}
-    ids = Expression(text).identifiers()
+    want = {n for n in names if n.lower() not in keywords}
+    parser = _Parser(text)
+    parser.parse()
+    assert parser.names == want
+    try:
+        ids = Expression(text).identifiers()
+    except ExpressionError:
+        return  # spontaneous: the guard test above covers the refusal
     assert isinstance(ids, frozenset)
-    assert ids == {n for n in names if n.lower() not in keywords}
+    assert ids == want
 
 
 # -- bernoulli
@@ -371,7 +379,7 @@ def test_generic_sink_retains_commands():
 def binding(expr_text, actuator=None, **kw):
     return Binding(
         id=kw.pop("id", "b1"),
-        expression=parse_expression(expr_text),
+        expression=Expression(expr_text),
         actuator=actuator if actuator is not None else Sink(),
         **kw,
     )
@@ -681,8 +689,8 @@ def test_homeostat_boosts_starved_binding():
 def test_numpy_scalar_readings_fire_like_floats():
     # a comparison returns Python's True even for a numpy reading, and the
     # engine fires only on `is True`
-    assert parse_expression("x > 1").evaluate({"x": np.float64(2.0)}) is True
-    assert parse_expression("x > 1").evaluate({"x": np.float64(0.5)}) is False
+    assert Expression("x > 1").evaluate({"x": np.float64(2.0)}) is True
+    assert Expression("x > 1").evaluate({"x": np.float64(0.5)}) is False
     sink = Sink()
     engine = ActuationEngine([binding("a == 1 and b > 2", sink)])
     engine.cycle({"a": np.float64(1.0), "b": np.float64(3.0)}, 0)

@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phytolab import channels as ch
+from phytolab import simulator as sim
+from phytolab.actuation import ActuationEngine, Binding, Expression, GenericSink
+from phytolab.config import parse_config
+from phytolab.detectors import DetectorBank, MeanDetector
+from phytolab.logstore import LogStore
 from phytolab.simulator import PlantSimulator
 
 
@@ -15,15 +20,52 @@ def test_channel_registry_covers_every_kind():
 
 def test_default_channels_unique_and_ordered_by_category():
     chans = ch.default_channels()
-    ch.validate_unique_names(chans)
+    ch.check_unique_names("channel names", [c.name for c in chans])
     ranks = [list(ch.ChannelCategory).index(c.category) for c in chans]
     assert ranks == sorted(ranks)
 
 
 def test_channel_categories():
-    assert ch.channel_category(ch.ChannelKind.BIOPOTENTIAL_1) is ch.ChannelCategory.BIOPOTENTIAL
-    assert ch.channel_category(ch.ChannelKind.IMPEDANCE_2) is ch.ChannelCategory.IMPEDANCE
-    assert ch.channel_category(ch.ChannelKind.AIR_HUMIDITY) is ch.ChannelCategory.ENVIRONMENT
+    spec, category = ch.CHANNEL_SPECS, ch.ChannelCategory
+    assert spec[ch.ChannelKind.BIOPOTENTIAL_1].category is category.BIOPOTENTIAL
+    assert spec[ch.ChannelKind.IMPEDANCE_2].category is category.IMPEDANCE
+    assert spec[ch.ChannelKind.AIR_HUMIDITY].category is category.ENVIRONMENT
+
+
+def test_environment_model_covers_exactly_the_environment_kinds():
+    env = {
+        kind
+        for kind, spec in ch.CHANNEL_SPECS.items()
+        if spec.category is ch.ChannelCategory.ENVIRONMENT
+    }
+    assert set(sim._ENV_MODEL) == env
+
+
+def _twin_binding():
+    return Binding(id="twin", expression=Expression("a == 1"), actuator=GenericSink("s"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp_path: parse_config(
+            "[channels]\ntwin = biopotential1\ntwin = biopotential2\n"
+        ),
+        lambda tmp_path: PlantSimulator(
+            [ch.ChannelId("twin", kind) for kind in list(ch.ChannelKind)[:2]]
+        ),
+        lambda tmp_path: LogStore(tmp_path / "s", columns=["twin", "x", "twin"]),
+        lambda tmp_path: DetectorBank(
+            [MeanDetector(id="twin", channel="x", window=60)] * 2
+        ),
+        lambda tmp_path: ActuationEngine([_twin_binding(), _twin_binding()]),
+    ],
+    ids=["channels_section", "simulator", "logstore", "detector_bank", "engine"],
+)
+def test_a_repeated_name_is_refused_by_name(tmp_path, build):
+    # the INI parser refuses a repeated [channels] key before the config does
+    with pytest.raises(ValueError, match="'twin'"):
+        build(tmp_path)
 
 
 def test_biopotential_resolution_is_64_nanovolt():
