@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -141,6 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("cycles", "seconds"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 < value < math.inf:
+            parser.error(f"argument --{flag}: must be finite and > 0, got {value}")
     try:
         return args.func(args)
     except ConfigError as exc:

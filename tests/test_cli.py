@@ -110,6 +110,27 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cycles", ["-3", "0"])
+def test_run_refuses_a_non_positive_cycle_count(tmp_path, bench_ini, capsys, cycles):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(bench_ini), "--out", str(out), "--cycles", cycles])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --cycles: must be finite and > 0, got {cycles}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seconds", ["-5", "0", "nan", "inf"])
+def test_simulate_refuses_a_non_positive_span(tmp_path, capsys, seconds):
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seconds", seconds, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seconds: must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_store_exits_1(tmp_path, capsys):
     code = main(["replay", str(tmp_path / "nowhere")])
     assert code == 1
