@@ -1,17 +1,18 @@
 """Detector-to-actuator wiring: trigger expressions, actuators, homeostat.
 
 Bindings couple a boolean expression over the detector output vector to an
-actuator.  Expressions use three-valued logic: a comparison touching a
-detector entry that still reads `detectors.NO_DATA` (0.0) is unknown rather
-than false, and unknown never fires an actuator.  Comparing explicitly
+actuator.  Expressions use strong Kleene three-valued logic: a comparison
+touching a detector entry that still reads `detectors.NO_DATA` (0.0) is unknown
+rather than false, and unknown never fires an actuator.  Comparing explicitly
 against a literal 0 opts out of that rule, which is how pathogenicity green
 (status 0) stays testable.
 
-Every expression is provably quiet on an idle bench: with every comparison
-false and every BERNOULLI true it has to come out false, or Expression
-refuses its text, so a binding built in code is held to the same rule as a
-configured one.  This closes the door on NOT-constructions that would
-actuate spontaneously.
+Every expression is provably quiet on an idle bench.  Each comparison reads
+a detector, and not the same one on both sides, so each can be false; with
+every comparison false and every BERNOULLI true the expression has to come
+out false, or Expression refuses its text, so a binding built in code is held
+to the same rule as a configured one.  This closes the door on
+NOT-constructions that would actuate spontaneously.
 
 A per-binding homeostat tracks the smoothed firing rate and scales the
 probability of the expression's BERNOULLI terms to steer the rate toward a
@@ -28,29 +29,6 @@ from typing import Protocol, Sequence
 from . import streams
 from .channels import check_unique_names
 from .detectors import NO_DATA
-
-# three-valued logic: True, False, or None for unknown
-
-
-def _and3(a: bool | None, b: bool | None) -> bool | None:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
-def _or3(a: bool | None, b: bool | None) -> bool | None:
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
-
-
-def _not3(a: bool | None) -> bool | None:
-    return None if a is None else not a
-
 
 _CMP_OPS = {
     "==": lambda a, b: a == b,
@@ -100,7 +78,8 @@ class Not:
     item: object
 
     def eval(self, vector, uniforms, adjust) -> bool | None:
-        return _not3(self.item.eval(vector, uniforms, adjust))
+        out = self.item.eval(vector, uniforms, adjust)
+        return None if out is None else not out
 
 
 @dataclass(frozen=True)
@@ -110,9 +89,11 @@ class And:
     def eval(self, vector, uniforms, adjust) -> bool | None:
         out: bool | None = True
         for item in self.items:
-            out = _and3(out, item.eval(vector, uniforms, adjust))
-            if out is False:
+            value = item.eval(vector, uniforms, adjust)
+            if value is False:
                 return False
+            if value is None:
+                out = None
         return out
 
 
@@ -123,9 +104,11 @@ class Or:
     def eval(self, vector, uniforms, adjust) -> bool | None:
         out: bool | None = False
         for item in self.items:
-            out = _or3(out, item.eval(vector, uniforms, adjust))
-            if out is True:
+            value = item.eval(vector, uniforms, adjust)
+            if value is True:
                 return True
+            if value is None:
+                out = None
         return out
 
 
@@ -149,6 +132,7 @@ _TOKEN_RE = re.compile(
     r"(?P<num>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>==|!=|<=|>=|<|>|\(|\))"
+    r"|(?P<bad>\S)"  # the first character no token matches
     r")"
 )
 
@@ -157,25 +141,14 @@ _KEYWORDS = {"and", "or", "not", "bernoulli"}
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            rest = text[m.start(kind):].strip()
             raise ExpressionError(f"cannot tokenize near {rest[:20]!r}")
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("name") is not None:
-            name = m.group("name")
-            if name.lower() in _KEYWORDS:
-                tokens.append(("kw", name.lower()))
-            else:
-                tokens.append(("name", name))
-        else:
-            tokens.append(("op", m.group("op")))
+        if kind == "name" and value.lower() in _KEYWORDS:
+            kind, value = "kw", value.lower()
+        tokens.append((kind, value))
     return tokens
 
 
@@ -208,19 +181,18 @@ class _Parser:
             raise ExpressionError(f"trailing input after expression: {self.text!r}")
         return node
 
-    def parse_or(self):
-        items = [self.parse_and()]
-        while self.peek() == ("kw", "or"):
+    def _chain(self, word: str, cls, parse_item):
+        items = [parse_item()]
+        while self.peek() == ("kw", word):
             self.take()
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+            items.append(parse_item())
+        return items[0] if len(items) == 1 else cls(tuple(items))
+
+    def parse_or(self):
+        return self._chain("or", Or, self.parse_and)
 
     def parse_and(self):
-        items = [self.parse_not()]
-        while self.peek() == ("kw", "and"):
-            self.take()
-            items.append(self.parse_not())
-        return items[0] if len(items) == 1 else And(tuple(items))
+        return self._chain("and", And, self.parse_not)
 
     def parse_not(self):
         if self.peek() == ("kw", "not"):
@@ -260,6 +232,11 @@ class _Parser:
                 f"expected a comparison operator after operand in {self.text!r}"
             )
         rhs = self.parse_operand()
+        if str not in (type(lhs), type(rhs)) or lhs == rhs:
+            raise ExpressionError(
+                f"a comparison in {self.text!r} must read a detector, "
+                "and not the same one on both sides"
+            )
         return Cmp(lhs=lhs, op=tok[1], rhs=rhs)
 
     def parse_operand(self):
@@ -386,16 +363,16 @@ class Relay:
         self.state = False
         self.transitions: list[tuple[int, bool]] = []
 
-    def fire(self, now_ms: int, binding_id: str, payload: str) -> None:
+    def parse(self, payload: str) -> str:
+        """The payload's word, or ValueError; changes no state."""
         word = payload.strip().lower()
-        if word == "on":
-            new = True
-        elif word == "off":
-            new = False
-        elif word == "toggle":
-            new = not self.state
-        else:
+        if word not in ("on", "off", "toggle"):
             raise ValueError(f"relay {self.id!r}: bad payload {payload!r}")
+        return word
+
+    def fire(self, now_ms: int, binding_id: str, payload: str) -> None:
+        word = self.parse(payload)
+        new = not self.state if word == "toggle" else word == "on"
         if new != self.state:
             self.state = new
             self.transitions.append((now_ms, new))
@@ -416,17 +393,20 @@ class RgbLed:
         self.state = {"r": False, "g": False, "b": False}
         self.transitions: list[tuple[int, str, bool]] = []
 
-    def fire(self, now_ms: int, binding_id: str, payload: str) -> None:
-        parts = payload.replace(",", " ").lower().split()
+    def parse(self, payload: str) -> list[tuple[str, str]]:
+        """The payload's (component, word) pairs, or ValueError; changes no state."""
         ops = []
-        for part in parts:
+        for part in payload.replace(",", " ").lower().split():
             comp, eq, word = part.partition("=")
             if not eq or comp not in self.state or word not in self._WORDS:
                 raise ValueError(f"led {self.id!r}: bad assignment {part!r}")
             ops.append((comp, word))
         if not ops:
             raise ValueError(f"led {self.id!r}: empty payload")
-        for comp, word in ops:
+        return ops
+
+    def fire(self, now_ms: int, binding_id: str, payload: str) -> None:
+        for comp, word in self.parse(payload):
             new = word == "on" if word != "toggle" else not self.state[comp]
             if new != self.state[comp]:
                 self.state[comp] = new
@@ -543,11 +523,12 @@ class Binding:
             )
 
     def validate_against(self, detector_ids: frozenset[str] | set[str]) -> None:
-        """Reject references to unknown detectors and payloads that cannot render.
+        """Reject references to unknown detectors and payloads that cannot
+        render or that the actuator's parse (relay, LED) refuses.
 
         The payload is rendered once with every detector at 0.0; vector
         entries are always floats, so a template that renders for 0.0
-        renders for every reading.
+        renders for every reading, and no float renders as an actuator word.
         """
         unknown = self.expression.identifiers() - set(detector_ids)
         if unknown:
@@ -555,7 +536,7 @@ class Binding:
                 f"binding {self.id!r} references unknown detectors: {sorted(unknown)}"
             )
         try:
-            self.render(dict.fromkeys(detector_ids, 0.0))
+            rendered = self.render(dict.fromkeys(detector_ids, 0.0))
         except KeyError as exc:
             raise ValueError(
                 f"binding {self.id!r} payload references unknown detector {exc}"
@@ -564,6 +545,9 @@ class Binding:
             raise ValueError(
                 f"binding {self.id!r} payload {self.payload!r} cannot render: {exc}"
             ) from None
+        parse = getattr(self.actuator, "parse", None)
+        if parse is not None:
+            parse(rendered)
 
     def render(self, vector: dict[str, float]) -> str:
         return self.payload.format_map(vector)

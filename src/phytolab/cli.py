@@ -68,8 +68,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args.config)
     sim = config.build_simulator()
-    period_ms = round(config.period_s * 1000.0)
-    cycles = max(1, round(args.seconds / config.period_s))
+    period_ms, cycles = config.period_ms, config.cycles_in(args.seconds)
     names = [c.name for c in config.channels]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:

@@ -31,10 +31,10 @@ field each key sets.
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
-detector references, payloads that cannot render, store sizes the store
-would refuse, non-finite or out-of-range cell, front-end and binding values,
-and an excitation outside the device envelope or not period-stable fail at
-load time, not at runtime.
+detector references, payloads that cannot render or that their actuator
+refuses, store sizes the store would refuse, non-finite or out-of-range cell,
+front-end and binding values, and an excitation outside the device envelope or
+not period-stable fail at load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -153,6 +153,15 @@ class BenchConfig:
             raise ValueError(
                 f"period_s {self.period_s} outside [{MIN_PERIOD_S}, {MAX_PERIOD_S}]"
             )
+
+    @property
+    def period_ms(self) -> int:
+        """The cycle period in whole milliseconds, at least 100."""
+        return round(self.period_s * 1000.0)
+
+    def cycles_in(self, seconds: float) -> int:
+        """The number of cycles that spans seconds, at least one."""
+        return max(1, round(seconds / self.period_s))
 
     def build_simulator(self) -> PlantSimulator:
         """The configured plant with the scripted events scheduled."""

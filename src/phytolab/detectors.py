@@ -79,11 +79,6 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(float(np.add.reduce(d)) / len(x))
 
 
-def _std(x: np.ndarray) -> float:
-    """x.std()."""
-    return _mean_std(x)[1]
-
-
 @functools.lru_cache(maxsize=256)
 def _peak_bar(sigma: float, n: int) -> float:
     """The peak detector's bar, in scale units, for an n-sample window.
@@ -331,7 +326,7 @@ class StdDevDetector(WindowedDetector):
     min_samples: int = 4
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return _std(x)
+        return _mean_std(x)[1]
 
 
 def _latest_zscore(x: np.ndarray) -> float:

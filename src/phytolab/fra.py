@@ -21,7 +21,6 @@ N = 1024), so a sweep or a fixed excitation computes its trig only once.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -29,6 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, IO, Iterable, Sequence
 
 import numpy as np
+
+from .logstore import csv_cells
 
 MIN_FREQUENCY_HZ = 8.0
 MAX_FREQUENCY_HZ = 6.5e5
@@ -473,10 +474,9 @@ SWEEP_CSV_FIELDS = tuple(_SWEEP_CSV)
 
 def write_sweep_csv(out: IO[str], results: Iterable[ImpedanceAnalysis]) -> None:
     """Write sweep results as CSV with repr-exact (shortest round-trip) floats."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_FIELDS)
+    out.write(",".join(SWEEP_CSV_FIELDS) + "\n")
     for r in results:
-        writer.writerow(repr(getattr(r, field)) for field in _SWEEP_CSV.values())
+        out.write(csv_cells(getattr(r, field) for field in _SWEEP_CSV.values()) + "\n")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ moved into place so a half-written report is never visible.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -45,10 +46,15 @@ def csv_header(columns: Iterable[str]) -> str:
     return "timestamp_ms," + ",".join(columns) + "\n"
 
 
-def csv_row(timestamp_ms: int, values: Iterable[float]) -> str:
-    """One CSV line: the timestamp, then each value as repr(float(v))."""
+def csv_cells(values: Iterable[float]) -> str:
+    """The values as comma-joined repr(float(v)) cells."""
     # float() first: numpy scalars repr as np.float64(...) otherwise
-    return f"{timestamp_ms},{','.join(map(repr, map(float, values)))}\n"
+    return ",".join(map(repr, map(float, values)))
+
+
+def csv_row(timestamp_ms: int, values: Iterable[float]) -> str:
+    """One CSV line: the timestamp, then the values' csv_cells."""
+    return f"{timestamp_ms},{csv_cells(values)}\n"
 
 
 def _segment_name(index: int) -> str:
@@ -155,9 +161,10 @@ class LogStore:
                 f"record has {len(values)} values, store expects {len(self.columns)}"
             )
         try:
-            line = csv_row(int(timestamp_ms), map(values.__getitem__, self.columns))
+            cells = csv_cells(map(values.__getitem__, self.columns))
         except KeyError as exc:
             raise ValueError(f"record missing column {exc.args[0]!r}") from None
+        line = f"{int(timestamp_ms)},{cells}\n"
         self._fh.write(line)
         self._active_bytes += len(line.encode("utf-8"))
         if self._active_bytes >= self.segment_bytes:
@@ -227,10 +234,10 @@ def replay(
     """Re-deliver stored records in order; returns the count delivered.
 
     speed > 0 paces delivery at that multiple of recorded time (1.0 is real
-    time); speed 0 delivers as fast as possible.
+    time); speed 0 delivers as fast as possible; NaN or inf raises ValueError.
     """
-    if speed < 0:
-        raise ValueError(f"speed must be >= 0, got {speed}")
+    if not 0 <= speed < math.inf:
+        raise ValueError(f"speed must be finite and >= 0, got {speed}")
     prev_ms: int | None = None
     count = 0
     for rec in iter_store(root):

@@ -23,18 +23,6 @@ from .pipes import TieredPipes
 REPORT_MAX_POINTS = 1200  # a report charts about this many points per channel
 
 
-class VirtualClock:
-    """Integer-millisecond simulation clock, advanced only by the runtime."""
-
-    def __init__(self, start_ms: int = 0) -> None:
-        self.now_ms = int(start_ms)
-
-    def advance(self, ms: int) -> None:
-        if ms <= 0:
-            raise ValueError(f"clock can only move forward, got {ms}")
-        self.now_ms += int(ms)
-
-
 @dataclass(frozen=True)
 class RunSummary:
     cycles: int
@@ -54,8 +42,8 @@ class Runtime:
         self.config = config
         self.out_dir = Path(out_dir) if out_dir is not None else Path(config.log_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.clock = VirtualClock()
-        self._period_ms = round(config.period_s * 1000.0)
+        self.now_ms = 0  # the virtual clock, advanced one period per step
+        self._period_ms = config.period_ms
 
         self.simulator = config.build_simulator()
 
@@ -91,7 +79,7 @@ class Runtime:
 
     def step(self) -> list[Firing]:
         started = time.perf_counter()
-        now = self.clock.now_ms
+        now = self.now_ms
         record = self.simulator.record_at(now)
         self.tiers.push(record)
         vector = self.bank.evaluate(self.tiers, now)
@@ -107,7 +95,7 @@ class Runtime:
             # a crash must not lose a firing whose actuator already acted
             self._firing_log.flush()
         self.fired_total += len(firings)
-        self.clock.advance(self._period_ms)
+        self.now_ms += self._period_ms
         self._cycles += 1
         self._wall_seconds += time.perf_counter() - started
         return firings
@@ -124,7 +112,7 @@ class Runtime:
         either way because all values derive from the virtual clock.
         """
         if cycles is None:
-            cycles = max(1, round(self.config.duration_s / self.config.period_s))
+            cycles = self.config.cycles_in(self.config.duration_s)
         deadline = time.monotonic()
         for _ in range(cycles):
             self.step()

@@ -21,16 +21,15 @@ from phytolab.actuation import (
     HomeostatConfig,
     MessageToFile,
     MessageToIp,
+    Not,
     Or,
     Relay,
     RgbLed,
-    _and3,
     _iso_utc,
-    _not3,
-    _or3,
     _Parser,
 )
 from phytolab.config import parse_config
+from phytolab.detectors import NO_DATA
 from phytolab.fra import SweepSpec, run_sweep
 from phytolab.runtime import Runtime
 from phytolab.simulator import TissueModel, sweep_responder
@@ -51,19 +50,22 @@ class Sink:
 
 
 def test_kleene_tables():
+    # a leaf "x == 1" reads True at 1, False at -1 and unknown at NO_DATA
+    reading = {True: 1.0, False: -1.0, None: NO_DATA}
+    a, b = Cmp("a", "==", 1.0), Cmp("b", "==", 1.0)
     tri = (True, False, None)
-    for a, b in itertools.product(tri, tri):
-        want_and = False if (a is False or b is False) else (
-            None if (a is None or b is None) else True
+    for x, y in itertools.product(tri, tri):
+        want_and = False if (x is False or y is False) else (
+            None if (x is None or y is None) else True
         )
-        want_or = True if (a is True or b is True) else (
-            None if (a is None or b is None) else False
+        want_or = True if (x is True or y is True) else (
+            None if (x is None or y is None) else False
         )
-        assert _and3(a, b) == want_and
-        assert _or3(a, b) == want_or
-    assert _not3(True) is False
-    assert _not3(False) is True
-    assert _not3(None) is None
+        vec = {"a": reading[x], "b": reading[y]}
+        assert And((a, b)).eval(vec, (), 1.0) is want_and
+        assert Or((a, b)).eval(vec, (), 1.0) is want_or
+    for x, want in ((True, False), (False, True), (None, None)):
+        assert Not(a).eval({"a": reading[x]}, (), 1.0) is want
 
 
 # -- parsing
@@ -130,6 +132,13 @@ def test_no_data_comparison_is_unknown():
     assert expr.evaluate({"p": -1.0}) is False
 
 
+def test_no_data_on_the_right_is_unknown():
+    expr = Expression("1 < p")
+    assert expr.evaluate({"p": NO_DATA}) is None
+    assert expr.evaluate({"p": 2.0}) is True
+    assert expr.evaluate({"p": -1.0}) is False
+
+
 def test_literal_zero_opts_out_of_no_data():
     assert Expression("p == 0").evaluate({"p": 0.0}) is True
     assert Expression("p != 0").evaluate({"p": 0.0}) is False
@@ -161,6 +170,13 @@ def test_guard_rejects_or_with_not_branch():
 def test_guard_rejects_bare_bernoulli():
     with pytest.raises(ExpressionError):
         Expression("BERNOULLI(0.5)")
+
+
+@pytest.mark.parametrize("text", ["1 == 1", "2 > 1 and BERNOULLI(0.5)", "a == a"])
+def test_guard_refuses_a_comparison_that_reads_no_detector(text):
+    # each is True on an idle bench, with no detector condition met
+    with pytest.raises(ExpressionError, match="must read a detector"):
+        Expression(text)
 
 
 def test_guard_accepts_gated_not_and_bernoulli():
@@ -396,6 +412,18 @@ def test_binding_validation_against_detector_ids():
     for payload in ("x {}", "x {g[0]}", "x {g:q}", "x {g!z}"):
         with pytest.raises(ValueError, match="payload"):
             binding("g == 1", payload=payload).validate_against({"g"})
+
+
+def test_validate_against_refuses_a_payload_the_led_refuses():
+    led = RgbLed("led")
+    binding("d == 1", led, payload="r=on, g=toggle").validate_against({"d"})
+    # rendered with d at 0.0, this reads "g=0.0", which no firing can parse
+    with pytest.raises(ValueError, match="bad assignment 'g=0.0'"):
+        binding("d == 1", led, payload="r=on g={d}").validate_against({"d"})
+    with pytest.raises(ValueError, match="empty payload"):
+        binding("d == 1", led, payload=" ").validate_against({"d"})
+    assert led.state == {"r": False, "g": False, "b": False}
+    assert led.transitions == []
 
 
 def test_binding_payload_render():

@@ -131,6 +131,18 @@ def test_simulate_refuses_a_non_positive_span(tmp_path, capsys, seconds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("speed", ["nan", "inf"])
+def test_replay_refuses_a_speed_that_is_not_finite(tmp_path, bench_ini, capsys, speed):
+    out = tmp_path / "run"
+    main(["run", "--config", str(bench_ini), "--out", str(out), "--cycles", "3"])
+    capsys.readouterr()
+    code = main(["replay", str(out / "records"), "--speed", speed])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error: speed must be finite and >= 0, got {speed}" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_store_exits_1(tmp_path, capsys):
     code = main(["replay", str(tmp_path / "nowhere")])
     assert code == 1

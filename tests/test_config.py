@@ -405,6 +405,28 @@ BAD_CASES = [
         "[binding.a\tb]\nexpression = a == 1\nactuator = r\n",
         r"\[binding\.a\tb\]: binding id 'a\\tb' holds a tab",
     ),
+    # each of these loaded and then failed every firing: the default payload
+    # "fired" and a rendered float are no relay word and no LED assignment
+    (
+        "[detector.d]\nkind = mean\nchannel = bio1\n[actuator.a]\nkind = relay\n"
+        "[binding.b]\nexpression = d > 1\nactuator = a\n",
+        r"^\[binding\.b\]: relay 'a': bad payload 'fired'",
+    ),
+    (
+        "[detector.d]\nkind = mean\nchannel = bio1\n[actuator.a]\nkind = relay\n"
+        "[binding.b]\nexpression = d > 1\nactuator = a\npayload = on at {d}\n",
+        r"^\[binding\.b\]: relay 'a': bad payload 'on at 0.0'",
+    ),
+    (
+        "[detector.d]\nkind = mean\nchannel = bio1\n[actuator.a]\nkind = rgb_led\n"
+        "[binding.b]\nexpression = d > 1\nactuator = a\npayload = r=on w=on\n",
+        r"^\[binding\.b\]: led 'a': bad assignment 'w=on'",
+    ),
+    (
+        "[detector.d]\nkind = mean\nchannel = bio1\n[actuator.a]\nkind = rgb_led\n"
+        "[binding.b]\nexpression = d > 1\nactuator = a\npayload = r={d}\n",
+        r"^\[binding\.b\]: led 'a': bad assignment 'r=0.0'",
+    ),
 ]
 
 

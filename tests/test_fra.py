@@ -234,6 +234,63 @@ def test_plan_sweep_fixed_rate_snaps_to_bins():
         assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
 
 
+def test_plan_sweep_single_point_is_the_start():
+    plan = fra.plan_sweep(fra.SweepSpec(start_hz=500.0, stop_hz=1000.0, points=1))
+    assert [(p.requested_hz, p.frequency_hz, p.cycles) for p in plan] == [
+        (500.0, 500.0, 16)
+    ]
+
+
+def test_plan_sweep_doubles_cycles_until_the_rate_fits():
+    spec = fra.SweepSpec(start_hz=1e5, stop_hz=6.5e5, points=3, max_rate=1e7)
+    plan = fra.plan_sweep(spec)
+    assert [p.cycles for p in plan] == [16, 32, 128]
+    for p in plan:
+        assert p.sample_rate <= spec.max_rate
+        assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
+
+
+def test_plan_sweep_fixed_mode_refuses_beyond_nyquist():
+    spec = fra.SweepSpec(start_hz=1e3, stop_hz=6e5, points=3, mode="fixed")
+    with pytest.raises(fra.PeriodStabilityError, match="beyond Nyquist"):
+        fra.plan_sweep(spec)
+
+
+def _paired(n_samples=1024, frequency=500.0):
+    vv = fra.synthesize_excitation(500.0, 0.1, 1024, 64000.0)
+    return vv, fra.ResponseBuffer(frequency, 64000.0, np.ones(n_samples))
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: fra.exact_cycles(8.0, 1, 512.0), "too short"),
+        (lambda: fra.exact_cycles(8.0, 1024, 0.0), "sample rate must be positive"),
+        (lambda: fra.fra_single_point(np.zeros(0), 1), "empty buffer"),
+        (lambda: fra.fra_single_point(np.zeros(1), 1), "too short"),
+        (lambda: fra.fra_single_point(np.zeros(8), 0), "1 <= c < N/2"),
+        (lambda: fra.fra_single_point(np.zeros(8), 4), "1 <= c < N/2"),
+        (lambda: fra.rms(np.zeros(0)), "empty buffer"),
+        (lambda: fra.rms_resistivity(1.0, -1.0), "non-negative"),
+        (lambda: fra.lockin_correlation(np.zeros(3), np.zeros(4)), "length mismatch"),
+        (lambda: fra.lockin_correlation(np.zeros(0), np.zeros(0)), "empty buffers"),
+        (lambda: fra.lockin_phase(0.1, 0.0, 1.0), "must be positive"),
+        (lambda: fra.analyze_pair(*_paired(n_samples=512)), "length mismatch"),
+        (lambda: fra.analyze_pair(*_paired(frequency=1000.0)), "not paired"),
+        (lambda: fra.SweepSpec(points=0), "at least one sweep point"),
+        (lambda: fra.SweepSpec(mode="log"), "unknown sweep mode"),
+        (lambda: fra.SweepSpec(cycles=0), "cycles must satisfy"),
+        (lambda: fra.SweepSpec(cycles=512), "cycles must satisfy"),
+        (lambda: fra.scope_spectrum(np.zeros(64), 1, n_harmonics=0), "fundamental"),
+        (lambda: fra.scope_spectrum(np.zeros(64), 32), "does not fit"),
+        (lambda: fra.HarmonicSpectrum((0j, 0.5 + 0j)).thd, "zero fundamental"),
+    ],
+)
+def test_estimators_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_run_sweep_matches_analytic_cell():
     spec = fra.SweepSpec(start_hz=8.0, stop_hz=3.0e5, points=15)
     results = fra.run_sweep(spec, make_ideal_responder())

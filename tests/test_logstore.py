@@ -1,5 +1,6 @@
 """Store round-trip, segmentation, eviction, replay and report tests."""
 
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -144,6 +145,37 @@ def test_replay_order_and_pacing(tmp_path):
     assert sleeps == []
     with pytest.raises(ValueError):
         replay(root, lambda r: None, speed=-1.0)
+
+
+@pytest.mark.parametrize("speed", [-1.0, math.nan, math.inf])
+def test_replay_refuses_a_speed_that_is_negative_or_not_finite(tmp_path, speed):
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x"]) as store:
+        store.append_row(0, {"x": 1.0})
+    seen = []
+    with pytest.raises(ValueError, match="speed must be finite and >= 0"):
+        replay(root, seen.append, speed=speed)
+    assert seen == []
+
+
+def test_reopen_over_several_segments_counts_bytes_and_evicts(tmp_path):
+    root = tmp_path / "s"
+    sizes = dict(segment_bytes=256, capacity_bytes=1024)
+    with LogStore(root, columns=["x"], **sizes) as store:
+        for i in range(100):
+            store.append_row(i, {"x": float(i)})
+    assert len(store.segments()) > 2
+    with LogStore(root, columns=["x"], **sizes) as store:
+        assert store.total_bytes() == sum(p.stat().st_size for p in store.segments())
+        for i in range(100, 150):
+            store.append_row(i, {"x": float(i)})
+            assert store.total_bytes() <= 1024
+        store.flush()
+        assert store.total_bytes() == sum(p.stat().st_size for p in store.segments())
+    left = [r.timestamp_ms for r in iter_store(root)]
+    # the oldest rows were evicted; the rest read back across the reopen
+    assert 0 < left[0] < 100
+    assert left == list(range(left[0], 150))
 
 
 def test_report_is_valid_markup_with_one_chart_per_series(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from phytolab.config import parse_config
 from phytolab.logstore import emit_report, iter_store
-from phytolab.runtime import REPORT_MAX_POINTS, Runtime, VirtualClock
+from phytolab.runtime import REPORT_MAX_POINTS, Runtime
 
 CAUSALITY_INI = """
 [system]
@@ -36,16 +36,6 @@ cooldown_s = 300
 [events]
 touch = 79.6
 """
-
-
-def test_clock_only_moves_forward():
-    clock = VirtualClock(5)
-    clock.advance(250)
-    assert clock.now_ms == 255
-    with pytest.raises(ValueError):
-        clock.advance(0)
-    with pytest.raises(ValueError):
-        clock.advance(-10)
 
 
 def test_run_accounts_cycles_and_stores_records(tmp_path):
@@ -148,11 +138,8 @@ def test_stimulation_binding_feeds_back_into_the_tissue(tmp_path):
 
 
 def test_actuator_failure_is_counted_not_fatal(tmp_path):
-    # a relay only understands on/off/toggle, so this payload always fails
-    ini = CAUSALITY_INI.replace(
-        "kind = message_to_file\npath = alerts.txt",
-        "kind = relay",
-    ).replace("cooldown_s = 300", "cooldown_s = 300\npayload = explode")
+    # the file's directory does not exist, so the write always fails
+    ini = CAUSALITY_INI.replace("path = alerts.txt", "path = missing/alerts.txt")
     config = parse_config(ini)
     summary = Runtime(config, out_dir=tmp_path / "run").run()
     assert summary.cycles == 120
