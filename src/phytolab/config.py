@@ -33,8 +33,8 @@ Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
 detector references, payloads that cannot render or that their actuator
 refuses, store sizes the store would refuse, non-finite or out-of-range cell,
-front-end and binding values, and an excitation outside the device envelope or
-not period-stable fail at load time, not at runtime.
+front-end, sweep and binding values, and an excitation outside the device
+envelope or not period-stable fail at load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import configparser
 import inspect
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,6 +154,8 @@ class BenchConfig:
             raise ValueError(
                 f"period_s {self.period_s} outside [{MIN_PERIOD_S}, {MAX_PERIOD_S}]"
             )
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
 
     @property
     def period_ms(self) -> int:
@@ -180,10 +183,11 @@ class BenchConfig:
     ) -> tuple[list[Binding], dict[str, Actuator]]:
         """Materialize actuators in out_dir and wire the bindings to them.
 
-        A binding's ValueError is reported against its [binding.ID] section.
+        A ValueError is reported against its [actuator.ID] or [binding.ID].
         """
         actuators = {
-            spec.id: spec.build(out_dir, simulator) for spec in self.actuator_specs
+            spec.id: _make(f"[actuator.{spec.id}]", spec.build, out_dir, simulator)
+            for spec in self.actuator_specs
         }
         detector_ids = frozenset(d.id for d in self.detectors)
         bindings = []
@@ -486,10 +490,7 @@ def parse_config(text: str) -> BenchConfig:
     )
     # fail fast on detector references, payloads and actuator arguments, then
     # throw the build away
-    try:
-        config.build_bindings(Path("."))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config.build_bindings(Path("."))
     return config
 
 

@@ -165,8 +165,8 @@ class PeakDetector(WindowedDetector):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.sigma <= 0:
-            raise ValueError(f"{self.id}: sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"{self.id}: sigma must be positive and finite")
 
     def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
         # one sorted copy gives the median; the same buffer then takes |x - m|
@@ -197,8 +197,8 @@ class GradientDetector(WindowedDetector):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.per_hour <= 0:
-            raise ValueError(f"{self.id}: per_hour threshold must be positive")
+        if not 0 < self.per_hour < math.inf:
+            raise ValueError(f"{self.id}: per_hour threshold must be positive and finite")
         if self.direction not in ("rising", "falling", "either"):
             raise ValueError(f"{self.id}: bad direction {self.direction!r}")
 

@@ -14,7 +14,7 @@ exact amplitude/phase detector for harmonic signals.  The module provides:
   come from one column-to-field table,
 * scope-mode harmonic decomposition for distortion analysis.
 
-Every bin's cos/sin pair comes from `_basis`, one read-only pair per
+Every bin's cos/sin pair comes from `basis`, one read-only pair per
 (N, cycles) in an LRU cache bounded at 64 pairs of 16 * N bytes (1 MiB at
 N = 1024), so a sweep or a fixed excitation computes its trig only once.
 """
@@ -71,7 +71,7 @@ def exact_cycles(frequency: float, n_samples: int, sample_rate: float) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
+def basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (cos theta, sin theta) of bin `cycles` over `n_samples`."""
     # reduce c*k modulo N in exact integer arithmetic before taking 2*pi*m/N;
     # keeps trig arguments small and the projection accurate to ~1 ulp
@@ -83,20 +83,21 @@ def _basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-class _Fresh(np.ndarray):
-    """A fresh float64 array made for one buffer alone: frozen, not copied."""
+@dataclass(frozen=True, eq=False)
+class ExcitationWaveform:
+    """One buffer of the synthesized AC excitation at a single frequency: a
+    read-only float64 copy of the samples given, period-stable at its rate."""
 
-
-class _Buffer:
-    """Read-only float64 samples, a copy unless _Fresh; cycles at (frequency, rate)."""
+    frequency: float
+    amplitude: float
+    sample_rate: float
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if type(self.samples) is _Fresh:
-            samples = self.samples.view(np.ndarray)
-        else:
-            samples = np.array(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        self.cycles  # validates period stability
 
     @property
     def n_samples(self) -> int:
@@ -107,27 +108,12 @@ class _Buffer:
         return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
 
 
-@dataclass(frozen=True, eq=False)
-class ExcitationWaveform(_Buffer):
-    """One buffer of the synthesized AC excitation at a single frequency."""
-
-    frequency: float
-    amplitude: float
-    sample_rate: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.cycles  # validates period stability
-
-
-@dataclass(frozen=True, eq=False)
-class ResponseBuffer(_Buffer):
-    """Digitized current-proportional response paired with an excitation."""
-
-    frequency: float
-    sample_rate: float
-    samples: np.ndarray
+def check_amplitude(amplitude: float) -> None:
+    """Raise unless the excitation amplitude lies inside the device envelope."""
+    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
+        raise ValueError(
+            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
+        )
 
 
 def check_excitation(
@@ -139,10 +125,7 @@ def check_excitation(
             f"frequency {frequency} Hz outside "
             f"[{MIN_FREQUENCY_HZ}, {MAX_FREQUENCY_HZ}] Hz"
         )
-    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
-        raise ValueError(
-            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
-        )
+    check_amplitude(amplitude)
     return exact_cycles(frequency, n_samples, sample_rate)
 
 
@@ -160,13 +143,8 @@ def synthesize_excitation(
     envelope (see check_excitation).
     """
     cycles = check_excitation(frequency, amplitude, n_samples, sample_rate)
-    samples = amplitude * _basis(n_samples, cycles)[1]
-    return ExcitationWaveform(
-        frequency=frequency,
-        amplitude=amplitude,
-        sample_rate=sample_rate,
-        samples=samples.view(_Fresh),
-    )
+    sine = amplitude * basis(n_samples, cycles)[1]
+    return ExcitationWaveform(frequency, amplitude, sample_rate, sine)
 
 
 def fra_single_point(
@@ -187,7 +165,7 @@ def fra_single_point(
     c = int(cycles_per_buffer)
     if not (1 <= c < n / 2):
         raise ValueError(f"cycles_per_buffer must satisfy 1 <= c < N/2, got {c}")
-    cos, sin = _basis(n, c)
+    cos, sin = basis(n, c)
     re = float(np.dot(x, cos)) / n
     im = -float(np.dot(x, sin)) / n
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -292,36 +270,33 @@ class ImpedanceAnalysis:
 
 
 def analyze_pair(
-    vv: ExcitationWaveform,
-    vi: ResponseBuffer,
-    gain: float = 1.0,
+    vv: ExcitationWaveform, vi: np.ndarray | Sequence[float], gain: float = 1.0
 ) -> ImpedanceAnalysis:
-    """Run every estimator over one excitation/response pair.
+    """Run every estimator over an excitation and its response samples.
 
     `gain` is the transimpedance conversion in ohms (response volts per
     ampere); magnitudes are reported as ratio * gain.  The default gain of 1
     reports the dimensionless voltage ratio.
     """
-    if vi.n_samples != vv.n_samples:
+    vi = np.asarray(vi, dtype=np.float64)
+    if vi.shape != (vv.n_samples,):
         raise ValueError(
-            f"buffer length mismatch: {vi.n_samples} vs {vv.n_samples}"
+            f"response length mismatch: shape {vi.shape}, expected ({vv.n_samples},)"
         )
-    if vi.sample_rate != vv.sample_rate or vi.frequency != vv.frequency:
-        raise ValueError("response buffer is not paired with this excitation")
     cycles = vv.cycles
 
-    vi_rms = rms(vi.samples)
+    vi_rms = rms(vi)
     vv_rms = rms(vv.samples)
     if vi_rms == 0.0:
         raise OpenCircuitError("zero response buffer: open circuit")
 
     x_v = fra_single_point(vv.samples, cycles)
-    x_i = fra_single_point(vi.samples, cycles)
+    x_i = fra_single_point(vi, cycles)
     ratio = transfer_ratio(x_v, x_i, gain)
 
     magnitude, phase = magnitude_phase(ratio)
     m_rms = rms_resistivity(vv_rms, vi_rms) * gain
-    corr = lockin_correlation(vi.samples, vv.samples)
+    corr = lockin_correlation(vi, vv.samples)
     return ImpedanceAnalysis(
         frequency_hz=vv.frequency,
         re=ratio.real,
@@ -364,6 +339,7 @@ class SweepSpec:
     rate of frequency * n_samples / cycles per point, capped by max_rate.
     mode 'fixed' keeps one sample rate and snaps each frequency to the nearest
     non-empty DFT bin, so requested and delivered frequencies can differ.
+    Every point's bin must lie below Nyquist.
     """
 
     start_hz: float = MIN_FREQUENCY_HZ
@@ -388,6 +364,22 @@ class SweepSpec:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.mode == "adaptive" and not (1 <= self.cycles < self.n_samples / 2):
             raise ValueError(f"cycles must satisfy 1 <= c < N/2, got {self.cycles}")
+        check_amplitude(self.amplitude)
+        for name in ("max_rate", "fixed_rate"):
+            if not 0 < (rate := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {rate}")
+        # points rise to stop_hz, so its bin is the highest
+        if self.mode == "fixed" and not (
+            0 < self.n_samples and self.fixed_bin(self.stop_hz) < self.n_samples / 2
+        ):
+            raise PeriodStabilityError(
+                f"stop_hz {self.stop_hz} Hz beyond Nyquist at fixed rate "
+                f"{self.fixed_rate} Hz and {self.n_samples} samples"
+            )
+
+    def fixed_bin(self, frequency: float) -> int:
+        """The non-empty DFT bin nearest frequency at the fixed rate."""
+        return max(1, round(frequency / (self.fixed_rate / self.n_samples)))
 
 
 def plan_sweep(spec: SweepSpec) -> list[SweepPoint]:
@@ -418,17 +410,11 @@ def plan_sweep(spec: SweepSpec) -> list[SweepPoint]:
                 )
             )
         else:
-            bin_hz = spec.fixed_rate / spec.n_samples
-            c = max(1, round(f_req / bin_hz))
-            if c >= spec.n_samples / 2:
-                raise PeriodStabilityError(
-                    f"{f_req} Hz beyond Nyquist at fixed rate {spec.fixed_rate} Hz"
-                )
-            f_snap = c * bin_hz
+            c = spec.fixed_bin(f_req)
             planned.append(
                 SweepPoint(
                     requested_hz=f_req,
-                    frequency_hz=f_snap,
+                    frequency_hz=c * (spec.fixed_rate / spec.n_samples),
                     n_samples=spec.n_samples,
                     sample_rate=spec.fixed_rate,
                     cycles=c,
@@ -439,13 +425,13 @@ def plan_sweep(spec: SweepSpec) -> list[SweepPoint]:
 
 def run_sweep(
     spec: SweepSpec,
-    respond: Callable[[ExcitationWaveform], ResponseBuffer],
+    respond: Callable[[ExcitationWaveform], np.ndarray],
     gain: float = 1.0,
 ) -> list[ImpedanceAnalysis]:
     """Drive a response callback across the sweep and analyze every point.
 
     `respond` models the device under test: it receives each synthesized
-    excitation and returns the digitized response buffer for it.
+    excitation and returns the digitized response samples for it.
     """
     results: list[ImpedanceAnalysis] = []
     for point in plan_sweep(spec):

@@ -64,30 +64,26 @@ def tissue_response(
     gain: float = 1.0,
     noise_rms: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> fra.ResponseBuffer:
-    """Steady-state digitized response of a cell to one excitation buffer.
+) -> np.ndarray:
+    """Steady-state digitized response samples of a cell to one excitation.
 
     The clean response is gain * amplitude * |Y| * sin(theta + arg Y) with
     Y = 1/Z(f); optional white noise of the given RMS is added on top.
     Computed as sin*cos + cos*sin on the reduced bin angles so the clean part
-    is accurate to about one ulp.
+    is accurate to about one ulp.  The float64 array returned is new.
     """
     z = tissue.impedance(excitation.frequency)
     y = 1.0 / z
     amp = gain * excitation.amplitude * abs(y)
     phi = math.atan2(y.imag, y.real)
     n = excitation.n_samples
-    cos, sin = fra._basis(n, excitation.cycles)
+    cos, sin = fra.basis(n, excitation.cycles)
     samples = amp * (sin * math.cos(phi) + cos * math.sin(phi))
     if noise_rms > 0.0:
         if rng is None:
             raise ValueError("noise_rms > 0 requires an rng")
         samples += rng.normal(0.0, noise_rms, n)
-    return fra.ResponseBuffer(
-        frequency=excitation.frequency,
-        sample_rate=excitation.sample_rate,
-        samples=samples.view(fra._Fresh),
-    )
+    return samples
 
 
 def sweep_responder(
@@ -103,7 +99,7 @@ def sweep_responder(
     """
     noise = streams.Source(seed, streams.SWEEP_NOISE)
 
-    def respond(vv: fra.ExcitationWaveform) -> fra.ResponseBuffer:
+    def respond(vv: fra.ExcitationWaveform) -> np.ndarray:
         rng = None
         if noise_rms > 0.0:
             rng = noise.at(round(vv.frequency * 1e6))
@@ -227,7 +223,7 @@ class SimParams:
 # The clean reading is offset + coefficient * basis, one of the curves that
 # _env_bases computes per timestamp; constant channels take coefficient 0.
 # Biopotential noise comes from SimParams and impedance noise from the
-# response buffer instead.
+# response samples instead.
 _ENV_MODEL = {
     ChannelKind.TRANSPIRATION: (0.05, 30.0, 25.0, "daylight"),
     ChannelKind.SAP_FLOW: (2e-6, 0.002, 0.001, "daylight"),
@@ -468,7 +464,7 @@ class PlantSimulator:
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
-        x_i = fra.fra_single_point(vi.samples, self._excitation.cycles)
+        x_i = fra.fra_single_point(vi, self._excitation.cycles)
         return abs(fra.transfer_ratio(self._x_v, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------

@@ -18,13 +18,7 @@ from phytolab.channels import (
     Record,
 )
 from phytolab.config import parse_config
-from phytolab.fra import (
-    ResponseBuffer,
-    SweepSpec,
-    fra_single_point,
-    run_sweep,
-    scope_spectrum,
-)
+from phytolab.fra import SweepSpec, fra_single_point, run_sweep, scope_spectrum
 from phytolab.logstore import LogStore, iter_store
 from phytolab.pipes import TieredPipes
 from phytolab.runtime import Runtime
@@ -98,11 +92,7 @@ def test_criterion_03_sweep_recovers_the_cell():
         amp = vv.amplitude * gain / tissue.magnitude(vv.frequency)
         rng = np.random.default_rng([99, round(vv.frequency * 1e3)])
         base = tissue_response(vv, tissue, gain=gain)
-        return ResponseBuffer(
-            frequency=vv.frequency,
-            sample_rate=vv.sample_rate,
-            samples=base.samples + rng.normal(0.0, 0.01 * amp, base.n_samples),
-        )
+        return base + rng.normal(0.0, 0.01 * amp, vv.n_samples)
 
     noisy = run_sweep(spec, noisy_respond, gain=gain)
     good = sum(

@@ -393,6 +393,43 @@ BAD_CASES = [
         "[impedance]\nfrequency_hz = 250\nsamples = 1000\n",
         r"^\[impedance\]: not period-stable: .* \(samples = 1000\)$",
     ),
+    # each of these loaded and then failed only at sweep time, or never
+    (
+        "[sweep]\nmode = fixed\nstop_hz = 6e5\n",
+        r"^\[sweep\]: stop_hz 600000.0 Hz beyond Nyquist .* \(stop_hz = 6e5\)$",
+    ),
+    (
+        "[sweep]\namplitude_v = 5\n",
+        r"^\[sweep\]: amplitude_v 5.0 V outside .* \(amplitude_v = 5\)$",
+    ),
+    (
+        "[sweep]\nmax_rate = nan\n",
+        r"^\[sweep\]: max_rate must be finite and > 0, got nan \(max_rate = nan\)$",
+    ),
+    (
+        "[sweep]\nfixed_rate = -1\n",
+        r"^\[sweep\]: fixed_rate must be finite and > 0, got -1.0 \(fixed_rate = -1\)$",
+    ),
+    ("[system]\nduration_s = -5\n", r"^\[system\]: duration_s must be finite and > 0"),
+    ("[system]\nduration_s = nan\n", r"^\[system\]: duration_s must be finite and > 0"),
+    ("[system]\nduration_s = inf\n", r"^\[system\]: duration_s must be finite and > 0"),
+    (
+        "[detector.x]\nkind = peak\nchannel = bio1\nsigma = nan\n",
+        r"^\[detector\.x\]: x: sigma must be positive and finite",
+    ),
+    (
+        "[detector.x]\nkind = gradient\nchannel = bio1\nper_hour = inf\n",
+        r"^\[detector\.x\]: x: per_hour threshold must be positive and finite",
+    ),
+    # an actuator's constructor error names its section
+    (
+        "[actuator.x]\nkind = message_to_ip\nhost = h\nport = 70000\n",
+        r"^\[actuator\.x\]: port 70000 out of range$",
+    ),
+    (
+        "[actuator.x]\nkind = electrical_stimulation\nintensity = 2\n",
+        r"^\[actuator\.x\]: stimulation 'x': intensity 2.0 outside",
+    ),
     # each of these loaded and then broke firings.log's one line per firing
     (
         "[actuator.r]\nkind = relay\n"

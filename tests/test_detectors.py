@@ -535,6 +535,12 @@ def test_config_validation_errors():
         PeakDetector(id="", channel="x")
     with pytest.raises(ValueError):
         PeakDetector(id="p", channel="x", sigma=0.0)
+    # NaN passes a "<= 0" test, and either leaves the detector QUIET forever
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            PeakDetector(id="p", channel="x", sigma=bad)
+        with pytest.raises(ValueError, match="per_hour threshold must be positive"):
+            GradientDetector(id="g", channel="x", per_hour=bad)
     with pytest.raises(ValueError):
         PeakDetector(id="p", channel="x", window=5, min_samples=12)
     with pytest.raises(ValueError, match="unknown tier"):

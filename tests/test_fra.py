@@ -8,6 +8,7 @@ Oracles used here:
 """
 
 import cmath
+import dataclasses
 import io
 import math
 
@@ -43,10 +44,7 @@ def make_ideal_responder(gain=1.0, rs=1e3, rp=1e4, cp=1e-6):
         theta = (2.0 * np.pi / n) * m
         phi = -cmath.phase(z)
         amp = gain * vv.amplitude / abs(z)
-        samples = amp * np.sin(theta + phi)
-        return fra.ResponseBuffer(
-            frequency=vv.frequency, sample_rate=vv.sample_rate, samples=samples
-        )
+        return amp * np.sin(theta + phi)
 
     return respond
 
@@ -141,17 +139,9 @@ def test_excitation_samples_are_read_only():
         vv.samples[0] = 1.0
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda a: fra.ExcitationWaveform(500.0, 0.1, 32000.0, a),
-        lambda a: fra.ResponseBuffer(500.0, 32000.0, a),
-    ],
-    ids=["excitation", "response"],
-)
-def test_buffers_freeze_a_copy_not_the_callers_array(build):
+def test_excitation_freezes_a_copy_not_the_callers_array():
     a = np.zeros(1024)
-    buf = build(a)
+    buf = fra.ExcitationWaveform(500.0, 0.1, 32000.0, a)
     assert a.flags.writeable
     a[0] = 1.0  # the caller may reuse its array
     assert buf.samples[0] == 0.0
@@ -208,9 +198,8 @@ def test_lockin_phase_clamps_and_warns():
 
 def test_open_circuit_response_raises():
     vv = fra.synthesize_excitation(500.0, 0.1, 1024, 64000.0)
-    dead = fra.ResponseBuffer(500.0, 64000.0, np.zeros(1024))
     with pytest.raises(fra.OpenCircuitError):
-        fra.analyze_pair(vv, dead)
+        fra.analyze_pair(vv, np.zeros(1024))
 
 
 def test_plan_sweep_adaptive_is_period_stable():
@@ -250,15 +239,33 @@ def test_plan_sweep_doubles_cycles_until_the_rate_fits():
         assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
 
 
-def test_plan_sweep_fixed_mode_refuses_beyond_nyquist():
-    spec = fra.SweepSpec(start_hz=1e3, stop_hz=6e5, points=3, mode="fixed")
+def test_sweep_spec_fixed_mode_refuses_beyond_nyquist():
     with pytest.raises(fra.PeriodStabilityError, match="beyond Nyquist"):
-        fra.plan_sweep(spec)
+        fra.SweepSpec(start_hz=1e3, stop_hz=6e5, points=3, mode="fixed")
 
 
-def _paired(n_samples=1024, frequency=500.0):
+@pytest.mark.parametrize("n_samples", [1024, 1000, 63])
+def test_sweep_spec_fixed_mode_plans_up_to_the_last_bin_below_nyquist(n_samples):
+    # the spec refuses exactly the stop frequencies plan_sweep cannot plan
+    rate = 1.0e6
+    last = (n_samples - 1) // 2  # the highest bin c with c < N/2
+    bin_hz = rate / n_samples
+    fits = (last + 0.49) * bin_hz
+    spec = fra.SweepSpec(
+        start_hz=8.0, stop_hz=fits, points=7, n_samples=n_samples,
+        mode="fixed", fixed_rate=rate,
+    )
+    plan = fra.plan_sweep(spec)
+    assert plan[-1].cycles == last
+    for p in plan:
+        assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
+    with pytest.raises(fra.PeriodStabilityError, match="beyond Nyquist"):
+        dataclasses.replace(spec, stop_hz=(last + 0.51) * bin_hz)
+
+
+def _paired(shape=(1024,)):
     vv = fra.synthesize_excitation(500.0, 0.1, 1024, 64000.0)
-    return vv, fra.ResponseBuffer(frequency, 64000.0, np.ones(n_samples))
+    return vv, np.ones(shape)
 
 
 @pytest.mark.parametrize(
@@ -275,12 +282,20 @@ def _paired(n_samples=1024, frequency=500.0):
         (lambda: fra.lockin_correlation(np.zeros(3), np.zeros(4)), "length mismatch"),
         (lambda: fra.lockin_correlation(np.zeros(0), np.zeros(0)), "empty buffers"),
         (lambda: fra.lockin_phase(0.1, 0.0, 1.0), "must be positive"),
-        (lambda: fra.analyze_pair(*_paired(n_samples=512)), "length mismatch"),
-        (lambda: fra.analyze_pair(*_paired(frequency=1000.0)), "not paired"),
+        (lambda: fra.analyze_pair(*_paired((512,))), "length mismatch"),
+        (lambda: fra.analyze_pair(*_paired((1024, 1))), "length mismatch"),
+        (lambda: fra.analyze_pair(*_paired(())), "length mismatch"),
         (lambda: fra.SweepSpec(points=0), "at least one sweep point"),
         (lambda: fra.SweepSpec(mode="log"), "unknown sweep mode"),
         (lambda: fra.SweepSpec(cycles=0), "cycles must satisfy"),
         (lambda: fra.SweepSpec(cycles=512), "cycles must satisfy"),
+        (lambda: fra.SweepSpec(amplitude=5.0), "amplitude 5.0 V outside"),
+        (lambda: fra.SweepSpec(amplitude=math.nan), "amplitude nan V outside"),
+        (lambda: fra.SweepSpec(max_rate=math.nan), "max_rate must be finite"),
+        (lambda: fra.SweepSpec(max_rate=0.0), "max_rate must be finite"),
+        (lambda: fra.SweepSpec(fixed_rate=math.inf), "fixed_rate must be finite"),
+        (lambda: fra.SweepSpec(fixed_rate=-1.0), "fixed_rate must be finite"),
+        (lambda: fra.SweepSpec(n_samples=0, mode="fixed"), "beyond Nyquist"),
         (lambda: fra.scope_spectrum(np.zeros(64), 1, n_harmonics=0), "fundamental"),
         (lambda: fra.scope_spectrum(np.zeros(64), 32), "does not fit"),
         (lambda: fra.HarmonicSpectrum((0j, 0.5 + 0j)).thd, "zero fundamental"),
@@ -390,11 +405,11 @@ def test_lockin_phase_invariant_under_rescale(scale):
     respond = make_ideal_responder()
     vv = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
     vi = respond(vv)
-    corr = fra.lockin_correlation(vi.samples * scale, vv.samples)
-    p = fra.lockin_phase(corr, fra.rms(vi.samples * scale), fra.rms(vv.samples))
+    corr = fra.lockin_correlation(vi * scale, vv.samples)
+    p = fra.lockin_phase(corr, fra.rms(vi * scale), fra.rms(vv.samples))
     p0 = fra.lockin_phase(
-        fra.lockin_correlation(vi.samples, vv.samples),
-        fra.rms(vi.samples),
+        fra.lockin_correlation(vi, vv.samples),
+        fra.rms(vi),
         fra.rms(vv.samples),
     )
     assert p == pytest.approx(p0, abs=1e-9)
@@ -444,23 +459,23 @@ def test_cached_basis_matches_the_parent_formulas(key, amplitude, frequency, rp,
     amp = 1e3 * amplitude * abs(y)
     phi = math.atan2(y.imag, y.real)
     want = amp * (np.sin(theta) * math.cos(phi) + np.cos(theta) * math.sin(phi))
-    assert hexes(tissue_response(vv, tissue, gain=1e3).samples) == hexes(want)
+    assert hexes(tissue_response(vv, tissue, gain=1e3)) == hexes(want)
 
 
 def test_basis_cache_evicts_and_refills_bit_identically():
-    first = [a.copy() for a in fra._basis(1000, 7)]
+    first = [a.copy() for a in fra.basis(1000, 7)]
     for c in range(1, 100):  # 99 newer keys push (1000, 7) out
-        fra._basis(2048, c)
-    assert fra._basis.cache_info().currsize == fra._basis.cache_info().maxsize
-    misses = fra._basis.cache_info().misses
-    again = fra._basis(1000, 7)
-    assert fra._basis.cache_info().misses == misses + 1
+        fra.basis(2048, c)
+    assert fra.basis.cache_info().currsize == fra.basis.cache_info().maxsize
+    misses = fra.basis.cache_info().misses
+    again = fra.basis(1000, 7)
+    assert fra.basis.cache_info().misses == misses + 1
     assert [hexes(a) for a in again] == [hexes(a) for a in first]
-    assert fra._basis(1000, 7)[0] is again[0]
+    assert fra.basis(1000, 7)[0] is again[0]
 
 
 def test_basis_arrays_are_read_only():
-    for a in fra._basis(1024, 16):
+    for a in fra.basis(1024, 16):
         with pytest.raises(ValueError):
             a[0] = 1.0
         with pytest.raises(ValueError):
@@ -468,7 +483,7 @@ def test_basis_arrays_are_read_only():
 
 
 def test_excitation_samples_are_not_the_cached_basis():
-    _, sin = fra._basis(1024, 16)
+    _, sin = fra.basis(1024, 16)
     vv = fra.synthesize_excitation(500.0, 1.0, 1024, 32000.0)
     assert hexes(vv.samples) == hexes(sin)
     assert vv.samples is not sin
@@ -485,36 +500,29 @@ def test_cycles_are_validated_once_per_buffer(monkeypatch):
 
     monkeypatch.setattr(fra, "exact_cycles", counting)
     vv = fra.ExcitationWaveform(500.0, 0.1, 32000.0, np.zeros(1024))
-    vi = fra.ResponseBuffer(frequency=500.0, sample_rate=32000.0, samples=np.ones(1024))
-    assert [vv.cycles, vv.cycles, vi.cycles, vi.cycles] == [16, 16, 16, 16]
-    assert len(calls) == 2
+    assert [vv.cycles, vv.cycles] == [16, 16]
+    assert len(calls) == 1
     # 500 Hz at 33 kHz gives 15.5 cycles per 1024 samples
     with pytest.raises(fra.PeriodStabilityError):
         fra.ExcitationWaveform(500.0, 0.1, 33000.0, np.zeros(1024))
-    unstable = fra.ResponseBuffer(
-        frequency=500.0, sample_rate=33000.0, samples=np.ones(1024)
-    )
-    for _ in range(2):
-        with pytest.raises(fra.PeriodStabilityError):
-            unstable.cycles
 
 
 @pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
-def test_built_buffers_are_read_only_and_not_the_cached_basis(noise_rms):
-    # synthesize_excitation and tissue_response hand their fresh arrays over
-    # without a copy; those must still be frozen and not a cached basis array
-    cos, sin = fra._basis(1024, 16)
+def test_built_buffers_are_float64_and_not_the_cached_basis(noise_rms):
+    # the excitation is frozen; neither it nor the response samples may be a
+    # cached basis array, which every later buffer at (N, cycles) reads
+    cos, sin = fra.basis(1024, 16)
     vv = fra.synthesize_excitation(500.0, 1.0, 1024, 32000.0)
     rng = np.random.default_rng(0) if noise_rms else None
     vi = tissue_response(vv, TissueModel(), gain=1e3, noise_rms=noise_rms, rng=rng)
-    for buf in (vv, vi):
-        assert buf.samples.dtype == np.float64
-        assert type(buf.samples) is np.ndarray
-        with pytest.raises(ValueError):
-            buf.samples[0] = 1.0
+    with pytest.raises(ValueError):
+        vv.samples[0] = 1.0
+    for samples in (vv.samples, vi):
+        assert samples.dtype == np.float64
+        assert type(samples) is np.ndarray
         for basis in (cos, sin):
-            assert not np.shares_memory(buf.samples, basis)
-    assert not np.shares_memory(vv.samples, vi.samples)
+            assert not np.shares_memory(samples, basis)
+    assert not np.shares_memory(vv.samples, vi)
 
 
 def test_transfer_ratio_is_analyze_pairs_ratio():
@@ -523,7 +531,7 @@ def test_transfer_ratio_is_analyze_pairs_ratio():
     out = fra.analyze_pair(vv, vi, gain=1e3)
     ratio = fra.transfer_ratio(
         fra.fra_single_point(vv.samples, vv.cycles),
-        fra.fra_single_point(vi.samples, vv.cycles),
+        fra.fra_single_point(vi, vv.cycles),
         1e3,
     )
     assert (ratio.real.hex(), ratio.imag.hex()) == (out.re.hex(), out.im.hex())
@@ -554,7 +562,7 @@ def test_analyze_pair_polar_form_is_magnitude_phase(
     out = fra.analyze_pair(vv, vi, gain=gain)
     ratio = fra.transfer_ratio(
         fra.fra_single_point(vv.samples, vv.cycles),
-        fra.fra_single_point(vi.samples, vv.cycles),
+        fra.fra_single_point(vi, vv.cycles),
         gain,
     )
     magnitude, phase = fra.magnitude_phase(ratio)

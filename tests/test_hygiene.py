@@ -40,3 +40,23 @@ def test_package_exports_exactly_what_it_imports():
         and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
     ]
     assert sorted(_imported(tree)) == sorted(exported)
+
+
+@pytest.mark.parametrize(
+    "path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.stem
+)
+def test_module_reads_no_other_modules_private_names(path):
+    """Neither `mod._x` on an imported package module nor `from .mod import _x`."""
+    tree = _tree(path)
+    modules, read = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import fra, streams
+                modules |= {a.asname or a.name for a in node.names}
+            else:  # from .fra import _x
+                read += [f"{node.module}.{a.name}" for a in node.names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                read.append(f"{node.value.id}.{node.attr}")
+    assert [name for name in read if name.rsplit(".", 1)[1].startswith("_")] == []
