@@ -319,7 +319,9 @@ class MessageToFile:
     file is considered gone); other actuators are unaffected.
     """
 
-    def __init__(self, id: str, path: str) -> None:
+    def __init__(self, id: str, path: str = "") -> None:
+        if not path:
+            raise ValueError("message_to_file needs path")
         self.id = id
         self.path = path
         self._dead = False
@@ -343,7 +345,9 @@ class MessageToIp:
     left the box.
     """
 
-    def __init__(self, id: str, host: str, port: int) -> None:
+    def __init__(self, id: str, host: str = "", port: int | None = None) -> None:
+        if not host or port is None:
+            raise ValueError("message_to_ip needs host and port")
         if not (0 < port < 65536):
             raise ValueError(f"port {port} out of range")
         self.id = id

@@ -32,9 +32,10 @@ field each key sets.
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
 detector references, payloads that cannot render or that their actuator
-refuses, store sizes the store would refuse, non-finite or out-of-range cell,
-front-end, sweep and binding values, and an excitation outside the device
-envelope or not period-stable fail at load time, not at runtime.
+refuses, actuator arguments the actuator refuses, store sizes the store would
+refuse, non-finite or out-of-range cell, front-end, sweep and binding values,
+a sweep whose last point cannot be planned, and an excitation outside the
+device envelope or not period-stable fail at load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -77,20 +78,14 @@ class StoreParams:
         check_store_sizes(self.segment_bytes, self.capacity_bytes)
 
 
-# every actuator kind's constructor parameters
-_ACTUATOR_PARAMS = {
-    kind: inspect.signature(cls).parameters for kind, cls in ACTUATOR_KINDS.items()
-}
-
-
 @dataclass(frozen=True)
 class ActuatorSpec:
     """Deferred actuator construction: file paths resolve against the run
     dir and electrical stimulation binds to the run's simulator.
 
     kind names an ACTUATOR_KINDS entry; params are keyword arguments of that
-    class's constructor, and the ones without a default must be given and not
-    empty (a falsy port = 0 goes on to MessageToIp's own range check).
+    class's constructor, which checks them when the run, or the load's dry
+    run, builds the actuator.
     """
 
     id: str
@@ -100,19 +95,12 @@ class ActuatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ACTUATOR_KINDS:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
-        required = [
-            name
-            for name in _ACTUATOR_KEYS[self.kind]
-            if _ACTUATOR_PARAMS[self.kind][name].default is inspect.Parameter.empty
-        ]
-        if any(self.params.get(name) in (None, "") for name in required):
-            raise ValueError(f"{self.kind} needs {' and '.join(required)}")
 
     def build(self, out_dir: Path, simulator=None) -> Actuator:
         kwargs = dict(self.params)
-        if "path" in kwargs:
-            kwargs["path"] = str(out_dir / kwargs["path"])
-        if "target" in _ACTUATOR_PARAMS[self.kind]:
+        if path := kwargs.get("path"):  # an empty one is the constructor's to refuse
+            kwargs["path"] = str(out_dir / path)
+        if self.kind == "electrical_stimulation":
             kwargs["target"] = simulator
         return ACTUATOR_KINDS[self.kind](self.id, **kwargs)
 

@@ -333,13 +333,9 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Frequency sweep plan: log-spaced points across [start_hz, stop_hz].
-
-    mode 'adaptive' keeps each requested frequency exactly and picks a sample
-    rate of frequency * n_samples / cycles per point, capped by max_rate.
-    mode 'fixed' keeps one sample rate and snaps each frequency to the nearest
-    non-empty DFT bin, so requested and delivered frequencies can differ.
-    Every point's bin must lie below Nyquist.
+    """Frequency sweep plan: log-spaced points across [start_hz, stop_hz],
+    each planned by point in mode 'adaptive' or 'fixed'.  A spec constructs
+    only if its last point, the highest, plans.
     """
 
     start_hz: float = MIN_FREQUENCY_HZ
@@ -368,59 +364,44 @@ class SweepSpec:
         for name in ("max_rate", "fixed_rate"):
             if not 0 < (rate := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {rate}")
-        # points rise to stop_hz, so its bin is the highest
-        if self.mode == "fixed" and not (
-            0 < self.n_samples and self.fixed_bin(self.stop_hz) < self.n_samples / 2
-        ):
-            raise PeriodStabilityError(
-                f"stop_hz {self.stop_hz} Hz beyond Nyquist at fixed rate "
-                f"{self.fixed_rate} Hz and {self.n_samples} samples"
-            )
+        # the bin and the rate rise with the frequency, so if the last point
+        # plans, every point does
+        self.point(self.stop_hz if self.points > 1 else self.start_hz)
 
-    def fixed_bin(self, frequency: float) -> int:
-        """The non-empty DFT bin nearest frequency at the fixed rate."""
-        return max(1, round(frequency / (self.fixed_rate / self.n_samples)))
+    def point(self, frequency: float) -> SweepPoint:
+        """The period-stable plan for one requested frequency, or raise.
+
+        'adaptive' keeps the frequency and picks the rate frequency * N /
+        cycles, doubling the cycles while that rate exceeds max_rate, up to
+        the last bin below Nyquist; it raises if the rate is still above.
+        'fixed' keeps fixed_rate and snaps to the nearest non-empty DFT bin,
+        so requested and delivered frequencies can differ.
+        """
+        n = self.n_samples
+        if self.mode == "fixed":
+            rate, f = self.fixed_rate, frequency
+            if n:  # with no samples there is no bin: exact_cycles refuses N
+                f = max(1, round(frequency / (rate / n))) * (rate / n)
+        else:
+            f, c = frequency, self.cycles
+            rate = f * n / c
+            while rate > self.max_rate and 2 * c < n / 2:
+                # more cycles per buffer lowers the required rate
+                c *= 2
+                rate = f * n / c
+            if rate > self.max_rate:
+                raise ValueError(
+                    f"{f} Hz needs {rate} Hz at the last bin below Nyquist, "
+                    f"above max_rate {self.max_rate} Hz"
+                )
+        return SweepPoint(frequency, f, n, rate, exact_cycles(f, n, rate))
 
 
 def plan_sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Expand a sweep spec into period-stable per-point plans."""
-    if spec.points == 1:
-        requested = [spec.start_hz]
-    else:
-        requested = list(
-            np.geomspace(spec.start_hz, spec.stop_hz, spec.points, dtype=np.float64)
-        )
-    planned: list[SweepPoint] = []
-    for f_req in requested:
-        f_req = float(f_req)
-        if spec.mode == "adaptive":
-            c = spec.cycles
-            rate = f_req * spec.n_samples / c
-            while rate > spec.max_rate and c < spec.n_samples / 2 - 1:
-                # more cycles per buffer lowers the required rate
-                c *= 2
-                rate = f_req * spec.n_samples / c
-            planned.append(
-                SweepPoint(
-                    requested_hz=f_req,
-                    frequency_hz=f_req,
-                    n_samples=spec.n_samples,
-                    sample_rate=rate,
-                    cycles=exact_cycles(f_req, spec.n_samples, rate),
-                )
-            )
-        else:
-            c = spec.fixed_bin(f_req)
-            planned.append(
-                SweepPoint(
-                    requested_hz=f_req,
-                    frequency_hz=c * (spec.fixed_rate / spec.n_samples),
-                    n_samples=spec.n_samples,
-                    sample_rate=spec.fixed_rate,
-                    cycles=c,
-                )
-            )
-    return planned
+    # geomspace returns start_hz and stop_hz exactly at the ends
+    requested = np.geomspace(spec.start_hz, spec.stop_hz, spec.points).tolist()
+    return [spec.point(f) for f in requested]
 
 
 def run_sweep(

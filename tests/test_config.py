@@ -396,7 +396,7 @@ BAD_CASES = [
     # each of these loaded and then failed only at sweep time, or never
     (
         "[sweep]\nmode = fixed\nstop_hz = 6e5\n",
-        r"^\[sweep\]: stop_hz 600000.0 Hz beyond Nyquist .* \(stop_hz = 6e5\)$",
+        r"^\[sweep\]: frequency 599609.375 Hz at or beyond Nyquist .* \(stop_hz = 6e5\)$",
     ),
     (
         "[sweep]\namplitude_v = 5\n",

@@ -295,7 +295,7 @@ def _paired(shape=(1024,)):
         (lambda: fra.SweepSpec(max_rate=0.0), "max_rate must be finite"),
         (lambda: fra.SweepSpec(fixed_rate=math.inf), "fixed_rate must be finite"),
         (lambda: fra.SweepSpec(fixed_rate=-1.0), "fixed_rate must be finite"),
-        (lambda: fra.SweepSpec(n_samples=0, mode="fixed"), "beyond Nyquist"),
+        (lambda: fra.SweepSpec(n_samples=0, mode="fixed"), "too short: N=0"),
         (lambda: fra.scope_spectrum(np.zeros(64), 1, n_harmonics=0), "fundamental"),
         (lambda: fra.scope_spectrum(np.zeros(64), 32), "does not fit"),
         (lambda: fra.HarmonicSpectrum((0j, 0.5 + 0j)).thd, "zero fundamental"),
