@@ -32,10 +32,11 @@ field each key sets.
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
 detector references, payloads that cannot render or that their actuator
-refuses, actuator arguments the actuator refuses, store sizes the store would
-refuse, non-finite or out-of-range cell, front-end, sweep and binding values,
-a sweep whose last point cannot be planned, and an excitation outside the
-device envelope or not period-stable fail at load time, not at runtime.
+refuses, actuator arguments the actuator refuses (a file path outside the run
+directory too), store sizes the store would refuse, non-finite or
+out-of-range cell, front-end, sweep and binding values, a sweep whose last
+point cannot be planned, and an excitation outside the device envelope or
+not period-stable fail at load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class ActuatorSpec:
     def build(self, out_dir: Path, simulator=None) -> Actuator:
         kwargs = dict(self.params)
         if path := kwargs.get("path"):  # an empty one is the constructor's to refuse
+            if path == ".." or Path(path).name != path:
+                raise ValueError(f"path {path!r} must name a file in the run directory")
             kwargs["path"] = str(out_dir / path)
         if self.kind == "electrical_stimulation":
             kwargs["target"] = simulator

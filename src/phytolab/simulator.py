@@ -41,10 +41,9 @@ class TissueModel:
     cp: float = 1.0e-6
 
     def __post_init__(self) -> None:
-        if not (self.rs >= 0 and self.rp > 0 and self.cp > 0):
-            raise ValueError(
-                f"cell parameters out of range: rs={self.rs} rp={self.rp} cp={self.cp}"
-            )
+        rs, rp, cp = self.rs, self.rp, self.cp
+        if not (0 <= rs < math.inf and 0 < rp < math.inf and 0 < cp < math.inf):
+            raise ValueError(f"cell parameters out of range: rs={rs} rp={rp} cp={cp}")
 
     def impedance(self, frequency: float) -> complex:
         if frequency < 0:

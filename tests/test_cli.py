@@ -110,6 +110,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_an_unplannable_sweep_is_a_config_error(tmp_path, capsys):
+    # 3e5 Hz cannot be sampled at 1 kHz with a bin below Nyquist
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("[sweep]\nmax_rate = 1000\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: [sweep]:")
+    assert err.endswith("(max_rate = 1000)")
+
+
 @pytest.mark.parametrize("cycles", ["-3", "0"])
 def test_run_refuses_a_non_positive_cycle_count(tmp_path, bench_ini, capsys, cycles):
     out = tmp_path / "run"

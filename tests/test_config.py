@@ -399,6 +399,15 @@ BAD_CASES = [
         r"^\[sweep\]: frequency 599609.375 Hz at or beyond Nyquist .* \(stop_hz = 6e5\)$",
     ),
     (
+        "[sweep]\nmax_rate = 1000\n",
+        r"^\[sweep\]: 300000.0 Hz needs 1200000.0 Hz at the last bin below Nyquist, "
+        r"above max_rate 1000.0 Hz \(max_rate = 1000\)$",
+    ),
+    (
+        "[sweep]\ncycles = 511\nmax_rate = 1e5\n",
+        r"^\[sweep\]: 300000.0 Hz needs .* above max_rate .* \(max_rate = 1e5\)$",
+    ),
+    (
         "[sweep]\namplitude_v = 5\n",
         r"^\[sweep\]: amplitude_v 5.0 V outside .* \(amplitude_v = 5\)$",
     ),
@@ -421,11 +430,30 @@ BAD_CASES = [
         "[detector.x]\nkind = gradient\nchannel = bio1\nper_hour = inf\n",
         r"^\[detector\.x\]: x: per_hour threshold must be positive and finite",
     ),
+    # each of these loaded and then failed on the first cycle
+    ("[tissue]\nrs = inf\n", r"^\[tissue\]: cell parameters .* \(rs = inf\)$"),
+    ("[tissue]\nrp = inf\n", r"^\[tissue\]: cell parameters .* \(rp = inf\)$"),
+    ("[tissue]\ncp = inf\n", r"^\[tissue\]: cell parameters .* \(cp = inf\)$"),
     # an actuator's constructor error names its section
     (
         "[actuator.x]\nkind = message_to_ip\nhost = h\nport = 70000\n",
         r"^\[actuator\.x\]: port 70000 out of range$",
     ),
+    # a file actuator writes one file in the run directory, nowhere else
+    (
+        "[actuator.x]\nkind = message_to_file\npath = /alerts.txt\n",
+        r"^\[actuator\.x\]: path '/alerts.txt' must name a file in the run directory$",
+    ),
+    (
+        "[actuator.x]\nkind = message_to_file\npath = ../x.txt\n",
+        r"^\[actuator\.x\]: path '\.\./x.txt' must name a file in the run directory$",
+    ),
+    (
+        "[actuator.x]\nkind = message_to_file\npath = missing/alerts.txt\n",
+        r"^\[actuator\.x\]: path 'missing/alerts.txt' must name a file in the run",
+    ),
+    ("[actuator.x]\nkind = message_to_file\npath = ..\n", r"^\[actuator\.x\]: path '\.\.'"),
+    ("[actuator.x]\nkind = message_to_file\npath = .\n", r"^\[actuator\.x\]: path '\.'"),
     (
         "[actuator.x]\nkind = electrical_stimulation\nintensity = 2\n",
         r"^\[actuator\.x\]: stimulation 'x': intensity 2.0 outside",

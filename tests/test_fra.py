@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phytolab import fra
 from phytolab.simulator import TissueModel, tissue_response
@@ -261,6 +261,46 @@ def test_sweep_spec_fixed_mode_plans_up_to_the_last_bin_below_nyquist(n_samples)
         assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
     with pytest.raises(fra.PeriodStabilityError, match="beyond Nyquist"):
         dataclasses.replace(spec, stop_hz=(last + 0.51) * bin_hz)
+
+
+def test_one_point_fixed_sweep_plans_only_its_start():
+    # stop_hz is beyond Nyquist at 1 MHz, but a one-point sweep never plans it
+    spec = fra.SweepSpec(start_hz=1e3, stop_hz=6e5, points=1, mode="fixed")
+    assert [p.cycles for p in fra.plan_sweep(spec)] == [1]
+
+
+_SWEEP_HZ = st.floats(fra.MIN_FREQUENCY_HZ, fra.MAX_FREQUENCY_HZ)
+
+
+@given(
+    mode=st.sampled_from(["adaptive", "fixed"]),
+    n_samples=st.sampled_from([0, 2, 3, 63, 64, 1000, 1024, 2048]),
+    cycles=st.integers(1, 1100),
+    max_rate=st.floats(1.0, 1e9),
+    fixed_rate=st.floats(1.0, 1e8),
+    band=st.tuples(_SWEEP_HZ, _SWEEP_HZ).map(sorted),
+    points=st.integers(1, 40),
+)
+@example(
+    mode="adaptive", n_samples=1024, cycles=511, max_rate=1e5, fixed_rate=1e6,
+    band=[8.0, 3e5], points=25,
+)
+@settings(max_examples=300, deadline=None)
+def test_a_sweep_spec_that_constructs_also_plans(
+    mode, n_samples, cycles, max_rate, fixed_rate, band, points
+):
+    try:
+        spec = fra.SweepSpec(
+            start_hz=band[0], stop_hz=band[1], points=points, n_samples=n_samples,
+            mode=mode, cycles=cycles, max_rate=max_rate, fixed_rate=fixed_rate,
+        )
+    except ValueError:
+        return
+    for p in fra.plan_sweep(spec):
+        assert fra.exact_cycles(p.frequency_hz, p.n_samples, p.sample_rate) == p.cycles
+        assert p.cycles < p.n_samples / 2
+        if mode == "adaptive":
+            assert p.sample_rate <= max_rate
 
 
 def _paired(shape=(1024,)):

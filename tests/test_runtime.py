@@ -138,9 +138,9 @@ def test_stimulation_binding_feeds_back_into_the_tissue(tmp_path):
 
 
 def test_actuator_failure_is_counted_not_fatal(tmp_path):
-    # the file's directory does not exist, so the write always fails
-    ini = CAUSALITY_INI.replace("path = alerts.txt", "path = missing/alerts.txt")
-    config = parse_config(ini)
+    # a directory stands where the file should be, so the write always fails
+    (tmp_path / "run" / "alerts.txt").mkdir(parents=True)
+    config = parse_config(CAUSALITY_INI)
     summary = Runtime(config, out_dir=tmp_path / "run").run()
     assert summary.cycles == 120
     assert summary.errors == 1
