@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -560,3 +561,17 @@ def test_every_setting_has_one_key_and_default_ini_lists_it():
     parser.read(REPO / "configs" / "default.ini", encoding="utf-8")
     listed = {(s, key) for s in sections if parser.has_section(s) for key in parser[s]}
     assert listed == {(s, key) for s, table in sections.items() for key in table}
+
+
+@pytest.mark.parametrize("report", ["missing/r.html", "../outside.html", "/r.html", ".."])
+def test_a_report_names_a_file_in_the_run_directory(report):
+    # each of these loaded: the first ran every cycle and then failed to
+    # write, the second wrote beside the run directory
+    with pytest.raises(
+        ConfigError,
+        match=rf"^\[system\]: report {re.escape(repr(report))} must name a file "
+        r"in the run directory$",
+    ):
+        parse_config(f"[system]\nreport = {report}\n")
+    with pytest.raises(ValueError, match="must name a file in the run directory"):
+        BenchConfig(report=report)
