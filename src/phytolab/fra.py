@@ -17,11 +17,6 @@ exact amplitude/phase detector for harmonic signals.  The module provides:
 Every bin's cos/sin pair comes from `basis`, one read-only pair per
 (N, cycles) in an LRU cache bounded at 64 pairs of 16 * N bytes (1 MiB at
 N = 1024), so a sweep or a fixed excitation computes its trig only once.
-`synthesize_excitation` sits behind a second LRU cache, bounded at 64
-frozen waveforms of 8 * N bytes (0.5 MiB at N = 1024), and a waveform keeps
-its RMS and its projection once computed, so a repeated sweep or a loop's
-fixed excitation pays for the excitation side once and afterwards only for
-the response.
 """
 
 from __future__ import annotations
@@ -101,9 +96,7 @@ class ExcitationWaveform:
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.float64)
         samples.setflags(write=False)
-        # a view of a read-only base refuses setflags(write=True), so a cached
-        # waveform cannot be made writable through its samples
-        object.__setattr__(self, "samples", samples[:])
+        object.__setattr__(self, "samples", samples)
         self.cycles  # validates period stability
 
     @property
@@ -113,14 +106,6 @@ class ExcitationWaveform:
     @functools.cached_property
     def cycles(self) -> int:
         return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
-
-    @functools.cached_property
-    def rms(self) -> float:
-        return rms(self.samples)
-
-    @functools.cached_property
-    def projection(self) -> complex:
-        return fra_single_point(self.samples, self.cycles)
 
 
 def check_amplitude(amplitude: float) -> None:
@@ -144,7 +129,6 @@ def check_excitation(
     return exact_cycles(frequency, n_samples, sample_rate)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def synthesize_excitation(
     frequency: float,
     amplitude: float,
@@ -157,11 +141,6 @@ def synthesize_excitation(
     number of cycles; otherwise the caller has to adjust the frequency first
     (see plan_sweep).  Frequency and amplitude must lie within the device
     envelope (see check_excitation).
-
-    Equal arguments of equal types return the same frozen waveform, whose
-    samples are read-only and shared with no other array: an LRU cache of at
-    most 64 waveforms, 8 * N bytes of samples each (0.5 MiB at N = 1024).
-    A refused excitation is not cached and raises on every call.
     """
     cycles = check_excitation(frequency, amplitude, n_samples, sample_rate)
     sine = amplitude * basis(n_samples, cycles)[1]
@@ -313,11 +292,11 @@ def analyze_pair(
     cycles = vv.cycles
 
     vi_rms = rms(vi)
-    vv_rms = vv.rms
+    vv_rms = rms(vv.samples)
     if vi_rms == 0.0:
         raise OpenCircuitError("zero response buffer: open circuit")
 
-    x_v = vv.projection
+    x_v = fra_single_point(vv.samples, cycles)
     x_i = fra_single_point(vi, cycles)
     ratio = transfer_ratio(x_v, x_i, gain)
 

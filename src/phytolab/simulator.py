@@ -247,9 +247,8 @@ class PlantSimulator:
     yields identical readings.  Impedance channels are sampled and held per
     stimulation slot, mirroring a front-end that excites the tissue every
     stimulation_interval_s and keeps the last magnitude in between.  The
-    fixed excitation comes from fra's excitation cache and keeps its own
-    projection, so a measurement projects only the response and keeps
-    |fra.transfer_ratio|, the magnitude a sweep reports.
+    fixed excitation is projected once; a measurement projects only the
+    response and keeps |fra.transfer_ratio|, the magnitude a sweep reports.
 
     Each timestamp t_ms draws one noise vector for all channels from the
     reading-noise source at position t_ms; a channel's position in the
@@ -312,10 +311,11 @@ class PlantSimulator:
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
         self._imp_slot: int | None = None
         self._imp_cache: dict[str, float] = {}
-        self._excitation = fra.synthesize_excitation(
+        self._excitation = ex = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
         )
+        self._x_v = fra.fra_single_point(ex.samples, ex.cycles)
 
     # -- stimulus scheduling ------------------------------------------------
 
@@ -463,9 +463,8 @@ class PlantSimulator:
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
-        ex = self._excitation
-        x_i = fra.fra_single_point(vi, ex.cycles)
-        return abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
+        x_i = fra.fra_single_point(vi, self._excitation.cycles)
+        return abs(fra.transfer_ratio(self._x_v, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phytolab import fra
-from phytolab.simulator import TissueModel, sweep_responder, tissue_response
+from phytolab.simulator import TissueModel, tissue_response
 
 
 def dft_bin_oracle(x, c):
@@ -609,7 +609,7 @@ def test_analyze_pair_polar_form_is_magnitude_phase(
     assert (out.magnitude.hex(), out.phase_deg.hex()) == (magnitude.hex(), phase.hex())
 
 
-# -- rms and the excitation cache --------------------------------------------
+# -- rms --------------------------------------------------------------------
 
 RMS_SPECIALS = [
     0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308,
@@ -646,72 +646,3 @@ def test_rms_is_the_root_of_numpys_mean_of_squares_bit_for_bit(x):
         got = fra.rms(x)
         want = float(np.sqrt(np.mean(np.square(x))))
     assert same_float(got, want), (got.hex(), want.hex())
-
-
-def test_a_repeated_excitation_is_one_frozen_waveform():
-    args = (500.0, 0.1, 1024, 64000.0)
-    first = fra.synthesize_excitation(*args)
-    again = fra.synthesize_excitation(*args)
-    assert again is first
-    assert hexes(again.samples) == hexes(0.1 * np.sin(parent_theta(1024, 8)))
-    assert not again.samples.flags.writeable
-    with pytest.raises(ValueError):
-        again.samples.setflags(write=True)
-    for basis in fra.basis(1024, 8):
-        assert not np.shares_memory(again.samples, basis)
-    # the key is typed: an int frequency keeps its type, and so its CSV cell
-    assert type(fra.synthesize_excitation(500, 0.1, 1024, 64000.0).frequency) is int
-
-
-def test_analyze_pair_on_a_cached_waveform_is_that_of_a_fresh_one():
-    rng = np.random.default_rng(3)
-    for point in fra.plan_sweep(fra.SweepSpec(points=12)):
-        vv = fra.synthesize_excitation(
-            point.frequency_hz, 0.1, point.n_samples, point.sample_rate
-        )
-        fresh = fra.ExcitationWaveform(vv.frequency, vv.amplitude, vv.sample_rate, vv.samples)
-        vi = tissue_response(vv, TissueModel(), gain=1e3, noise_rms=1e-4, rng=rng)
-        cached = fra.analyze_pair(vv, vi, gain=1e3)
-        assert "rms" in vars(vv) and "projection" in vars(vv)
-        want = fra.analyze_pair(fresh, vi, gain=1e3)
-        assert list(map(float.hex, dataclasses.astuple(cached))) == list(
-            map(float.hex, dataclasses.astuple(want))
-        )
-        assert vv.rms.hex() == float(np.sqrt(np.mean(np.square(vv.samples)))).hex()
-        assert vv.projection == fra.fra_single_point(vv.samples, vv.cycles)
-
-
-def test_a_sweep_longer_than_the_excitation_cache_reruns_to_the_same_bytes():
-    bound = fra.synthesize_excitation.cache_info().maxsize
-    spec = fra.SweepSpec(points=bound + 36)
-
-    def sweep_csv():
-        respond = sweep_responder(TissueModel(), gain=1e3, noise_rms=1e-4, seed=5)
-        out = io.StringIO()
-        fra.write_sweep_csv(out, fra.run_sweep(spec, respond, gain=1e3))
-        return out.getvalue()
-
-    first = sweep_csv()
-    misses = fra.synthesize_excitation.cache_info().misses
-    assert sweep_csv() == first
-    # each point evicted the oldest, so the rerun rebuilt every waveform
-    assert fra.synthesize_excitation.cache_info().misses == misses + spec.points
-    fra.synthesize_excitation.cache_clear()
-    assert sweep_csv() == first
-
-
-@pytest.mark.parametrize(
-    "args, error",
-    [
-        ((500.0, 1.5, 1024, 64000.0), ValueError),  # amplitude above the envelope
-        ((7.0, 0.1, 1024, 448.0), ValueError),  # frequency below the envelope
-        ((500.0, 0.1, 1024, 33000.0), fra.PeriodStabilityError),  # 15.5 cycles
-    ],
-)
-def test_a_refused_excitation_raises_on_every_call(args, error):
-    before = fra.synthesize_excitation.cache_info()
-    for _ in range(3):
-        with pytest.raises(error):
-            fra.synthesize_excitation(*args)
-    after = fra.synthesize_excitation.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses + 3)
