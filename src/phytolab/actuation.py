@@ -202,8 +202,6 @@ class _Parser:
 
     def parse_atom(self):
         tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression: {self.text!r}")
         if tok == ("op", "("):
             self.take()
             node = self.parse_or()

@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -206,20 +207,42 @@ class Record:
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
 
+def row_values(values: Mapping[str, float], names: Sequence[str]) -> tuple[float, ...]:
+    """The readings of values in the order of names, taken by name.
+
+    This is the row rule every reader of records applies: values must hold
+    exactly the reader's names, in any order.  Otherwise ValueError names the
+    missing and the extra ones.
+    """
+    if len(values) == len(names):
+        try:
+            if len(names) > 1:  # one C call, which returns a tuple from two names on
+                return itemgetter(*names)(values)
+            return tuple(values[name] for name in names)
+        except KeyError:
+            pass
+    missing = sorted(set(names).difference(values))
+    extra = sorted(set(values).difference(names))
+    raise ValueError(
+        f"record values {list(values)} differ from channels {list(names)}: "
+        f"missing columns {missing}, extra {extra}"
+    )
+
+
+def not_after(where: str, timestamp_ms: int, last_ms: int) -> ValueError:
+    """The error for a row whose timestamp is not after the reader's last
+    one, the other half of the row rule; where names the reader."""
+    return ValueError(f"{where}: timestamp {timestamp_ms} not after {last_ms}")
+
+
 def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
     """Check a record against the configured channel set and declared ranges."""
-    names = {ch.name for ch in channels}
-    got = set(record.values.keys())
-    if got != names:
-        missing = sorted(names - got)
-        extra = sorted(got - names)
-        raise ValueError(f"record schema mismatch: missing={missing} extra={extra}")
-    by_name = {ch.name: ch for ch in channels}
-    for name, value in record.values.items():
-        spec = by_name[name].spec
+    readings = row_values(record.values, [ch.name for ch in channels])
+    for ch, value in zip(channels, readings):
+        spec = ch.spec
         if not math.isfinite(value):
-            raise ValueError(f"non-finite reading on {name!r}: {value}")
+            raise ValueError(f"non-finite reading on {ch.name!r}: {value}")
         if not (spec.lo - spec.resolution <= value <= spec.hi + spec.resolution):
             raise ValueError(
-                f"reading on {name!r} out of range [{spec.lo}, {spec.hi}]: {value}"
+                f"reading on {ch.name!r} out of range [{spec.lo}, {spec.hi}]: {value}"
             )

@@ -79,7 +79,7 @@ class StoreParams:
         check_store_sizes(self.segment_bytes, self.capacity_bytes)
 
 
-def _check_run_file(key: str, name: str) -> None:
+def check_run_file(key: str, name: str) -> None:
     """Raise unless name is a file in the run directory: no directory part,
     not absolute, not '..'."""
     if name == ".." or Path(name).name != name:
@@ -107,7 +107,7 @@ class ActuatorSpec:
     def build(self, out_dir: Path, simulator=None) -> Actuator:
         kwargs = dict(self.params)
         if path := kwargs.get("path"):  # an empty one is the constructor's to refuse
-            _check_run_file("path", path)
+            check_run_file("path", path)
             kwargs["path"] = str(out_dir / path)
         if self.kind == "electrical_stimulation":
             kwargs["target"] = simulator
@@ -153,8 +153,10 @@ class BenchConfig:
             )
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.report:
-            _check_run_file("report", self.report)
+            check_run_file("report", self.report)
 
     @property
     def period_ms(self) -> int:

@@ -446,9 +446,6 @@ class DetectorBank:
         self._seen: dict[str, tuple[Pipe, int]] = {}
         self._last = [NO_DATA] * len(self.detectors)
 
-    def __len__(self) -> int:
-        return len(self.detectors)
-
     def evaluate(self, tiers: TieredPipes, now_ms: int) -> dict[str, float]:
         """Output vector keyed by detector id, in configuration order."""
         seen: dict[str, tuple[Pipe, int]] = {}

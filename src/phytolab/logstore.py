@@ -19,10 +19,11 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .channels import Record, check_unique_names
+from .channels import Record, check_unique_names, not_after, row_values
 
 SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
+_TAIL_BLOCK = 4096  # a reopen reads a segment's end back in blocks this size
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.csv$")
 _BAD_NAME_RE = re.compile(r"[,\n\r]")
@@ -54,11 +55,42 @@ def csv_cells(values: Iterable[float]) -> str:
 
 def csv_row(timestamp_ms: int, values: Iterable[float]) -> str:
     """One CSV line: the timestamp, then the values' csv_cells."""
-    return f"{timestamp_ms},{csv_cells(values)}\n"
+    return f"{int(timestamp_ms)},{csv_cells(values)}\n"
 
 
 def _segment_name(index: int) -> str:
     return f"segment-{index:08d}.csv"
+
+
+def _tail(fh) -> tuple[bytes, bytes]:
+    """The last whole line of the binary file fh, without its newline, and
+    the torn bytes after it, read back from the end only as far as that
+    line's start."""
+    pos = fh.seek(0, os.SEEK_END)
+    tail = b""
+    while pos and tail.count(b"\n") < 2:
+        step = min(pos, _TAIL_BLOCK)
+        pos -= step
+        fh.seek(pos)
+        tail = fh.read(step) + tail
+    head, _, torn = tail.rpartition(b"\n")
+    return head.rpartition(b"\n")[2], torn
+
+
+def _last_ms(line: bytes, path: Path, older: Sequence[Path]) -> int | None:
+    """The newest row's timestamp: that of line, the last whole line of the
+    segment at path, or else of the last row in the older segments; None
+    when no segment holds a row."""
+    while not line or line.startswith(b"timestamp_ms,"):
+        if not older:
+            return None
+        *older, path = older
+        with open(path, "rb") as fh:
+            line, _ = _tail(fh)
+    try:
+        return int(line.split(b",", 1)[0])
+    except ValueError:
+        raise ValueError(f"malformed row in {path}: {line!r}") from None
 
 
 def _scan_segments(root: Path) -> list[tuple[int, Path]]:
@@ -75,8 +107,14 @@ class LogStore:
     """Bounded append-only store of timestamped float rows.
 
     columns name the value fields; every row is one integer millisecond
-    timestamp plus one float per column.  Reopening an existing store resumes
-    appending to its last segment after checking the schema matches.
+    timestamp plus one float per column.  A row is taken by column name, in
+    any order, and only when its timestamp comes after the newest row's.
+
+    Reopening an existing store resumes appending to its last segment after
+    checking the schema matches.  It first cuts that segment to its last
+    newline, so a line a crash left torn is dropped (torn_bytes counts the
+    bytes cut), and takes the newest row's timestamp from the end of the
+    files, so a reopened store refuses what it would have refused before.
     """
 
     def __init__(
@@ -103,29 +141,41 @@ class LogStore:
         self._fh = None
         self._active_index = 0
         self._active_bytes = 0
+        self._torn_bytes = 0
+        self._last_ms: int | None = None
         self._resume()
 
     # -- segment management
 
     def _resume(self) -> None:
         existing = _scan_segments(self.root)
+        if not existing:
+            self._open_segment(1)
+            return
         for index, path in existing[:-1]:
             self._closed_bytes[index] = path.stat().st_size
             self._closed_total += self._closed_bytes[index]
-        if existing:
-            index, path = existing[-1]
-            with open(path, "r", encoding="utf-8") as fh:
-                header = fh.readline()
-            if header != self._header:
-                raise ValueError(
-                    f"store at {self.root} has columns {header.strip()!r}, "
-                    f"expected {self._header.strip()!r}"
-                )
-            self._active_index = index
-            self._fh = open(path, "a", encoding="utf-8")
-            self._active_bytes = path.stat().st_size
-        else:
-            self._open_segment(1)
+        index, path = existing[-1]
+        with open(path, "r+b") as fh:
+            header = fh.readline()
+            line, torn = _tail(fh)
+            size = fh.seek(0, os.SEEK_END) - len(torn)
+            if torn:
+                fh.truncate(size)
+        self._torn_bytes = len(torn)
+        if size and header != self._header.encode("utf-8"):
+            got = header.decode(errors="replace").strip()
+            raise ValueError(
+                f"store at {self.root} has columns {got!r}, "
+                f"expected {self._header.strip()!r}"
+            )
+        self._last_ms = _last_ms(line, path, [p for _, p in existing[:-1]])
+        if not size:  # the crash tore the header itself
+            self._open_segment(index)
+            return
+        self._active_index = index
+        self._fh = open(path, "a", encoding="utf-8")
+        self._active_bytes = size
 
     def _open_segment(self, index: int) -> None:
         self._active_index = index
@@ -156,16 +206,12 @@ class LogStore:
     def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"record has {len(values)} values, store expects {len(self.columns)}"
-            )
-        try:
-            cells = csv_cells(map(values.__getitem__, self.columns))
-        except KeyError as exc:
-            raise ValueError(f"record missing column {exc.args[0]!r}") from None
-        line = f"{int(timestamp_ms)},{cells}\n"
+        timestamp_ms = int(timestamp_ms)
+        if self._last_ms is not None and timestamp_ms <= self._last_ms:
+            raise not_after(f"store at {self.root}", timestamp_ms, self._last_ms)
+        line = csv_row(timestamp_ms, row_values(values, self.columns))
         self._fh.write(line)
+        self._last_ms = timestamp_ms
         self._active_bytes += len(line.encode("utf-8"))
         if self._active_bytes >= self.segment_bytes:
             self._roll()
@@ -191,6 +237,16 @@ class LogStore:
 
     def total_bytes(self) -> int:
         return self._closed_total + self._active_bytes
+
+    @property
+    def last_ms(self) -> int | None:
+        """The newest row's timestamp, None while the store holds no row."""
+        return self._last_ms
+
+    @property
+    def torn_bytes(self) -> int:
+        """Bytes of a torn final line that opening the store cut."""
+        return self._torn_bytes
 
 
 def iter_store(root: str | Path) -> Iterator[Record]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Record
+from .channels import Record, not_after, row_values
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
 
@@ -27,18 +27,19 @@ SHORT, MIDDLE, LONG = "short", "middle", "long"
 class Pipe:
     """Fixed-capacity ring of records at a single cadence, stored by column.
 
-    Push order must have strictly increasing timestamps; once capacity is
-    reached the oldest record is evicted.  total_pushed counts every record
-    ever pushed, not just the retained ones.
+    Once capacity is reached the oldest record is evicted.  total_pushed
+    counts every record ever pushed, not just the retained ones.
 
     The first record pushed fixes the channel columns, names and order; a
-    later record with other names, or the same names in another order, is
-    refused.  Sample k lands in slot i = k mod capacity of a
-    (channels, 2 * capacity) float64 array and of a 2 * capacity int64
-    timestamp array, at i and again at i + capacity, so the retained samples
-    always sit oldest first in [end - len, end), with end one past the
-    newest.  values() and timestamps_ms() return copies of such slices, which
-    later pushes cannot change; the pushed Record itself is not kept.
+    later record must hold the same names, in any order, and is read by name
+    (channels.row_values).  A record that breaks that rule, or whose
+    timestamp is not after the newest one's, is refused and changes nothing.
+    Sample k lands in slot i = k mod capacity of a (channels, 2 * capacity)
+    float64 array and of a 2 * capacity int64 timestamp array, at i and
+    again at i + capacity, so the retained samples always sit oldest first in
+    [end - len, end), with end one past the newest.  values() and
+    timestamps_ms() return copies of such slices, which later pushes cannot
+    change; the pushed Record itself is not kept.
     """
 
     def __init__(self, name: str, capacity: int) -> None:
@@ -55,22 +56,15 @@ class Pipe:
 
     def push(self, record: Record) -> None:
         if self.total_pushed and record.timestamp_ms <= self._ts[self._end - 1]:
-            raise ValueError(
-                f"pipe {self.name!r}: timestamp {record.timestamp_ms} not after "
-                f"{self._ts[self._end - 1]}"
+            raise not_after(
+                f"pipe {self.name!r}", record.timestamp_ms, self._ts[self._end - 1]
             )
         values = record.values
-        names = tuple(values)
-        if names != self._names:
-            if self._names is not None:
-                raise ValueError(
-                    f"pipe {self.name!r}: record channels {list(names)} differ "
-                    f"from {list(self._names)}"
-                )
-            self._names = names
-            self._rows = {name: row for row, name in enumerate(names)}
-            self._data = np.zeros((len(names), 2 * self.capacity), dtype=np.float64)
-        column = np.fromiter(values.values(), np.float64, len(names))
+        if self._names is None:
+            self._names = tuple(values)
+            self._rows = {name: row for row, name in enumerate(self._names)}
+            self._data = np.zeros((len(values), 2 * self.capacity), dtype=np.float64)
+        column = np.fromiter(row_values(values, self._names), np.float64, len(values))
         cap = self.capacity
         i = self._end % cap
         self._data[:, i] = self._data[:, i + cap] = column

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .actuation import ActuationEngine, Firing, firing_line
-from .config import BenchConfig
+from .config import BenchConfig, check_run_file
 from .detectors import DetectorBank
 from .logstore import LogStore, count_rows, emit_report, iter_store
 from .pipes import TieredPipes
@@ -34,7 +34,12 @@ class RunSummary:
 
 
 class Runtime:
-    """Wires a BenchConfig into a runnable bench in a fresh output directory."""
+    """Wires a BenchConfig into a runnable bench in a fresh output directory.
+
+    A directory whose record store already holds a row is refused at
+    construction, before any actuator can fire: a second run into it would
+    start its timeline over at 0 ms.
+    """
 
     def __init__(
         self, config: BenchConfig, out_dir: str | Path | None = None
@@ -60,6 +65,12 @@ class Runtime:
             segment_bytes=config.store.segment_bytes,
             capacity_bytes=config.store.capacity_bytes,
         )
+        if self.record_store.last_ms is not None:
+            self.record_store.close()
+            raise ValueError(
+                f"run directory {self.out_dir} already holds records "
+                f"(the newest at {self.record_store.last_ms} ms)"
+            )
         self.vector_store = None
         if config.detectors:
             self.vector_store = LogStore(
@@ -153,7 +164,9 @@ class Runtime:
     # -- reporting
 
     def emit_report(self, filename: str) -> Path:
-        """Chart every record channel from the store into one HTML file."""
+        """Chart every record channel from the store into one HTML file,
+        filename in the run directory by the rule [system] report follows."""
+        check_run_file("report", filename)
         root = self.out_dir / "records"
         # count lines first, so only the charted records are ever held in
         # memory; the picking pass parses, and so checks, every row

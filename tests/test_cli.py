@@ -1,9 +1,13 @@
 """Command line entry points, exercised through main() with real files."""
 
+from pathlib import Path
+
 import pytest
 
 from phytolab.cli import main
 from phytolab.fra import SWEEP_CSV_FIELDS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -45,6 +49,29 @@ def test_run_seed_override_changes_the_noise(tmp_path, bench_ini):
     other = first_segment("c", "--seed", "43")
     assert base == same
     assert base != other
+
+
+def test_run_refuses_a_negative_seed(tmp_path, bench_ini, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(bench_ini), "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_second_run_into_one_directory_is_refused(tmp_path, capsys):
+    # touch_demo writes records, vectors and firings; a second run into the
+    # same --out would append a second timeline starting at 0 ms
+    out = tmp_path / "run"
+    args = ["run", "--config", str(CONFIGS / "touch_demo.ini"), "--cycles", "200",
+            "--out", str(out)]
+    assert main(args) == 0
+    first = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert any(p.name == "firings.log" and data for p, data in first.items())
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"run directory {out} already holds records" in err
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == first
 
 
 def test_sweep_command_writes_csv_and_report(tmp_path, capsys):

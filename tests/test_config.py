@@ -261,6 +261,8 @@ BAD_CASES = [
     ("[mystery]\nx = 1\n", "unknown section"),
     ("[detector]\nkind = peak\n", "needs an id"),
     ("[system]\nseed = lots\n", "not a valid int"),
+    # numpy's seeding would refuse it at run time, naming no section
+    ("[system]\nseed = -1\n", r"^\[system\]: seed must be >= 0, got -1$"),
     ("[system]\nperiod_s = 0.001\n", "outside"),
     ("[system]\nperiod_s = 500\n", "outside"),
     ("[system]\nperod_s = 0.5\nsed = 3\n", "unknown parameter"),

@@ -1,9 +1,12 @@
 """Store round-trip, segmentation, eviction, replay and report tests."""
 
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phytolab.channels import Record
 from phytolab.logstore import (
@@ -91,6 +94,95 @@ def test_reopen_rejects_different_columns(tmp_path):
         pass
     with pytest.raises(ValueError, match="columns"):
         LogStore(root, columns=["y"])
+
+
+def test_a_store_takes_a_row_only_after_its_newest_also_across_a_reopen(tmp_path):
+    # a second run into one directory used to append a second timeline
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x", "y"]) as store:
+        store.append_row(0, {"x": 1.0, "y": 2.0})
+        store.append_row(1000, {"y": 4.0, "x": 3.0})  # by name, in any order
+        for stale in (1000, 0):
+            with pytest.raises(ValueError, match="timestamp .* not after 1000"):
+                store.append_row(stale, {"x": 0.0, "y": 0.0})
+    with LogStore(root, columns=["x", "y"]) as store:
+        assert store.last_ms == 1000 and store.torn_bytes == 0
+        for stale in (1000, 0):
+            with pytest.raises(ValueError, match="timestamp .* not after 1000"):
+                store.append_row(stale, {"x": 0.0, "y": 0.0})
+        store.append_row(2000, {"x": 5.0, "y": 6.0})
+    got = list(iter_store(root))
+    assert [r.timestamp_ms for r in got] == [0, 1000, 2000]
+    assert [r.values["x"] for r in got] == [1.0, 3.0, 5.0]
+
+
+def test_reopen_reads_the_newest_row_behind_a_header_only_segment(tmp_path):
+    root = tmp_path / "s"
+    sizes = dict(segment_bytes=256, capacity_bytes=1024)
+    with LogStore(root, columns=["x"], **sizes) as store:
+        t = 0
+        while len(store.segments()) < 2:  # stop right after the roll
+            t += 1000
+            store.append_row(t, {"x": 0.5})
+    assert count_rows(root) > 0 and store.segments()[-1].read_text() == "timestamp_ms,x\n"
+    with LogStore(root, columns=["x"], **sizes) as store:
+        assert store.last_ms == t
+        with pytest.raises(ValueError, match="not after"):
+            store.append_row(t, {"x": 0.5})
+
+
+@pytest.mark.parametrize(
+    "drop,add,torn,want",
+    [
+        (1, b"", b"1000,2.5", [0, 2000]),  # the newest row lost its newline
+        (0, b"10", b"10", [0, 1000, 2000]),  # a torn "10" is not a timestamp
+    ],
+)
+def test_reopen_cuts_a_torn_final_line(tmp_path, drop, add, torn, want):
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x"]) as store:
+        store.append_row(0, {"x": 1.5})
+        store.append_row(1000, {"x": 2.5})
+    (seg,) = store.segments()
+    data = seg.read_bytes()
+    seg.write_bytes(data[: len(data) - drop] + add)
+    with LogStore(root, columns=["x"]) as store:
+        store.append_row(2000, {"x": 3.5})
+    assert [r.timestamp_ms for r in iter_store(root)] == want
+    assert store.torn_bytes == len(torn)
+
+
+def test_reopen_rewrites_a_torn_header(tmp_path):
+    root = tmp_path / "s"
+    root.mkdir()
+    # a crash before the first flush leaves the new segment empty or torn
+    (root / "segment-00000001.csv").write_text("timestamp_ms,")
+    with LogStore(root, columns=["x"]) as store:
+        assert store.torn_bytes == len("timestamp_ms,") and store.last_ms is None
+        store.append_row(0, {"x": 1.0})
+    assert [r.values for r in iter_store(root)] == [{"x": 1.0}]
+
+
+@given(
+    width=st.integers(min_value=1, max_value=300),  # 300 columns pass a tail block
+    stamps=st.lists(st.integers(-(10**6), 10**12), unique=True, max_size=4).map(sorted),
+    torn=st.text(alphabet="0123456789,.e-", max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_reopen_takes_the_newest_row_and_cuts_only_a_torn_tail(width, stamps, torn):
+    columns = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "s"
+        with LogStore(root, columns) as store:
+            for t in stamps:
+                store.append_row(t, {c: t / 3 for c in columns})
+        (seg,) = store.segments()
+        with open(seg, "a", encoding="utf-8") as fh:
+            fh.write(torn)
+        with LogStore(root, columns) as store:
+            assert store.torn_bytes == len(torn)
+            assert store.last_ms == (stamps[-1] if stamps else None)
+        assert [r.timestamp_ms for r in iter_store(root)] == stamps
 
 
 def test_append_validates_schema_and_state(tmp_path):

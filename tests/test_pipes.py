@@ -125,7 +125,7 @@ def test_counts_match_integer_division(n):
 def test_pipe_refuses_records_with_other_channels():
     p = Pipe("short", 4)
     p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
-    for values in ({"b": 2.0, "a": 1.0}, {"a": 1.0}, {"a": 1.0, "c": 2.0},
+    for values in ({"a": 1.0}, {"a": 1.0, "c": 2.0},
                    {"a": 1.0, "b": 2.0, "c": 3.0}):
         with pytest.raises(ValueError, match="channels"):
             p.push(Record(timestamp_ms=1000, values=values))
@@ -133,6 +133,14 @@ def test_pipe_refuses_records_with_other_channels():
     assert len(p) == 1 and p.total_pushed == 1
     np.testing.assert_array_equal(p.values("b"), [2.0])
     np.testing.assert_array_equal(p.timestamps_ms(), [0])
+
+
+def test_pipe_reads_a_reordered_record_by_name():
+    p = Pipe("short", 4)
+    p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
+    p.push(Record(timestamp_ms=1000, values={"b": 4.0, "a": 3.0}))
+    np.testing.assert_array_equal(p.values("a"), [1.0, 3.0])
+    np.testing.assert_array_equal(p.values("b"), [2.0, 4.0])
 
 
 def test_pipe_unknown_channel_and_empty_windows():

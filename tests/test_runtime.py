@@ -8,6 +8,7 @@ import pytest
 
 from phytolab.config import parse_config
 from phytolab.logstore import emit_report, iter_store
+from phytolab.pipes import SHORT, Pipe
 from phytolab.runtime import REPORT_MAX_POINTS, Runtime
 
 CAUSALITY_INI = """
@@ -195,6 +196,32 @@ def test_report_holds_only_the_records_it_charts(tmp_path):
     # holding all 6,000 16-channel records peaks near 6.8 MB, the 1,200
     # charted ones near 1.9 MB
     assert peak < 4_000_000
+
+
+def test_emit_report_names_a_file_in_the_run_directory(tmp_path):
+    config = parse_config("[system]\nduration_s = 3\n[channels]\nbio1 = biopotential1\n")
+    runtime = Runtime(config, out_dir=tmp_path / "run")
+    runtime.run()
+    with pytest.raises(ValueError, match="must name a file in the run directory"):
+        runtime.emit_report("../outside.html")
+    assert not (tmp_path / "outside.html").exists()
+
+
+def test_stored_and_live_records_share_a_tier(tmp_path):
+    # stored records come in [channels] order, live ones in acquisition
+    # order (biopotential first); a tier takes both by name
+    ini = "[system]\nduration_s = 5\n[channels]\nlight = light\nbio1 = biopotential1\n"
+    runtime = Runtime(parse_config(ini), out_dir=tmp_path / "run")
+    runtime.run()
+    records = list(iter_store(tmp_path / "run" / "records"))
+    records.append(runtime.simulator.record_at(runtime.now_ms))
+    assert list(records[0].values) == ["light", "bio1"]
+    assert list(records[-1].values) == ["bio1", "light"]
+    pipe = Pipe(SHORT, 60)
+    for record in records:
+        pipe.push(record)
+    for name in ("light", "bio1"):
+        assert pipe.values(name).tolist() == [r.values[name] for r in records]
 
 
 def test_context_manager_closes_stores(tmp_path):
