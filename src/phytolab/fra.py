@@ -17,6 +17,11 @@ exact amplitude/phase detector for harmonic signals.  The module provides:
 Every bin's cos/sin pair comes from `basis`, one read-only pair per
 (N, cycles) in an LRU cache bounded at 64 pairs of 16 * N bytes (1 MiB at
 N = 1024), so a sweep or a fixed excitation computes its trig only once.
+An excitation's side (its read-only sine, the sine's RMS and its projection)
+depends only on (amplitude, N, cycles), which an adaptive sweep keeps across
+its points; `excitation_side` computes it once per triple, in a second LRU
+cache bounded at 64 sides of 8 * N bytes (0.5 MiB at N = 1024), and every
+synthesized waveform with that triple shares it.
 """
 
 from __future__ import annotations
@@ -70,6 +75,14 @@ def exact_cycles(frequency: float, n_samples: int, sample_rate: float) -> int:
     return int(rounded)
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of `array`, which takes it over.  A view of a
+    read-only base refuses setflags(write=True), so no holder of a shared
+    buffer can make it writable again."""
+    array.setflags(write=False)
+    return array.view()
+
+
 @functools.lru_cache(maxsize=64)
 def basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (cos theta, sin theta) of bin `cycles` over `n_samples`."""
@@ -77,16 +90,20 @@ def basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
     # keeps trig arguments small and the projection accurate to ~1 ulp
     m = (cycles * np.arange(n_samples, dtype=np.int64)) % n_samples
     theta = (2.0 * np.pi / n_samples) * m
-    cos, sin = np.cos(theta), np.sin(theta)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    return frozen(np.cos(theta)), frozen(np.sin(theta))
 
 
 @dataclass(frozen=True, eq=False)
 class ExcitationWaveform:
-    """One buffer of the synthesized AC excitation at a single frequency: a
-    read-only float64 copy of the samples given, period-stable at its rate."""
+    """One buffer of the synthesized AC excitation at a single frequency:
+    read-only float64 samples, period-stable at its rate, with the RMS and
+    the projection that every analysis of it reads.
+
+    Built by hand, a waveform freezes a copy of the samples given and
+    computes its RMS and projection from that copy, once each.
+    synthesize_excitation builds it on the shared side of its (amplitude,
+    N, cycles) instead (see excitation_side).
+    """
 
     frequency: float
     amplitude: float
@@ -94,8 +111,7 @@ class ExcitationWaveform:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
+        samples = frozen(np.array(self.samples, dtype=np.float64))
         object.__setattr__(self, "samples", samples)
         self.cycles  # validates period stability
 
@@ -106,6 +122,14 @@ class ExcitationWaveform:
     @functools.cached_property
     def cycles(self) -> int:
         return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
+
+    @functools.cached_property
+    def rms(self) -> float:
+        return rms(self.samples)
+
+    @functools.cached_property
+    def projection(self) -> complex:
+        return fra_single_point(self.samples, self.cycles)
 
 
 def check_amplitude(amplitude: float) -> None:
@@ -140,11 +164,30 @@ def synthesize_excitation(
     The (frequency, n_samples, sample_rate) triple must give an integer
     number of cycles; otherwise the caller has to adjust the frequency first
     (see plan_sweep).  Frequency and amplitude must lie within the device
-    envelope (see check_excitation).
+    envelope (see check_excitation).  Waveforms with equal (amplitude,
+    n_samples, cycles) share one read-only side (see excitation_side).
     """
     cycles = check_excitation(frequency, amplitude, n_samples, sample_rate)
-    sine = amplitude * basis(n_samples, cycles)[1]
-    return ExcitationWaveform(frequency, amplitude, sample_rate, sine)
+    samples, vv_rms, projection = excitation_side(amplitude, n_samples, cycles)
+    vv = object.__new__(ExcitationWaveform)
+    # the fields and the cached properties, all known: the shared samples
+    # are already frozen and period-stable, so no copy and no second check
+    vars(vv).update(
+        frequency=frequency, amplitude=amplitude, sample_rate=sample_rate,
+        samples=samples, cycles=cycles, rms=vv_rms, projection=projection,
+    )
+    return vv
+
+
+@functools.lru_cache(maxsize=64)
+def excitation_side(
+    amplitude: float, n_samples: int, cycles: int
+) -> tuple[np.ndarray, float, complex]:
+    """Read-only amplitude * sin theta of bin `cycles` over `n_samples`, with
+    its RMS and its projection: what an excitation contributes to every
+    analysis, whatever its frequency and rate."""
+    samples = frozen(amplitude * basis(n_samples, cycles)[1])
+    return samples, rms(samples), fra_single_point(samples, cycles)
 
 
 def fra_single_point(
@@ -282,23 +325,23 @@ def analyze_pair(
 
     `gain` is the transimpedance conversion in ohms (response volts per
     ampere); magnitudes are reported as ratio * gain.  The default gain of 1
-    reports the dimensionless voltage ratio.
+    reports the dimensionless voltage ratio.  The excitation's RMS and
+    projection are read from the waveform, so only the response's are
+    computed per call.
     """
     vi = np.asarray(vi, dtype=np.float64)
     if vi.shape != (vv.n_samples,):
         raise ValueError(
             f"response length mismatch: shape {vi.shape}, expected ({vv.n_samples},)"
         )
-    cycles = vv.cycles
 
     vi_rms = rms(vi)
-    vv_rms = rms(vv.samples)
+    vv_rms = vv.rms
     if vi_rms == 0.0:
         raise OpenCircuitError("zero response buffer: open circuit")
 
-    x_v = fra_single_point(vv.samples, cycles)
-    x_i = fra_single_point(vi, cycles)
-    ratio = transfer_ratio(x_v, x_i, gain)
+    x_i = fra_single_point(vi, vv.cycles)
+    ratio = transfer_ratio(vv.projection, x_i, gain)
 
     magnitude, phase = magnitude_phase(ratio)
     m_rms = rms_resistivity(vv_rms, vi_rms) * gain

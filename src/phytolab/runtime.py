@@ -36,9 +36,12 @@ class RunSummary:
 class Runtime:
     """Wires a BenchConfig into a runnable bench in a fresh output directory.
 
-    A directory whose record store already holds a row is refused at
-    construction, before any actuator can fire: a second run into it would
-    start its timeline over at 0 ms.
+    A directory whose record store already holds a row, or whose
+    firings.log already holds a byte, is refused at construction, before
+    any actuator can fire: a second run into it would start its timeline
+    over at 0 ms.  The firing log is checked too because it is flushed at
+    every firing while the record store is not, so a run killed early can
+    leave firings beside a store that reads back empty.
     """
 
     def __init__(
@@ -71,6 +74,13 @@ class Runtime:
                 f"run directory {self.out_dir} already holds records "
                 f"(the newest at {self.record_store.last_ms} ms)"
             )
+        firing_log = self.out_dir / "firings.log"
+        if firing_log.exists() and (size := firing_log.stat().st_size):
+            self.record_store.close()
+            raise ValueError(
+                f"run directory {self.out_dir} already holds firings "
+                f"({size} bytes in {firing_log.name})"
+            )
         self.vector_store = None
         if config.detectors:
             self.vector_store = LogStore(
@@ -79,9 +89,7 @@ class Runtime:
                 segment_bytes=config.store.segment_bytes,
                 capacity_bytes=config.store.capacity_bytes,
             )
-        self._firing_log = open(
-            self.out_dir / "firings.log", "a", encoding="utf-8"
-        )
+        self._firing_log = open(firing_log, "a", encoding="utf-8")
         self.fired_total = 0
         self._wall_seconds = 0.0
         self._cycles = 0

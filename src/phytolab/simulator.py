@@ -69,7 +69,8 @@ def tissue_response(
     The clean response is gain * amplitude * |Y| * sin(theta + arg Y) with
     Y = 1/Z(f); optional white noise of the given RMS is added on top.
     Computed as sin*cos + cos*sin on the reduced bin angles so the clean part
-    is accurate to about one ulp.  The float64 array returned is new.
+    is accurate to about one ulp, in place in the one new float64 array
+    returned.
     """
     z = tissue.impedance(excitation.frequency)
     y = 1.0 / z
@@ -77,7 +78,11 @@ def tissue_response(
     phi = math.atan2(y.imag, y.real)
     n = excitation.n_samples
     cos, sin = fra.basis(n, excitation.cycles)
-    samples = amp * (sin * math.cos(phi) + cos * math.sin(phi))
+    # amp * (sin * cos(phi) + cos * sin(phi)): the same operations in the
+    # same order, so the same bits
+    samples = sin * math.cos(phi)
+    samples += cos * math.sin(phi)
+    samples *= amp
     if noise_rms > 0.0:
         if rng is None:
             raise ValueError("noise_rms > 0 requires an rng")
@@ -246,9 +251,10 @@ class PlantSimulator:
     scheduled events, t_ms): querying timestamps in any order, or twice,
     yields identical readings.  Impedance channels are sampled and held per
     stimulation slot, mirroring a front-end that excites the tissue every
-    stimulation_interval_s and keeps the last magnitude in between.  The
-    fixed excitation is projected once; a measurement projects only the
-    response and keeps |fra.transfer_ratio|, the magnitude a sweep reports.
+    stimulation_interval_s and keeps the last magnitude in between.  A
+    measurement reads the fixed excitation's projection from its waveform,
+    projects only the response and keeps |fra.transfer_ratio|, the
+    magnitude a sweep reports.
 
     Each timestamp t_ms draws one noise vector for all channels from the
     reading-noise source at position t_ms; a channel's position in the
@@ -311,11 +317,10 @@ class PlantSimulator:
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
         self._imp_slot: int | None = None
         self._imp_cache: dict[str, float] = {}
-        self._excitation = ex = fra.synthesize_excitation(
+        self._excitation = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
         )
-        self._x_v = fra.fra_single_point(ex.samples, ex.cycles)
 
     # -- stimulus scheduling ------------------------------------------------
 
@@ -463,8 +468,9 @@ class PlantSimulator:
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
-        x_i = fra.fra_single_point(vi, self._excitation.cycles)
-        return abs(fra.transfer_ratio(self._x_v, x_i, p.transimpedance_gain))
+        ex = self._excitation
+        x_i = fra.fra_single_point(vi, ex.cycles)
+        return abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------
 

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from phytolab.actuation import firing_line
 from phytolab.cli import main
+from phytolab.config import load_config
 from phytolab.fra import SWEEP_CSV_FIELDS
+from phytolab.runtime import Runtime
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +75,26 @@ def test_a_second_run_into_one_directory_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"run directory {out} already holds records" in err
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == first
+
+
+def test_a_run_directory_holding_firings_without_records_is_refused(tmp_path, capsys):
+    # a run killed after its first firing leaves firings.log, flushed at each
+    # firing, beside a record store whose buffered rows never reached disk
+    out = tmp_path / "run"
+    (out / "records").mkdir(parents=True)
+    line = firing_line(121_000, "alert", "1")
+    (out / "firings.log").write_text(line, encoding="utf-8")
+    config = load_config(CONFIGS / "touch_demo.ini")
+    with pytest.raises(ValueError, match=f"already holds firings \\({len(line)} bytes"):
+        Runtime(config, out_dir=out)
+    args = ["run", "--config", str(CONFIGS / "touch_demo.ini"), "--cycles", "200",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert f"run directory {out} already holds firings" in capsys.readouterr().err
+    assert (out / "firings.log").read_text(encoding="utf-8") == line
+    # an empty firings.log, as a run that never fired leaves it, holds no timeline
+    (out / "firings.log").write_text("", encoding="utf-8")
+    assert main(args) == 0
 
 
 def test_sweep_command_writes_csv_and_report(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phytolab import fra
-from phytolab.simulator import TissueModel, tissue_response
+from phytolab.simulator import TissueModel, sweep_responder, tissue_response
 
 
 def dft_bin_oracle(x, c):
@@ -520,6 +520,8 @@ def test_basis_arrays_are_read_only():
             a[0] = 1.0
         with pytest.raises(ValueError):
             a *= 2.0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
 
 
 def test_excitation_samples_are_not_the_cached_basis():
@@ -563,6 +565,116 @@ def test_built_buffers_are_float64_and_not_the_cached_basis(noise_rms):
         for basis in (cos, sin):
             assert not np.shares_memory(samples, basis)
     assert not np.shares_memory(vv.samples, vi)
+
+
+def test_synthesized_waveforms_share_one_frozen_side_per_triple():
+    # 500 Hz at 32 kHz and 1 kHz at 64 kHz are both 16 cycles of 1024 samples
+    a = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
+    b = fra.synthesize_excitation(1000.0, 0.1, 1024, 64000.0)
+    assert (a.frequency, b.frequency, a.cycles, b.cycles) == (500.0, 1000.0, 16, 16)
+    assert a.samples is b.samples
+    assert (a.rms, a.projection) == (b.rms, b.projection)
+    c = fra.synthesize_excitation(500.0, 0.2, 1024, 32000.0)
+    assert not np.shares_memory(a.samples, c.samples)  # another amplitude, another side
+    for vv in (a, c):
+        with pytest.raises(ValueError):
+            vv.samples.setflags(write=True)
+        with pytest.raises(ValueError):
+            vv.samples[0] = 1.0
+        for basis in fra.basis(1024, 16):
+            assert vv.samples is not basis
+            assert not np.shares_memory(vv.samples, basis)
+        assert vv.rms == fra.rms(vv.samples)
+        assert vv.projection == fra.fra_single_point(vv.samples, vv.cycles)
+
+
+def test_a_hand_built_waveform_computes_its_side_from_its_own_copy_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(fra, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("rms", "fra_single_point"):
+        monkeypatch.setattr(fra, name, counting(name))
+    a = 0.1 * np.sin(parent_theta(1024, 16))
+    vv = fra.ExcitationWaveform(500.0, 0.1, 32000.0, a)
+    a[:] = 0.0  # the caller's array is not the waveform's
+    side = [vv.rms, vv.projection, vv.rms, vv.projection]
+    assert calls == ["rms", "fra_single_point"]
+    monkeypatch.undo()
+    assert side == [fra.rms(vv.samples), fra.fra_single_point(vv.samples, 16)] * 2
+    with pytest.raises(ValueError):
+        vv.samples.setflags(write=True)
+    shared = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
+    assert hexes(vv.samples) == hexes(shared.samples)
+    assert (vv.rms.hex(), vv.projection) == (shared.rms.hex(), shared.projection)
+
+
+def reference_sweep(spec, respond, gain):
+    """run_sweep as a loop that builds every point's waveform from a fresh
+    array, so each computes its own RMS and projection."""
+    results = []
+    for p in fra.plan_sweep(spec):
+        sine = spec.amplitude * np.sin(parent_theta(p.n_samples, p.cycles))
+        vv = fra.ExcitationWaveform(p.frequency_hz, spec.amplitude, p.sample_rate, sine)
+        results.append(fra.analyze_pair(vv, respond(vv), gain=gain))
+    return results
+
+
+def sweep_csv(results):
+    out = io.StringIO()
+    fra.write_sweep_csv(out, results)
+    return out.getvalue()
+
+
+@given(
+    mode=st.sampled_from(["adaptive", "fixed"]),
+    band=st.tuples(_SWEEP_HZ, _SWEEP_HZ).map(sorted),
+    points=st.integers(1, 40),
+    amplitude=st.sampled_from([fra.MIN_AMPLITUDE_V, 0.1, 0.37, fra.MAX_AMPLITUDE_V]),
+    n_samples=st.sampled_from([64, 1000, 1024]),
+    cycles=st.sampled_from([1, 3, 16]),
+    max_rate=st.sampled_from([1e8, 2e7, 1e6]),
+    fixed_rate=st.sampled_from([1e6, 1.6384e4, 4.4e5]),
+    noise_rms=st.sampled_from([0.0, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the benchmark's sweep (1 group of (N, cycles)), a sweep whose plan doubles
+# the cycles twice (3 groups) and a fixed-rate sweep (16 groups)
+@example(
+    mode="adaptive", band=[8.0, 3e5], points=40, amplitude=0.1, n_samples=1024,
+    cycles=16, max_rate=1e8, fixed_rate=1e6, noise_rms=1e-4, seed=7,
+)
+@example(
+    mode="adaptive", band=[8.0, 6.5e5], points=40, amplitude=0.1, n_samples=1024,
+    cycles=16, max_rate=2e7, fixed_rate=1e6, noise_rms=1e-4, seed=7,
+)
+@example(
+    mode="fixed", band=[8.0, 3e5], points=30, amplitude=0.1, n_samples=1024,
+    cycles=16, max_rate=1e8, fixed_rate=1e6, noise_rms=0.0, seed=0,
+)
+@settings(max_examples=60, deadline=None)
+def test_a_sweep_on_shared_sides_writes_the_bytes_of_fresh_waveforms(
+    mode, band, points, amplitude, n_samples, cycles, max_rate, fixed_rate,
+    noise_rms, seed,
+):
+    try:
+        spec = fra.SweepSpec(
+            start_hz=band[0], stop_hz=band[1], points=points, amplitude=amplitude,
+            n_samples=n_samples, mode=mode, cycles=cycles, max_rate=max_rate,
+            fixed_rate=fixed_rate,
+        )
+    except ValueError:
+        return
+    respond = sweep_responder(TissueModel(), gain=1e3, noise_rms=noise_rms, seed=seed)
+    got = sweep_csv(fra.run_sweep(spec, respond, gain=1e3))
+    assert got == sweep_csv(reference_sweep(spec, respond, gain=1e3))
 
 
 def test_transfer_ratio_is_analyze_pairs_ratio():
