@@ -598,7 +598,8 @@ class ActuationEngine:
             n = binding.expression.n_bernoulli
             uniforms: Sequence[float] = ()
             if n:
-                uniforms = self._bernoulli.at(int(now_ms), stream).uniform(size=n)
+                # random(n) gives uniform(size=n)'s bits without its scaling
+                uniforms = self._bernoulli.at(int(now_ms), stream).random(n)
             result = binding.expression.evaluate(
                 vector, uniforms, adjust=state.adjust
             )

@@ -448,9 +448,11 @@ class SweepSpec:
 
 def plan_sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Expand a sweep spec into period-stable per-point plans."""
-    # geomspace returns start_hz and stop_hz exactly at the ends
-    requested = np.geomspace(spec.start_hz, spec.stop_hz, spec.points).tolist()
-    return [spec.point(f) for f in requested]
+    # geomspace returns start_hz and stop_hz exactly at the ends, but an
+    # inner point of a band an ulp or two wide can fall outside it
+    lo, hi = float(spec.start_hz), float(spec.stop_hz)
+    requested = np.geomspace(lo, hi, spec.points).tolist()
+    return [spec.point(min(max(f, lo), hi)) for f in requested]
 
 
 def run_sweep(

@@ -212,10 +212,12 @@ class LogStore:
         line = csv_row(timestamp_ms, row_values(values, self.columns))
         self._fh.write(line)
         self._last_ms = timestamp_ms
-        self._active_bytes += len(line.encode("utf-8"))
+        # an int and repr(float) cells: ASCII, one byte per character
+        self._active_bytes += len(line)
         if self._active_bytes >= self.segment_bytes:
             self._roll()
-        self._evict()
+        if self.total_bytes() > self.capacity_bytes:
+            self._evict()
 
     def flush(self) -> None:
         if self._fh is not None:

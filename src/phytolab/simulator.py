@@ -244,6 +244,10 @@ _ENV_MODEL = {
 }
 
 
+# Cells a simulator keeps clean impedance magnitudes for; the oldest goes first.
+CLEAN_MEMO_CELLS = 64
+
+
 class PlantSimulator:
     """Deterministic record source over a configured channel set.
 
@@ -265,7 +269,11 @@ class PlantSimulator:
     visits only the events whose kernel can still be non-zero at t_ms, so its
     cost does not grow with the number of expired events.  The impedance
     cache holds the current slot only; a query for another slot measures
-    again, which the increasing runtime clock never needs.
+    again, which the increasing runtime clock never needs.  With
+    impedance_noise_rms_v == 0 a measurement depends on the cell alone, so
+    a slot miss first looks the cell up in a memo of clean magnitudes,
+    holding the CLEAN_MEMO_CELLS cells measured last; noisy measurements
+    draw their noise and measure on every slot miss.
 
     Electrical stimulation events close the actuation loop: each one scales
     the cell's parallel resistance by (1 - 0.1 * intensity) for
@@ -317,6 +325,7 @@ class PlantSimulator:
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
         self._imp_slot: int | None = None
         self._imp_cache: dict[str, float] = {}
+        self._clean_memo: dict[TissueModel, float] = {}
         self._excitation = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
@@ -458,19 +467,29 @@ class PlantSimulator:
 
     def _measure_impedance(self, name: str, slot_ms: int) -> float:
         p = self.params
+        cell = self._cell_at(slot_ms)
+        clean = p.impedance_noise_rms_v == 0.0
+        memo = self._clean_memo
+        if clean and (got := memo.get(cell)) is not None:
+            return got
         rng = None
-        if p.impedance_noise_rms_v > 0.0:
+        if not clean:
             rng = self._impedance_noise.at(slot_ms, self._streams[name])
         vi = tissue_response(
             self._excitation,
-            self._cell_at(slot_ms),
+            cell,
             gain=p.transimpedance_gain,
             noise_rms=p.impedance_noise_rms_v,
             rng=rng,
         )
         ex = self._excitation
         x_i = fra.fra_single_point(vi, ex.cycles)
-        return abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
+        got = abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
+        if clean:
+            if len(memo) >= CLEAN_MEMO_CELLS:
+                del memo[next(iter(memo))]
+            memo[cell] = got
+        return got
 
     # -- environment ------------------------------------------------------------
 

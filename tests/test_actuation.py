@@ -596,6 +596,41 @@ def test_interleaved_draws_equal_fresh_draws(seed, calls):
         assert np.array_equal(got, fresh)
 
 
+class DrawRecorder:
+    """An expression stand-in that keeps the uniforms the engine hands it."""
+
+    def __init__(self, n_bernoulli):
+        self.n_bernoulli = n_bernoulli
+        self.draws = []
+
+    def evaluate(self, vector, uniforms, adjust):
+        self.draws.append(uniforms)
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    times=st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True),
+)
+def test_engine_draws_are_the_sources_uniforms_bit_for_bit(seed, counts, times):
+    recorders = [DrawRecorder(n) for n in counts]
+    engine = ActuationEngine(
+        [Binding(f"b{i}", rec, Sink()) for i, rec in enumerate(recorders)], seed=seed
+    )
+    for now_ms in sorted(times):
+        engine.cycle({}, now_ms)
+    source = streams.Source(seed, streams.BERNOULLI)
+    for stream, rec in enumerate(recorders):
+        assert len(rec.draws) == len(times)
+        for now_ms, got in zip(sorted(times), rec.draws):
+            want = source.at(now_ms, stream).uniform(size=rec.n_bernoulli)
+            assert [v.hex() for v in map(float, got)] == [
+                v.hex() for v in want.tolist()
+            ]
+
+
 def test_source_rejects_negative_seed_position_and_stream():
     with pytest.raises(ValueError):
         streams.Source(-1, streams.BERNOULLI)

@@ -120,6 +120,26 @@ def test_sweep_command_writes_csv_and_report(tmp_path, capsys):
     assert "<svg" in html_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "start, stop, points",
+    [("8", "8", 3), ("650000", "650000", 4), ("8", "8.000000000000002", 5)],
+)
+def test_a_sweep_band_an_ulp_wide_runs(tmp_path, start, stop, points):
+    # geomspace puts inner points of these bands outside them; a sweep that
+    # loads must run, at frequencies inside its band
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(
+        f"[sweep]\nstart_hz = {start}\nstop_hz = {stop}\npoints = {points}\n",
+        encoding="utf-8",
+    )
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(csv_path)]) == 0
+    rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == points
+    for row in rows:
+        assert float(start) <= float(row.split(",")[0]) <= float(stop)
+
+
 def test_sweep_to_stdout(capsys):
     assert main(["sweep"]) == 0
     lines = capsys.readouterr().out.splitlines()

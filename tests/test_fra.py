@@ -659,6 +659,11 @@ def sweep_csv(results):
     mode="fixed", band=[8.0, 3e5], points=30, amplitude=0.1, n_samples=1024,
     cycles=16, max_rate=1e8, fixed_rate=1e6, noise_rms=0.0, seed=0,
 )
+# a one-frequency band whose middle point geomspace puts an ulp below it
+@example(
+    mode="adaptive", band=[8.0, 8.0], points=3, amplitude=0.01, n_samples=64,
+    cycles=1, max_rate=1e8, fixed_rate=1e6, noise_rms=0.0, seed=0,
+)
 @settings(max_examples=60, deadline=None)
 def test_a_sweep_on_shared_sides_writes_the_bytes_of_fresh_waveforms(
     mode, band, points, amplitude, n_samples, cycles, max_rate, fixed_rate,

@@ -270,6 +270,30 @@ def test_reopen_over_several_segments_counts_bytes_and_evicts(tmp_path):
     assert left == list(range(left[0], 150))
 
 
+def test_a_non_ascii_header_keeps_the_byte_count_on_disk(tmp_path):
+    """The header is counted in UTF-8 bytes, each row in characters (it is
+    ASCII); across rolls, evictions and a reopen the count is the files'."""
+    root = tmp_path / "s"
+    columns = ["température_°C", "x"]
+    sizes = dict(segment_bytes=256, capacity_bytes=1024)
+
+    def on_disk(store):
+        store.flush()
+        return sum(p.stat().st_size for p in store.segments())
+
+    with LogStore(root, columns=columns, **sizes) as store:
+        assert store.total_bytes() == on_disk(store)
+        for i in range(120):
+            store.append_row(i, {"x": -i / 7.0, "température_°C": 1e-300 * i})
+            assert store.total_bytes() == on_disk(store) <= 1024
+        assert store.segments()[0].name != "segment-00000001.csv"  # evicted
+    with LogStore(root, columns=columns, **sizes) as store:
+        assert store.total_bytes() == on_disk(store)
+        for i in range(120, 160):
+            store.append_row(i, {"x": float(i), "température_°C": math.inf})
+            assert store.total_bytes() == on_disk(store) <= 1024
+
+
 def test_report_is_valid_markup_with_one_chart_per_series(tmp_path):
     out = tmp_path / "report.html"
     series = [

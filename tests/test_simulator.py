@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -737,6 +738,63 @@ def test_loop_impedance_is_analyze_pairs_magnitude(
     )
     want = fra.analyze_pair(plant._excitation, vi, gain=gain).magnitude
     assert plant._measure_impedance(channel, slot_ms).hex() == want.hex()
+
+
+IMPEDANCE_PAIR = (
+    ChannelId("imp1", ChannelKind.IMPEDANCE_1),
+    ChannelId("imp2", ChannelKind.IMPEDANCE_2),
+)
+
+
+@given(
+    rs=st.floats(0.0, 1e4),
+    rp=st.floats(1e2, 1e6),
+    cp=st.floats(1e-9, 1e-4),
+    interval_s=st.sampled_from([0.5, 1.0, 3.0]),
+    vp_duration_s=st.sampled_from([1.0, 2.5, 20.0]),
+    # repeated intensities give repeated cells, which the memo must hit
+    events=st.lists(
+        st.tuples(
+            st.integers(0, 20_000),
+            st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 1.0),
+        ),
+        max_size=8,
+    ),
+    times=st.lists(st.integers(0, 30_000), min_size=1, max_size=40, unique=True),
+    bound=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_noise_free_impedance_reads_as_a_fresh_simulators(
+    rs, rp, cp, interval_s, vp_duration_s, events, times, bound
+):
+    """With no impedance noise, every record of a long-lived simulator is
+    that of a fresh one queried only at its timestamp, and the clean memo
+    holds no more than its bound, only cells the slots read."""
+    params = sim.SimParams(
+        stimulation_interval_s=interval_s, vp_duration_s=vp_duration_s
+    )
+
+    def plant():
+        out = sim.PlantSimulator(
+            IMPEDANCE_PAIR, sim.TissueModel(rs, rp, cp), params, seed=11
+        )
+        for at_ms, intensity in events:
+            out.add_electrical(at_ms, intensity)
+        return out
+
+    long_lived = plant()
+    cells = set()
+    with mock.patch.object(sim, "CLEAN_MEMO_CELLS", bound):
+        for t in sorted(times):
+            got = long_lived.record_at(t).values
+            want = plant().record_at(t).values
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()
+            }
+            cells.add(long_lived._cell_at(long_lived._slot(t)))
+            memo = long_lived._clean_memo
+            assert len(memo) <= bound
+            assert set(memo) <= cells
 
 
 def test_zero_transimpedance_gain_is_an_open_circuit():
