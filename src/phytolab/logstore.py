@@ -216,8 +216,7 @@ class LogStore:
         self._active_bytes += len(line)
         if self._active_bytes >= self.segment_bytes:
             self._roll()
-        if self.total_bytes() > self.capacity_bytes:
-            self._evict()
+        self._evict()
 
     def flush(self) -> None:
         if self._fh is not None:

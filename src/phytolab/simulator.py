@@ -244,10 +244,6 @@ _ENV_MODEL = {
 }
 
 
-# Cells a simulator keeps clean impedance magnitudes for; the oldest goes first.
-CLEAN_MEMO_CELLS = 64
-
-
 class PlantSimulator:
     """Deterministic record source over a configured channel set.
 
@@ -271,9 +267,8 @@ class PlantSimulator:
     cache holds the current slot only; a query for another slot measures
     again, which the increasing runtime clock never needs.  With
     impedance_noise_rms_v == 0 a measurement depends on the cell alone, so
-    a slot miss first looks the cell up in a memo of clean magnitudes,
-    holding the CLEAN_MEMO_CELLS cells measured last; noisy measurements
-    draw their noise and measure on every slot miss.
+    a slot miss on the cell measured last reuses its clean magnitude;
+    noisy measurements draw their noise and measure on every slot miss.
 
     Electrical stimulation events close the actuation loop: each one scales
     the cell's parallel resistance by (1 - 0.1 * intensity) for
@@ -325,7 +320,9 @@ class PlantSimulator:
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
         self._imp_slot: int | None = None
         self._imp_cache: dict[str, float] = {}
-        self._clean_memo: dict[TissueModel, float] = {}
+        # the cell measured last with impedance_noise_rms_v == 0, and its magnitude
+        self._clean_cell: TissueModel | None = None
+        self._clean_got = 0.0
         self._excitation = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
@@ -469,9 +466,8 @@ class PlantSimulator:
         p = self.params
         cell = self._cell_at(slot_ms)
         clean = p.impedance_noise_rms_v == 0.0
-        memo = self._clean_memo
-        if clean and (got := memo.get(cell)) is not None:
-            return got
+        if clean and cell == self._clean_cell:
+            return self._clean_got
         rng = None
         if not clean:
             rng = self._impedance_noise.at(slot_ms, self._streams[name])
@@ -486,9 +482,7 @@ class PlantSimulator:
         x_i = fra.fra_single_point(vi, ex.cycles)
         got = abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
         if clean:
-            if len(memo) >= CLEAN_MEMO_CELLS:
-                del memo[next(iter(memo))]
-            memo[cell] = got
+            self._clean_cell, self._clean_got = cell, got
         return got
 
     # -- environment ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -761,15 +760,14 @@ IMPEDANCE_PAIR = (
         max_size=8,
     ),
     times=st.lists(st.integers(0, 30_000), min_size=1, max_size=40, unique=True),
-    bound=st.integers(1, 4),
 )
 @settings(max_examples=100, deadline=None)
 def test_a_noise_free_impedance_reads_as_a_fresh_simulators(
-    rs, rp, cp, interval_s, vp_duration_s, events, times, bound
+    rs, rp, cp, interval_s, vp_duration_s, events, times
 ):
     """With no impedance noise, every record of a long-lived simulator is
     that of a fresh one queried only at its timestamp, and the clean memo
-    holds no more than its bound, only cells the slots read."""
+    holds the cell its current slot reads."""
     params = sim.SimParams(
         stimulation_interval_s=interval_s, vp_duration_s=vp_duration_s
     )
@@ -783,18 +781,13 @@ def test_a_noise_free_impedance_reads_as_a_fresh_simulators(
         return out
 
     long_lived = plant()
-    cells = set()
-    with mock.patch.object(sim, "CLEAN_MEMO_CELLS", bound):
-        for t in sorted(times):
-            got = long_lived.record_at(t).values
-            want = plant().record_at(t).values
-            assert {k: v.hex() for k, v in got.items()} == {
-                k: v.hex() for k, v in want.items()
-            }
-            cells.add(long_lived._cell_at(long_lived._slot(t)))
-            memo = long_lived._clean_memo
-            assert len(memo) <= bound
-            assert set(memo) <= cells
+    for t in sorted(times):
+        got = long_lived.record_at(t).values
+        want = plant().record_at(t).values
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in want.items()
+        }
+        assert long_lived._clean_cell == long_lived._cell_at(long_lived._slot(t))
 
 
 def test_zero_transimpedance_gain_is_an_open_circuit():
