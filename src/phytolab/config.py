@@ -471,7 +471,8 @@ def parse_config(text: str) -> BenchConfig:
             per_hour = homeostat["target_per_cycle"]
             homeostat["target_per_cycle"] = per_hour * period_s / 3600.0
         spec["expression"] = _make(where, Expression, spec["expression"])
-        spec["homeostat"] = _make(where, HomeostatConfig, **homeostat)
+        origin = {_BINDING_KEYS[k][:2]: (name, k, text) for k, text in raw.items()}
+        spec["homeostat"] = _make_part(HomeostatConfig, homeostat, origin)
         binding_specs.append(BindingSpec(id=b_id, **spec))
 
     events = ()

@@ -41,7 +41,10 @@ class Runtime:
     any actuator can fire: a second run into it would start its timeline
     over at 0 ms.  The firing log is checked too because it is flushed at
     every firing while the record store is not, so a run killed early can
-    leave firings beside a store that reads back empty.
+    leave firings beside a store that reads back empty.  It is checked
+    first, before anything is built or opened, so its refusal writes
+    nothing; refusing a store that holds rows still reopens it, and that
+    reopen cuts a torn final line.
     """
 
     def __init__(
@@ -50,6 +53,12 @@ class Runtime:
         self.config = config
         self.out_dir = Path(out_dir) if out_dir is not None else Path(config.log_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        firing_log = self.out_dir / "firings.log"
+        if firing_log.exists() and (size := firing_log.stat().st_size):
+            raise ValueError(
+                f"run directory {self.out_dir} already holds firings "
+                f"({size} bytes in {firing_log.name})"
+            )
         self.now_ms = 0  # the virtual clock, advanced one period per step
         self._period_ms = config.period_ms
 
@@ -73,13 +82,6 @@ class Runtime:
             raise ValueError(
                 f"run directory {self.out_dir} already holds records "
                 f"(the newest at {self.record_store.last_ms} ms)"
-            )
-        firing_log = self.out_dir / "firings.log"
-        if firing_log.exists() and (size := firing_log.stat().st_size):
-            self.record_store.close()
-            raise ValueError(
-                f"run directory {self.out_dir} already holds firings "
-                f"({size} bytes in {firing_log.name})"
             )
         self.vector_store = None
         if config.detectors:

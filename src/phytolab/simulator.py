@@ -263,12 +263,10 @@ class PlantSimulator:
     the channel's config position.  Events are kept
     in two lists sorted by time (touch/wound, electrical), and a reading
     visits only the events whose kernel can still be non-zero at t_ms, so its
-    cost does not grow with the number of expired events.  The impedance
-    cache holds the current slot only; a query for another slot measures
-    again, which the increasing runtime clock never needs.  With
-    impedance_noise_rms_v == 0 a measurement depends on the cell alone, so
-    a slot miss on the cell measured last reuses its clean magnitude;
-    noisy measurements draw their noise and measure on every slot miss.
+    cost does not grow with the number of expired events.  The hold is one
+    slot state: entering a slot measures and quantizes every impedance
+    channel, unless impedance_noise_rms_v == 0 and the slot's cell is the
+    one held, and every other cycle of the slot copies the held readings.
 
     Electrical stimulation events close the actuation loop: each one scales
     the cell's parallel resistance by (1 - 0.1 * intensity) for
@@ -312,17 +310,18 @@ class PlantSimulator:
         self._noise_rms = np.array(noise_rms)
         # the clock is integer milliseconds, so sub-ms intervals clamp to 1
         self._interval_ms = max(1, round(p.stimulation_interval_s * 1000.0))
+        # an electrical event changes the cell for this long
+        self._electrical_reach_ms = round(p.vp_duration_s * 1000.0)
         # touch/wound events older than this add exactly 0 (kernel support + 1 ms)
         support_s = max(p.ap_duration_s, VP_CUTOFF_TAUS * p.vp_duration_s / 5.0)
         self._bio_support_ms = math.ceil(support_s * 1000.0) + 1
         # each an (at_ms list, event list) pair sorted by at_ms, for _window
         self._bio_events: tuple[list[int], list[Event]] = ([], [])
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
-        self._imp_slot: int | None = None
-        self._imp_cache: dict[str, float] = {}
-        # the cell measured last with impedance_noise_rms_v == 0, and its magnitude
-        self._clean_cell: TissueModel | None = None
-        self._clean_got = 0.0
+        # the held slot, its cell and its quantized impedance readings by name
+        self._held_slot: int | None = None
+        self._held_cell: TissueModel | None = None
+        self._held: dict[str, float] = {}
         self._excitation = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
@@ -375,8 +374,10 @@ class PlantSimulator:
             else:
                 raw = self._bio_clean(ch.name, t_ms) + noise[i]
             values[ch.name] = quantize_for(ch, raw)
-        for ch in self._imp:
-            values[ch.name] = quantize_for(ch, self._impedance_value(ch.name, t_ms))
+        slot = self._slot(t_ms)
+        if slot != self._held_slot:
+            self._hold(slot)
+        values.update(self._held)
         if self._env:
             bases = self._env_bases(t_ms)
             for ch, i, offset, coefficient, basis in self._env:
@@ -436,16 +437,16 @@ class PlantSimulator:
 
     # -- impedance ------------------------------------------------------------
 
-    def _impedance_value(self, name: str, t_ms: int) -> float:
-        slot = self._slot(t_ms)
-        if slot != self._imp_slot:
-            self._imp_slot = slot
-            self._imp_cache = {}
-        got = self._imp_cache.get(name)
-        if got is None:
-            got = self._measure_impedance(name, slot)
-            self._imp_cache[name] = got
-        return got
+    def _hold(self, slot_ms: int) -> None:
+        """Enter slot_ms: measure every impedance channel, or keep the held
+        readings when they are noise-free and the cell has not changed."""
+        cell = self._cell_at(slot_ms)
+        if self.params.impedance_noise_rms_v != 0.0 or cell != self._held_cell:
+            self._held = {
+                ch.name: quantize_for(ch, self._measure_impedance(ch.name, slot_ms, cell))
+                for ch in self._imp
+            }
+        self._held_slot, self._held_cell = slot_ms, cell
 
     def _cell_at(self, slot_ms: int) -> TissueModel:
         """Tissue as seen by the excitation, with stimulation feedback.
@@ -455,21 +456,17 @@ class PlantSimulator:
         shows up in the impedance readings that follow it.
         """
         factor = 1.0
-        dur_ms = round(self.params.vp_duration_s * 1000.0)
-        for ev in self._window(self._electrical_events, slot_ms - dur_ms, slot_ms):
+        since = slot_ms - self._electrical_reach_ms
+        for ev in self._window(self._electrical_events, since, slot_ms):
             factor *= 1.0 - 0.1 * ev.scale
         if factor == 1.0:
             return self.tissue
         return replace(self.tissue, rp=self.tissue.rp * factor)
 
-    def _measure_impedance(self, name: str, slot_ms: int) -> float:
+    def _measure_impedance(self, name: str, slot_ms: int, cell: TissueModel) -> float:
         p = self.params
-        cell = self._cell_at(slot_ms)
-        clean = p.impedance_noise_rms_v == 0.0
-        if clean and cell == self._clean_cell:
-            return self._clean_got
         rng = None
-        if not clean:
+        if p.impedance_noise_rms_v != 0.0:
             rng = self._impedance_noise.at(slot_ms, self._streams[name])
         vi = tissue_response(
             self._excitation,
@@ -480,10 +477,7 @@ class PlantSimulator:
         )
         ex = self._excitation
         x_i = fra.fra_single_point(vi, ex.cycles)
-        got = abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
-        if clean:
-            self._clean_cell, self._clean_got = cell, got
-        return got
+        return abs(fra.transfer_ratio(ex.projection, x_i, p.transimpedance_gain))
 
     # -- environment ------------------------------------------------------------
 

@@ -71,6 +71,15 @@ def test_a_second_run_into_one_directory_is_refused(tmp_path, capsys):
     first = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     assert any(p.name == "firings.log" and data for p, data in first.items())
     capsys.readouterr()
+    # the firing log is checked first, before the record store is opened
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"run directory {out} already holds firings" in err
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == first
+    # with an empty firing log, as a run that never fired leaves it, the
+    # record store's rows refuse the run
+    (out / "firings.log").write_text("", encoding="utf-8")
+    first[out / "firings.log"] = b""
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"run directory {out} already holds records" in err
@@ -81,7 +90,7 @@ def test_a_run_directory_holding_firings_without_records_is_refused(tmp_path, ca
     # a run killed after its first firing leaves firings.log, flushed at each
     # firing, beside a record store whose buffered rows never reached disk
     out = tmp_path / "run"
-    (out / "records").mkdir(parents=True)
+    out.mkdir()
     line = firing_line(121_000, "alert", "1")
     (out / "firings.log").write_text(line, encoding="utf-8")
     config = load_config(CONFIGS / "touch_demo.ini")
@@ -91,6 +100,8 @@ def test_a_run_directory_holding_firings_without_records_is_refused(tmp_path, ca
             "--out", str(out)]
     assert main(args) == 1
     assert f"run directory {out} already holds firings" in capsys.readouterr().err
+    # refused before anything is built or opened: no store appears beside it
+    assert list(out.rglob("*")) == [out / "firings.log"]
     assert (out / "firings.log").read_text(encoding="utf-8") == line
     # an empty firings.log, as a run that never fired leaves it, holds no timeline
     (out / "firings.log").write_text("", encoding="utf-8")

@@ -343,7 +343,7 @@ BAD_CASES = [
         "[actuator.r]\nkind = relay\n"
         "[binding.x]\nexpression = a == 1\nactuator = r\n"
         "homeostat_step = 0.5\n",
-        r"\[binding\.x\]: step",
+        r"^\[binding\.x\]: homeostat_step 0\.5 must exceed 1 \(homeostat_step = 0\.5\)$",
     ),
     # each of these loaded and then failed only at run time, or never
     ("[tissue]\nrs = nan\n", r"\[tissue\]: cell parameters out of range"),
@@ -369,7 +369,21 @@ BAD_CASES = [
     (
         "[actuator.r]\nkind = relay\n"
         "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_step = nan\n",
-        r"\[binding\.x\]: step nan must exceed 1",
+        r"\[binding\.x\]: homeostat_step nan must exceed 1 \(homeostat_step = nan\)",
+    ),
+    # a homeostat value is reported against its INI key, in the key's words,
+    # with the value as written beside the per-cycle rate it converts to
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.b]\nexpression = a == 1\nactuator = r\nhomeostat_alpha = 2\n",
+        r"^\[binding\.b\]: homeostat_alpha 2\.0 outside \(0, 1\] \(homeostat_alpha = 2\)$",
+    ),
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.b]\nexpression = a == 1\nactuator = r\n"
+        "homeostat_target_per_hour = -1\n",
+        r"^\[binding\.b\]: target rate must be >= 0, .* "
+        r"\(homeostat_target_per_hour = -1\)$",
     ),
     # a cell, front-end or tier value is reported against the one section
     # and key that set it, in the key's words, not the dataclass field's

@@ -588,7 +588,8 @@ def reference_record_at(plant, t_ms):
             else:
                 raw = plant._bio_clean(ch.name, t_ms) + noise[stream[ch.name]]
         elif ch.category is ChannelCategory.IMPEDANCE:
-            raw = plant._impedance_value(ch.name, t_ms)
+            slot = plant._slot(t_ms)
+            raw = plant._measure_impedance(ch.name, slot, plant._cell_at(slot))
         else:
             raw = reference_env_clean(plant, ch.kind, t_ms) + noise[stream[ch.name]]
         raws.append((ch.name, raw.hex()))
@@ -620,8 +621,14 @@ def planned_record_at(plant, t_ms):
 
 
 def assert_matches_reference(plant, t_ms):
+    held = plant._held
     got, got_raws = planned_record_at(plant, t_ms)
     want, want_raws = reference_record_at(plant, t_ms)
+    if plant._held is held:
+        # a cycle that keeps the held readings quantizes no impedance raw;
+        # hexed() below still compares the readings bit for bit
+        imp = {ch.name for ch in plant._imp}
+        want_raws = [(name, raw) for name, raw in want_raws if name not in imp]
     assert got_raws == want_raws
     assert hexed(got) == hexed(want)
     for ch in plant.channels:
@@ -736,7 +743,11 @@ def test_loop_impedance_is_analyze_pairs_magnitude(
         plant._excitation, plant._cell_at(slot_ms), gain, noise_rms, rng
     )
     want = fra.analyze_pair(plant._excitation, vi, gain=gain).magnitude
-    assert plant._measure_impedance(channel, slot_ms).hex() == want.hex()
+    got = plant._measure_impedance(channel, slot_ms, plant._cell_at(slot_ms))
+    assert got.hex() == want.hex()
+    ch = plant.channels[plant._streams[channel]]
+    held = plant.record_at(slot_ms).values[channel]
+    assert held.hex() == quantize_for(ch, want).hex()
 
 
 IMPEDANCE_PAIR = (
@@ -751,7 +762,8 @@ IMPEDANCE_PAIR = (
     cp=st.floats(1e-9, 1e-4),
     interval_s=st.sampled_from([0.5, 1.0, 3.0]),
     vp_duration_s=st.sampled_from([1.0, 2.5, 20.0]),
-    # repeated intensities give repeated cells, which the memo must hit
+    noise_rms=st.sampled_from([0.0, 1e-4]),
+    # repeated intensities give repeated cells, which the hold must keep
     events=st.lists(
         st.tuples(
             st.integers(0, 20_000),
@@ -763,13 +775,16 @@ IMPEDANCE_PAIR = (
 )
 @settings(max_examples=100, deadline=None)
 def test_a_noise_free_impedance_reads_as_a_fresh_simulators(
-    rs, rp, cp, interval_s, vp_duration_s, events, times
+    rs, rp, cp, interval_s, vp_duration_s, noise_rms, events, times
 ):
-    """With no impedance noise, every record of a long-lived simulator is
-    that of a fresh one queried only at its timestamp, and the clean memo
-    holds the cell its current slot reads."""
+    """Every record of a long-lived simulator, noisy or noise-free, is that
+    of a fresh one queried only at its timestamp.  The long-lived one runs
+    tissue_response once per (slot, channel) when noisy and once per (cell
+    change, channel) when noise-free, and holds the slot it last read."""
     params = sim.SimParams(
-        stimulation_interval_s=interval_s, vp_duration_s=vp_duration_s
+        stimulation_interval_s=interval_s,
+        vp_duration_s=vp_duration_s,
+        impedance_noise_rms_v=noise_rms,
     )
 
     def plant():
@@ -780,14 +795,34 @@ def test_a_noise_free_impedance_reads_as_a_fresh_simulators(
             out.add_electrical(at_ms, intensity)
         return out
 
+    real_response, calls = sim.tissue_response, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_response(*args, **kwargs)
+
     long_lived = plant()
+    slots, rps = [], []
     for t in sorted(times):
-        got = long_lived.record_at(t).values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "tissue_response", counted)
+            got = long_lived.record_at(t).values
         want = plant().record_at(t).values
         assert {k: v.hex() for k, v in got.items()} == {
             k: v.hex() for k, v in want.items()
         }
-        assert long_lived._clean_cell == long_lived._cell_at(long_lived._slot(t))
+        slot = t // long_lived._interval_ms * long_lived._interval_ms
+        if not slots or slots[-1] != slot:
+            slots.append(slot)
+            rps.append(brute_rp(long_lived, slot))
+        assert long_lived._held_slot == slot
+        assert long_lived._held_cell == sim.TissueModel(rs, rps[-1], cp)
+    if noise_rms:
+        measured = len(slots)
+    else:
+        measured = sum(now != before for now, before in zip(rps, [None, *rps]))
+    assert calls == measured * len(IMPEDANCE_PAIR)
 
 
 def test_zero_transimpedance_gain_is_an_open_circuit():
