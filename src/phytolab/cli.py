@@ -80,7 +80,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-            print(f"{cycles} records -> {args.out}")
+    if out is not sys.stdout:
+        print(f"{cycles} records -> {args.out}")
     return 0
 
 

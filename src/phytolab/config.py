@@ -27,7 +27,11 @@ Sections and their keys:
 Every key has one name and fills one field of the dataclass (or constructor)
 it configures.  Its default lives there, as does its range check, and its
 type is read from the field's annotation.  The tables below only say which
-field each key sets.
+field each key sets, and a refusal starts with its [section] and names every
+field in the words of the key that sets it.  One pass over the sections
+checks their names and sorts the [head.ID] ones by head; an unknown detector
+or actuator kind is refused by its registry's owner (build_detector or
+ActuatorSpec).
 
 Everything has a default; an empty file is a valid bench.  Unknown sections,
 keys outside their section's table, detector or actuator kinds, channels,
@@ -194,16 +198,8 @@ class BenchConfig:
         bindings = []
         for spec in self.binding_specs:
             where = f"[binding.{spec.id}]"
-            binding = _make(
-                where,
-                Binding,
-                id=spec.id,
-                expression=spec.expression,
-                actuator=actuators[spec.actuator],
-                payload=spec.payload,
-                cooldown_s=spec.cooldown_s,
-                homeostat=spec.homeostat,
-            )
+            fields = vars(spec) | {"actuator": actuators[spec.actuator]}
+            binding = _make(where, Binding, **fields)
             _make(where, binding.validate_against, detector_ids)
             bindings.append(binding)
         return bindings, actuators
@@ -274,8 +270,7 @@ _PARTS = {
     "store": StoreParams,
 }
 
-_DETECTOR_KEYS = {kind: _table(cls) for kind, cls in DETECTOR_KINDS.items()}
-_ACTUATOR_KEYS = {kind: _table(cls) for kind, cls in ACTUATOR_KINDS.items()}
+_KIND_KEYS = {c: _table(c) for c in (*DETECTOR_KINDS.values(), *ACTUATOR_KINDS.values())}
 _BINDING_KEYS = (
     _table(BindingSpec)
     | {"expression": (BindingSpec, "expression", "str")}
@@ -292,20 +287,38 @@ _BINDING_KEYS = (
 )
 
 
-def _read(where: str, raw, table, into: dict | None = None) -> dict[type, dict]:
-    """Type every key = text of raw by its table entry into into[class][field]."""
+def _read(
+    section: str, raw, table, origin: dict, into: dict | None = None
+) -> dict[type, dict]:
+    """Type every key = text of [section] by its table entry into
+    into[class][field], recording origin[class, field] = (section, key, text)."""
     into = {} if into is None else into
     for key, text in raw.items():
         if key not in table:
-            raise ConfigError(f"{where}: unknown parameter {key!r}")
+            raise ConfigError(f"[{section}]: unknown parameter {key!r}")
         cls, name, base = table[key]
         try:
             into.setdefault(cls, {})[name] = _TYPES[base](text)
         except ValueError:
             raise ConfigError(
-                f"{where}: {key} = {text!r} is not a valid {base}"
+                f"[{section}]: {key} = {text!r} is not a valid {base}"
             ) from None
+        origin[cls, name] = (section, key, text)
     return into
+
+
+def _read_kind(section: str, raw: dict, kinds: dict, origin: dict) -> tuple[str, dict]:
+    """The kind [section] names and its other keys, typed by that kind's class.
+
+    An unknown kind has no table; its registry's owner refuses it by name.
+    """
+    kind = raw.pop("kind", None)
+    if kind is None:
+        raise ConfigError(f"[{section}] needs kind = <{section.split('.')[0]} kind>")
+    if kind not in kinds:
+        return kind, {}
+    cls = kinds[kind]
+    return kind, _read(section, raw, _KIND_KEYS[cls], origin).get(cls, {})
 
 
 def _make(where: str, build, *args, **kwargs):
@@ -318,7 +331,7 @@ def _make(where: str, build, *args, **kwargs):
 
 def _make_part(cls, given: dict, origin: dict):
     """cls(**given), a ValueError reported against the INI section and key
-    that set the field to blame, in the key's words.
+    that set the field to blame, every field it names in its key's words.
 
     The defaults are valid, so the field to blame is the first one, in the
     order read, whose value makes cls refuse it together with the fields
@@ -328,6 +341,8 @@ def _make_part(cls, given: dict, origin: dict):
         return cls(**given)
     except ValueError:
         pass
+    tables = (*_SECTIONS.values(), _BINDING_KEYS)
+    key_of = {n: k for t in tables for k, (c, n, _) in t.items() if c is cls}
     tried = {}
     for name, value in given.items():
         tried[name] = value
@@ -335,20 +350,9 @@ def _make_part(cls, given: dict, origin: dict):
             cls(**tried)
         except ValueError as exc:
             section, key, text = origin[cls, name]
-            message = re.sub(rf"\b{name}\b", key, str(exc))
+            message = re.sub(r"\w+", lambda m: key_of.get(m[0], m[0]), str(exc))
             raise ConfigError(f"[{section}]: {message} ({key} = {text})") from None
     raise AssertionError(f"{cls.__name__} refused {given}, then accepted it")
-
-
-def _id_sections(parser, head: str):
-    """(section name, id, keys) for every [head.ID] section, in file order."""
-    for name in parser.sections():
-        if not name.startswith(head + "."):
-            continue
-        raw = dict(parser[name])
-        if "id" in raw:
-            raise ConfigError(f"[{name}]: id comes from the section name")
-        yield name, name.split(".", 1)[1], raw
 
 
 def _parse_channels(section) -> tuple[ChannelId, ...]:
@@ -401,22 +405,25 @@ def parse_config(text: str) -> BenchConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed INI: {exc}") from None
 
+    ids = {"detector": [], "actuator": [], "binding": []}  # head -> (name, id, keys)
     for name in parser.sections():
-        head = name.split(".", 1)[0]
-        if head in ("detector", "actuator", "binding"):
-            if "." not in name or not name.split(".", 1)[1]:
-                raise ConfigError(f"section [{name}] needs an id: [{head}.some_id]")
+        head, _, ident = name.partition(".")
+        if head not in ids:
+            if name not in _SECTIONS and name not in ("channels", "events"):
+                raise ConfigError(f"unknown section [{name}]")
             continue
-        if name not in _SECTIONS and name not in ("channels", "events"):
-            raise ConfigError(f"unknown section [{name}]")
+        if not ident:
+            raise ConfigError(f"section [{name}] needs an id: [{head}.some_id]")
+        raw = dict(parser[name])
+        if "id" in raw:
+            raise ConfigError(f"[{name}]: id comes from the section name")
+        ids[head].append((name, ident, raw))
 
     kwargs: dict[type, dict] = {}
     origin = {}
     for section, table in _SECTIONS.items():
         if parser.has_section(section):
-            _read(f"[{section}]", parser[section], table, kwargs)
-            for key, text in parser[section].items():
-                origin[table[key][:2]] = (section, key, text)
+            _read(section, parser[section], table, origin, kwargs)
     system = kwargs.get(BenchConfig, {})
     period_s = system.get("period_s", BenchConfig.period_s)
     parts = {
@@ -431,39 +438,26 @@ def parse_config(text: str) -> BenchConfig:
     channel_names = {c.name for c in channels}
 
     detectors = []
-    for name, det_id, raw in _id_sections(parser, "detector"):
+    for name, det_id, raw in ids["detector"]:
         _make(f"[{name}]", check_column_name, det_id)
-        kind = raw.pop("kind", None)
-        if kind is None:
-            raise ConfigError(f"[{name}] needs kind = <detector kind>")
-        if kind not in DETECTOR_KINDS:
-            raise ConfigError(
-                f"[{name}]: unknown kind {kind!r}, expected one of "
-                f"{sorted(DETECTOR_KINDS)}"
-            )
-        typed = _read(f"[{name}]", raw, _DETECTOR_KEYS[kind])
-        params = typed.get(DETECTOR_KINDS[kind], {})
+        kind, params = _read_kind(name, raw, DETECTOR_KINDS, origin)
         chan = params.get("channel")
         if chan is not None and chan not in channel_names:
             raise ConfigError(f"[{name}]: unknown channel {chan!r}")
         detectors.append(_make(f"[{name}]", build_detector, kind, id=det_id, **params))
 
     actuator_specs = []
-    for name, act_id, raw in _id_sections(parser, "actuator"):
-        kind = raw.pop("kind", None)
-        # an unknown kind has no table: ActuatorSpec rejects it by name
-        if kind in ACTUATOR_KINDS:
-            typed = _read(f"[{name}]", raw, _ACTUATOR_KEYS[kind])
-            raw = typed.get(ACTUATOR_KINDS[kind], {})
-        actuator_specs.append(_make(f"[{name}]", ActuatorSpec, act_id, kind, raw))
+    for name, act_id, raw in ids["actuator"]:
+        kind, params = _read_kind(name, raw, ACTUATOR_KINDS, origin)
+        actuator_specs.append(_make(f"[{name}]", ActuatorSpec, act_id, kind, params))
     actuator_ids = {a.id for a in actuator_specs}
 
     binding_specs = []
-    for name, b_id, raw in _id_sections(parser, "binding"):
+    for name, b_id, raw in ids["binding"]:
         where = f"[{name}]"
         if "expression" not in raw or "actuator" not in raw:
             raise ConfigError(f"{where} needs expression and actuator")
-        typed = _read(where, raw, _BINDING_KEYS)
+        typed = _read(name, raw, _BINDING_KEYS, origin)
         spec, homeostat = typed[BindingSpec], typed.get(HomeostatConfig, {})
         if spec["actuator"] not in actuator_ids:
             raise ConfigError(f"{where}: unknown actuator {spec['actuator']!r}")
@@ -471,7 +465,6 @@ def parse_config(text: str) -> BenchConfig:
             per_hour = homeostat["target_per_cycle"]
             homeostat["target_per_cycle"] = per_hour * period_s / 3600.0
         spec["expression"] = _make(where, Expression, spec["expression"])
-        origin = {_BINDING_KEYS[k][:2]: (name, k, text) for k, text in raw.items()}
         spec["homeostat"] = _make_part(HomeostatConfig, homeostat, origin)
         binding_specs.append(BindingSpec(id=b_id, **spec))
 

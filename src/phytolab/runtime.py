@@ -135,14 +135,16 @@ class Runtime:
         if cycles is None:
             cycles = self.config.cycles_in(self.config.duration_s)
         deadline = time.monotonic()
-        for _ in range(cycles):
-            self.step()
-            if wall_clock:
-                deadline += self._period_ms / 1000.0
-                pause = deadline - time.monotonic()
-                if pause > 0.0:
-                    time.sleep(pause)
-        self.close()
+        try:
+            for _ in range(cycles):
+                self.step()
+                if wall_clock:
+                    deadline += self._period_ms / 1000.0
+                    pause = deadline - time.monotonic()
+                    if pause > 0.0:
+                        time.sleep(pause)
+        finally:  # a step that raises still leaves its cycles on disk
+            self.close()
         if self.config.report:
             self.emit_report(self.config.report)
         return self.summary()

@@ -122,6 +122,19 @@ def test_parse_rejects_malformed(bad):
         Expression(bad)
 
 
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        ("(a == 1 b", r"expected '\)', got 'b'"),
+        ("BERNOULLI(0.5 a", r"expected '\)', got 'a'"),
+        ("a b == 1", "expected a comparison operator after operand"),
+    ],
+)
+def test_parse_names_what_it_expected(bad, match):
+    with pytest.raises(ExpressionError, match=match):
+        Expression(bad)
+
+
 # -- no-data semantics
 
 
@@ -209,6 +222,11 @@ def test_binding_cannot_break_the_one_line_firing_format(kw):
     with pytest.raises(ValueError, match="holds a (tab or )?line break"):
         binding("a == 1", **kw)
     binding("a == 1", id="a b", payload="tabs\tare\tfine")
+
+
+def test_binding_id_must_be_non_empty():
+    with pytest.raises(ValueError, match="binding id must be non-empty"):
+        binding("a == 1", id="")
 
 
 # detector ids that are Python keywords or start like this grammar's keywords

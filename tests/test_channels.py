@@ -165,6 +165,13 @@ def test_validate_record_schema_and_range():
         ch.validate_record(
             ch.Record(1000, {"bio1": 1.5, "leaf_temp": 21.5}), chans
         )
+    # NaN is inside no range, and is refused before the range is read
+    with pytest.raises(ValueError, match="non-finite reading on 'bio1': nan"):
+        ch.validate_record(
+            ch.Record(1000, {"bio1": math.nan, "leaf_temp": 21.5}), chans
+        )
+    with pytest.raises(ValueError, match="channel name must be non-empty"):
+        ch.ChannelId("", ch.ChannelKind.BIOPOTENTIAL_1)
 
 
 def test_record_is_immutable():

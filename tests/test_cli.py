@@ -9,6 +9,7 @@ from phytolab.cli import main
 from phytolab.config import load_config
 from phytolab.fra import SWEEP_CSV_FIELDS
 from phytolab.runtime import Runtime
+from phytolab.simulator import PlantSimulator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +169,27 @@ def test_simulate_command(tmp_path, bench_ini):
     assert lines[0] == "timestamp_ms,bio1"
     assert len(lines) == 6
     assert lines[1].startswith("0,")
+
+
+def test_simulate_reports_no_records_after_a_failed_write(
+    tmp_path, bench_ini, capsys, monkeypatch
+):
+    # a dump that stops at cycle 20 of 60 must not report its records written
+    record_at = PlantSimulator.record_at
+
+    def failing(self, now_ms):
+        if now_ms >= 20_000:
+            raise OSError("disk full")
+        return record_at(self, now_ms)
+
+    monkeypatch.setattr(PlantSimulator, "record_at", failing)
+    out = tmp_path / "dump.csv"
+    args = ["simulate", "--config", str(bench_ini), "--seconds", "60", "--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "error: disk full" in captured.err
+    assert "records ->" not in captured.out
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 21
 
 
 def test_replay_command(tmp_path, bench_ini, capsys):

@@ -11,6 +11,7 @@ import pytest
 from phytolab.actuation import (
     ElectricalStimulation,
     GenericSink,
+    HomeostatConfig,
     MessageToFile,
     MessageToIp,
     Relay,
@@ -249,6 +250,14 @@ def test_case_of_names_is_preserved():
     assert config.detectors[0].channel == "BioA"
 
 
+def test_an_empty_event_list_item_is_skipped():
+    config = parse_config("[events]\ntouch = 2,, 1 ,\n")
+    assert [(e.kind, e.at_ms, e.channel) for e in config.events] == [
+        (EventKind.TOUCH, 1000, None),
+        (EventKind.TOUCH, 2000, None),
+    ]
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "bench.ini"
     path.write_text("[system]\nseed = 3\n", encoding="utf-8")
@@ -277,13 +286,34 @@ BAD_CASES = [
     ("[pipe]\nmiddle_stride = 1\n", "strides must grow"),
     ("[detector.a,b]\nkind = mean\nchannel = bio1\n", "bad column name"),
     ("[detector.x]\nchannel = bio1\n", "needs kind"),
-    ("[detector.x]\nkind = psychic\n", "unknown kind"),
+    ("[detector.x]\nkind = psychic\n", "unknown detector kind"),
     ("[detector.x]\nkind = peak\nchannel = nope\n", "unknown channel"),
     ("[detector.x]\nkind = peak\nchannel = bio1\ntier = weekly\n", "unknown tier"),
     ("[detector.x]\nkind = peak\nchannel = bio1\nshape = round\n", "unknown parameter"),
     ("[detector.x]\nkind = peak\nchannel = bio1\nid = y\n", "section name"),
     ("[detector.x]\nkind = peak\nchannel = bio1\nsigma = -1\n", "must be positive"),
+    (
+        "[detector.x]\nkind = mean\nchannel = bio1\nmin_samples = 1\n",
+        r"^\[detector\.x\]: x: min_samples must be >= 2, got 1$",
+    ),
+    (
+        "[detector.x]\nkind = cyclical\nchannel = bio1\nlag = 3\nthreshold = 1\n",
+        r"^\[detector\.x\]: x: threshold must be inside \(-1, 1\)$",
+    ),
+    (
+        "[detector.x]\nkind = time_of_day\nstart_hour = 6\nend_hour = 6\n",
+        r"^\[detector\.x\]: x: empty daily window$",
+    ),
+    (
+        "[biopotential]\nap_duration_s = 0\n",
+        r"^\[biopotential\]: event durations must be positive \(ap_duration_s = 0\)$",
+    ),
+    (
+        "[biopotential]\nday_length_s = 0\n",
+        r"^\[biopotential\]: day length must be positive \(day_length_s = 0\)$",
+    ),
     ("[actuator.x]\nkind = laser\n", "unknown actuator kind"),
+    ("[actuator.x]\npath = a.txt\n", r"^\[actuator\.x\] needs kind = <actuator kind>$"),
     ("[actuator.x]\nkind = message_to_file\n", "needs path"),
     ("[actuator.x]\nkind = electrical_stimulation\nintensity = 1.5\n", "outside"),
     ("[actuator.x]\nkind = message_to_ip\nhost = h\n", "needs host and port"),
@@ -516,6 +546,50 @@ BAD_CASES = [
 def test_bad_configs_are_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+HOMEOSTAT_BINDING = (
+    "[detector.d]\nkind = mean\nchannel = bio1\n[actuator.r]\nkind = relay\n"
+    "[binding.b]\nexpression = d > 1\nactuator = r\npayload = on\n"
+)
+HOMEOSTAT_KEYS = ["target_per_hour", "alpha", "step", "lo", "hi"]
+# (base text, section, key, the fields of the key's class named by another key)
+ONE_KEY_CASES = [
+    (
+        f"[{section}]\n",
+        section,
+        key,
+        {name for k, (c, name, _) in table.items() if c is cls and name != k},
+    )
+    for section, table in config_module._SECTIONS.items()
+    for key, (cls, _, _) in table.items()
+] + [
+    (
+        HOMEOSTAT_BINDING,
+        "binding.b",
+        f"homeostat_{key}",
+        {f.name for f in dataclasses.fields(HomeostatConfig)},
+    )
+    for key in HOMEOSTAT_KEYS
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "1000000000000"])
+@pytest.mark.parametrize(
+    "base,section,key,renamed", ONE_KEY_CASES, ids=[c[2] for c in ONE_KEY_CASES]
+)
+def test_a_refused_key_is_named_in_the_ini_words(base, section, key, renamed, value):
+    # a refusal starts with the section and names the key, and no field of
+    # the refusing class that an INI key sets under another name
+    try:
+        parse_config(f"{base}{key} = {value}\n")
+    except ConfigError as exc:
+        message = str(exc)
+    else:
+        return
+    assert message.startswith(f"[{section}]"), message
+    assert key in message, message
+    assert not [f for f in renamed if re.search(rf"\b{f}\b", message)], message
 
 
 @pytest.mark.parametrize("period_s", [0.001, 0.0999, 100.5, 500.0])

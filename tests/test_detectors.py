@@ -555,6 +555,12 @@ def test_config_validation_errors():
         TimeOfDayGate(id="t", start_hour=25.0, end_hour=3.0)
     with pytest.raises(ValueError):
         PathogenicityDetector(id="h", channel="x", z_yellow=4.0, z_red=2.0)
+    for gate in (
+        lambda: TimeIntervalGate(id="", start_ms=0, end_ms=5),
+        lambda: TimeOfDayGate(id="", start_hour=1.0, end_hour=3.0),
+    ):
+        with pytest.raises(ValueError, match="detector id must be non-empty"):
+            gate()
 
 
 # --- bit-identity oracle: the scalar kernels and the detectors built on them

@@ -220,6 +220,24 @@ def test_iter_store_rejects_malformed_rows(tmp_path):
         list(iter_store(root))
 
 
+def test_iter_store_rejects_a_segment_without_the_record_header(tmp_path):
+    root = tmp_path / "s"
+    root.mkdir()
+    (root / "segment-00000001.csv").write_text("time,x\n0,1.0\n")
+    with pytest.raises(ValueError, match="is not a record segment"):
+        list(iter_store(root))
+
+
+def test_reopen_refuses_a_newest_row_whose_timestamp_is_not_an_integer(tmp_path):
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x"]) as store:
+        store.append_row(0, {"x": 1.0})
+    seg = store.segments()[0]
+    seg.write_text(seg.read_text() + "1.5,2.0\n")
+    with pytest.raises(ValueError, match=r"malformed row in .*: b'1\.5,2\.0'"):
+        LogStore(root, columns=["x"])
+
+
 def test_replay_order_and_pacing(tmp_path):
     root = tmp_path / "s"
     with LogStore(root, columns=["x"]) as store:
@@ -312,6 +330,12 @@ def test_report_is_valid_markup_with_one_chart_per_series(tmp_path):
     assert len(polys) == 2  # the empty series draws no line
     assert len(polys[0].get("points").split()) == 3
     assert "min=0.1 max=0.3" in text
+
+
+def test_a_series_with_more_timestamps_than_values_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="series 'bio1': length mismatch"):
+        emit_report(tmp_path / "r.html", "t", [("bio1", [0, 1000], [0.1])])
+    assert not list(tmp_path.iterdir())
 
 
 def test_report_overwrites_atomically(tmp_path):

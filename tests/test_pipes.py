@@ -44,6 +44,8 @@ def test_pipe_values_window():
 
 
 def test_layout_validation():
+    with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
+        Pipe("short", 0)
     with pytest.raises(ValueError):
         TierLayout(short_capacity=0)
     with pytest.raises(ValueError):

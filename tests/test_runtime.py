@@ -1,8 +1,10 @@
 """End-to-end loop: acquisition through detection to actuation, on disk."""
 
+import gc
 import math
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -231,3 +233,32 @@ def test_context_manager_closes_stores(tmp_path):
         runtime.step()
     with pytest.raises(ValueError, match="closed"):
         runtime.record_store.append_row(99_000, {"bio1": 0.0})
+
+
+def test_a_step_that_raises_still_closes_the_run_files(tmp_path):
+    # the cycles before the one that raised are on disk, and the stores and
+    # firings.log are closed, not left to garbage collection
+    config = parse_config(
+        "[channels]\nbio1 = biopotential1\n"
+        "[detector.m]\nkind = mean\nchannel = bio1\n"
+    )
+    out = tmp_path / "run"
+    runtime = Runtime(config, out_dir=out)
+    evaluate, calls = runtime.bank.evaluate, []
+
+    def failing(tiers, now_ms):
+        calls.append(now_ms)
+        if len(calls) == 30:
+            raise RuntimeError("detector fault")
+        return evaluate(tiers, now_ms)
+
+    runtime.bank.evaluate = failing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="detector fault"):
+            runtime.run(cycles=60)
+        assert len(list(iter_store(out / "records"))) == 29
+        assert len(list(iter_store(out / "vectors"))) == 29
+        del runtime
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

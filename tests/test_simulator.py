@@ -52,6 +52,8 @@ def test_tissue_rejects_bad_parameters():
         sim.TissueModel(rp=0.0)
     with pytest.raises(ValueError):
         sim.TissueModel(cp=-1e-6)
+    with pytest.raises(ValueError, match="negative frequency -1"):
+        sim.TissueModel().impedance(-1)
 
 
 def test_clean_response_reproduces_cell_impedance():
