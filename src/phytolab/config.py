@@ -38,9 +38,10 @@ keys outside their section's table, detector or actuator kinds, channels,
 detector references, payloads that cannot render or that their actuator
 refuses, actuator arguments the actuator refuses (a file path outside the run
 directory too), store sizes the store would refuse, non-finite or
-out-of-range cell, front-end, sweep and binding values, a sweep whose last
-point cannot be planned, and an excitation outside the device envelope or
-not period-stable fail at load time, not at runtime.
+out-of-range cell, front-end, sweep and binding values (a homeostat target as
+written, per hour), a detector that needs more samples than its tier holds,
+a sweep end that cannot be planned inside the device envelope, and an
+excitation outside it or not period-stable fail at load time, not at runtime.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ import inspect
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .actuation import ACTUATOR_KINDS, Actuator, Binding, Expression, HomeostatConfig
 from .channels import ChannelId, ChannelKind, default_channels
-from .detectors import DETECTOR_KINDS, Detector, build_detector
+from .detectors import DETECTOR_KINDS, Detector, WindowedDetector, build_detector
 from .fra import SweepSpec
 from .logstore import (
     CAPACITY_BYTES,
@@ -444,7 +445,16 @@ def parse_config(text: str) -> BenchConfig:
         chan = params.get("channel")
         if chan is not None and chan not in channel_names:
             raise ConfigError(f"[{name}]: unknown channel {chan!r}")
-        detectors.append(_make(f"[{name}]", build_detector, kind, id=det_id, **params))
+        detector = _make(f"[{name}]", build_detector, kind, id=det_id, **params)
+        if isinstance(detector, WindowedDetector):
+            key = f"{detector.tier}_capacity"
+            held = getattr(parts["tier_layout"], key)
+            if (needed := detector.required_samples()) > held:
+                raise ConfigError(
+                    f"[{name}]: needs {needed} samples, more than "
+                    f"[pipe] {key} = {held} holds"
+                )
+        detectors.append(detector)
 
     actuator_specs = []
     for name, act_id, raw in ids["actuator"]:
@@ -458,14 +468,14 @@ def parse_config(text: str) -> BenchConfig:
         if "expression" not in raw or "actuator" not in raw:
             raise ConfigError(f"{where} needs expression and actuator")
         typed = _read(name, raw, _BINDING_KEYS, origin)
-        spec, homeostat = typed[BindingSpec], typed.get(HomeostatConfig, {})
+        spec = typed[BindingSpec]
         if spec["actuator"] not in actuator_ids:
             raise ConfigError(f"{where}: unknown actuator {spec['actuator']!r}")
-        if "target_per_cycle" in homeostat:
-            per_hour = homeostat["target_per_cycle"]
-            homeostat["target_per_cycle"] = per_hour * period_s / 3600.0
         spec["expression"] = _make(where, Expression, spec["expression"])
-        spec["homeostat"] = _make_part(HomeostatConfig, homeostat, origin)
+        # checked as written, per hour, then run per cycle
+        homeostat = _make_part(HomeostatConfig, typed.get(HomeostatConfig, {}), origin)
+        per_cycle = homeostat.target_per_cycle * period_s / 3600.0
+        spec["homeostat"] = replace(homeostat, target_per_cycle=per_cycle)
         binding_specs.append(BindingSpec(id=b_id, **spec))
 
     events = ()

@@ -7,10 +7,11 @@ data yet); numeric detectors emit their measurement, with NO_DATA doubling as
 the insufficient-data marker.  All threshold comparisons are strict, so a
 value exactly at a threshold does not fire.
 
-The bank recomputes a windowed detector only on a cycle in which its tier
-took a push, and reuses its last value otherwise: a middle-tier detector runs
-once per middle_stride cycles, a long-tier one once per long_stride.  Gates
-read the clock and run on every cycle.
+The bank, built on one set of tiers, recomputes a windowed detector only
+when its tier's push count has moved since the detector's last value, and
+reuses that value otherwise: a middle-tier detector runs once per
+middle_stride cycles, a long-tier one once per long_stride.  Gates read the
+clock and run on every cycle.
 """
 
 from __future__ import annotations
@@ -419,49 +420,41 @@ def build_detector(kind: str, **params) -> Detector:
 
 
 class DetectorBank:
-    """Ordered detector collection producing the per-cycle output vector.
+    """Ordered detectors producing the per-cycle vector of one set of tiers.
 
-    A WindowedDetector is recomputed only when its tier has moved since the
-    bank's last call, that is when the tier is another Pipe object or its
-    total_pushed has changed; otherwise its last value is reused.  Such a
-    detector reads only its tier's retained samples and timestamps, never
-    now_ms, and only Pipe.push changes those, so the reused value is exactly
-    what a fresh evaluation would return.  Gates and any other Detector run
-    on every call.  A tier is marked current only when a call returns, so
-    after a call that raised, its detectors are recomputed on the next one.
-    Tiers are recorded by position at construction and evaluate walks
-    self.detectors, so a detector swapped in later at the same position is
-    called in its place.
+    A WindowedDetector is recomputed only when its tier's total_pushed differs
+    from the count at the detector's last finite value, which is reused
+    otherwise.  Such a detector reads only its tier's retained samples and
+    timestamps, never now_ms, and only Pipe.push changes those, so the reused
+    value is what a fresh evaluation would return; a detector whose call
+    raised is recomputed on the next.  Gates and any other Detector run on
+    every call.  Pipes are resolved by position at construction and evaluate
+    walks self.detectors, so a detector swapped in later at the same position
+    is called in its place.
     """
 
-    def __init__(self, detectors: Sequence[Detector]) -> None:
+    def __init__(self, detectors: Sequence[Detector], tiers: TieredPipes) -> None:
         check_unique_names("detector ids", [d.id for d in detectors])
         self.detectors = tuple(detectors)
-        # None, the tier of a detector that runs every call, is always moved
-        self._tier_of = tuple(
-            d.tier if isinstance(d, WindowedDetector) else None
+        self.tiers = tiers
+        # per detector: its pipe (None: runs on every call), total_pushed at its value
+        self._pipes = tuple(
+            tiers.tier(d.tier) if isinstance(d, WindowedDetector) else None
             for d in self.detectors
         )
-        self._read = tuple(t for t in (SHORT, MIDDLE, LONG) if t in self._tier_of)
-        self._seen: dict[str, tuple[Pipe, int]] = {}
+        self._pushed: list[int | None] = [None] * len(self.detectors)
         self._last = [NO_DATA] * len(self.detectors)
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> dict[str, float]:
+    def evaluate(self, now_ms: int) -> dict[str, float]:
         """Output vector keyed by detector id, in configuration order."""
-        seen: dict[str, tuple[Pipe, int]] = {}
-        moved: dict[str | None, bool] = {None: True}
-        for name in self._read:
-            pipe = tiers.tier(name)
-            seen[name] = stamp = (pipe, pipe.total_pushed)
-            moved[name] = stamp != self._seen.get(name)
+        tiers, pushed, last = self.tiers, self._pushed, self._last
         out: dict[str, float] = {}
-        last = self._last
-        for i, (det, tier) in enumerate(zip(self.detectors, self._tier_of)):
-            if moved[tier]:
+        for i, (det, pipe) in enumerate(zip(self.detectors, self._pipes)):
+            count = None if pipe is None else pipe.total_pushed
+            if count is None or count != pushed[i]:
                 value = det.evaluate(tiers, now_ms)
                 if not math.isfinite(value):
                     raise ValueError(f"detector {det.id!r} produced non-finite {value}")
-                last[i] = value
+                last[i], pushed[i] = value, count
             out[det.id] = last[i]
-        self._seen = seen
         return out

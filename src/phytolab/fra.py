@@ -132,14 +132,6 @@ class ExcitationWaveform:
         return fra_single_point(self.samples, self.cycles)
 
 
-def check_amplitude(amplitude: float) -> None:
-    """Raise unless the excitation amplitude lies inside the device envelope."""
-    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
-        raise ValueError(
-            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
-        )
-
-
 def check_excitation(
     frequency: float, amplitude: float, n_samples: int, sample_rate: float
 ) -> int:
@@ -149,7 +141,10 @@ def check_excitation(
             f"frequency {frequency} Hz outside "
             f"[{MIN_FREQUENCY_HZ}, {MAX_FREQUENCY_HZ}] Hz"
         )
-    check_amplitude(amplitude)
+    if not (MIN_AMPLITUDE_V <= amplitude <= MAX_AMPLITUDE_V):
+        raise ValueError(
+            f"amplitude {amplitude} V outside [{MIN_AMPLITUDE_V}, {MAX_AMPLITUDE_V}] V"
+        )
     return exact_cycles(frequency, n_samples, sample_rate)
 
 
@@ -384,7 +379,7 @@ class SweepPoint:
 class SweepSpec:
     """Frequency sweep plan: log-spaced points across [start_hz, stop_hz],
     each planned by point in mode 'adaptive' or 'fixed'.  A spec constructs
-    only if its last point, the highest, plans.
+    only if its first and last points plan inside the device envelope.
     """
 
     start_hz: float = MIN_FREQUENCY_HZ
@@ -409,13 +404,14 @@ class SweepSpec:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.mode == "adaptive" and not (1 <= self.cycles < self.n_samples / 2):
             raise ValueError(f"cycles must satisfy 1 <= c < N/2, got {self.cycles}")
-        check_amplitude(self.amplitude)
         for name in ("max_rate", "fixed_rate"):
             if not 0 < (rate := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {rate}")
-        # the bin and the rate rise with the frequency, so if the last point
-        # plans, every point does
-        self.point(self.stop_hz if self.points > 1 else self.start_hz)
+        # the bin and the rate rise with the frequency, so if the two ends
+        # plan inside the envelope, every point does
+        ends = (self.stop_hz, self.start_hz) if self.points > 1 else (self.start_hz,)
+        for p in map(self.point, ends):
+            check_excitation(p.frequency_hz, self.amplitude, p.n_samples, p.sample_rate)
 
     def point(self, frequency: float) -> SweepPoint:
         """The period-stable plan for one requested frequency, or raise.

@@ -65,7 +65,7 @@ class Runtime:
         self.simulator = config.build_simulator()
 
         self.tiers = TieredPipes(config.tier_layout)
-        self.bank = DetectorBank(config.detectors)
+        self.bank = DetectorBank(config.detectors, self.tiers)
         bindings, self.actuators = config.build_bindings(
             self.out_dir, simulator=self.simulator
         )
@@ -103,7 +103,7 @@ class Runtime:
         now = self.now_ms
         record = self.simulator.record_at(now)
         self.tiers.push(record)
-        vector = self.bank.evaluate(self.tiers, now)
+        vector = self.bank.evaluate(now)
         firings = self.engine.cycle(vector, now)
         self.record_store.append(record)
         if self.vector_store is not None:

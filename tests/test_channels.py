@@ -11,6 +11,7 @@ from phytolab.actuation import ActuationEngine, Binding, Expression, GenericSink
 from phytolab.config import parse_config
 from phytolab.detectors import DetectorBank, MeanDetector
 from phytolab.logstore import LogStore
+from phytolab.pipes import TieredPipes
 from phytolab.simulator import PlantSimulator
 
 
@@ -56,7 +57,7 @@ def _twin_binding():
         ),
         lambda tmp_path: LogStore(tmp_path / "s", columns=["twin", "x", "twin"]),
         lambda tmp_path: DetectorBank(
-            [MeanDetector(id="twin", channel="x", window=60)] * 2
+            [MeanDetector(id="twin", channel="x", window=60)] * 2, TieredPipes()
         ),
         lambda tmp_path: ActuationEngine([_twin_binding(), _twin_binding()]),
     ],

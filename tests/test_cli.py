@@ -223,6 +223,15 @@ def test_an_unplannable_sweep_is_a_config_error(tmp_path, capsys):
     assert err.endswith("(max_rate = 1000)")
 
 
+def test_a_sweep_that_runs_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("phytolab.cli.run_sweep", exhausted)
+    assert main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
 @pytest.mark.parametrize("cycles", ["-3", "0"])
 def test_run_refuses_a_non_positive_cycle_count(tmp_path, bench_ini, capsys, cycles):
     out = tmp_path / "run"

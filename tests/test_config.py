@@ -402,7 +402,7 @@ BAD_CASES = [
         r"\[binding\.x\]: homeostat_step nan must exceed 1 \(homeostat_step = nan\)",
     ),
     # a homeostat value is reported against its INI key, in the key's words,
-    # with the value as written beside the per-cycle rate it converts to
+    # and checked as written, before it converts to a per-cycle rate
     (
         "[actuator.r]\nkind = relay\n"
         "[binding.b]\nexpression = a == 1\nactuator = r\nhomeostat_alpha = 2\n",
@@ -412,7 +412,7 @@ BAD_CASES = [
         "[actuator.r]\nkind = relay\n"
         "[binding.b]\nexpression = a == 1\nactuator = r\n"
         "homeostat_target_per_hour = -1\n",
-        r"^\[binding\.b\]: target rate must be >= 0, .* "
+        r"^\[binding\.b\]: target rate must be >= 0, got -1\.0 "
         r"\(homeostat_target_per_hour = -1\)$",
     ),
     # a cell, front-end or tier value is reported against the one section
@@ -444,6 +444,29 @@ BAD_CASES = [
     (
         "[sweep]\nmode = fixed\nstop_hz = 6e5\n",
         r"^\[sweep\]: frequency 599609.375 Hz at or beyond Nyquist .* \(stop_hz = 6e5\)$",
+    ),
+    # the snapped bin of the last point, or of the first, leaves the envelope
+    (
+        "[sweep]\nmode = fixed\nfixed_rate = 1e8\nstop_hz = 650000\n",
+        r"^\[sweep\]: frequency 683593.75 Hz outside \[8.0, 650000.0\] Hz "
+        r"\(stop_hz = 650000\)$",
+    ),
+    (
+        "[sweep]\nmode = fixed\nstop_hz = 1000\nfixed_rate = 6144\n",
+        r"^\[sweep\]: frequency 6.0 Hz outside .* \(fixed_rate = 6144\)$",
+    ),
+    # a detector that needs more samples than its tier ever holds
+    (
+        "[pipe]\nshort_capacity = 10\n"
+        "[detector.m]\nkind = mean\nchannel = bio1\nmin_samples = 20\n",
+        r"^\[detector\.m\]: needs 20 samples, more than "
+        r"\[pipe\] short_capacity = 10 holds$",
+    ),
+    (
+        "[pipe]\nmiddle_capacity = 4\n"
+        "[detector.c]\nkind = cyclical\nchannel = bio1\nlag = 3\n",
+        r"^\[detector\.c\]: needs 5 samples, more than "
+        r"\[pipe\] middle_capacity = 4 holds$",
     ),
     (
         "[sweep]\nmax_rate = 1000\n",

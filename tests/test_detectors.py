@@ -322,11 +322,11 @@ def test_pathogenicity_insufficient_data():
 def test_bank_rejects_duplicate_ids_and_keeps_order():
     d1 = MeanDetector(id="a", channel="x", window=60)
     d2 = ZScoreDetector(id="b", channel="x", window=60)
-    with pytest.raises(ValueError):
-        DetectorBank([d1, MeanDetector(id="a", channel="x", window=60)])
-    bank = DetectorBank([d2, d1])
     tiers = feed([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    vec = bank.evaluate(tiers, now_of(tiers))
+    with pytest.raises(ValueError):
+        DetectorBank([d1, MeanDetector(id="a", channel="x", window=60)], tiers)
+    bank = DetectorBank([d2, d1], tiers)
+    vec = bank.evaluate(now_of(tiers))
     assert list(vec) == ["b", "a"]
 
 
@@ -337,9 +337,9 @@ def test_bank_rejects_non_finite_detector_output():
         def evaluate(self, tiers, now_ms):
             return math.inf
 
-    bank = DetectorBank([Broken()])
+    bank = DetectorBank([Broken()], TieredPipes())
     with pytest.raises(ValueError, match="non-finite"):
-        bank.evaluate(TieredPipes(), 0)
+        bank.evaluate(0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -373,14 +373,14 @@ def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
     short = CountingMean(id="s", channel="x", tier="short", window=10)
     middle = CountingMean(id="m", channel="x", tier="middle", window=10)
     gate = CountingGate()
-    bank = DetectorBank([short, middle, gate])
     tiers = TieredPipes(layout)
+    bank = DetectorBank([short, middle, gate], tiers)
     stamps = [i * 1000 for i in range(50)]
     for i, t in enumerate(stamps):
         push_cycle(tiers, t, float(i))
-        bank.evaluate(tiers, t)
+        bank.evaluate(t)
     # a gate reads the clock, so it runs even on a call no push preceded
-    bank.evaluate(tiers, 99_000)
+    bank.evaluate(99_000)
     assert gate.calls == stamps + [99_000]
     assert short.calls == stamps
     # on the first call, then once per middle push, on the cycle that pushed it
@@ -409,14 +409,14 @@ def test_bank_calls_stand_ins_put_in_after_construction():
         MeanDetector(id="l", channel="x", tier="long", window=6),
         TimeIntervalGate(id="t", start_ms=0, end_ms=10_000),
     ]
-    bank = DetectorBank(detectors)
-    bank.detectors = tuple(StandIn(d) for d in bank.detectors)
-    reference = DetectorBank(detectors)
     tiers = TieredPipes(layout)
+    bank = DetectorBank(detectors, tiers)
+    bank.detectors = tuple(StandIn(d) for d in bank.detectors)
+    reference = DetectorBank(detectors, tiers)
     stamps = [i * 1000 for i in range(40)]
     for i, t in enumerate(stamps):
         push_cycle(tiers, t, float(i % 7))
-        assert bank.evaluate(tiers, t) == reference.evaluate(tiers, t)
+        assert bank.evaluate(t) == reference.evaluate(t)
     calls = [d.calls for d in bank.detectors]
     assert calls == [stamps, [0] + stamps[3::4], [0] + stamps[7::8], stamps]
 
@@ -427,18 +427,18 @@ def test_bank_retries_a_non_finite_detector_on_every_call():
         def _measure(self, x, pipe):
             return math.nan
 
-    bank = DetectorBank([Broken(id="b", channel="x", tier="middle")])
     tiers = TieredPipes(TierLayout(middle_stride=2, long_stride=4))
+    bank = DetectorBank([Broken(id="b", channel="x", tier="middle")], tiers)
     for t in (0, 1000, 2000):
         push_cycle(tiers, t, 1.0)
-        assert bank.evaluate(tiers, t) == {"b": NO_DATA}
+        assert bank.evaluate(t) == {"b": NO_DATA}
     push_cycle(tiers, 3000, 1.0)  # the middle tier's second sample
     for _ in range(2):
         with pytest.raises(ValueError, match="non-finite"):
-            bank.evaluate(tiers, 3000)
+            bank.evaluate(3000)
     push_cycle(tiers, 4000, 1.0)  # a cycle that leaves the middle tier be
     with pytest.raises(ValueError, match="non-finite"):
-        bank.evaluate(tiers, 4000)
+        bank.evaluate(4000)
 
 
 def bank_bits(vector):
@@ -447,9 +447,50 @@ def bank_bits(vector):
 
 def fresh_bits(detectors, tiers, now_ms):
     """The vector of a fresh bank, which must be every detector's own value."""
-    want = bank_bits(DetectorBank(detectors).evaluate(tiers, now_ms))
+    want = bank_bits(DetectorBank(detectors, tiers).evaluate(now_ms))
     assert want == bank_bits({d.id: d.evaluate(tiers, now_ms) for d in detectors})
     return want
+
+
+@dataclass(frozen=True, kw_only=True)
+class RaisingMean(CountingMean):
+    """A counting mean detector whose call numbered raise_on raises."""
+
+    raise_on: int
+
+    def evaluate(self, tiers, now_ms):
+        value = super().evaluate(tiers, now_ms)
+        if len(self.calls) == self.raise_on:
+            raise RuntimeError("detector fault")
+        return value
+
+
+@pytest.mark.parametrize("raise_on", [1, 2, 5])
+def test_after_a_raise_the_detectors_from_the_raising_one_on_recompute(raise_on):
+    tiers = TieredPipes()
+    first = CountingMean(id="a", channel="x", window=4)
+    middle = RaisingMean(id="b", channel="x", window=6, raise_on=raise_on)
+    third = CountingMean(id="c", channel="x", window=9)
+    detectors = (first, middle, third)
+    bank = DetectorBank(detectors, tiers)
+    plain = [MeanDetector(id=d.id, channel="x", window=d.window) for d in detectors]
+    raised = 0
+    for i in range(8):
+        t = i * 1000
+        push_cycle(tiers, t, float(i * i))
+        try:
+            vector = bank.evaluate(t)
+        except RuntimeError:
+            raised += 1
+            before = [len(d.calls) for d in detectors]
+            vector = bank.evaluate(t)  # no push in between
+            # the first keeps the value it returned before the raise
+            assert [len(d.calls) for d in detectors] == [
+                before[0], before[1] + 1, before[2] + 1
+            ]
+        assert bank_bits(vector) == fresh_bits(plain, tiers, t)
+    assert raised == 1
+    assert [len(d.calls) for d in detectors] == [8, 9, 8]
 
 
 @st.composite
@@ -497,28 +538,12 @@ cycle_values = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_bank_vector_equals_a_fresh_bank_on_every_cycle(bank, values):
     layout, detectors = bank
-    memo = DetectorBank(detectors)
     tiers = TieredPipes(layout)
+    memo = DetectorBank(detectors, tiers)
     for i, v in enumerate(values):
         t = i * 1000
         push_cycle(tiers, t, v)
-        assert bank_bits(memo.evaluate(tiers, t)) == fresh_bits(detectors, tiers, t)
-
-
-@given(bank=tiered_banks(), values=cycle_values, offset=st.floats(1.0, 50.0))
-@settings(max_examples=40, deadline=None)
-def test_bank_never_returns_values_of_other_tiers(bank, values, offset):
-    """One bank evaluated against two tier sets in turn, pushed in lockstep so
-    their push counts agree, answers each call from the tiers it was given."""
-    layout, detectors = bank
-    memo = DetectorBank(detectors)
-    a, b = TieredPipes(layout), TieredPipes(layout)
-    for i, v in enumerate(values):
-        t = i * 1000
-        push_cycle(a, t, v)
-        push_cycle(b, t, v * 0.5 + offset)
-        for tiers in (a, b) if i % 2 else (b, a):
-            assert bank_bits(memo.evaluate(tiers, t)) == fresh_bits(detectors, tiers, t)
+        assert bank_bits(memo.evaluate(t)) == fresh_bits(detectors, tiers, t)
 
 
 def test_build_detector_factory():

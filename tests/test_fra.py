@@ -285,6 +285,10 @@ _SWEEP_HZ = st.floats(fra.MIN_FREQUENCY_HZ, fra.MAX_FREQUENCY_HZ)
     mode="adaptive", n_samples=1024, cycles=511, max_rate=1e5, fixed_rate=1e6,
     band=[8.0, 3e5], points=25,
 )
+@example(  # the last bin snaps to 683593.75 Hz, above the envelope
+    mode="fixed", n_samples=1024, cycles=16, max_rate=1e8, fixed_rate=1e8,
+    band=[8.0, 6.5e5], points=25,
+)
 @settings(max_examples=300, deadline=None)
 def test_a_sweep_spec_that_constructs_also_plans(
     mode, n_samples, cycles, max_rate, fixed_rate, band, points
@@ -301,6 +305,10 @@ def test_a_sweep_spec_that_constructs_also_plans(
         assert p.cycles < p.n_samples / 2
         if mode == "adaptive":
             assert p.sample_rate <= max_rate
+        vv = fra.synthesize_excitation(
+            p.frequency_hz, spec.amplitude, p.n_samples, p.sample_rate
+        )
+        assert vv.cycles == p.cycles
 
 
 def _paired(shape=(1024,)):

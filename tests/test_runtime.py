@@ -246,11 +246,11 @@ def test_a_step_that_raises_still_closes_the_run_files(tmp_path):
     runtime = Runtime(config, out_dir=out)
     evaluate, calls = runtime.bank.evaluate, []
 
-    def failing(tiers, now_ms):
+    def failing(now_ms):
         calls.append(now_ms)
         if len(calls) == 30:
             raise RuntimeError("detector fault")
-        return evaluate(tiers, now_ms)
+        return evaluate(now_ms)
 
     runtime.bank.evaluate = failing
     with warnings.catch_warnings(record=True) as caught:
