@@ -66,6 +66,7 @@ from .logstore import (
 )
 from .pipes import TierLayout
 from .simulator import Event, EventKind, PlantSimulator, SimParams, TissueModel
+from .simulator import check_event_channel
 
 MIN_PERIOD_S = 0.1
 MAX_PERIOD_S = 100.0
@@ -372,7 +373,7 @@ def _parse_channels(section) -> tuple[ChannelId, ...]:
     return tuple(chans)
 
 
-def _parse_events(section, channel_names: set[str]) -> tuple[Event, ...]:
+def _parse_events(section, channels: tuple[ChannelId, ...]) -> tuple[Event, ...]:
     events = []
     for kind_text, listing in section.items():
         try:
@@ -387,8 +388,7 @@ def _parse_events(section, channel_names: set[str]) -> tuple[Event, ...]:
             if ":" in item:
                 item, channel = item.split(":", 1)
                 channel = channel.strip()
-                if channel not in channel_names:
-                    raise ConfigError(f"[events]: unknown channel {channel!r}")
+                _make("[events]", check_event_channel, channel, channels)
             try:
                 at_ms = round(float(item) * 1000.0)
             except (ValueError, OverflowError):  # not a number, NaN or infinite
@@ -480,7 +480,7 @@ def parse_config(text: str) -> BenchConfig:
 
     events = ()
     if parser.has_section("events"):
-        events = _parse_events(parser["events"], channel_names)
+        events = _parse_events(parser["events"], channels)
 
     config = _make(
         "[system]",

@@ -21,7 +21,8 @@ An excitation's side (its read-only sine, the sine's RMS and its projection)
 depends only on (amplitude, N, cycles), which an adaptive sweep keeps across
 its points; `excitation_side` computes it once per triple, in a second LRU
 cache bounded at 64 sides of 8 * N bytes (0.5 MiB at N = 1024), and every
-synthesized waveform with that triple shares it.
+waveform with that triple shares it.  A waveform has one builder,
+`synthesize_excitation`, which fills every field of it.
 """
 
 from __future__ import annotations
@@ -96,40 +97,22 @@ def basis(n_samples: int, cycles: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class ExcitationWaveform:
     """One buffer of the synthesized AC excitation at a single frequency:
-    read-only float64 samples, period-stable at its rate, with the RMS and
-    the projection that every analysis of it reads.
-
-    Built by hand, a waveform freezes a copy of the samples given and
-    computes its RMS and projection from that copy, once each.
-    synthesize_excitation builds it on the shared side of its (amplitude,
-    N, cycles) instead (see excitation_side).
+    read-only float64 samples, period-stable at its rate, with the cycles
+    per buffer, the RMS and the projection that every analysis of it reads.
+    synthesize_excitation is its one builder and fills every field.
     """
 
     frequency: float
     amplitude: float
     sample_rate: float
+    cycles: int
     samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = frozen(np.array(self.samples, dtype=np.float64))
-        object.__setattr__(self, "samples", samples)
-        self.cycles  # validates period stability
+    rms: float
+    projection: complex
 
     @property
     def n_samples(self) -> int:
         return int(self.samples.shape[0])
-
-    @functools.cached_property
-    def cycles(self) -> int:
-        return exact_cycles(self.frequency, self.n_samples, self.sample_rate)
-
-    @functools.cached_property
-    def rms(self) -> float:
-        return rms(self.samples)
-
-    @functools.cached_property
-    def projection(self) -> complex:
-        return fra_single_point(self.samples, self.cycles)
 
 
 def check_excitation(
@@ -159,19 +142,15 @@ def synthesize_excitation(
     The (frequency, n_samples, sample_rate) triple must give an integer
     number of cycles; otherwise the caller has to adjust the frequency first
     (see plan_sweep).  Frequency and amplitude must lie within the device
-    envelope (see check_excitation).  Waveforms with equal (amplitude,
-    n_samples, cycles) share one read-only side (see excitation_side).
+    envelope (see check_excitation).  It fills every field; waveforms with
+    equal (amplitude, n_samples, cycles) share one read-only side (see
+    excitation_side).
     """
     cycles = check_excitation(frequency, amplitude, n_samples, sample_rate)
-    samples, vv_rms, projection = excitation_side(amplitude, n_samples, cycles)
-    vv = object.__new__(ExcitationWaveform)
-    # the fields and the cached properties, all known: the shared samples
-    # are already frozen and period-stable, so no copy and no second check
-    vars(vv).update(
-        frequency=frequency, amplitude=amplitude, sample_rate=sample_rate,
-        samples=samples, cycles=cycles, rms=vv_rms, projection=projection,
+    return ExcitationWaveform(
+        frequency, amplitude, sample_rate, cycles,
+        *excitation_side(amplitude, n_samples, cycles),
     )
-    return vv
 
 
 @functools.lru_cache(maxsize=64)

@@ -6,13 +6,16 @@ whole segments are deleted first.  Floats are written with repr, the shortest
 string that round-trips exactly, so a store written twice from the same data
 is byte-identical and reading it back loses nothing.
 
-Reports are single-file HTML with inline SVG, written to a temp file and
-moved into place so a half-written report is never visible.
+Reports are single-file HTML with inline SVG, their names and titles escaped,
+written to a temp file and moved into place so a half-written report is
+never visible.
 """
 
 from __future__ import annotations
 
+import html
 import math
+import operator
 import os
 import re
 import time
@@ -206,7 +209,7 @@ class LogStore:
     def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
-        timestamp_ms = int(timestamp_ms)
+        timestamp_ms = operator.index(timestamp_ms)  # a float is refused, not cut
         if self._last_ms is not None and timestamp_ms <= self._last_ms:
             raise not_after(f"store at {self.root}", timestamp_ms, self._last_ms)
         line = csv_row(timestamp_ms, row_values(values, self.columns))
@@ -318,8 +321,10 @@ def _svg_series(
     width: int = 800,
     height: int = 160,
 ) -> str:
+    """The series' heading and chart, its name escaped once for both."""
     if len(timestamps_ms) != len(values):
         raise ValueError(f"series {name!r}: length mismatch")
+    label = html.escape(name)
     margin = 10.0
     n = len(values)
     if n == 0:
@@ -340,12 +345,13 @@ def _svg_series(
             f'points="{" ".join(pts)}" />'
         )
     return (
+        f"<h2>{label}</h2>\n"
         f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" '
         f'xmlns="http://www.w3.org/2000/svg" role="img">'
-        f'<title>{name}</title>'
+        f'<title>{label}</title>'
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#fbfbf8" />'
         f"{body}"
-        f'<text x="{margin}" y="14" font-size="11">{name}  '
+        f'<text x="{margin}" y="14" font-size="11">{label}  '
         f"min={repr(lo)} max={repr(hi)} n={n}</text>"
         f"</svg>"
     )
@@ -356,9 +362,8 @@ def render_report(
     series: Sequence[tuple[str, Sequence[int], Sequence[float]]],
 ) -> str:
     """Self-contained HTML page with one inline SVG chart per series."""
-    charts = "\n".join(
-        f"<h2>{name}</h2>\n{_svg_series(name, ts, vs)}" for name, ts, vs in series
-    )
+    charts = "\n".join(_svg_series(name, ts, vs) for name, ts, vs in series)
+    title = html.escape(title)
     return (
         "<!DOCTYPE html>\n"
         '<html><head><meta charset="utf-8"/>'

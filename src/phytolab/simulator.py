@@ -172,6 +172,16 @@ class Event:
                 raise ValueError("electrical events act on the tissue, not a channel")
 
 
+def check_event_channel(channel: str, channels: tuple[ChannelId, ...]) -> None:
+    """Refuse an event channel that is not configured or is not a biopotential
+    channel, the only kind a touch or wound acts on."""
+    kinds = {ch.name: ch.category for ch in channels}
+    if channel not in kinds:
+        raise ValueError(f"unknown channel {channel!r}")
+    if kinds[channel] is not ChannelCategory.BIOPOTENTIAL:
+        raise ValueError(f"channel {channel!r} is not a biopotential channel")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Tunable magnitudes of the synthetic plant."""
@@ -330,8 +340,8 @@ class PlantSimulator:
     # -- stimulus scheduling ------------------------------------------------
 
     def add_event(self, event: Event) -> None:
-        if event.channel is not None and event.channel not in self._streams:
-            raise ValueError(f"unknown channel {event.channel!r}")
+        if event.channel is not None:
+            check_event_channel(event.channel, self.channels)
         if event.kind is EventKind.ELECTRICAL:
             times, events = self._electrical_events
         else:

@@ -354,6 +354,15 @@ BAD_CASES = [
     ),
     ("[events]\nquake = 100\n", "unknown event kind"),
     ("[events]\ntouch = 100:nochan\n", "unknown channel"),
+    (
+        "[channels]\nbio1 = biopotential1\nlight = light\nimp1 = impedance1\n"
+        "[events]\ntouch = 10:light, 20:imp1\n",
+        r"^\[events\]: channel 'light' is not a biopotential channel$",
+    ),
+    (
+        "[channels]\nbio1 = biopotential1\nimp1 = impedance1\n[events]\nwound = 20:imp1\n",
+        r"^\[events\]: channel 'imp1' is not a biopotential channel$",
+    ),
     ("[events]\ntouch = soon\n", "bad timestamp"),
     ("[events]\ntouch = nan\n", "bad timestamp"),
     ("[events]\nwound = inf\n", "bad timestamp"),

@@ -139,15 +139,11 @@ def test_excitation_samples_are_read_only():
         vv.samples[0] = 1.0
 
 
-def test_excitation_freezes_a_copy_not_the_callers_array():
-    a = np.zeros(1024)
-    buf = fra.ExcitationWaveform(500.0, 0.1, 32000.0, a)
-    assert a.flags.writeable
-    a[0] = 1.0  # the caller may reuse its array
-    assert buf.samples[0] == 0.0
-    assert not np.shares_memory(buf.samples, a)
-    with pytest.raises(ValueError):
-        buf.samples[0] = 1.0
+def test_every_field_of_a_synthesized_waveform_is_frozen():
+    vv = fra.synthesize_excitation(500.0, 0.1, 1024, 64000.0)
+    for field in dataclasses.fields(vv):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(vv, field.name, getattr(vv, field.name))
 
 
 def test_analyze_pair_recovers_cell_impedance():
@@ -549,12 +545,14 @@ def test_cycles_are_validated_once_per_buffer(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(fra, "exact_cycles", counting)
-    vv = fra.ExcitationWaveform(500.0, 0.1, 32000.0, np.zeros(1024))
+    vv = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
     assert [vv.cycles, vv.cycles] == [16, 16]
+    assert calls == [(500.0, 1024, 32000.0)]
+    fra.analyze_pair(vv, tissue_response(vv, TissueModel(), gain=1e3))
     assert len(calls) == 1
     # 500 Hz at 33 kHz gives 15.5 cycles per 1024 samples
     with pytest.raises(fra.PeriodStabilityError):
-        fra.ExcitationWaveform(500.0, 0.1, 33000.0, np.zeros(1024))
+        fra.synthesize_excitation(500.0, 0.1, 1024, 33000.0)
 
 
 @pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
@@ -596,41 +594,16 @@ def test_synthesized_waveforms_share_one_frozen_side_per_triple():
         assert vv.projection == fra.fra_single_point(vv.samples, vv.cycles)
 
 
-def test_a_hand_built_waveform_computes_its_side_from_its_own_copy_once(monkeypatch):
-    calls = []
-
-    def counting(name):
-        real = getattr(fra, name)
-
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-
-        return call
-
-    for name in ("rms", "fra_single_point"):
-        monkeypatch.setattr(fra, name, counting(name))
-    a = 0.1 * np.sin(parent_theta(1024, 16))
-    vv = fra.ExcitationWaveform(500.0, 0.1, 32000.0, a)
-    a[:] = 0.0  # the caller's array is not the waveform's
-    side = [vv.rms, vv.projection, vv.rms, vv.projection]
-    assert calls == ["rms", "fra_single_point"]
-    monkeypatch.undo()
-    assert side == [fra.rms(vv.samples), fra.fra_single_point(vv.samples, 16)] * 2
-    with pytest.raises(ValueError):
-        vv.samples.setflags(write=True)
-    shared = fra.synthesize_excitation(500.0, 0.1, 1024, 32000.0)
-    assert hexes(vv.samples) == hexes(shared.samples)
-    assert (vv.rms.hex(), vv.projection) == (shared.rms.hex(), shared.projection)
-
-
 def reference_sweep(spec, respond, gain):
     """run_sweep as a loop that builds every point's waveform from a fresh
-    array, so each computes its own RMS and projection."""
+    sine, with that sine's own RMS and projection."""
     results = []
     for p in fra.plan_sweep(spec):
-        sine = spec.amplitude * np.sin(parent_theta(p.n_samples, p.cycles))
-        vv = fra.ExcitationWaveform(p.frequency_hz, spec.amplitude, p.sample_rate, sine)
+        sine = fra.frozen(spec.amplitude * np.sin(parent_theta(p.n_samples, p.cycles)))
+        vv = fra.ExcitationWaveform(
+            p.frequency_hz, spec.amplitude, p.sample_rate, p.cycles, sine,
+            fra.rms(sine), fra.fra_single_point(sine, p.cycles),
+        )
         results.append(fra.analyze_pair(vv, respond(vv), gain=gain))
     return results
 

@@ -5,6 +5,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +197,19 @@ def test_append_validates_schema_and_state(tmp_path):
         store.append_row(0, {"x": 1.0, "y": 2.0})
 
 
+@pytest.mark.parametrize("stamp", [100.9, 1000.0, math.inf, math.nan])
+def test_append_row_refuses_a_timestamp_that_is_not_an_integer(tmp_path, stamp):
+    with LogStore(tmp_path / "s", columns=["x"]) as store:
+        store.append_row(np.int64(50), {"x": 1.0})
+        store.flush()
+        before = (store.segments()[0].read_text(), store.last_ms, store.total_bytes())
+        with pytest.raises(TypeError):
+            store.append_row(stamp, {"x": 2.0})
+        store.flush()
+        after = (store.segments()[0].read_text(), store.last_ms, store.total_bytes())
+    assert after == before == ("timestamp_ms,x\n50,1.0\n", 50, 22)
+
+
 def test_store_construction_validation(tmp_path):
     with pytest.raises(ValueError):
         LogStore(tmp_path / "a", columns=[])
@@ -318,18 +332,27 @@ def test_report_is_valid_markup_with_one_chart_per_series(tmp_path):
         ("bio1", [0, 1000, 2000], [0.1, 0.3, 0.2]),
         ("impedance", [0, 1000, 2000], [1058.0, 1058.5, 1057.9]),
         ("empty", [], []),
+        ("a&b<i>", [0, 1000], [1.0, 2.0]),
     ]
-    emit_report(out, "bench report", series)
+    emit_report(out, "bench report: R&D <run>", series)
     assert out.exists()
     assert not list(tmp_path.glob("*.tmp"))
     text = out.read_text()
     root = ET.fromstring(text)
     svgs = root.findall(".//{http://www.w3.org/2000/svg}svg")
-    assert len(svgs) == 3
+    assert len(svgs) == 4
     polys = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-    assert len(polys) == 2  # the empty series draws no line
+    assert len(polys) == 3  # the empty series draws no line
     assert len(polys[0].get("points").split()) == 3
     assert "min=0.1 max=0.3" in text
+    # every name and title is read back as written
+    assert [h.text for h in root.iter("h2")] == [name for name, _, _ in series]
+    assert root.find("head/title").text == root.find("body/h1").text == (
+        "bench report: R&D <run>"
+    )
+    svg_titles = [s.find("{http://www.w3.org/2000/svg}title").text for s in svgs]
+    assert svg_titles == [name for name, _, _ in series]
+    assert svgs[3].find("{http://www.w3.org/2000/svg}text").text.startswith("a&b<i>  ")
 
 
 def test_a_series_with_more_timestamps_than_values_is_refused(tmp_path):

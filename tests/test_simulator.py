@@ -173,6 +173,17 @@ def test_touch_event_targets_single_channel():
     assert mid.values["bio2"] == pytest.approx(-0.05, abs=1e-7)
 
 
+@pytest.mark.parametrize("channel", ["light", "imp1"])
+def test_touch_and_wound_refuse_a_channel_that_is_not_a_biopotential_one(channel):
+    plant = quiet_sim()
+    for add in (plant.add_touch, plant.add_wound):
+        with pytest.raises(ValueError, match="not a biopotential channel"):
+            add(10_000, channel=channel)
+    with pytest.raises(ValueError, match="unknown channel 'nochan'"):
+        plant.add_touch(10_000, channel="nochan")
+    assert plant.events == ()
+
+
 def test_events_do_not_act_before_their_time():
     plant = quiet_sim()
     plant.add_touch(10_000)
