@@ -321,29 +321,42 @@ def _svg_series(
     width: int = 800,
     height: int = 160,
 ) -> str:
-    """The series' heading and chart, its name escaped once for both."""
+    """The series' heading and chart, its name escaped once for both.
+
+    The chart is scaled by the finite values only; a NaN or infinite value
+    is left out and breaks the line there, one polyline per run of finite
+    points, and the label counts the points that were not finite.
+    """
     if len(timestamps_ms) != len(values):
         raise ValueError(f"series {name!r}: length mismatch")
     label = html.escape(name)
     margin = 10.0
     n = len(values)
-    if n == 0:
-        body = ""
-        lo = hi = 0.0
-    else:
+    finite = [v for v in values if math.isfinite(v)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    runs: list[list[str]] = []
+    if finite:
         t0, t1 = timestamps_ms[0], timestamps_ms[-1]
         span_t = float(t1 - t0) or 1.0
-        lo, hi = min(values), max(values)
         span_v = (hi - lo) or 1.0
-        pts = []
+        pts: list[str] = []
         for t, v in zip(timestamps_ms, values):
+            if not math.isfinite(v):
+                if pts:
+                    runs.append(pts)
+                    pts = []
+                continue
             x = margin + (t - t0) / span_t * (width - 2 * margin)
             y = height - margin - (v - lo) / span_v * (height - 2 * margin)
             pts.append(f"{x:.2f},{y:.2f}")
-        body = (
-            f'<polyline fill="none" stroke="#2a6f4e" stroke-width="1.5" '
-            f'points="{" ".join(pts)}" />'
-        )
+        if pts:
+            runs.append(pts)
+    body = "".join(
+        f'<polyline fill="none" stroke="#2a6f4e" stroke-width="1.5" '
+        f'points="{" ".join(pts)}" />'
+        for pts in runs
+    )
+    skipped = f" not finite={n - len(finite)}" if len(finite) < n else ""
     return (
         f"<h2>{label}</h2>\n"
         f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" '
@@ -352,7 +365,7 @@ def _svg_series(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#fbfbf8" />'
         f"{body}"
         f'<text x="{margin}" y="14" font-size="11">{label}  '
-        f"min={repr(lo)} max={repr(hi)} n={n}</text>"
+        f"min={repr(lo)} max={repr(hi)} n={n}{skipped}</text>"
         f"</svg>"
     )
 

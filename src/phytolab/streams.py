@@ -28,7 +28,9 @@ IMPEDANCE_NOISE = 0x696D7064  # "impd"
 BERNOULLI = 0x6265726E  # "bern"
 SWEEP_NOISE = 0x73776570  # "swep"
 
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+# The state is set from Python ints, which numpy's setter stores as it would
+# the same words held in uint64 arrays, without converting any array.
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
 
 class Source:
@@ -37,7 +39,7 @@ class Source:
     def __init__(self, seed: int, tag: int) -> None:
         # SeedSequence raises ValueError for a negative seed
         self._bits = np.random.Philox(np.random.SeedSequence([int(seed), tag]))
-        self._key = self._bits.state["state"]["key"]
+        self._key = tuple(int(word) for word in self._bits.state["state"]["key"])
         self._generator = np.random.Generator(self._bits)
 
     def at(self, position: int, stream: int = 0) -> np.random.Generator:

@@ -614,6 +614,47 @@ def test_interleaved_draws_equal_fresh_draws(seed, calls):
         assert np.array_equal(got, fresh)
 
 
+def array_state_generator(seed, tag, position, stream):
+    """A generator positioned by a state dict of uint64 arrays, as numpy
+    itself reports it: the form Source.at set before it took Python ints."""
+    bits = np.random.Philox(np.random.SeedSequence([seed, tag]))
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, position, stream, 0], dtype=np.uint64),
+            "key": bits.state["state"]["key"],
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from(SOURCES),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2**63),
+            st.integers(0, 2**63),
+            st.sampled_from(("normal", "uniform", "float32")),
+            st.integers(1, 9),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_a_source_positioned_by_ints_draws_what_uint64_arrays_draw(seed, tag, steps):
+    source = streams.Source(seed, tag)
+    for position, stream, kind, n in steps:
+        got = _draw(source.at(position, stream), kind, n)
+        want = _draw(array_state_generator(seed, tag, position, stream), kind, n)
+        assert got.tobytes() == want.tobytes()
+
+
 class DrawRecorder:
     """An expression stand-in that keeps the uniforms the engine hands it."""
 

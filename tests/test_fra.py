@@ -11,13 +11,21 @@ import cmath
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phytolab import fra
-from phytolab.simulator import TissueModel, sweep_responder, tissue_response
+from phytolab.channels import quantize
+from phytolab.simulator import (
+    PlantSimulator,
+    SimParams,
+    TissueModel,
+    sweep_responder,
+    tissue_response,
+)
 
 
 def dft_bin_oracle(x, c):
@@ -736,11 +744,41 @@ def rms_buffers(draw):
 @example(x=np.array([-0.0]))
 @example(x=np.array([5e-324, -5e-324]))
 @example(x=np.array([1e200, 1.0]))
+@example(x=np.array([1e-170] * 8))
 @example(x=np.array([math.inf, 1.0]))
 @example(x=np.array([math.nan, math.inf]))
 @settings(max_examples=300, deadline=None)
-def test_rms_is_the_root_of_numpys_mean_of_squares_bit_for_bit(x):
-    with np.errstate(over="ignore"):
+def test_rms_is_numpys_root_mean_square_unless_the_squares_under_or_overflow(x):
+    """Bit for bit np.sqrt(np.mean(np.square(x))), except where that sum of
+    squares underflows to 0 or overflows to inf on finite samples that are
+    not all 0: there the rescaled RMS is the exact one to a few ulps (or to
+    half the subnormal spacing, if it is subnormal), where numpy's reads 0 or
+    inf."""
+    with np.errstate(over="ignore", under="ignore"):
         got = fra.rms(x)
         want = float(np.sqrt(np.mean(np.square(x))))
-    assert same_float(got, want), (got.hex(), want.hex())
+    if want in (0.0, math.inf) and np.isfinite(x).all() and np.any(x != 0.0):
+        mean_square = sum(Fraction(v) ** 2 for v in x.tolist()) / len(x)
+        # the exact RMS to within 2**-1200, far below any float's spacing
+        scale = 2**1200
+        exact = Fraction(math.isqrt(mean_square.numerator * scale**2 // mean_square.denominator), scale)
+        bound = exact / 2**48 + Fraction(1, 2**1074)
+        assert abs(Fraction(got) - exact) <= bound, got.hex()
+    else:
+        assert same_float(got, want), (got.hex(), want.hex())
+
+
+@pytest.mark.parametrize("gain", [10.0 ** -e for e in range(158, 171)])
+def test_a_sweep_with_a_tiny_gain_reads_what_the_loop_reads(gain):
+    # the response's sum of squares underflows below gain 1e-158; the
+    # sweep's open-circuit rule rests on the projection, which does not
+    params = SimParams(transimpedance_gain=gain)
+    loop = PlantSimulator(params=params, seed=0).record_at(0).values["imp1"]
+    f = params.excitation_hz
+    (point,) = fra.run_sweep(
+        fra.SweepSpec(start_hz=f, stop_hz=f, points=1),
+        sweep_responder(TissueModel(), gain=gain),
+        gain=gain,
+    )
+    assert loop == quantize(point.magnitude, 1e-3) == 1058.991
+    assert point.vi_rms > 0.0

@@ -355,6 +355,28 @@ def test_report_is_valid_markup_with_one_chart_per_series(tmp_path):
     assert svgs[3].find("{http://www.w3.org/2000/svg}text").text.startswith("a&b<i>  ")
 
 
+@pytest.mark.parametrize(
+    "values, runs",
+    [
+        ([math.nan, 1.0, 2.0], [["400.00,150.00", "790.00,10.00"]]),
+        ([1.0, math.inf, 2.0], [["10.00,150.00"], ["790.00,10.00"]]),
+        ([-math.inf, math.nan, math.inf], []),
+    ],
+)
+def test_a_chart_leaves_out_non_finite_values(values, runs):
+    # scaled by the finite values only, the line broken at each point that
+    # is not finite, and the label counts those points
+    text = render_report("t", [("x", [0, 1, 2], values)])
+    root = ET.fromstring(text)
+    polys = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    assert [p.get("points").split() for p in polys] == runs
+    assert not any(bad in p.get("points") for p in polys for bad in ("nan", "inf"))
+    skipped = sum(not math.isfinite(v) for v in values)
+    label = root.find(".//{http://www.w3.org/2000/svg}text").text
+    assert label.endswith(f"n=3 not finite={skipped}")
+    assert ("min=1.0 max=2.0" if runs else "min=0.0 max=0.0") in label
+
+
 def test_a_series_with_more_timestamps_than_values_is_refused(tmp_path):
     with pytest.raises(ValueError, match="series 'bio1': length mismatch"):
         emit_report(tmp_path / "r.html", "t", [("bio1", [0, 1000], [0.1])])
