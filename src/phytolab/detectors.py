@@ -12,6 +12,29 @@ when its tier's push count has moved since the detector's last value, and
 reuses that value otherwise: a middle-tier detector runs once per
 middle_stride cycles, a long-tier one once per long_stride.  Gates read the
 clock and run on every cycle.
+
+Every windowed detector but the peak reads its tier's exact integer sums
+(pipes.WindowSums), never the window itself.  Over the window's n codes k_i
+(reading = r * k_i, r the channel's resolution, itself an exact ratio),
+with S = sum k_i, Q = sum k_i**2 and D = n * Q - S**2:
+
+- mean is r * S / n, and stddev, the population deviation, r * sqrt(D) / n;
+- noise_level is r * sqrt(sum (k_i - k_(i-1))**2 / (2 * (n - 1)));
+- zscore is (m * k - S') / sqrt(m * Q' - S'**2) for the newest code k
+  against the m = n - 1 codes before it (S', Q' their sums), in which the
+  resolution cancels.
+
+Each is computed from Python ints.  The mean is their ratio rounded once,
+to the nearest float.  Each of the others is the square root of a ratio: the
+ratio is rounded once to the nearest float, then math.sqrt rounds once more
+(IEEE 754 square root), so its relative error is below 1.5 * 2**-53 +
+2**-106.  Both roundings are the same on every machine.
+pathogenicity_status compares that z, gradient the least-squares slope over
+(t in ms, k) and cyclical the lag autocorrelation with their thresholds in
+integers, with no rounding at all.  A window is flat exactly when D == 0:
+its stddev is 0.0, a flat reference scores z = 0.0 (green), and a flat
+cyclical window is QUIET.  The peak detector sorts a float copy of its
+window.
 """
 
 from __future__ import annotations
@@ -24,7 +47,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .channels import check_unique_names
-from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes
+from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes, WindowSums
 
 # Unbiased sigma estimate from the median absolute deviation for a normal
 # population: sigma ~= 1.4826 * MAD.
@@ -34,17 +57,7 @@ NO_DATA = 0.0
 FIRED = 1.0
 QUIET = -1.0
 
-MS_PER_HOUR = 3_600_000.0
-
-
-# Scalar kernels for the windowed detectors.  Each does what numpy's own
-# median, mean or std does internally on a 1-D float64 array, in the same
-# order, so the results are bit-identical, without the per-call overhead of
-# the numpy functions.  Sums go through np.add.reduce (numpy's pairwise sum),
-# never through a dot product, which sums in another order.  Windows are
-# sorted, and residuals squared, in place, but only in a copy or a temporary
-# the kernel made itself, never in the caller's window: ndarray.sort on a
-# copy is what np.sort runs, without np.sort's dispatch and wrapper.
+MS_PER_HOUR = 3_600_000
 
 
 def _median_of_sorted(s: np.ndarray) -> float:
@@ -66,18 +79,19 @@ def _median_of_sorted(s: np.ndarray) -> float:
     return (0.0 + s.item(h - 1) + s.item(h)) / 2
 
 
-def _mean(x: np.ndarray) -> float:
-    """x.mean(): numpy's pairwise sum over the count."""
-    return float(np.add.reduce(x)) / len(x)
+def _latest_z(w: WindowSums) -> tuple[int, int]:
+    """(u, v) with z = u / sqrt(v): the newest code k against the m = n - 1
+    codes before it, u = m * k - S and v = m * Q - S**2 for their sums S
+    and Q.  v == 0 is a flat reference; the resolution cancels."""
+    m, k = w.n - 1, w.last
+    rest = w.s1 - k
+    return m * k - rest, m * (w.s2 - k * k) - rest * rest
 
 
-def _mean_std(x: np.ndarray) -> tuple[float, float]:
-    """(x.mean(), x.std()): the population deviation comes from the pairwise
-    sum of the residuals, squared in their own temporary."""
-    mean = _mean(x)
-    d = x - mean
-    d *= d
-    return mean, math.sqrt(float(np.add.reduce(d)) / len(x))
+def _below(u2: int, v: int, bar: float) -> bool:
+    """u2 / v < bar**2 for v > 0, that is |z| < bar, decided in integers."""
+    a, b = bar.as_integer_ratio()
+    return u2 * b * b < a * a * v
 
 
 @functools.lru_cache(maxsize=256)
@@ -108,9 +122,10 @@ class Detector(Protocol):
 class WindowedDetector:
     """Shared shape of the detectors that read one channel's recent window.
 
-    evaluate fetches the last `window` readings of `channel` from `tier` and
-    returns NO_DATA while fewer than required_samples() have arrived;
-    otherwise the subclass's _measure turns the window into the output.
+    evaluate returns NO_DATA while the tier holds fewer than
+    required_samples() of the last `window` readings of `channel`;
+    otherwise the subclass's _measure reads them, or their exact sums, from
+    the tier's pipe.
     """
 
     id: str
@@ -137,12 +152,12 @@ class WindowedDetector:
 
     def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
         pipe = tiers.tier(self.tier)
-        x = pipe.values(self.channel, self.window)
-        if len(x) < self.required_samples():
+        needed = self.required_samples()  # <= window, checked at construction
+        if pipe.total_pushed < needed or pipe.capacity < needed:
             return NO_DATA
-        return self._measure(x, pipe)
+        return self._measure(pipe)
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
+    def _measure(self, pipe: Pipe) -> float:
         raise NotImplementedError
 
 
@@ -169,7 +184,8 @@ class PeakDetector(WindowedDetector):
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"{self.id}: sigma must be positive and finite")
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
+    def _measure(self, pipe: Pipe) -> float:
+        x = pipe.values(self.channel, self.window)
         # one sorted copy gives the median; the same buffer then takes |x - m|
         s = x.copy()
         s.sort()
@@ -189,7 +205,13 @@ class PeakDetector(WindowedDetector):
 
 @dataclass(frozen=True, kw_only=True)
 class GradientDetector(WindowedDetector):
-    """Least-squares drift of a window, thresholded in units per hour."""
+    """Least-squares drift of a window, thresholded in units per hour.
+
+    With the window's n codes k_i at t_i ms, the slope is
+    r * 3.6e6 * (n * sum t k - sum t * sum k) / (n * sum t**2 - (sum t)**2)
+    units per hour; it is compared with per_hour in integers.  The
+    denominator is > 0, since a tier's timestamps strictly increase.
+    """
 
     per_hour: float
     tier: str = MIDDLE
@@ -203,18 +225,19 @@ class GradientDetector(WindowedDetector):
         if self.direction not in ("rising", "falling", "either"):
             raise ValueError(f"{self.id}: bad direction {self.direction!r}")
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        t = pipe.timestamps_ms(self.window).astype(np.float64) / MS_PER_HOUR
-        t -= _mean(t)
-        denom = float(np.dot(t, t))
-        if denom == 0.0:
-            return NO_DATA
-        slope = float(np.dot(t, x - _mean(x))) / denom
+    def _measure(self, pipe: Pipe) -> float:
+        w = pipe.sums(self.channel, self.window, timed=True)
+        num, den = w.grid
+        a, b = self.per_hour.as_integer_ratio()
+        # slope > per_hour  <=>  rise > bar, both sides times the positive
+        # (n sum t**2 - (sum t)**2) * den * b
+        rise = (w.n * w.stk - w.st * w.s1) * num * MS_PER_HOUR * b
+        bar = (w.n * w.stt - w.st * w.st) * den * a
         if self.direction == "rising":
-            return FIRED if slope > self.per_hour else QUIET
+            return FIRED if rise > bar else QUIET
         if self.direction == "falling":
-            return FIRED if slope < -self.per_hour else QUIET
-        return FIRED if abs(slope) > self.per_hour else QUIET
+            return FIRED if rise < -bar else QUIET
+        return FIRED if abs(rise) > bar else QUIET
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -223,14 +246,15 @@ class NoiseLevelDetector(WindowedDetector):
 
     Differencing cancels slow structure; for white noise of sigma the
     expectation is sigma itself, for a constant or slow ramp nearly zero.
+    r * sqrt(sum (k_i - k_(i-1))**2 / (2 (n - 1))), rounded twice.
     """
 
     min_samples: int = 8
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        d = x[1:] - x[:-1]
-        d *= d
-        return math.sqrt(_mean(d) / 2.0)
+    def _measure(self, pipe: Pipe) -> float:
+        w = pipe.sums(self.channel, self.window)
+        num, den = w.grid
+        return math.sqrt(w.d2 * num * num / (2 * (w.n - 1) * den * den))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,6 +262,9 @@ class CyclicalDetector(WindowedDetector):
     """Fires when the lag autocorrelation of the window exceeds a threshold.
 
     The window must hold at least lag + 2 samples, whatever min_samples says.
+    The autocorrelation, sum (k_i - m)(k_(i+lag) - m) / sum (k_i - m)**2
+    with m the window's mean code, is compared with threshold in integers;
+    a flat window (zero denominator) carries no cycle and is QUIET.
     """
 
     lag: int
@@ -254,13 +281,21 @@ class CyclicalDetector(WindowedDetector):
     def required_samples(self) -> int:
         return max(self.min_samples, self.lag + 2)
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        y = x - _mean(x)
-        denom = float(np.dot(y, y))
-        if denom == 0.0:
-            return QUIET  # constant series carries no cycle
-        r = float(np.dot(y[self.lag:], y[: -self.lag])) / denom
-        return FIRED if r > self.threshold else QUIET
+    def _measure(self, pipe: Pipe) -> float:
+        w = pipe.sums(self.channel, self.window, lag=self.lag)
+        n, s1 = w.n, w.s1
+        spread = n * w.s2 - s1 * s1  # n * sum (k_i - m)**2
+        if spread == 0:
+            return QUIET
+        # n**2 * sum (k_i - m)(k_(i+lag) - m); the pairs miss the last lag
+        # codes on one side (tail) and the first lag on the other (head)
+        cov = (
+            n * n * w.lagged
+            - n * s1 * (2 * s1 - w.head - w.tail)
+            + (n - self.lag) * s1 * s1
+        )
+        a, b = self.threshold.as_integer_ratio()
+        return FIRED if cov * b > a * n * spread else QUIET
 
 
 @dataclass(frozen=True)
@@ -312,39 +347,28 @@ class TimeOfDayGate:
 
 @dataclass(frozen=True, kw_only=True)
 class MeanDetector(WindowedDetector):
-    """Numeric: arithmetic mean of the window."""
+    """Numeric: arithmetic mean of the window, r * S / n rounded once."""
 
     min_samples: int = 4
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return _mean(x)
+    def _measure(self, pipe: Pipe) -> float:
+        w = pipe.sums(self.channel, self.window)
+        num, den = w.grid
+        return w.s1 * num / (w.n * den)
 
 
 @dataclass(frozen=True, kw_only=True)
 class StdDevDetector(WindowedDetector):
-    """Numeric: population standard deviation of the window."""
+    """Numeric: population standard deviation of the window,
+    r * sqrt(n * Q - S**2) / n rounded twice; exactly 0.0 when flat."""
 
     min_samples: int = 4
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return _mean_std(x)[1]
-
-
-def _latest_zscore(x: np.ndarray) -> float:
-    """z of the newest sample against the rest of the window (excluded); a
-    flat reference, all of its samples equal, scores 0.
-
-    The mean of equal samples can round off by a few ulps and leave a sigma
-    of that size, so a sigma within 4 n ulps of the mean (the pairwise sum's
-    worst rounding) is checked against the samples themselves.
-    """
-    rest = x[:-1]
-    mean, sigma = _mean_std(rest)
-    if sigma == 0.0 or (
-        sigma <= 4 * len(rest) * math.ulp(mean) and rest.min() == rest.max()
-    ):
-        return 0.0
-    return (x.item(-1) - mean) / sigma
+    def _measure(self, pipe: Pipe) -> float:
+        w = pipe.sums(self.channel, self.window)
+        num, den = w.grid
+        spread = w.n * w.s2 - w.s1 * w.s1
+        return math.sqrt(spread * num * num / (w.n * den) ** 2)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -353,12 +377,17 @@ class ZScoreDetector(WindowedDetector):
 
     The latest sample is excluded from the reference statistics so a real
     excursion cannot mask itself; a flat reference (zero sigma) yields 0.
+    z = (m * k - S') / sqrt(m * Q' - S'**2), rounded twice.
     """
 
     min_samples: int = 5
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        return _latest_zscore(x)
+    def _measure(self, pipe: Pipe) -> float:
+        u, v = _latest_z(pipe.sums(self.channel, self.window))
+        if v == 0:
+            return 0.0
+        z = math.sqrt(u * u / v)
+        return -z if u < 0 else z
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -366,7 +395,8 @@ class PathogenicityDetector(WindowedDetector):
     """Numeric traffic light from the latest-sample z: 0 green, 1 yellow, 2 red.
 
     |z| below z_yellow is green, between z_yellow and z_red yellow, at or
-    beyond z_red red.
+    beyond z_red red; the exact z is compared with each bar in integers, and
+    a flat reference is green.
     """
 
     tier: str = MIDDLE
@@ -382,11 +412,11 @@ class PathogenicityDetector(WindowedDetector):
                 f"{self.z_yellow}, {self.z_red}"
             )
 
-    def _measure(self, x: np.ndarray, pipe: Pipe) -> float:
-        z = abs(_latest_zscore(x))
-        if z < self.z_yellow:
+    def _measure(self, pipe: Pipe) -> float:
+        u, v = _latest_z(pipe.sums(self.channel, self.window))
+        if v == 0 or _below(u * u, v, self.z_yellow):
             return 0.0
-        if z < self.z_red:
+        if _below(u * u, v, self.z_red):
             return 1.0
         return 2.0
 

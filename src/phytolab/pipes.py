@@ -8,20 +8,151 @@ read fixed-length windows out of whichever tier matches their time scale.
 
 Each tier stores its readings column-wise: one float64 row per channel and
 one int64 timestamp row, every sample written twice, at its ring slot and
-again one capacity further on.  The last n samples, for any n up to the
-capacity, are then one contiguous slice of the doubled row, so a window is a
-slice copy with no gathering or concatenation.
+again one ring length further on.  The last n samples, for any n up to the
+ring length, are then one contiguous slice of the doubled row, so a window is
+a slice copy with no gathering or concatenation.
+
+The window statistics read exact integer sums instead of windows.  Readings
+sit on their channel's device grid, v = k * resolution, so each reading has
+an integer code k = round(v / resolution), exact while |k| < 2**51 (every
+channel kind's range is inside that).  Per (channel, window, lag) a tier
+keeps one WindowSums: the push count it was last advanced at and the sums of
+k, k**2 and the squared first differences over the window, plus the time
+sums a gradient reads or the lag products a cyclical detector reads.  Read
+after p more pushes, the sums slide by adding each sample that entered and
+subtracting each that left, both read back from the tier's own ring, which
+keeps one slot beyond the capacity so that the sample that just left a full
+window is still there.  A slide longer than the ring allows, or than the
+window, recomputes the sums from the window.  Python ints neither round nor
+overflow, so the sums are the same on every machine, whatever order they
+were added in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .channels import Record, not_after, row_values
+from .channels import ChannelId, Record, not_after, row_values
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
+
+
+class WindowSums:
+    """Exact sums over the last n = min(count, window) samples of a channel.
+
+    With k_i the codes of samples lo <= i < count (lo = count - n) and t_i
+    their timestamps in ms:
+
+    - s1 = sum k_i, s2 = sum k_i**2, d2 = sum (k_i - k_(i-1))**2 over
+      lo < i < count, and last = k_(count - 1), the newest code;
+    - with lag L > 0: lagged = sum k_i * k_(i+L) over lo <= i < count - L,
+      head and tail the sums of the first and of the last min(L, n) codes;
+    - when timed: st = sum t_i, stt = sum t_i**2 and stk = sum t_i * k_i.
+
+    A reading is resolution * k with resolution = num / den exactly (den a
+    power of two; grid holds (num, den)), so every statistic of the window is
+    a ratio of these integers.  Pipe.sums hands out the one instance it
+    advances; read it before the next push.
+    """
+
+    __slots__ = (
+        "window", "lag", "timed", "grid", "count", "n", "last",
+        "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk",
+        "_at", "_resolution",
+    )
+
+    def __init__(
+        self, window: int, lag: int, timed: bool, row: np.ndarray, resolution: float
+    ) -> None:
+        self.window, self.lag, self.timed = window, lag, timed
+        self.grid = resolution.as_integer_ratio()
+        self._at, self._resolution = row.item, resolution
+        self.count = self.n = self.last = 0
+        self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
+        self.st = self.stt = self.stk = 0
+
+    def advance(self, total: int, end: int, ring: int, stamps: np.ndarray) -> None:
+        """Slide from self.count to total pushes; the newest sample sits at
+        column end - 1 of the doubled rows, sample j at end - (total - j)."""
+        count, window, lag, timed = self.count, self.window, self.lag, self.timed
+        if total == count + 1 and self.n == window and not (lag or timed):
+            # the bank's every-cycle case, the loop below unrolled: one
+            # sample enters a full window, and the one before the window
+            # leaves, read from the ring's extra slot
+            at, res = self._at, self._resolution
+            k = round(at(end - 1) / res)
+            old = round(at(end - 1 - window) / res)
+            first = round(at(end - window) / res)
+            self.s1 += k - old
+            self.s2 += k * k - old * old
+            self.d2 += (k - self.last) ** 2 - (first - old) ** 2
+            self.last, self.count = k, total
+            return
+        if total - count > min(window, ring - window):
+            count = max(0, total - window)
+            n = last = s1 = s2 = d2 = lagged = head = tail = st = stt = stk = 0
+        else:
+            n, last, s1, s2, d2 = self.n, self.last, self.s1, self.s2, self.d2
+            if lag:
+                lagged, head, tail = self.lagged, self.head, self.tail
+            if timed:
+                st, stt, stk = self.st, self.stt, self.stk
+        at, res = self._at, self._resolution
+        base = end - total  # column of sample 0, an offset only
+
+        for j in range(base + count, end):  # the columns of the entering samples
+            k = round(at(j) / res)
+            s1 += k
+            s2 += k * k
+            if n:
+                d2 += (k - last) ** 2
+            if lag:
+                if n >= lag:
+                    back = round(at(j - lag) / res)
+                    lagged += back * k
+                    tail += k - back
+                else:
+                    head += k
+                    tail += k
+            if timed:
+                t = stamps.item(j)
+                st += t
+                stt += t * t
+                stk += t * k
+            last = k
+            if n < window:
+                n += 1
+                continue
+            # the window was full: its oldest sample leaves
+            lo = j - window
+            old = round(at(lo) / res)
+            s1 -= old
+            s2 -= old * old
+            d2 -= (round(at(lo + 1) / res) - old) ** 2
+            if lag:
+                if window >= lag:
+                    ahead = round(at(lo + lag) / res)
+                    lagged -= old * ahead
+                    head += ahead - old
+                else:
+                    head -= old
+                    tail -= old
+            if timed:
+                t = stamps.item(lo)
+                st -= t
+                stt -= t * t
+                stk -= t * old
+
+        # committed only once every code was read, so a reading that has no
+        # code (round raises on inf and NaN) leaves the sums as they were
+        self.count, self.n, self.last, self.s1, self.s2, self.d2 = total, n, last, s1, s2, d2
+        if lag:
+            self.lagged, self.head, self.tail = lagged, head, tail
+        if timed:
+            self.st, self.stt, self.stk = st, stt, stk
 
 
 class Pipe:
@@ -30,46 +161,47 @@ class Pipe:
     Once capacity is reached the oldest record is evicted.  total_pushed
     counts every record ever pushed, not just the retained ones.
 
-    The first record pushed fixes the channel columns, names and order; a
-    later record must hold the same names, in any order, and is read by name
-    (channels.row_values).  A record that breaks that rule, or whose
-    timestamp is not after the newest one's, is refused and changes nothing.
-    Sample k lands in slot i = k mod capacity of a (channels, 2 * capacity)
-    float64 array and of a 2 * capacity int64 timestamp array, at i and
-    again at i + capacity, so the retained samples always sit oldest first in
-    [end - len, end), with end one past the newest.  values() and
-    timestamps_ms() return copies of such slices, which later pushes cannot
-    change; the pushed Record itself is not kept.
+    The channels, given at construction, fix the columns, their order and
+    each one's resolution.  A record must hold exactly those names, in any
+    order, and is read by name (channels.row_values).  A record that breaks
+    that rule, or whose timestamp is not after the newest one's, is refused
+    and changes nothing.  Sample j lands in slot i = j mod (capacity + 1) of
+    a (channels, 2 * (capacity + 1)) float64 array and of a timestamp array
+    as long, at i and again at i + capacity + 1, so the retained samples,
+    and the one evicted last, always sit oldest first before end, one past
+    the newest.  values() and timestamps_ms() return copies of such slices,
+    which later pushes cannot change; the pushed Record itself is not kept.
+    sums() returns the window's exact sums (WindowSums), advanced to the
+    current push count.
     """
 
-    def __init__(self, name: str, capacity: int) -> None:
+    def __init__(self, name: str, capacity: int, channels: Sequence[ChannelId]) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.name = name
         self.capacity = capacity
         self.total_pushed = 0
-        self._names: tuple[str, ...] | None = None
-        self._rows: dict[str, int] = {}
-        self._data = np.empty((0, 2 * capacity), dtype=np.float64)
-        self._ts = np.zeros(2 * capacity, dtype=np.int64)
-        self._end = capacity
+        self._names = tuple(ch.name for ch in channels)
+        self._rows = {ch.name: row for row, ch in enumerate(channels)}
+        self._resolutions = tuple(ch.spec.resolution for ch in channels)
+        self._ring = capacity + 1
+        self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.float64)
+        self._ts = np.zeros(2 * self._ring, dtype=np.int64)
+        self._end = self._ring
+        self._sums: dict[tuple[str, int, int, bool], WindowSums] = {}
 
     def push(self, record: Record) -> None:
         if self.total_pushed and record.timestamp_ms <= self._ts[self._end - 1]:
             raise not_after(
                 f"pipe {self.name!r}", record.timestamp_ms, self._ts[self._end - 1]
             )
-        values = record.values
-        if self._names is None:
-            self._names = tuple(values)
-            self._rows = {name: row for row, name in enumerate(self._names)}
-            self._data = np.zeros((len(values), 2 * self.capacity), dtype=np.float64)
-        column = np.fromiter(row_values(values, self._names), np.float64, len(values))
-        cap = self.capacity
-        i = self._end % cap
-        self._data[:, i] = self._data[:, i + cap] = column
-        self._ts[i] = self._ts[i + cap] = record.timestamp_ms
-        self._end = i + cap + 1
+        names = self._names
+        column = np.fromiter(row_values(record.values, names), np.float64, len(names))
+        ring = self._ring
+        i = self._end % ring
+        self._data[:, i] = self._data[:, i + ring] = column
+        self._ts[i] = self._ts[i + ring] = record.timestamp_ms
+        self._end = i + ring + 1
         self.total_pushed += 1
 
     def __len__(self) -> int:
@@ -87,6 +219,23 @@ class Pipe:
         size = self.total_pushed if self.total_pushed < self.capacity else self.capacity
         k = size if n is None or n > size else n
         return self._ts[self._end - k : self._end].copy()
+
+    def sums(
+        self, channel: str, window: int, lag: int = 0, timed: bool = False
+    ) -> WindowSums:
+        """The exact sums over the last min(window, capacity) samples of
+        channel, with lag products for lag > 0 and time sums when timed."""
+        state = self._sums.get((channel, window, lag, timed))
+        if state is None:
+            row = self._rows[channel]
+            state = WindowSums(
+                min(window, self.capacity), lag, timed,
+                self._data[row], self._resolutions[row],
+            )
+            self._sums[channel, window, lag, timed] = state
+        if state.count != self.total_pushed:
+            state.advance(self.total_pushed, self._end, self._ring, self._ts)
+        return state
 
 
 @dataclass(frozen=True)
@@ -119,7 +268,8 @@ class TierLayout:
 
 
 class TieredPipes:
-    """The three retention tiers fed from one push stream.
+    """The three retention tiers fed from one push stream, on one set of
+    channels.
 
     The tiers count pushes, not seconds; the cycle period is the bench
     config's.  With the default layout and a one-second period the short tier
@@ -127,12 +277,14 @@ class TieredPipes:
     record per minute, and the long tier the last day at one record per hour.
     """
 
-    def __init__(self, layout: TierLayout | None = None):
+    def __init__(
+        self, channels: Sequence[ChannelId], layout: TierLayout | None = None
+    ) -> None:
         layout = layout if layout is not None else TierLayout()
         self.layout = layout
-        self.short = Pipe(SHORT, layout.short_capacity)
-        self.middle = Pipe(MIDDLE, layout.middle_capacity)
-        self.long = Pipe(LONG, layout.long_capacity)
+        self.short = Pipe(SHORT, layout.short_capacity, channels)
+        self.middle = Pipe(MIDDLE, layout.middle_capacity, channels)
+        self.long = Pipe(LONG, layout.long_capacity, channels)
         self._tiers = {SHORT: self.short, MIDDLE: self.middle, LONG: self.long}
 
     def tier(self, name: str) -> Pipe:

@@ -64,7 +64,7 @@ class Runtime:
 
         self.simulator = config.build_simulator()
 
-        self.tiers = TieredPipes(config.tier_layout)
+        self.tiers = TieredPipes(config.channels, config.tier_layout)
         self.bank = DetectorBank(config.detectors, self.tiers)
         bindings, self.actuators = config.build_bindings(
             self.out_dir, simulator=self.simulator

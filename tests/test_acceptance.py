@@ -15,6 +15,8 @@ from phytolab.channels import (
     EXTERNAL_TEMP_RESOLUTION_C,
     LM35_ADC_LSB_VOLTS,
     LM35_VOLTS_PER_DEGC,
+    ChannelId,
+    ChannelKind,
     Record,
 )
 from phytolab.config import parse_config
@@ -130,7 +132,7 @@ def test_criterion_04_scope_mode_resolves_ten_percent_third_harmonic():
 
 
 def test_criterion_05_tier_cadence_over_one_day():
-    tiers = TieredPipes()
+    tiers = TieredPipes([ChannelId("x", ChannelKind.LIGHT)])
     for i in range(86400):
         tiers.push(Record(timestamp_ms=i * 1000, values={"x": float(i)}))
 

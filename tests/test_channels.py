@@ -57,7 +57,8 @@ def _twin_binding():
         ),
         lambda tmp_path: LogStore(tmp_path / "s", columns=["twin", "x", "twin"]),
         lambda tmp_path: DetectorBank(
-            [MeanDetector(id="twin", channel="x", window=60)] * 2, TieredPipes()
+            [MeanDetector(id="twin", channel="x", window=60)] * 2,
+            TieredPipes([ch.ChannelId("x", ch.ChannelKind.LIGHT)]),
         ),
         lambda tmp_path: ActuationEngine([_twin_binding(), _twin_binding()]),
     ],

@@ -1,14 +1,15 @@
-"""Detector bank tests with enumeration and closed-form oracles."""
+"""Detector bank tests with enumeration, closed-form and exact-rational oracles."""
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phytolab.channels import Record
+from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record, quantize
 from phytolab.detectors import (
     DETECTOR_KINDS,
     FIRED,
@@ -28,24 +29,48 @@ from phytolab.detectors import (
     TimeOfDayGate,
     WindowedDetector,
     ZScoreDetector,
-    _latest_zscore,
-    _mean,
-    _mean_std,
     _median_of_sorted,
     _peak_bar,
     build_detector,
 )
 from phytolab.pipes import TierLayout, TieredPipes
 
+# one channel named x on a 1 uV grid; readings pushed into it are quantized
+# to that grid, as the simulator's are
+X = (ChannelId("x", ChannelKind.SAP_FLOW),)
+RES = X[0].spec.resolution
 
-def feed(values, period_ms=1000, timestamps_ms=None):
-    """Short-tier fixture: one channel named x."""
-    tiers = TieredPipes()
+
+def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
+    """Short-tier fixture: one channel named x of the given kind, fed the
+    values on its grid."""
+    channel = ChannelId("x", kind)
+    tiers = TieredPipes([channel])
     if timestamps_ms is None:
         timestamps_ms = [i * period_ms for i in range(len(values))]
     for t, v in zip(timestamps_ms, values):
-        tiers.push(Record(timestamp_ms=t, values={"x": float(v)}))
+        tiers.push(Record(timestamp_ms=t, values={"x": quantize(v, channel.spec.resolution)}))
     return tiers
+
+
+# A square-root statistic rounds twice, the ratio under the root and then
+# math.sqrt: (1 + d1)**0.5 * (1 + d2) with |d1|, |d2| <= 2**-53 bounds its
+# relative error by 1.5 * 2**-53 + 2**-106, which keeps it within an ulp of
+# the nearest float.
+SQRT_REL = Fraction(3, 2**54) + Fraction(1, 2**106)
+
+
+def near_sqrt(y, q):
+    """y is sqrt(q) within SQRT_REL, relative; exactly 0.0 when q is 0."""
+    if q == 0:
+        return same_bits(y, 0.0)
+    return y > 0.0 and (1 - SQRT_REL) ** 2 * q <= Fraction(y) ** 2 <= (1 + SQRT_REL) ** 2 * q
+
+
+def rounded_twice(y, q):
+    """y is sqrt(q) by the stated roundings, to the bit: q rounded to the
+    nearest float (float(Fraction) rounds correctly), then math.sqrt."""
+    return same_bits(y, math.sqrt(float(q))) and near_sqrt(y, q)
 
 
 def now_of(tiers):
@@ -148,11 +173,20 @@ def test_gradient_threshold_and_direction():
     assert either.evaluate(tiers, now) == -1.0
 
 
+def exact_slope(codes, stamps, resolution):
+    """Least-squares slope in units per hour, as an exact rational."""
+    n = len(codes)
+    mt, mk = Fraction(sum(stamps), n), Fraction(sum(codes), n)
+    cov = sum((t - mt) * (k - mk) for t, k in zip(stamps, codes))
+    var = sum((t - mt) ** 2 for t in stamps)
+    return cov / var * Fraction(resolution) * MS_PER_HOUR
+
+
 def test_gradient_matches_polyfit_on_irregular_timestamps():
     rng = np.random.default_rng(3)
     ts = np.cumsum(rng.integers(500, 5000, size=20)).tolist()
-    xs = rng.normal(size=20).tolist()
-    tiers = feed(xs, timestamps_ms=ts)
+    tiers = feed(rng.normal(size=20).tolist(), timestamps_ms=ts)
+    xs = tiers.short.values("x")
     slope = np.polyfit(np.array(ts) / 3.6e6, xs, 1)[0]
     margin = 1e-6 * max(1.0, abs(slope))
     below = GradientDetector(id="g", channel="x", per_hour=abs(slope) - margin,
@@ -161,6 +195,12 @@ def test_gradient_matches_polyfit_on_irregular_timestamps():
                              tier="short", window=60)
     assert below.evaluate(tiers, ts[-1]) == 1.0
     assert above.evaluate(tiers, ts[-1]) == -1.0
+    # the decision is exact: one ulp either side of the exact slope flips it
+    exact = abs(exact_slope([round(v / RES) for v in xs.tolist()], ts, RES))
+    edge = float(exact)
+    for per_hour in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        det = GradientDetector(id="g", channel="x", per_hour=per_hour, tier="short", window=60)
+        assert det.evaluate(tiers, ts[-1]) == (FIRED if exact > Fraction(per_hour) else QUIET)
 
 
 def test_noise_level_frozen_cases():
@@ -180,15 +220,18 @@ def test_noise_level_estimates_white_noise_sigma():
     assert det.evaluate(tiers, now_of(tiers)) == pytest.approx(0.5, rel=0.25)
 
 
-@given(a=st.floats(min_value=-50.0, max_value=50.0))
+@given(a=st.integers(min_value=-50, max_value=50))
 @settings(max_examples=30, deadline=None)
 def test_noise_level_scales_with_amplitude(a):
+    # an integer multiple of grid readings is on the grid, its noise exactly
+    # |a| times the plain one's; each is within 1.5 * 2**-53 of its exact
+    # value and the product rounds once more
     base = [0.1, -0.3, 0.2, 0.5, -0.4, 0.0, 0.3, -0.2, 0.1, 0.4]
     det = NoiseLevelDetector(id="n", channel="x", window=60, min_samples=8)
     plain = feed(base)
     scaled = feed([a * v for v in base])
     want = abs(a) * det.evaluate(plain, now_of(plain))
-    assert det.evaluate(scaled, now_of(scaled)) == pytest.approx(want, abs=1e-12)
+    assert math.isclose(det.evaluate(scaled, now_of(scaled)), want, rel_tol=2**-51, abs_tol=0.0)
 
 
 def autocorr_oracle(x, lag):
@@ -226,7 +269,7 @@ def test_cyclical_needs_lag_plus_two():
 
 def test_time_interval_gate_boundaries():
     gate = TimeIntervalGate(id="t", start_ms=1000, end_ms=2000)
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     assert gate.evaluate(tiers, 999) == -1.0
     assert gate.evaluate(tiers, 1000) == 1.0  # closed start
     assert gate.evaluate(tiers, 1999) == 1.0
@@ -235,7 +278,7 @@ def test_time_interval_gate_boundaries():
 
 def test_time_of_day_gate_wraps_midnight():
     gate = TimeOfDayGate(id="t", start_hour=22.0, end_hour=6.0)
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
 
     def at_hour(h):
         return gate.evaluate(tiers, round(h * 3.6e6))
@@ -253,20 +296,25 @@ def test_time_of_day_gate_wraps_midnight():
 
 def test_mean_and_stddev_match_numpy():
     rng = np.random.default_rng(5)
-    x = rng.normal(2.0, 3.0, size=40)
-    tiers = feed(x.tolist())
+    tiers = feed(rng.normal(2.0, 3.0, size=40).tolist())
+    x = tiers.short.values("x")
     now = now_of(tiers)
     mean = MeanDetector(id="m", channel="x", window=60)
     sd = StdDevDetector(id="s", channel="x", window=60)
     assert mean.evaluate(tiers, now) == pytest.approx(float(x.mean()), rel=1e-12)
     assert sd.evaluate(tiers, now) == pytest.approx(float(x.std()), rel=1e-12)
+    # and each is its exact value, rounded once (the mean) or twice
+    exact = [Fraction(round(v / RES)) * Fraction(RES) for v in x.tolist()]
+    m = sum(exact) / len(exact)
+    assert mean.evaluate(tiers, now) == float(m)
+    assert near_sqrt(sd.evaluate(tiers, now), sum((v - m) ** 2 for v in exact) / len(exact))
 
 
 def test_zscore_excludes_latest_sample():
     det = ZScoreDetector(id="z", channel="x", window=60)
     tiers = feed([0.0, 2.0, 0.0, 2.0, 4.0])
     # reference is [0,2,0,2]: mean 1, sigma 1; latest 4 gives z = 3
-    assert det.evaluate(tiers, now_of(tiers)) == pytest.approx(3.0)
+    assert det.evaluate(tiers, now_of(tiers)) == 3.0
 
 
 def test_zscore_flat_reference_yields_zero():
@@ -276,30 +324,36 @@ def test_zscore_flat_reference_yields_zero():
 
 
 def test_zscore_flat_reference_whose_mean_rounds_off_yields_zero():
-    # ten readings of 1059.085 average to 1059.0849999999998, which leaves a
-    # sigma of 2.27e-13, and the next reading once scored z = 6.24e12
-    x = np.array([1059.085] * 10 + [1060.504])
-    assert _mean(x[:-1]) != 1059.085 and _mean_std(x[:-1])[1] > 0.0
-    assert _latest_zscore(x) == 0.0
-    tiers = feed(x.tolist())
-    assert ZScoreDetector(id="z", channel="x", window=60).evaluate(tiers, now_of(tiers)) == 0.0
+    # ten impedance readings of 1059.085 average to 1059.0849999999998 in
+    # floats, which left a sigma of 2.27e-13, and the next reading once
+    # scored z = 6.24e12; in codes the reference is flat, D = 0 exactly
+    x = [1059.085] * 10 + [1060.504]
+    tiers = feed(x, kind=ChannelKind.IMPEDANCE_1)
+    now = now_of(tiers)
+    assert ZScoreDetector(id="z", channel="x", window=60).evaluate(tiers, now) == 0.0
     light = PathogenicityDetector(id="h", channel="x", tier="short", window=60)
-    assert light.evaluate(tiers, now_of(tiers)) == 0.0
+    assert light.evaluate(tiers, now) == 0.0
+    reference = feed(x[:-1], kind=ChannelKind.IMPEDANCE_1)
+    now = now_of(reference)
+    assert StdDevDetector(id="s", channel="x", window=60).evaluate(reference, now) == 0.0
+    assert MeanDetector(id="m", channel="x", window=60).evaluate(reference, now) == 1059.085
 
 
 @given(
-    a=st.floats(min_value=1e-3, max_value=1e3),
-    b=st.floats(min_value=-10.0, max_value=10.0),
+    a=st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    b=st.integers(min_value=-10**7, max_value=10**7),
 )
 @settings(max_examples=40, deadline=None)
 def test_zscore_affine_invariant(a, b):
+    # codes k -> a k + b map the grid onto itself and z onto sign(a) z
+    # exactly: z**2 is the same ratio, so it rounds the same, to the bit
     det = ZScoreDetector(id="z", channel="x", window=60)
-    base = [0.0, 2.0, 1.0, 2.0, 4.0]
-    plain = feed(base)
-    scaled = feed([a * v + b for v in base])
+    base = [0, 2, 1, 2, 4]
+    plain = feed([k * RES for k in base])
+    scaled = feed([(a * k + b) * RES for k in base])
     z0 = det.evaluate(plain, now_of(plain))
     z1 = det.evaluate(scaled, now_of(scaled))
-    assert z1 == pytest.approx(z0, rel=1e-9, abs=1e-9)
+    assert z1 == math.copysign(z0, a)
 
 
 @pytest.mark.parametrize(
@@ -337,7 +391,7 @@ def test_bank_rejects_non_finite_detector_output():
         def evaluate(self, tiers, now_ms):
             return math.inf
 
-    bank = DetectorBank([Broken()], TieredPipes())
+    bank = DetectorBank([Broken()], TieredPipes(X))
     with pytest.raises(ValueError, match="non-finite"):
         bank.evaluate(0)
 
@@ -365,7 +419,7 @@ class CountingGate:
 
 
 def push_cycle(tiers, t, value):
-    tiers.push(Record(timestamp_ms=t, values={"x": value}))
+    tiers.push(Record(timestamp_ms=t, values={"x": quantize(value, RES)}))
 
 
 def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
@@ -373,7 +427,7 @@ def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
     short = CountingMean(id="s", channel="x", tier="short", window=10)
     middle = CountingMean(id="m", channel="x", tier="middle", window=10)
     gate = CountingGate()
-    tiers = TieredPipes(layout)
+    tiers = TieredPipes(X, layout)
     bank = DetectorBank([short, middle, gate], tiers)
     stamps = [i * 1000 for i in range(50)]
     for i, t in enumerate(stamps):
@@ -409,7 +463,7 @@ def test_bank_calls_stand_ins_put_in_after_construction():
         MeanDetector(id="l", channel="x", tier="long", window=6),
         TimeIntervalGate(id="t", start_ms=0, end_ms=10_000),
     ]
-    tiers = TieredPipes(layout)
+    tiers = TieredPipes(X, layout)
     bank = DetectorBank(detectors, tiers)
     bank.detectors = tuple(StandIn(d) for d in bank.detectors)
     reference = DetectorBank(detectors, tiers)
@@ -424,10 +478,10 @@ def test_bank_calls_stand_ins_put_in_after_construction():
 def test_bank_retries_a_non_finite_detector_on_every_call():
     @dataclass(frozen=True, kw_only=True)
     class Broken(WindowedDetector):
-        def _measure(self, x, pipe):
+        def _measure(self, pipe):
             return math.nan
 
-    tiers = TieredPipes(TierLayout(middle_stride=2, long_stride=4))
+    tiers = TieredPipes(X, TierLayout(middle_stride=2, long_stride=4))
     bank = DetectorBank([Broken(id="b", channel="x", tier="middle")], tiers)
     for t in (0, 1000, 2000):
         push_cycle(tiers, t, 1.0)
@@ -467,7 +521,7 @@ class RaisingMean(CountingMean):
 
 @pytest.mark.parametrize("raise_on", [1, 2, 5])
 def test_after_a_raise_the_detectors_from_the_raising_one_on_recompute(raise_on):
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     first = CountingMean(id="a", channel="x", window=4)
     middle = RaisingMean(id="b", channel="x", window=6, raise_on=raise_on)
     third = CountingMean(id="c", channel="x", window=9)
@@ -538,7 +592,7 @@ cycle_values = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_bank_vector_equals_a_fresh_bank_on_every_cycle(bank, values):
     layout, detectors = bank
-    tiers = TieredPipes(layout)
+    tiers = TieredPipes(X, layout)
     memo = DetectorBank(detectors, tiers)
     for i, v in enumerate(values):
         t = i * 1000
@@ -588,8 +642,9 @@ def test_config_validation_errors():
             gate()
 
 
-# --- bit-identity oracle: the scalar kernels and the detectors built on them
-# reproduce numpy's own results, and the parent's detector formulas, exactly.
+# --- oracles: the peak's float kernel reproduces numpy's median bit for bit
+# and the parent's peak formula exactly; every other windowed detector is its
+# exact value rounded once or twice, or decides exactly.
 
 magnitudes = st.floats(min_value=1e-9, max_value=1e9)
 window_values = st.one_of(
@@ -618,33 +673,33 @@ def same_bits(a, b):
 @example(x=np.array([-0.0, math.nan, 0.0]))
 @example(x=np.array([math.nan, -0.0]))
 @settings(max_examples=400, deadline=None)
-def test_kernels_match_numpy_bit_for_bit(x):
+def test_median_kernel_matches_numpy_bit_for_bit(x):
     assert same_bits(_median_of_sorted(np.sort(x)), np.median(x))
-    assert same_bits(_mean(x), x.mean())
-    assert same_bits(_mean_std(x)[1], x.std())
+
+
+def grid_push(tiers, stamps, readings):
+    for t, v in zip(stamps, readings):
+        tiers.push(Record(timestamp_ms=t, values={"x": v}))
 
 
 @given(x=float_windows(min_size=3), lead=st.lists(window_values, max_size=10))
 @settings(max_examples=100, deadline=None)
-def test_measure_writes_neither_its_window_nor_the_pipe(x, lead):
-    """Kernels sort and square in place only in buffers they made: the window
-    handed to _measure and the pipe it came from keep every bit."""
+def test_measure_writes_nothing_in_the_pipe(x, lead):
+    """The peak sorts and takes |x - m| only in buffers it made, and the
+    sums only read the ring: every reading and stamp keeps its bits."""
     n = len(x)
-    tiers = TieredPipes(layout=TierLayout(short_capacity=n))
-    for i, v in enumerate(lead + x.tolist()):
-        tiers.push(Record(timestamp_ms=i * 1000, values={"x": v}))
+    tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
+    readings = [quantize(v, RES) for v in lead + x.tolist()]
+    grid_push(tiers, [i * 1000 for i in range(len(readings))], readings)
     pipe = tiers.short
     required = {"gradient": {"per_hour": 1.0}, "cyclical": {"lag": 1}}
     for kind, cls in DETECTOR_KINDS.items():
         if not issubclass(cls, WindowedDetector):
             continue
         det = cls(id="d", channel="x", window=n, min_samples=2, **required.get(kind, {}))
-        window = pipe.values("x", n)
-        held = (window.tobytes(), pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes())
-        det._measure(window, pipe)
-        assert (
-            window.tobytes(), pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes()
-        ) == held, kind
+        held = (pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes())
+        det.evaluate(tiers, 0)
+        assert (pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes()) == held, kind
 
 
 def test_median_kernel_odd_even_and_nan():
@@ -664,56 +719,14 @@ def parent_peak(x, sigma):
     return FIRED if peak > sigma * scale else QUIET
 
 
-def parent_slope(x, t_ms):
-    t = t_ms.astype(np.float64) / MS_PER_HOUR
-    t -= t.mean()
-    denom = float(np.dot(t, t))
-    if denom == 0.0:
-        return None
-    return float(np.dot(t, x - x.mean())) / denom
-
-
-def parent_gradient(x, t_ms, per_hour, direction):
-    slope = parent_slope(x, t_ms)
-    if slope is None:
-        return NO_DATA
-    if direction == "rising":
-        return FIRED if slope > per_hour else QUIET
-    if direction == "falling":
-        return FIRED if slope < -per_hour else QUIET
-    return FIRED if abs(slope) > per_hour else QUIET
-
-
-def parent_noise_level(x):
-    d = np.diff(x)
-    return float(np.sqrt(np.mean(d * d) / 2.0))
-
-
-def parent_autocorr(x, lag):
-    y = x - x.mean()
-    denom = float(np.dot(y, y))
-    if denom == 0.0:
-        return None
-    return float(np.dot(y[lag:], y[:-lag])) / denom
-
-
-def parent_zscore(x):
-    rest = x[:-1]
-    sigma = float(rest.std())
-    # a flat reference scores 0, also where its mean rounds off and leaves a
-    # sigma of a few ulps, which the parent divided by
-    if sigma == 0.0 or rest.min() == rest.max():
-        return 0.0
-    return (float(x[-1]) - float(rest.mean())) / sigma
-
-
-def parent_pathogenicity(x, z_yellow, z_red):
-    z = abs(parent_zscore(x))
-    if z < z_yellow:
-        return 0.0
-    if z < z_red:
-        return 1.0
-    return 2.0
+def parent_peak(x, sigma):
+    dev = np.abs(x - np.median(x))
+    peak = float(dev[-1])
+    diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
+    scale = MAD_SIGMA * max(float(np.median(dev)), diff_mad)
+    if scale == 0.0:
+        return FIRED if peak > 0.0 else QUIET
+    return FIRED if peak > sigma * scale else QUIET
 
 
 def on_the_edge(value, fallback, lo=0.0, hi=math.inf):
@@ -731,16 +744,15 @@ def on_the_edge(value, fallback, lo=0.0, hi=math.inf):
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_windowed_detectors_match_the_parent_formulas(x, lead, gaps, data):
-    """Each windowed detector, reading its window back out of a ring that has
-    wrapped, returns exactly what the formula it replaced returns."""
+def test_peak_matches_the_parent_formula(x, lead, gaps, data):
+    """The peak, reading its window back out of a ring that has wrapped,
+    returns exactly what the formula it replaced returns."""
     n = len(x)
-    tiers = TieredPipes(layout=TierLayout(short_capacity=n))
-    stamps = np.cumsum(gaps[: len(lead) + n]).tolist()
-    for t, v in zip(stamps, lead + x.tolist()):
-        tiers.push(Record(timestamp_ms=t, values={"x": v}))
-    now = stamps[-1]
-    t_ms = np.array(stamps[-n:], dtype=np.int64)
+    tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
+    readings = [quantize(v, RES) for v in lead + x.tolist()]
+    grid_push(tiers, np.cumsum(gaps[: len(readings)]).tolist(), readings)
+    x = np.array(readings[-n:])
+    now = int(tiers.short.timestamps_ms(1)[0])
     common = dict(channel="x", tier="short", window=n, min_samples=2)
 
     def check(det, want):
@@ -758,30 +770,110 @@ def test_windowed_detectors_match_the_parent_formulas(x, lead, gaps, data):
         check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
     check(PeakDetector(id="p", sigma=5.0, **common), parent_peak(x, _peak_bar(5.0, n)))
 
-    slope = parent_slope(x, t_ms)
-    per_hour = on_the_edge(None if slope is None else abs(slope), 1.0)
-    for direction in ("rising", "falling", "either"):
-        check(
-            GradientDetector(id="g", per_hour=per_hour, direction=direction, **common),
-            parent_gradient(x, t_ms, per_hour, direction),
-        )
 
-    check(NoiseLevelDetector(id="n", **common), parent_noise_level(x))
+def edges(value, fallback, lo=0.0, hi=math.inf):
+    """Thresholds one ulp either side of a rational statistic and at its
+    nearest float, where a decision one ulp off would flip; the fallback
+    alone when the statistic is not inside (lo, hi)."""
+    edge = on_the_edge(None if value is None else float(value), None, lo, hi)
+    if edge is None:
+        return [fallback]
+    near = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return [t for t in near if lo < t < hi]
 
-    lag = data.draw(st.integers(min_value=1, max_value=n - 2))
-    r = parent_autocorr(x, lag)
-    threshold = on_the_edge(r, 0.5, lo=-1.0, hi=1.0)
-    want = QUIET if r is None else (FIRED if r > threshold else QUIET)
-    check(CyclicalDetector(id="c", lag=lag, threshold=threshold, **common), want)
 
-    check(MeanDetector(id="m", **common), float(x.mean()))
-    check(StdDevDetector(id="s", **common), float(x.std()))
-    check(ZScoreDetector(id="z", **common), parent_zscore(x))
+@st.composite
+def grid_windows(draw, max_size=40):
+    """A channel kind and a window of its codes inside its range, drawn from
+    a pool: one code makes a flat window, a few make ties.  Codes also come
+    from each end of the range, so impedance codes reach 10**12."""
+    kind = draw(st.sampled_from(list(ChannelKind)))
+    spec = CHANNEL_SPECS[kind]
+    lo = math.ceil(spec.lo / spec.resolution)
+    hi = math.floor(spec.hi / spec.resolution)
+    codes = st.one_of(
+        st.integers(lo, hi), st.integers(hi - 100, hi), st.integers(lo, lo + 100)
+    )
+    n = draw(st.integers(min_value=3, max_value=max_size))
+    pool = draw(st.lists(codes, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    lead = draw(st.lists(codes, max_size=10))
+    return kind, lead, [pool[i] for i in picks]
 
-    z = abs(parent_zscore(x))
-    z_yellow = on_the_edge(z, 2.0, hi=1e300)
+
+@given(
+    case=grid_windows(),
+    t0=st.integers(min_value=0, max_value=10**11),
+    gaps=st.lists(st.integers(min_value=1, max_value=10**6), min_size=50, max_size=50),
+    data=st.data(),
+)
+@example(
+    case=(ChannelKind.IMPEDANCE_1, [10**12], [10**12 - 1] * 9 + [10**12]),
+    t0=10**11, gaps=[1] * 50, data=None,
+)
+# a slope of exactly 128 codes an hour (one code per 28,125 ms), a float, so
+# the gradient's threshold can equal it and a strict comparison must not fire
+@example(case=(ChannelKind.SAP_FLOW, [], [0, 1, 2, 3, 4, 5]), t0=0, gaps=[28_125] * 50, data=None)
+@settings(max_examples=200, deadline=None)
+def test_windowed_statistics_are_exact(case, t0, gaps, data):
+    """On grid readings of every channel kind, after the ring has wrapped,
+    the mean is its exact rational value rounded to the nearest float, each
+    square-root statistic is its exact ratio rounded, then math.sqrt of that,
+    and so within SQRT_REL of its exact value (a flat window's is exactly 0),
+    and each decision is exact at thresholds one ulp either side of its
+    statistic."""
+    kind, lead, codes = case
+    channel = ChannelId("x", kind)
+    res = channel.spec.resolution
+    n = len(codes)
+    tiers = TieredPipes([channel], TierLayout(short_capacity=n))
+    stamps = [t0 + t for t in np.cumsum(gaps[: len(lead) + n]).tolist()]
+    grid_push(tiers, stamps, [k * res for k in lead + codes])
+    now, t_ms = stamps[-1], stamps[-n:]
+    x = [k * Fraction(res) for k in codes]
+    common = dict(channel="x", tier="short", window=n, min_samples=2)
+    pick = (lambda options: data.draw(st.sampled_from(options))) if data else (lambda o: o[len(o) // 2])
+
+    def value(det):
+        return det.evaluate(tiers, now)
+
+    mean = sum(x) / n
+    spread = sum((v - mean) ** 2 for v in x)
+    assert same_bits(value(MeanDetector(id="m", **common)), float(mean))
+    assert rounded_twice(value(StdDevDetector(id="s", **common)), spread / n)
+    noise = sum((x[i] - x[i - 1]) ** 2 for i in range(1, n)) / (2 * (n - 1))
+    assert rounded_twice(value(NoiseLevelDetector(id="n", **common)), noise)
+
+    rest = x[:-1]
+    rest_mean = sum(rest) / (n - 1)
+    rest_var = sum((v - rest_mean) ** 2 for v in rest) / (n - 1)
+    z = value(ZScoreDetector(id="z", **common))
+    if rest_var == 0:  # a flat reference scores exactly 0
+        assert same_bits(z, 0.0)
+        z2 = Fraction(0)
+    else:
+        dev = x[-1] - rest_mean
+        z2 = dev * dev / rest_var
+        assert rounded_twice(abs(z), z2) and (z < 0) == (dev < 0)
+    z_yellow = pick(edges(abs(z) if z2 else None, 2.0, hi=1e300))
     for z_red in (2.0 * z_yellow, math.nextafter(z_yellow, math.inf)):
-        check(
-            PathogenicityDetector(id="h", z_yellow=z_yellow, z_red=z_red, **common),
-            parent_pathogenicity(x, z_yellow, z_red),
-        )
+        want = 0.0 if z2 < Fraction(z_yellow) ** 2 else 1.0 if z2 < Fraction(z_red) ** 2 else 2.0
+        light = PathogenicityDetector(id="h", z_yellow=z_yellow, z_red=z_red, **common)
+        assert same_bits(value(light), want)
+
+    slope = exact_slope(codes, t_ms, res)
+    per_hour = pick(edges(abs(slope), 1.0))
+    bar = Fraction(per_hour)
+    for direction, fires in (
+        ("rising", slope > bar), ("falling", slope < -bar), ("either", abs(slope) > bar)
+    ):
+        det = GradientDetector(id="g", per_hour=per_hour, direction=direction, **common)
+        assert value(det) == (FIRED if fires else QUIET)
+
+    lag = pick(list(range(1, n - 1)))
+    r = None
+    if spread:
+        r = sum((x[i] - mean) * (x[i + lag] - mean) for i in range(n - lag)) / spread
+    threshold = pick(edges(r, 0.5, lo=-1.0, hi=1.0))
+    want = FIRED if r is not None and r > Fraction(threshold) else QUIET
+    assert value(CyclicalDetector(id="c", lag=lag, threshold=threshold, **common)) == want

@@ -33,7 +33,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NOISY_SWEEP_CSV_SHA256 = "6a4c6ada2766eaa0"
 NOISY_SWEEP_20_SEEDS_SHA256 = "550f0e04061169e3"
 TOUCH_DEMO_RUN_SHA256 = "ec36bdddb902bbe6"
-STIMULATION_RUN_SHA256 = "f8041094b71fe4a5"
+STIMULATION_RUN_SHA256 = "9e33616e243bcd4f"
 
 # 30 stimulation slots of noisy impedance on two channels; the stimulation
 # fires on about a fifth of cycles and lowers rp for vp_duration_s after each

@@ -1,13 +1,18 @@
-"""Tier cadence and ring-buffer behaviour, checked by direct enumeration."""
+"""Tier cadence and ring-buffer behaviour, checked by direct enumeration,
+and the window sums, checked against a recompute from the window."""
 
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from phytolab.channels import Record
+from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
 from phytolab.pipes import Pipe, TierLayout, TieredPipes
+
+X = (ChannelId("x", ChannelKind.LIGHT),)
+AB = (ChannelId("a", ChannelKind.IMPEDANCE_1), ChannelId("b", ChannelKind.BIOPOTENTIAL_1))
 
 
 def rec(t_s, v=0.0):
@@ -15,7 +20,7 @@ def rec(t_s, v=0.0):
 
 
 def test_pipe_capacity_and_eviction_order():
-    p = Pipe("short", 3)
+    p = Pipe("short", 3, X)
     for t in range(5):
         p.push(rec(t, float(t)))
     assert len(p) == 3
@@ -25,7 +30,7 @@ def test_pipe_capacity_and_eviction_order():
 
 
 def test_pipe_rejects_non_increasing_timestamps():
-    p = Pipe("short", 3)
+    p = Pipe("short", 3, X)
     p.push(rec(5))
     with pytest.raises(ValueError):
         p.push(rec(5))
@@ -34,7 +39,7 @@ def test_pipe_rejects_non_increasing_timestamps():
 
 
 def test_pipe_values_window():
-    p = Pipe("short", 10)
+    p = Pipe("short", 10, X)
     for t in range(6):
         p.push(rec(t, float(t * t)))
     np.testing.assert_array_equal(p.values("x"), [0.0, 1.0, 4.0, 9.0, 16.0, 25.0])
@@ -45,7 +50,7 @@ def test_pipe_values_window():
 
 def test_layout_validation():
     with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
-        Pipe("short", 0)
+        Pipe("short", 0, X)
     with pytest.raises(ValueError):
         TierLayout(short_capacity=0)
     with pytest.raises(ValueError):
@@ -57,7 +62,7 @@ def test_layout_validation():
 
 
 def test_one_day_of_pushes_fills_tiers_to_60_60_24():
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     for t in range(86_400):
         tiers.push(rec(t, float(t)))
     assert tiers.short.total_pushed == 86_400
@@ -75,7 +80,7 @@ def assert_newest_equal(slower, short):
 
 
 def test_handoff_is_last_record_of_completed_span():
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     for t in range(120):
         tiers.push(rec(t, float(t)))
         assert tiers.middle.total_pushed == (t + 1) // 60
@@ -87,7 +92,7 @@ def test_handoff_is_last_record_of_completed_span():
 
 
 def test_long_tier_receives_hourly_closing_sample():
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     for t in range(7200):
         tiers.push(rec(t, float(t)))
         assert tiers.long.total_pushed == (t + 1) // 3600
@@ -99,7 +104,7 @@ def test_long_tier_receives_hourly_closing_sample():
 
 
 def test_tier_lookup():
-    tiers = TieredPipes()
+    tiers = TieredPipes(X)
     assert tiers.tier("short") is tiers.short
     assert tiers.tier("long") is tiers.long
     with pytest.raises(KeyError):
@@ -113,7 +118,7 @@ def test_counts_match_integer_division(n):
         short_capacity=7, middle_capacity=5, long_capacity=3,
         middle_stride=10, long_stride=50,
     )
-    tiers = TieredPipes(layout)
+    tiers = TieredPipes(X, layout)
     for t in range(n):
         tiers.push(rec(t))
     assert tiers.short.total_pushed == n
@@ -125,10 +130,16 @@ def test_counts_match_integer_division(n):
 
 
 def test_pipe_refuses_records_with_other_channels():
-    p = Pipe("short", 4)
+    p = Pipe("short", 4, AB)
+    others = ({"a": 1.0}, {"a": 1.0, "c": 2.0}, {"a": 1.0, "b": 2.0, "c": 3.0})
+    # the channels are fixed at construction, so a first record is held to
+    # them too, and a refused one leaves the ring empty
+    for values in others:
+        with pytest.raises(ValueError, match="channels"):
+            p.push(Record(timestamp_ms=0, values=values))
+    assert len(p) == 0 and p.total_pushed == 0
     p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
-    for values in ({"a": 1.0}, {"a": 1.0, "c": 2.0},
-                   {"a": 1.0, "b": 2.0, "c": 3.0}):
+    for values in others:
         with pytest.raises(ValueError, match="channels"):
             p.push(Record(timestamp_ms=1000, values=values))
     # a refused record leaves the ring as it was
@@ -138,7 +149,7 @@ def test_pipe_refuses_records_with_other_channels():
 
 
 def test_pipe_reads_a_reordered_record_by_name():
-    p = Pipe("short", 4)
+    p = Pipe("short", 4, AB)
     p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
     p.push(Record(timestamp_ms=1000, values={"b": 4.0, "a": 3.0}))
     np.testing.assert_array_equal(p.values("a"), [1.0, 3.0])
@@ -146,7 +157,7 @@ def test_pipe_reads_a_reordered_record_by_name():
 
 
 def test_pipe_unknown_channel_and_empty_windows():
-    p = Pipe("short", 4)
+    p = Pipe("short", 4, X)
     # nothing pushed yet: every window is empty, whatever the channel
     assert p.values("anything").shape == (0,)
     assert p.values("anything").dtype == np.float64
@@ -178,7 +189,7 @@ def test_pipe_matches_a_deque_of_records(capacity, pushes):
     """The columnar ring reads back exactly what a deque(maxlen) of the same
     records holds, bit for bit, and arrays handed out earlier never change.
     A stale push raises and leaves the ring as it was, also once wrapped."""
-    pipe = Pipe("p", capacity)
+    pipe = Pipe("p", capacity, AB)
     model: deque[Record] = deque(maxlen=capacity)
     handed_out: list[tuple[np.ndarray, bytes]] = []
     t = 0
@@ -209,3 +220,128 @@ def test_pipe_matches_a_deque_of_records(capacity, pushes):
             handed_out.append((stamps, stamps.tobytes()))
         for array, snapshot in handed_out:
             assert array.tobytes() == snapshot
+
+
+# --- window sums: the sliding state against a recompute from the window
+
+
+def recomputed(pipe, channel, window, lag, timed):
+    """The sums WindowSums must hold, from the pipe's window and stamps."""
+    resolution = {c.name: c for c in X + AB}[channel].spec.resolution
+    k = [round(v / resolution) for v in pipe.values(channel, window).tolist()]
+    t = pipe.timestamps_ms(window).tolist()
+    n = len(k)
+    want = {
+        "n": n,
+        "s1": sum(k),
+        "s2": sum(c * c for c in k),
+        "d2": sum((k[i] - k[i - 1]) ** 2 for i in range(1, n)),
+    }
+    if n:
+        want["last"] = k[-1]
+    if lag:
+        want["lagged"] = sum(k[i] * k[i + lag] for i in range(n - lag))
+        want["head"] = sum(k[:lag])
+        want["tail"] = sum(k[max(0, n - lag):])
+    if timed:
+        want["st"] = sum(t)
+        want["stt"] = sum(s * s for s in t)
+        want["stk"] = sum(s * c for s, c in zip(t, k))
+    return want
+
+
+def held(state, want):
+    return {name: getattr(state, name) for name in want}
+
+
+# codes across each channel's range: impedance codes reach 10**12, and the
+# biopotential grid of 64 nV is not a power of ten
+IMPEDANCE_CODES = st.one_of(
+    st.integers(0, 10**12), st.integers(10**12 - 50, 10**12), st.integers(0, 3)
+)
+BIO_CODES = st.integers(-round(1.0 / 64e-9), round(1.0 / 64e-9))
+
+
+class SlidingSums(RuleBasedStateMachine):
+    """Pushes, skipped reads and slides longer than the ring, interleaved:
+    every read of the sums equals a recompute from the window, for sums read
+    after every step (eager) and for sums read only now and then (lazy)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pipe = Pipe("p", 7, AB)
+        self.t = 0
+        self.eager = [("a", 7, 0, False), ("b", 3, 2, True), ("a", 60, 6, True)]
+
+    def _push(self, gap, a, b):
+        self.t += gap
+        values = {"a": a * 1e-3, "b": b * 64e-9}
+        self.pipe.push(Record(timestamp_ms=self.t, values=values))
+
+    @rule(gap=st.integers(1, 10**9), a=IMPEDANCE_CODES, b=BIO_CODES)
+    def push(self, gap, a, b):
+        self._push(gap, a, b)
+
+    @rule(
+        count=st.integers(2, 20),
+        a=st.lists(IMPEDANCE_CODES, min_size=1, max_size=3),
+        b=st.lists(BIO_CODES, min_size=1, max_size=3),
+    )
+    def push_many(self, count, a, b):
+        for i in range(count):
+            self._push(1 + i % 3, a[i % len(a)], b[i % len(b)])
+
+    @rule(
+        channel=st.sampled_from("ab"),
+        window=st.integers(1, 9),
+        lag=st.integers(0, 8),
+        timed=st.booleans(),
+    )
+    def read(self, channel, window, lag, timed):
+        want = recomputed(self.pipe, channel, window, lag, timed)
+        assert held(self.pipe.sums(channel, window, lag, timed), want) == want
+
+    @invariant()
+    def eager_sums_equal_a_recompute(self):
+        for key in self.eager:
+            want = recomputed(self.pipe, *key)
+            assert held(self.pipe.sums(*key), want) == want
+
+
+TestSlidingSums = SlidingSums.TestCase
+TestSlidingSums.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+
+def test_sums_left_as_they_were_by_a_reading_without_a_code():
+    """round() raises on an infinite reading; the sums keep their count, so
+    each read raises while the slide would cross it, and the sums are exact
+    again once a recompute no longer reads it."""
+    pipe = Pipe("p", 3, X)
+    for t in range(3):
+        pipe.push(rec(t, 1.0 + t))
+    state = pipe.sums("x", 2)
+    before = held(state, recomputed(pipe, "x", 2, 0, False))
+    pipe.push(rec(3, float("inf")))
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            pipe.sums("x", 2)
+    assert state.count == 3 and held(state, before) == before
+    for t in range(4, 7):
+        pipe.push(rec(t, 0.5 * t))
+    want = recomputed(pipe, "x", 2, 0, False)
+    assert held(pipe.sums("x", 2), want) == want
+
+
+def test_sums_window_is_capped_at_the_capacity():
+    pipe = Pipe("p", 4, X)
+    for t in range(9):
+        pipe.push(rec(t, 0.1 * t))
+    want = recomputed(pipe, "x", 4, 0, False)
+    assert want["n"] == 4
+    assert held(pipe.sums("x", 60), want) == held(pipe.sums("x", 4), want) == want
+
+
+def test_every_channel_kind_resolution_is_an_exact_ratio():
+    for spec in CHANNEL_SPECS.values():
+        num, den = spec.resolution.as_integer_ratio()
+        assert num / den == spec.resolution and den & (den - 1) == 0

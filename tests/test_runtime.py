@@ -219,7 +219,7 @@ def test_stored_and_live_records_share_a_tier(tmp_path):
     records.append(runtime.simulator.record_at(runtime.now_ms))
     assert list(records[0].values) == ["light", "bio1"]
     assert list(records[-1].values) == ["bio1", "light"]
-    pipe = Pipe(SHORT, 60)
+    pipe = Pipe(SHORT, 60, runtime.config.channels)
     for record in records:
         pipe.push(record)
     for name in ("light", "bio1"):
