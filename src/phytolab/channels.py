@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -194,16 +194,16 @@ def quantize_for(channel: ChannelId, raw: float) -> float:
 class Record:
     """One acquisition cycle: millisecond timestamp plus one reading per channel.
 
-    `values` is keyed by channel name and preserves insertion order.  It is
-    copied into a read-only view on construction.
+    `values`, keyed by channel name in insertion order, is copied into a
+    read-only view; timestamp_ms goes through operator.index, refusing a float.
     """
 
     timestamp_ms: int
     values: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.timestamp_ms, int):
-            raise TypeError("timestamp_ms must be an integer millisecond count")
+        if type(self.timestamp_ms) is not int:
+            object.__setattr__(self, "timestamp_ms", index(self.timestamp_ms))
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
 

@@ -146,6 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         value = getattr(args, flag, None)
         if value is not None and not 0 < value < math.inf:
             parser.error(f"argument --{flag}: must be finite and > 0, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {seed}")
     try:
         return args.func(args)
     except ConfigError as exc:

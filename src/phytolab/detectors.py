@@ -1,17 +1,18 @@
 """Detector bank: per-cycle feature extraction over the retention tiers.
 
-Each detector reads a window of one channel from one tier and contributes a
-single float to the output vector.  Boolean detectors emit 1.0 (condition
-holds), -1.0 (condition checked and absent) or NO_DATA (0.0, not enough
-data yet); numeric detectors emit their measurement, with NO_DATA doubling as
-the insufficient-data marker.  All threshold comparisons are strict, so a
-value exactly at a threshold does not fire.
+Each windowed detector is handed its tier's pipe and reads a window of one
+channel from it; every detector contributes one float to the output vector.
+Boolean detectors emit 1.0 (condition holds), -1.0 (condition checked and
+absent) or NO_DATA (0.0, not enough data yet); numeric detectors emit their
+measurement, with NO_DATA doubling as the insufficient-data marker.  All
+threshold comparisons are strict, so a value exactly at a threshold does not
+fire.
 
 The bank, built on one set of tiers, recomputes a windowed detector only
 when its tier's push count has moved since the detector's last value, and
 reuses that value otherwise: a middle-tier detector runs once per
-middle_stride cycles, a long-tier one once per long_stride.  Gates read the
-clock and run on every cycle.
+middle_stride cycles, a long-tier one once per long_stride.  Gates read only
+the clock, are handed None for a pipe and run on every cycle.
 
 Every windowed detector but the peak reads its tier's exact integer sums
 (pipes.WindowSums), never the window itself.  Over the window's n codes k_i
@@ -115,17 +116,17 @@ def _peak_bar(sigma: float, n: int) -> float:
 class Detector(Protocol):
     id: str
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float: ...
+    def evaluate(self, pipe: Pipe | None, now_ms: int) -> float: ...
 
 
 @dataclass(frozen=True, kw_only=True)
 class WindowedDetector:
     """Shared shape of the detectors that read one channel's recent window.
 
-    evaluate returns NO_DATA while the tier holds fewer than
-    required_samples() of the last `window` readings of `channel`;
-    otherwise the subclass's _measure reads them, or their exact sums, from
-    the tier's pipe.
+    evaluate is handed the pipe of the detector's tier.  It returns NO_DATA
+    while the pipe holds fewer than required_samples() readings (<= window,
+    checked at construction); otherwise the subclass's _measure reads the
+    last `window` readings of `channel`, or their exact sums, from the pipe.
     """
 
     id: str
@@ -150,10 +151,8 @@ class WindowedDetector:
     def required_samples(self) -> int:
         return self.min_samples
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
-        pipe = tiers.tier(self.tier)
-        needed = self.required_samples()  # <= window, checked at construction
-        if pipe.total_pushed < needed or pipe.capacity < needed:
+    def evaluate(self, pipe: Pipe, now_ms: int) -> float:
+        if len(pipe) < self.required_samples():
             return NO_DATA
         return self._measure(pipe)
 
@@ -312,7 +311,7 @@ class TimeIntervalGate:
         if self.end_ms <= self.start_ms:
             raise ValueError(f"{self.id}: empty interval")
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
+    def evaluate(self, pipe: None, now_ms: int) -> float:
         return FIRED if self.start_ms <= now_ms < self.end_ms else QUIET
 
 
@@ -336,7 +335,7 @@ class TimeOfDayGate:
         if self.start_hour == self.end_hour:
             raise ValueError(f"{self.id}: empty daily window")
 
-    def evaluate(self, tiers: TieredPipes, now_ms: int) -> float:
+    def evaluate(self, pipe: None, now_ms: int) -> float:
         hour = (now_ms / MS_PER_HOUR) % 24.0
         if self.start_hour < self.end_hour:
             inside = self.start_hour <= hour < self.end_hour
@@ -452,21 +451,20 @@ def build_detector(kind: str, **params) -> Detector:
 class DetectorBank:
     """Ordered detectors producing the per-cycle vector of one set of tiers.
 
-    A WindowedDetector is recomputed only when its tier's total_pushed differs
-    from the count at the detector's last finite value, which is reused
-    otherwise.  Such a detector reads only its tier's retained samples and
-    timestamps, never now_ms, and only Pipe.push changes those, so the reused
-    value is what a fresh evaluation would return; a detector whose call
-    raised is recomputed on the next.  Gates and any other Detector run on
-    every call.  Pipes are resolved by position at construction and evaluate
-    walks self.detectors, so a detector swapped in later at the same position
-    is called in its place.
+    Each WindowedDetector is handed its tier's pipe, resolved once, here;
+    it is recomputed only when that pipe's total_pushed differs from the
+    count at its last finite value, which is reused otherwise.  It reads
+    only the pipe's retained samples and timestamps, never now_ms, and only
+    Pipe.push changes those, so the reused value is what a fresh evaluation
+    would return; one whose call raised is recomputed on the next.  Gates
+    and any other Detector are handed None and run on every call.  Pipes are
+    kept by position and evaluate walks self.detectors, so a detector
+    swapped in later at the same position is called, with that pipe.
     """
 
     def __init__(self, detectors: Sequence[Detector], tiers: TieredPipes) -> None:
         check_unique_names("detector ids", [d.id for d in detectors])
         self.detectors = tuple(detectors)
-        self.tiers = tiers
         # per detector: its pipe (None: runs on every call), total_pushed at its value
         self._pipes = tuple(
             tiers.tier(d.tier) if isinstance(d, WindowedDetector) else None
@@ -477,12 +475,12 @@ class DetectorBank:
 
     def evaluate(self, now_ms: int) -> dict[str, float]:
         """Output vector keyed by detector id, in configuration order."""
-        tiers, pushed, last = self.tiers, self._pushed, self._last
+        pushed, last = self._pushed, self._last
         out: dict[str, float] = {}
         for i, (det, pipe) in enumerate(zip(self.detectors, self._pipes)):
             count = None if pipe is None else pipe.total_pushed
             if count is None or count != pushed[i]:
-                value = det.evaluate(tiers, now_ms)
+                value = det.evaluate(pipe, now_ms)
                 if not math.isfinite(value):
                     raise ValueError(f"detector {det.id!r} produced non-finite {value}")
                 last[i], pushed[i] = value, count

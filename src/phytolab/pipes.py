@@ -15,16 +15,16 @@ a slice copy with no gathering or concatenation.
 The window statistics read exact integer sums instead of windows.  Readings
 sit on their channel's device grid, v = k * resolution, so each reading has
 an integer code k = round(v / resolution), exact while |k| < 2**51 (every
-channel kind's range is inside that).  Per (channel, window, lag) a tier
-keeps one WindowSums: the push count it was last advanced at and the sums of
-k, k**2 and the squared first differences over the window, plus the time
-sums a gradient reads or the lag products a cyclical detector reads.  Read
-after p more pushes, the sums slide by adding each sample that entered and
-subtracting each that left, both read back from the tier's own ring, which
-keeps one slot beyond the capacity so that the sample that just left a full
-window is still there.  A slide longer than the ring allows, or than the
-window, recomputes the sums from the window.  Python ints neither round nor
-overflow, so the sums are the same on every machine, whatever order they
+channel kind's range is inside that).  Per (channel, samples held, lag) a
+tier keeps one WindowSums: the push count it was last advanced at and the
+sums of k, k**2 and the squared first differences over the window, plus the
+time sums a gradient reads or the lag products a cyclical detector reads.
+Read after p more pushes, the sums slide by adding each sample that entered
+and subtracting each that left, both read back from the tier's own ring,
+which keeps one slot beyond the capacity so that the sample that just left a
+full window is still there.  A slide longer than the ring allows, or than
+the window, recomputes the sums from the window.  Python ints neither round
+nor overflow, so the sums are the same on every machine, whatever order they
 were added in.
 """
 
@@ -205,33 +205,29 @@ class Pipe:
         self.total_pushed += 1
 
     def __len__(self) -> int:
-        return min(self.total_pushed, self.capacity)
+        return self.total_pushed if self.total_pushed < self.capacity else self.capacity
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
-        """Last n readings of one channel, oldest first (all retained if n is None)."""
-        size = self.total_pushed if self.total_pushed < self.capacity else self.capacity
-        if not size:
-            return np.empty(0, dtype=np.float64)
+        """Last n (all if None) of the len(self) readings of channel, oldest first."""
+        size = len(self)
         k = size if n is None or n > size else n
         return self._data[self._rows[channel], self._end - k : self._end].copy()
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
-        size = self.total_pushed if self.total_pushed < self.capacity else self.capacity
+        size = len(self)
         k = size if n is None or n > size else n
         return self._ts[self._end - k : self._end].copy()
 
     def sums(
         self, channel: str, window: int, lag: int = 0, timed: bool = False
     ) -> WindowSums:
-        """The exact sums over the last min(window, capacity) samples of
-        channel, with lag products for lag > 0 and time sums when timed."""
+        """Exact sums over the last min(window, capacity) samples of channel,
+        one state per window held; lag products if lag, time sums if timed."""
+        window = min(window, self.capacity)
         state = self._sums.get((channel, window, lag, timed))
         if state is None:
             row = self._rows[channel]
-            state = WindowSums(
-                min(window, self.capacity), lag, timed,
-                self._data[row], self._resolutions[row],
-            )
+            state = WindowSums(window, lag, timed, self._data[row], self._resolutions[row])
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
             state.advance(self.total_pushed, self._end, self._ring, self._ts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -159,6 +160,7 @@ class Event:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "at_ms", operator.index(self.at_ms))
         if self.at_ms < 0:
             raise ValueError(f"event time must be non-negative, got {self.at_ms}")
         if self.scale <= 0:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,6 +186,15 @@ def test_record_is_immutable():
 def test_record_rejects_non_integer_timestamp():
     with pytest.raises(TypeError):
         ch.Record(timestamp_ms=1.5, values={})  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("stamp", [1000.0, math.inf, math.nan])
+def test_record_timestamp_is_an_integer_by_the_store_rule(stamp):
+    # the rule LogStore.append_row applies: operator.index
+    with pytest.raises(TypeError):
+        ch.Record(timestamp_ms=stamp, values={})
+    rec = ch.Record(timestamp_ms=np.int64(1000), values={})
+    assert type(rec.timestamp_ms) is int and rec.timestamp_ms == 1000
 
 
 def test_schedule_orders_biopotential_before_impedance_before_environment():

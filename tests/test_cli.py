@@ -56,9 +56,12 @@ def test_run_seed_override_changes_the_noise(tmp_path, bench_ini):
 
 
 def test_run_refuses_a_negative_seed(tmp_path, bench_ini, capsys):
+    # a usage error, as a bad --cycles is and [system] seed = -1 is at load
     out = tmp_path / "r"
-    assert main(["run", "--config", str(bench_ini), "--out", str(out), "--seed", "-1"]) == 1
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(bench_ini), "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -77,6 +77,11 @@ def now_of(tiers):
     return int(tiers.short.timestamps_ms(1)[0])
 
 
+def pipe_of(det, tiers):
+    """The pipe a bank hands det: its tier's, or None for a gate."""
+    return tiers.tier(det.tier) if isinstance(det, WindowedDetector) else None
+
+
 # peak: [0,1]*6 gives median 1 and MAD 1 (scale 1.4826); the 5-sigma bar on
 # 13 samples is _peak_bar(5, 13) = 13.599 scales, so it sits at 1 + 20.162
 PEAK_BASE = [0.0, 1.0] * 6
@@ -85,12 +90,12 @@ PEAK_BASE = [0.0, 1.0] * 6
 def test_peak_fires_above_mad_threshold():
     det = PeakDetector(id="p", channel="x", window=60, sigma=5.0)
     hot = feed(PEAK_BASE + [21.3])
-    assert det.evaluate(hot, now_of(hot)) == 1.0
+    assert det.evaluate(pipe_of(det, hot), now_of(hot)) == 1.0
     cool = feed(PEAK_BASE + [21.0])
-    assert det.evaluate(cool, now_of(cool)) == -1.0
+    assert det.evaluate(pipe_of(det, cool), now_of(cool)) == -1.0
     # above the unwidened 5 * scale bar (1 + 7.413), below the widened one
     short_of_it = feed(PEAK_BASE + [8.5])
-    assert det.evaluate(short_of_it, now_of(short_of_it)) == -1.0
+    assert det.evaluate(pipe_of(det, short_of_it), now_of(short_of_it)) == -1.0
 
 
 def quiet_crossing_rate(n, bar, windows, rng):
@@ -133,15 +138,15 @@ def test_peak_bar_narrows_to_sigma_as_the_window_grows():
 def test_peak_constant_window_fires_on_any_deviation():
     det = PeakDetector(id="p", channel="x", window=60, min_samples=12)
     blip = feed([5.0] * 12 + [5.1])
-    assert det.evaluate(blip, now_of(blip)) == 1.0
+    assert det.evaluate(pipe_of(det, blip), now_of(blip)) == 1.0
     flat = feed([5.0] * 13)
-    assert det.evaluate(flat, now_of(flat)) == -1.0
+    assert det.evaluate(pipe_of(det, flat), now_of(flat)) == -1.0
 
 
 def test_peak_needs_enough_samples():
     det = PeakDetector(id="p", channel="x", window=60, min_samples=12)
     tiers = feed([1.0, 2.0, 3.0])
-    assert det.evaluate(tiers, now_of(tiers)) == 0.0
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == 0.0
 
 
 @given(
@@ -154,7 +159,8 @@ def test_peak_decision_is_affine_invariant(a, b):
     base = PEAK_BASE + [21.3]
     plain = feed(base)
     scaled = feed([a * v + b for v in base])
-    assert det.evaluate(plain, now_of(plain)) == det.evaluate(scaled, now_of(scaled))
+    want = det.evaluate(pipe_of(det, plain), now_of(plain))
+    assert det.evaluate(pipe_of(det, scaled), now_of(scaled)) == want
 
 
 def test_gradient_threshold_and_direction():
@@ -164,13 +170,13 @@ def test_gradient_threshold_and_direction():
     now = now_of(tiers)
     rising = GradientDetector(id="g", channel="x", per_hour=0.5, tier="short",
                               window=60, direction="rising")
-    assert rising.evaluate(tiers, now) == 1.0
+    assert rising.evaluate(pipe_of(rising, tiers), now) == 1.0
     falling = GradientDetector(id="g", channel="x", per_hour=0.5, tier="short",
                                window=60, direction="falling")
-    assert falling.evaluate(tiers, now) == -1.0
+    assert falling.evaluate(pipe_of(falling, tiers), now) == -1.0
     either = GradientDetector(id="g", channel="x", per_hour=1.5, tier="short",
                               window=60)
-    assert either.evaluate(tiers, now) == -1.0
+    assert either.evaluate(pipe_of(either, tiers), now) == -1.0
 
 
 def exact_slope(codes, stamps, resolution):
@@ -193,31 +199,32 @@ def test_gradient_matches_polyfit_on_irregular_timestamps():
                              tier="short", window=60)
     above = GradientDetector(id="g", channel="x", per_hour=abs(slope) + margin,
                              tier="short", window=60)
-    assert below.evaluate(tiers, ts[-1]) == 1.0
-    assert above.evaluate(tiers, ts[-1]) == -1.0
+    assert below.evaluate(pipe_of(below, tiers), ts[-1]) == 1.0
+    assert above.evaluate(pipe_of(above, tiers), ts[-1]) == -1.0
     # the decision is exact: one ulp either side of the exact slope flips it
     exact = abs(exact_slope([round(v / RES) for v in xs.tolist()], ts, RES))
     edge = float(exact)
     for per_hour in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
         det = GradientDetector(id="g", channel="x", per_hour=per_hour, tier="short", window=60)
-        assert det.evaluate(tiers, ts[-1]) == (FIRED if exact > Fraction(per_hour) else QUIET)
+        want = FIRED if exact > Fraction(per_hour) else QUIET
+        assert det.evaluate(pipe_of(det, tiers), ts[-1]) == want
 
 
 def test_noise_level_frozen_cases():
     det = NoiseLevelDetector(id="n", channel="x", window=60)
     flat = feed([7.5] * 20)
-    assert det.evaluate(flat, now_of(flat)) == 0.0
+    assert det.evaluate(pipe_of(det, flat), now_of(flat)) == 0.0
     ramp = feed([0.25 * i for i in range(20)])
-    assert det.evaluate(ramp, now_of(ramp)) == pytest.approx(0.25 / math.sqrt(2.0))
+    assert det.evaluate(pipe_of(det, ramp), now_of(ramp)) == pytest.approx(0.25 / math.sqrt(2.0))
     alt = feed([2.0 if i % 2 else -2.0 for i in range(20)])
-    assert det.evaluate(alt, now_of(alt)) == pytest.approx(4.0 / math.sqrt(2.0))
+    assert det.evaluate(pipe_of(det, alt), now_of(alt)) == pytest.approx(4.0 / math.sqrt(2.0))
 
 
 def test_noise_level_estimates_white_noise_sigma():
     rng = np.random.default_rng(11)
     tiers = feed(rng.normal(0.0, 0.5, size=60).tolist())
     det = NoiseLevelDetector(id="n", channel="x", window=60)
-    assert det.evaluate(tiers, now_of(tiers)) == pytest.approx(0.5, rel=0.25)
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == pytest.approx(0.5, rel=0.25)
 
 
 @given(a=st.integers(min_value=-50, max_value=50))
@@ -230,8 +237,9 @@ def test_noise_level_scales_with_amplitude(a):
     det = NoiseLevelDetector(id="n", channel="x", window=60, min_samples=8)
     plain = feed(base)
     scaled = feed([a * v for v in base])
-    want = abs(a) * det.evaluate(plain, now_of(plain))
-    assert math.isclose(det.evaluate(scaled, now_of(scaled)), want, rel_tol=2**-51, abs_tol=0.0)
+    want = abs(a) * det.evaluate(pipe_of(det, plain), now_of(plain))
+    got = det.evaluate(pipe_of(det, scaled), now_of(scaled))
+    assert math.isclose(got, want, rel_tol=2**-51, abs_tol=0.0)
 
 
 def autocorr_oracle(x, lag):
@@ -247,41 +255,39 @@ def test_cyclical_detects_matching_period():
     now = now_of(tiers)
     at_period = CyclicalDetector(id="c", channel="x", lag=12, tier="short", window=60)
     assert autocorr_oracle(x, 12) > 0.5
-    assert at_period.evaluate(tiers, now) == 1.0
+    assert at_period.evaluate(pipe_of(at_period, tiers), now) == 1.0
     anti_phase = CyclicalDetector(id="c", channel="x", lag=6, tier="short", window=60)
     assert autocorr_oracle(x, 6) < 0.5
-    assert anti_phase.evaluate(tiers, now) == -1.0
+    assert anti_phase.evaluate(pipe_of(anti_phase, tiers), now) == -1.0
 
 
 def test_cyclical_constant_series_is_quiet():
     tiers = feed([3.0] * 30)
     det = CyclicalDetector(id="c", channel="x", lag=5, tier="short", window=60)
-    assert det.evaluate(tiers, now_of(tiers)) == -1.0
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == -1.0
 
 
 def test_cyclical_needs_lag_plus_two():
     det = CyclicalDetector(id="c", channel="x", lag=10, tier="short", window=60)
     short = feed([float(i % 3) for i in range(11)])
-    assert det.evaluate(short, now_of(short)) == 0.0
+    assert det.evaluate(pipe_of(det, short), now_of(short)) == 0.0
     enough = feed([float(i % 3) for i in range(12)])
-    assert det.evaluate(enough, now_of(enough)) != 0.0
+    assert det.evaluate(pipe_of(det, enough), now_of(enough)) != 0.0
 
 
 def test_time_interval_gate_boundaries():
     gate = TimeIntervalGate(id="t", start_ms=1000, end_ms=2000)
-    tiers = TieredPipes(X)
-    assert gate.evaluate(tiers, 999) == -1.0
-    assert gate.evaluate(tiers, 1000) == 1.0  # closed start
-    assert gate.evaluate(tiers, 1999) == 1.0
-    assert gate.evaluate(tiers, 2000) == -1.0  # open end
+    assert gate.evaluate(None, 999) == -1.0
+    assert gate.evaluate(None, 1000) == 1.0  # closed start
+    assert gate.evaluate(None, 1999) == 1.0
+    assert gate.evaluate(None, 2000) == -1.0  # open end
 
 
 def test_time_of_day_gate_wraps_midnight():
     gate = TimeOfDayGate(id="t", start_hour=22.0, end_hour=6.0)
-    tiers = TieredPipes(X)
 
     def at_hour(h):
-        return gate.evaluate(tiers, round(h * 3.6e6))
+        return gate.evaluate(None, round(h * 3.6e6))
 
     assert at_hour(23.0) == 1.0
     assert at_hour(2.0) == 1.0
@@ -290,8 +296,8 @@ def test_time_of_day_gate_wraps_midnight():
     assert at_hour(12.0) == -1.0
     # and a plain daytime window
     day = TimeOfDayGate(id="d", start_hour=9.0, end_hour=17.0)
-    assert day.evaluate(tiers, round(10.0 * 3.6e6)) == 1.0
-    assert day.evaluate(tiers, round(17.0 * 3.6e6)) == -1.0
+    assert day.evaluate(None, round(10.0 * 3.6e6)) == 1.0
+    assert day.evaluate(None, round(17.0 * 3.6e6)) == -1.0
 
 
 def test_mean_and_stddev_match_numpy():
@@ -301,26 +307,27 @@ def test_mean_and_stddev_match_numpy():
     now = now_of(tiers)
     mean = MeanDetector(id="m", channel="x", window=60)
     sd = StdDevDetector(id="s", channel="x", window=60)
-    assert mean.evaluate(tiers, now) == pytest.approx(float(x.mean()), rel=1e-12)
-    assert sd.evaluate(tiers, now) == pytest.approx(float(x.std()), rel=1e-12)
+    assert mean.evaluate(pipe_of(mean, tiers), now) == pytest.approx(float(x.mean()), rel=1e-12)
+    assert sd.evaluate(pipe_of(sd, tiers), now) == pytest.approx(float(x.std()), rel=1e-12)
     # and each is its exact value, rounded once (the mean) or twice
     exact = [Fraction(round(v / RES)) * Fraction(RES) for v in x.tolist()]
     m = sum(exact) / len(exact)
-    assert mean.evaluate(tiers, now) == float(m)
-    assert near_sqrt(sd.evaluate(tiers, now), sum((v - m) ** 2 for v in exact) / len(exact))
+    assert mean.evaluate(pipe_of(mean, tiers), now) == float(m)
+    spread = sum((v - m) ** 2 for v in exact) / len(exact)
+    assert near_sqrt(sd.evaluate(pipe_of(sd, tiers), now), spread)
 
 
 def test_zscore_excludes_latest_sample():
     det = ZScoreDetector(id="z", channel="x", window=60)
     tiers = feed([0.0, 2.0, 0.0, 2.0, 4.0])
     # reference is [0,2,0,2]: mean 1, sigma 1; latest 4 gives z = 3
-    assert det.evaluate(tiers, now_of(tiers)) == 3.0
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == 3.0
 
 
 def test_zscore_flat_reference_yields_zero():
     det = ZScoreDetector(id="z", channel="x", window=60)
     tiers = feed([1.0, 1.0, 1.0, 1.0, 5.0])
-    assert det.evaluate(tiers, now_of(tiers)) == 0.0
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == 0.0
 
 
 def test_zscore_flat_reference_whose_mean_rounds_off_yields_zero():
@@ -330,13 +337,16 @@ def test_zscore_flat_reference_whose_mean_rounds_off_yields_zero():
     x = [1059.085] * 10 + [1060.504]
     tiers = feed(x, kind=ChannelKind.IMPEDANCE_1)
     now = now_of(tiers)
-    assert ZScoreDetector(id="z", channel="x", window=60).evaluate(tiers, now) == 0.0
+    z = ZScoreDetector(id="z", channel="x", window=60)
+    assert z.evaluate(pipe_of(z, tiers), now) == 0.0
     light = PathogenicityDetector(id="h", channel="x", tier="short", window=60)
-    assert light.evaluate(tiers, now) == 0.0
+    assert light.evaluate(pipe_of(light, tiers), now) == 0.0
     reference = feed(x[:-1], kind=ChannelKind.IMPEDANCE_1)
     now = now_of(reference)
-    assert StdDevDetector(id="s", channel="x", window=60).evaluate(reference, now) == 0.0
-    assert MeanDetector(id="m", channel="x", window=60).evaluate(reference, now) == 1059.085
+    sd = StdDevDetector(id="s", channel="x", window=60)
+    assert sd.evaluate(pipe_of(sd, reference), now) == 0.0
+    mean = MeanDetector(id="m", channel="x", window=60)
+    assert mean.evaluate(pipe_of(mean, reference), now) == 1059.085
 
 
 @given(
@@ -351,8 +361,8 @@ def test_zscore_affine_invariant(a, b):
     base = [0, 2, 1, 2, 4]
     plain = feed([k * RES for k in base])
     scaled = feed([(a * k + b) * RES for k in base])
-    z0 = det.evaluate(plain, now_of(plain))
-    z1 = det.evaluate(scaled, now_of(scaled))
+    z0 = det.evaluate(pipe_of(det, plain), now_of(plain))
+    z1 = det.evaluate(pipe_of(det, scaled), now_of(scaled))
     assert z1 == math.copysign(z0, a)
 
 
@@ -364,13 +374,13 @@ def test_pathogenicity_traffic_light(latest, status):
     # reference [0,2,0,2]: mean 1 sigma 1, so z = latest - 1
     det = PathogenicityDetector(id="h", channel="x", tier="short", window=60)
     tiers = feed([0.0, 2.0, 0.0, 2.0, latest])
-    assert det.evaluate(tiers, now_of(tiers)) == status
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == status
 
 
 def test_pathogenicity_insufficient_data():
     det = PathogenicityDetector(id="h", channel="x", tier="short", window=60)
     tiers = feed([0.0, 1.0])
-    assert det.evaluate(tiers, now_of(tiers)) == 0.0
+    assert det.evaluate(pipe_of(det, tiers), now_of(tiers)) == 0.0
 
 
 def test_bank_rejects_duplicate_ids_and_keeps_order():
@@ -388,7 +398,7 @@ def test_bank_rejects_non_finite_detector_output():
     class Broken:
         id = "bad"
 
-        def evaluate(self, tiers, now_ms):
+        def evaluate(self, pipe, now_ms):
             return math.inf
 
     bank = DetectorBank([Broken()], TieredPipes(X))
@@ -402,9 +412,9 @@ class CountingMean(MeanDetector):
 
     calls: list = field(default_factory=list, compare=False)
 
-    def evaluate(self, tiers, now_ms):
+    def evaluate(self, pipe, now_ms):
         self.calls.append(now_ms)
-        return super().evaluate(tiers, now_ms)
+        return super().evaluate(pipe, now_ms)
 
 
 class CountingGate:
@@ -413,7 +423,7 @@ class CountingGate:
     def __init__(self):
         self.calls = []
 
-    def evaluate(self, tiers, now_ms):
+    def evaluate(self, pipe, now_ms):
         self.calls.append(now_ms)
         return FIRED
 
@@ -443,16 +453,19 @@ def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
 
 def test_bank_calls_stand_ins_put_in_after_construction():
     """A tracer swaps the bank's detectors for stand-ins carrying only an id
-    and an evaluate; the bank must still call each one when its tier moves."""
+    and an evaluate; the bank must still call each one when its tier moves,
+    handing it the pipe it resolved for that position (None for a gate)."""
 
     class StandIn:
         def __init__(self, detector):
             self.id = detector.id
             self.calls = []
+            self.pipes = set()
 
-            def evaluate(tiers, now_ms):
+            def evaluate(pipe, now_ms):
                 self.calls.append(now_ms)
-                return detector.evaluate(tiers, now_ms)
+                self.pipes.add(pipe)
+                return detector.evaluate(pipe, now_ms)
 
             self.evaluate = evaluate
 
@@ -473,6 +486,38 @@ def test_bank_calls_stand_ins_put_in_after_construction():
         assert bank.evaluate(t) == reference.evaluate(t)
     calls = [d.calls for d in bank.detectors]
     assert calls == [stamps, [0] + stamps[3::4], [0] + stamps[7::8], stamps]
+    pipes = [d.pipes for d in bank.detectors]
+    assert pipes == [{tiers.short}, {tiers.middle}, {tiers.long}, {None}]
+
+
+def test_windows_past_the_capacity_share_one_state_in_a_bank():
+    # 60 and 100 on a 60-slot tier both hold the last 60 samples
+    rng = np.random.default_rng(7)
+    detectors = [
+        StdDevDetector(id="a", channel="x", window=60),
+        StdDevDetector(id="b", channel="x", window=100),
+    ]
+    tiers = TieredPipes(X)
+    bank = DetectorBank(detectors, tiers)
+    for i, v in enumerate(rng.normal(0.0, 2.0, size=150).tolist()):
+        push_cycle(tiers, i * 1000, v)
+        vector = bank.evaluate(i * 1000)
+        assert same_bits(vector["a"], vector["b"])
+    assert vector["a"] != NO_DATA
+    assert tiers.short.sums("x", 60) is tiers.short.sums("x", 100)
+    assert len(tiers.short._sums) == 1
+
+
+def test_a_detector_needing_more_than_its_tier_holds_reads_no_data():
+    # a config refuses such a detector at load; one built in code reads
+    # NO_DATA on every call, however many samples were pushed
+    det = MeanDetector(id="m", channel="x", window=60, min_samples=20)
+    tiers = TieredPipes(X, TierLayout(short_capacity=10))
+    bank = DetectorBank([det], tiers)
+    for i in range(50):
+        push_cycle(tiers, i * 1000, float(i))
+        assert bank.evaluate(i * 1000) == {"m": NO_DATA}
+        assert det.evaluate(tiers.short, i * 1000) == NO_DATA
 
 
 def test_bank_retries_a_non_finite_detector_on_every_call():
@@ -502,7 +547,7 @@ def bank_bits(vector):
 def fresh_bits(detectors, tiers, now_ms):
     """The vector of a fresh bank, which must be every detector's own value."""
     want = bank_bits(DetectorBank(detectors, tiers).evaluate(now_ms))
-    assert want == bank_bits({d.id: d.evaluate(tiers, now_ms) for d in detectors})
+    assert want == bank_bits({d.id: d.evaluate(pipe_of(d, tiers), now_ms) for d in detectors})
     return want
 
 
@@ -512,8 +557,8 @@ class RaisingMean(CountingMean):
 
     raise_on: int
 
-    def evaluate(self, tiers, now_ms):
-        value = super().evaluate(tiers, now_ms)
+    def evaluate(self, pipe, now_ms):
+        value = super().evaluate(pipe, now_ms)
         if len(self.calls) == self.raise_on:
             raise RuntimeError("detector fault")
         return value
@@ -698,7 +743,7 @@ def test_measure_writes_nothing_in_the_pipe(x, lead):
             continue
         det = cls(id="d", channel="x", window=n, min_samples=2, **required.get(kind, {}))
         held = (pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes())
-        det.evaluate(tiers, 0)
+        det.evaluate(pipe_of(det, tiers), 0)
         assert (pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes()) == held, kind
 
 
@@ -756,7 +801,7 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
     common = dict(channel="x", tier="short", window=n, min_samples=2)
 
     def check(det, want):
-        assert same_bits(det.evaluate(tiers, now), want)
+        assert same_bits(det.evaluate(pipe_of(det, tiers), now), want)
 
     dev = np.abs(x - np.median(x))
     scale = MAD_SIGMA * max(
@@ -835,7 +880,7 @@ def test_windowed_statistics_are_exact(case, t0, gaps, data):
     pick = (lambda options: data.draw(st.sampled_from(options))) if data else (lambda o: o[len(o) // 2])
 
     def value(det):
-        return det.evaluate(tiers, now)
+        return det.evaluate(pipe_of(det, tiers), now)
 
     mean = sum(x) / n
     spread = sum((v - mean) ** 2 for v in x)

@@ -158,11 +158,14 @@ def test_pipe_reads_a_reordered_record_by_name():
 
 def test_pipe_unknown_channel_and_empty_windows():
     p = Pipe("short", 4, X)
-    # nothing pushed yet: every window is empty, whatever the channel
-    assert p.values("anything").shape == (0,)
-    assert p.values("anything").dtype == np.float64
+    # nothing pushed yet: every window of a known channel is empty, and an
+    # unknown channel is refused whether or not the pipe holds samples
+    assert p.values("x").shape == (0,)
+    assert p.values("x").dtype == np.float64
     assert p.timestamps_ms().shape == (0,)
     assert p.timestamps_ms().dtype == np.int64
+    with pytest.raises(KeyError):
+        p.values("anything")
     p.push(rec(0, 1.0))
     with pytest.raises(KeyError):
         p.values("y")
@@ -339,6 +342,8 @@ def test_sums_window_is_capped_at_the_capacity():
     want = recomputed(pipe, "x", 4, 0, False)
     assert want["n"] == 4
     assert held(pipe.sums("x", 60), want) == held(pipe.sums("x", 4), want) == want
+    # one state per window held: every window past the capacity reads it
+    assert pipe.sums("x", 60) is pipe.sums("x", 4) is pipe.sums("x", 5)
 
 
 def test_every_channel_kind_resolution_is_an_exact_ratio():

@@ -184,6 +184,25 @@ def test_touch_and_wound_refuse_a_channel_that_is_not_a_biopotential_one(channel
     assert plant.events == ()
 
 
+def test_an_event_time_that_is_not_an_integer_is_refused():
+    # a NaN time once loaded and sorted last in the event list, where
+    # bisect_right then skipped every event: the touch at 10 s went unseen
+    plant = sim.PlantSimulator(seed=1)
+    plant.add_touch(10_000)
+    want = plant.record_at(10_400).values["bio1"]
+    for bad in (math.nan, math.inf, 10.5, 10_000.0):
+        with pytest.raises(TypeError):
+            plant.add_touch(bad)
+    assert len(plant.events) == 1
+    assert plant.record_at(10_400).values["bio1"] == want
+    fresh = sim.PlantSimulator(seed=1)
+    fresh.add_touch(10_000)
+    assert want == fresh.record_at(10_400).values["bio1"] != -0.049989888
+    # an integer of another type is a millisecond count, stored as int
+    plant.add_wound(np.int64(20_000))
+    assert [type(e.at_ms) for e in plant.events] == [int, int]
+
+
 def test_events_do_not_act_before_their_time():
     plant = quiet_sim()
     plant.add_touch(10_000)
