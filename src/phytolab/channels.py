@@ -9,7 +9,6 @@ the order the simulator samples them in) and its default channel name.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,16 +52,22 @@ class ChannelCategory(Enum):
     ENVIRONMENT = "environment"
 
 
-def _check_resolution(resolution: float) -> None:
-    if not (resolution > 0.0) or not math.isfinite(resolution):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+def _nearest_code(raw: float, grid: tuple[int, int]) -> int:
+    """The integer nearest raw / (num / den), a half away from zero, exactly."""
+    a, b = raw.as_integer_ratio()
+    top, bottom = a * grid[1], b * grid[0]  # raw / resolution, bottom > 0
+    k = (2 * abs(top) + bottom) // (2 * bottom)
+    return k if top >= 0 else -k
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """One channel kind's row: unit, admissible range and device resolution,
     the category the simulator samples it in, and the name default_channels()
-    gives it (empty: the kind's INI name, ChannelKind.value)."""
+    gives it (empty: the kind's INI name, ChannelKind.value).  It owns the
+    device grid: a reading is encode(raw) * resolution, its code between
+    code_lo and code_hi (those of lo and hi, below 2**51 in size, where codes
+    and readings convert exactly); grid is resolution as a ratio (num, den)."""
 
     unit: str
     lo: float
@@ -70,11 +75,38 @@ class ChannelSpec:
     resolution: float
     category: ChannelCategory = ChannelCategory.ENVIRONMENT
     default_name: str = ""
+    code_lo: int = field(init=False, repr=False, compare=False)
+    code_hi: int = field(init=False, repr=False, compare=False)
+    grid: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_resolution(self.resolution)
-        if not self.lo <= self.hi:
-            raise ValueError(f"range [{self.lo}, {self.hi}] is inverted")
+        if not (0.0 < self.resolution < math.inf and -math.inf < self.lo <= self.hi < math.inf):
+            raise ValueError(f"need finite lo <= hi and resolution > 0, got {self}")
+        grid = self.resolution.as_integer_ratio()
+        code_lo, code_hi = _nearest_code(self.lo, grid), _nearest_code(self.hi, grid)
+        if max(-code_lo, code_hi) >= 2**51:
+            raise ValueError(f"range [{self.lo}, {self.hi}] needs codes of 2**51 or more")
+        # object.__setattr__ keeps attributes inline; vars(self) slows encode
+        for name, value in dict(code_lo=code_lo, code_hi=code_hi, grid=grid).items():
+            object.__setattr__(self, name, value)
+
+    def encode(self, raw: float) -> int:
+        """The code of the grid point nearest raw, a half step away from zero,
+        clamped to [code_lo, code_hi]; a non-finite raw raises ValueError.
+        q = raw / resolution is off by at most |q| * 2**-53, so its nearest
+        integer k is exact unless q lies about that close to a half step."""
+        q = raw / self.resolution
+        try:
+            k = math.floor(q + 0.5)
+        except (OverflowError, ValueError):  # q is infinite or NaN
+            if math.isfinite(raw):
+                return self.code_hi if q > 0 else self.code_lo
+            raise ValueError(f"cannot quantize non-finite value {raw}") from None
+        if not abs(q - k) < 0.5 - abs(q) * 2**-50:  # 8x that bound
+            k = _nearest_code(raw, self.grid)
+        if self.code_lo <= k <= self.code_hi:
+            return k
+        return self.code_lo if k < self.code_lo else self.code_hi
 
 
 # One row per kind.  Ranges are generous physical envelopes; the resolution
@@ -119,14 +151,12 @@ class ChannelId:
 
     name: str
     kind: ChannelKind
+    spec: ChannelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("channel name must be non-empty")
-
-    @functools.cached_property
-    def spec(self) -> ChannelSpec:
-        return CHANNEL_SPECS[self.kind]
+        object.__setattr__(self, "spec", CHANNEL_SPECS[self.kind])
 
     @property
     def category(self) -> ChannelCategory:
@@ -148,46 +178,11 @@ def check_unique_names(what: str, names: Sequence[str]) -> None:
         raise ValueError(f"duplicate {what}: {repeated}")
 
 
-def quantize(raw: float, resolution: float) -> float:
-    """Snap a reading to the device grid: resolution * round(raw/resolution).
-
-    Rounding is half-away-from-zero so positive and negative readings are
-    treated symmetrically.  The result is exactly representable as
-    resolution times an integer, and |result - raw| <= resolution/2.  A
-    reading whose grid index overflows a float raises ValueError.
-    """
-    _check_resolution(resolution)
-    value = _snap(raw, resolution)
-    if math.isinf(value):
-        raise ValueError(f"{raw} overflows the grid of step {resolution}")
-    return value
-
-
-def _snap(raw: float, resolution: float) -> float:
-    """quantize() for a resolution already checked, as in a ChannelSpec; a
-    finite reading whose grid index overflows snaps to a signed infinity."""
-    if not math.isfinite(raw):
-        raise ValueError(f"cannot quantize non-finite value {raw}")
-    try:
-        steps = math.floor(abs(raw) / resolution + 0.5)
-    except OverflowError:
-        return math.copysign(math.inf, raw)
-    return math.copysign(steps * resolution, raw) if raw != 0.0 else 0.0
-
-
 def quantize_for(channel: ChannelId, raw: float) -> float:
-    """Quantize to the channel's resolution and clamp into its range.
-
-    Any finite reading outside the range, however large, saturates at the
-    range end; a non-finite one raises ValueError.
-    """
+    """The nearest point of the channel's grid in its range, encode(raw) *
+    resolution; a code has no sign, so a reading that rounds to 0 is 0.0."""
     spec = channel.spec
-    value = _snap(raw, spec.resolution)
-    if spec.lo <= value <= spec.hi:
-        return value
-    value = min(max(value, _snap(spec.lo, spec.resolution)), spec.hi)
-    # re-snap after clamping against a non-grid range bound
-    return _snap(value, spec.resolution)
+    return spec.encode(raw) * spec.resolution
 
 
 @dataclass(frozen=True)
@@ -236,13 +231,14 @@ def not_after(where: str, timestamp_ms: int, last_ms: int) -> ValueError:
 
 
 def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
-    """Check a record against the configured channel set and declared ranges."""
+    """Check a record against the configured channel set: a reading is valid
+    only if quantize_for leaves it as it is, on its grid and in its range."""
     readings = row_values(record.values, [ch.name for ch in channels])
     for ch, value in zip(channels, readings):
-        spec = ch.spec
         if not math.isfinite(value):
             raise ValueError(f"non-finite reading on {ch.name!r}: {value}")
-        if not (spec.lo - spec.resolution <= value <= spec.hi + spec.resolution):
+        if quantize_for(ch, value) != value:
             raise ValueError(
-                f"reading on {ch.name!r} out of range [{spec.lo}, {spec.hi}]: {value}"
+                f"reading on {ch.name!r} off the grid of {ch.spec.resolution} in range "
+                f"[{ch.spec.lo}, {ch.spec.hi}]: {value}"
             )

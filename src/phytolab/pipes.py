@@ -14,8 +14,8 @@ a slice copy with no gathering or concatenation.
 
 The window statistics read exact integer sums instead of windows.  Readings
 sit on their channel's device grid, v = k * resolution, so each reading has
-an integer code k = round(v / resolution), exact while |k| < 2**51 (every
-channel kind's range is inside that).  Per (channel, samples held, lag) a
+an integer code k = round(v / resolution), exact while |k| < 2**51, as
+ChannelSpec checks of every range.  Per (channel, samples held, lag) a
 tier keeps one WindowSums: the push count it was last advanced at and the
 sums of k, k**2 and the squared first differences over the window, plus the
 time sums a gradient reads or the lag products a cyclical detector reads.
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelId, Record, not_after, row_values
+from .channels import ChannelId, ChannelSpec, Record, not_after, row_values
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
 
@@ -53,9 +53,9 @@ class WindowSums:
     - when timed: st = sum t_i, stt = sum t_i**2 and stk = sum t_i * k_i.
 
     A reading is resolution * k with resolution = num / den exactly (den a
-    power of two; grid holds (num, den)), so every statistic of the window is
-    a ratio of these integers.  Pipe.sums hands out the one instance it
-    advances; read it before the next push.
+    power of two; grid holds the channel spec's (num, den)), so every
+    statistic of the window is a ratio of these integers.  Pipe.sums hands
+    out the one instance it advances; read it before the next push.
     """
 
     __slots__ = (
@@ -65,11 +65,10 @@ class WindowSums:
     )
 
     def __init__(
-        self, window: int, lag: int, timed: bool, row: np.ndarray, resolution: float
+        self, window: int, lag: int, timed: bool, row: np.ndarray, spec: ChannelSpec
     ) -> None:
         self.window, self.lag, self.timed = window, lag, timed
-        self.grid = resolution.as_integer_ratio()
-        self._at, self._resolution = row.item, resolution
+        self.grid, self._at, self._resolution = spec.grid, row.item, spec.resolution
         self.count = self.n = self.last = 0
         self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
         self.st = self.stt = self.stk = 0
@@ -162,7 +161,7 @@ class Pipe:
     counts every record ever pushed, not just the retained ones.
 
     The channels, given at construction, fix the columns, their order and
-    each one's resolution.  A record must hold exactly those names, in any
+    each one's grid (its spec).  A record must hold exactly those names, in any
     order, and is read by name (channels.row_values).  A record that breaks
     that rule, or whose timestamp is not after the newest one's, is refused
     and changes nothing.  Sample j lands in slot i = j mod (capacity + 1) of
@@ -183,7 +182,7 @@ class Pipe:
         self.total_pushed = 0
         self._names = tuple(ch.name for ch in channels)
         self._rows = {ch.name: row for row, ch in enumerate(channels)}
-        self._resolutions = tuple(ch.spec.resolution for ch in channels)
+        self._specs = tuple(ch.spec for ch in channels)
         self._ring = capacity + 1
         self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.float64)
         self._ts = np.zeros(2 * self._ring, dtype=np.int64)
@@ -227,7 +226,7 @@ class Pipe:
         state = self._sums.get((channel, window, lag, timed))
         if state is None:
             row = self._rows[channel]
-            state = WindowSums(window, lag, timed, self._data[row], self._resolutions[row])
+            state = WindowSums(window, lag, timed, self._data[row], self._specs[row])
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
             state.advance(self.total_pushed, self._end, self._ring, self._ts)

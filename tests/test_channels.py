@@ -1,10 +1,11 @@
 """Channel registry, quantization and record schema checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phytolab import channels as ch
 from phytolab import simulator as sim
@@ -85,6 +86,14 @@ def test_lm35_temperature_step_below_one_millidegree():
     assert math.isclose(step, 2.384185791015625e-4, rel_tol=0, abs_tol=0)
 
 
+def snap(raw, res):
+    """quantize_for's rule, encode(raw) * resolution, on a spec of step res."""
+    spec = ch.ChannelSpec("u", -10.0, 10.0, res)
+    return spec.encode(raw) * spec.resolution
+
+
+BIO = ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1)
+
 # hand-computed half-away-from-zero cases
 QUANT_CASES = [
     (0.0, 1.0, 0.0),
@@ -100,18 +109,17 @@ QUANT_CASES = [
 
 @pytest.mark.parametrize("raw,res,expected", QUANT_CASES)
 def test_quantize_frozen_cases(raw, res, expected):
-    assert ch.quantize(raw, res) == pytest.approx(expected, rel=0, abs=1e-18)
+    assert snap(raw, res) == pytest.approx(expected, rel=0, abs=1e-18)
 
 
 def test_quantize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ch.quantize(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ch.quantize(math.nan, 1e-3)
-    with pytest.raises(ValueError):
-        ch.quantize(math.inf, 1e-3)
-    with pytest.raises(ValueError):
-        ch.quantize(1e308, 1e-3)
+        ch.ChannelSpec("u", 0.0, 1.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ch.quantize_for(BIO, bad)
+    # a reading whose quotient overflows a float has a code: the range end's
+    assert ch.quantize_for(BIO, 1e308) == ch.quantize_for(BIO, 1.0)
 
 
 @given(
@@ -119,35 +127,34 @@ def test_quantize_rejects_bad_inputs():
     res=st.sampled_from([64e-9, 1e-6, 1e-3, 0.25, 1.0]),
 )
 def test_quantize_idempotent_and_close(raw, res):
-    q = ch.quantize(raw, res)
+    q = snap(raw, res)
     # quantization is a projection: applying it twice changes nothing
-    assert ch.quantize(q, res) == q
+    assert snap(q, res) == q
     assert abs(q - raw) <= res / 2 + 1e-12 * max(1.0, abs(raw))
 
 
 @given(raw=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_quantize_bit_exact_grid_membership(raw):
     res = 64e-9
-    q = ch.quantize(raw, res)
+    q = ch.quantize_for(BIO, raw)
     assert q == res * round(q / res)
+    assert ch.quantize_for(BIO, q) == q
 
 
 def test_quantize_for_clamps_to_range():
-    bio = ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1)
-    assert ch.quantize_for(bio, 2.0) == ch.quantize(1.0, 64e-9)
-    assert ch.quantize_for(bio, -2.0) == ch.quantize(-1.0, 64e-9)
+    spec = BIO.spec
+    assert ch.quantize_for(BIO, 2.0) == ch.quantize_for(BIO, 1.0) == spec.code_hi * 64e-9
+    assert ch.quantize_for(BIO, -2.0) == ch.quantize_for(BIO, -1.0) == spec.code_lo * 64e-9
 
 
 @pytest.mark.parametrize("raw", [1.2e301, -1.2e301, 1e308, -1e308])
-def test_huge_finite_readings_clamp_in_quantize_for_and_raise_in_quantize(raw):
-    # |raw| / resolution overflows a float, so no grid index exists
+def test_huge_finite_readings_clamp_in_quantize_for(raw):
+    # |raw| / resolution overflows a float, so no quotient exists; the code
+    # saturates at the range end all the same
     end = 1.0 if raw > 0 else -1.0
-    bio = ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1)
-    assert ch.quantize_for(bio, raw) == ch.quantize(end, 64e-9)
+    assert ch.quantize_for(BIO, raw) == ch.quantize_for(BIO, end)
     imp = ch.ChannelId("imp1", ch.ChannelKind.IMPEDANCE_1)
-    assert ch.quantize_for(imp, raw) == (1e9 if raw > 0 else 0.0)
-    with pytest.raises(ValueError):
-        ch.quantize(raw, 64e-9)
+    assert ch.quantize_for(imp, raw).hex() == (1e9 if raw > 0 else 0.0).hex()
 
 
 def test_validate_record_schema_and_range():
@@ -155,26 +162,39 @@ def test_validate_record_schema_and_range():
         ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1),
         ch.ChannelId("leaf_temp", ch.ChannelKind.EXTERNAL_TEMPERATURE),
     )
-    good = ch.Record(timestamp_ms=1000, values={"bio1": 0.25, "leaf_temp": 21.5})
+    on_grid = [ch.quantize_for(c, v) for c, v in zip(chans, (0.25, 21.5))]
+    good = ch.Record(timestamp_ms=1000, values=dict(zip(["bio1", "leaf_temp"], on_grid)))
     ch.validate_record(good, chans)
+    temp = on_grid[1]
 
     with pytest.raises(ValueError, match="missing"):
         ch.validate_record(ch.Record(1000, {"bio1": 0.25}), chans)
     with pytest.raises(ValueError, match="extra"):
         ch.validate_record(
-            ch.Record(1000, {"bio1": 0.25, "leaf_temp": 21.5, "ghost": 1.0}), chans
+            ch.Record(1000, {"bio1": 0.25, "leaf_temp": temp, "ghost": 1.0}), chans
         )
     with pytest.raises(ValueError, match="range"):
         ch.validate_record(
-            ch.Record(1000, {"bio1": 1.5, "leaf_temp": 21.5}), chans
+            ch.Record(1000, {"bio1": 1.5, "leaf_temp": temp}), chans
         )
     # NaN is inside no range, and is refused before the range is read
     with pytest.raises(ValueError, match="non-finite reading on 'bio1': nan"):
         ch.validate_record(
-            ch.Record(1000, {"bio1": math.nan, "leaf_temp": 21.5}), chans
+            ch.Record(1000, {"bio1": math.nan, "leaf_temp": temp}), chans
         )
     with pytest.raises(ValueError, match="channel name must be non-empty"):
         ch.ChannelId("", ch.ChannelKind.BIOPOTENTIAL_1)
+
+
+@pytest.mark.parametrize("value", [-0.1, 0.05, 2e5 + 0.1, 21.5 + 0.1 / 3])
+def test_validate_record_refuses_what_quantize_for_would_change(value):
+    # light reads 0 .. 2e5 lux in steps of 0.1: -0.1 is below the range and
+    # 0.05 between two steps, though within one step of the range
+    light = ch.ChannelId("light", ch.ChannelKind.LIGHT)
+    assert ch.quantize_for(light, value) != value
+    with pytest.raises(ValueError, match=r"reading on 'light' off the grid .* range"):
+        ch.validate_record(ch.Record(1000, {"light": value}), [light])
+    ch.validate_record(ch.Record(1000, {"light": ch.quantize_for(light, value)}), [light])
 
 
 def test_record_is_immutable():
@@ -228,14 +248,31 @@ def test_channel_spec_is_validated_at_construction(lo, hi, resolution):
         ch.ChannelSpec("V", lo, hi, resolution)
 
 
+def test_channel_spec_codes_stay_below_2_to_the_51():
+    # a code then converts to its reading and back exactly, and the window
+    # sums can take it; a range end that rounds to 2**51 is refused too
+    ch.ChannelSpec("u", -(2.0**51) + 1, 2.0**51 - 1, 1.0)
+    for lo, hi in [(0.0, 2.0**51), (-(2.0**51), 0.0), (0.0, 2.0**51 - 0.5)]:
+        with pytest.raises(ValueError, match=r"2\*\*51"):
+            ch.ChannelSpec("u", lo, hi, 1.0)
+    with pytest.raises(ValueError, match=r"2\*\*51"):
+        ch.ChannelSpec("V", -1.0, 1.0, 2.0**-52)
+
+
 def parent_quantize_for(channel, raw):
-    """quantize_for as it was before specs were validated once: public checks."""
+    """quantize_for as it was before the spec owned the grid: a float
+    quotient, rounded with floor(q + 0.5), clamped, then snapped again."""
+
+    def snap(value, res):
+        steps = math.floor(abs(value) / res + 0.5)
+        return math.copysign(steps * res, value) if value != 0.0 else 0.0
+
     spec = ch.CHANNEL_SPECS[channel.kind]
-    value = ch.quantize(raw, spec.resolution)
+    value = snap(raw, spec.resolution)
     if spec.lo <= value <= spec.hi:
         return value
-    value = min(max(value, ch.quantize(spec.lo, spec.resolution)), spec.hi)
-    return ch.quantize(value, spec.resolution)
+    value = min(max(value, snap(spec.lo, spec.resolution)), spec.hi)
+    return snap(value, spec.resolution)
 
 
 @given(
@@ -246,9 +283,68 @@ def test_quantize_for_matches_the_checked_path_bit_for_bit(kind, raw):
     channel = ch.ChannelId("x", kind)
     assert channel.spec is ch.CHANNEL_SPECS[kind]
     # every range lies far inside +-1e15, so a reading beyond it clamps like
-    # one at +-1e15, which the checked path can still quantize
+    # one at +-1e15, which the parent's float quotient can still round
     near = min(max(raw, -1e15), 1e15)
-    assert ch.quantize_for(channel, raw).hex() == parent_quantize_for(channel, near).hex()
+    q = abs(near) / channel.spec.resolution
+    # where that quotient lies within its own rounding of a half step the
+    # parent could round the wrong way (the oracle property below decides)
+    assume(abs(q - math.floor(q) - 0.5) > q * 2**-50)
+    # the parent kept the sign of a reading that rounds to 0; a code has none
+    want = parent_quantize_for(channel, near) + 0.0
+    assert ch.quantize_for(channel, raw).hex() == want.hex()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ch.quantize_for(channel, bad)
+
+
+def exact_code(x, res):
+    """The integer nearest x / res in exact rationals, a half away from zero."""
+    r = Fraction(x) / Fraction(res)
+    k = math.floor(abs(r) + Fraction(1, 2))
+    return k if r >= 0 else -k
+
+
+def oracle(spec, raw):
+    """The nearest point of spec's grid to raw, exactly, clamped to the codes
+    of lo and hi, as the float nearest that grid point."""
+    k = min(max(exact_code(raw, spec.resolution), exact_code(spec.lo, spec.resolution)),
+            exact_code(spec.hi, spec.resolution))
+    return float(k * Fraction(spec.resolution))
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def raw_readings(draw):
+    """A kind and a raw reading: near a half step, near a range end, past
+    float overflow of raw / resolution, or any finite float."""
+    kind = draw(st.sampled_from(list(ch.ChannelKind)))
+    spec = ch.CHANNEL_SPECS[kind]
+    res, ulps = spec.resolution, draw(st.integers(-3, 3))
+    where = draw(st.sampled_from(["half", "end", "overflow", "any"]))
+    if where == "half":
+        k = draw(st.integers(spec.code_lo - 2, spec.code_hi + 1))
+        raw = nudged((k + 0.5) * res, ulps)
+    elif where == "end":
+        end = draw(st.sampled_from([spec.lo, spec.hi]))
+        raw = nudged(end + draw(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5])) * res, ulps)
+    elif where == "overflow":
+        raw = draw(st.floats(1e300, 1.7976931348623157e308)) * draw(st.sampled_from([-1, 1]))
+    else:
+        raw = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return kind, raw
+
+
+@given(case=raw_readings())
+@settings(max_examples=600)
+def test_quantize_for_is_the_exact_nearest_grid_point(case):
+    kind, raw = case
+    channel = ch.ChannelId("x", kind)
+    got = ch.quantize_for(channel, raw)
+    assert got.hex() == oracle(channel.spec, raw).hex()
+    assert math.copysign(1.0, got) > 0 or got != 0.0  # never -0.0
+    assert got == channel.spec.encode(raw) * channel.spec.resolution

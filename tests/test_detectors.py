@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record, quantize
+from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
 from phytolab.detectors import (
     DETECTOR_KINDS,
     FIRED,
@@ -41,6 +41,10 @@ X = (ChannelId("x", ChannelKind.SAP_FLOW),)
 RES = X[0].spec.resolution
 
 
+def snap(value, res):
+    return res * round(value / res)  # on the grid of step res, in no range
+
+
 def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
     """Short-tier fixture: one channel named x of the given kind, fed the
     values on its grid."""
@@ -49,7 +53,7 @@ def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
     if timestamps_ms is None:
         timestamps_ms = [i * period_ms for i in range(len(values))]
     for t, v in zip(timestamps_ms, values):
-        tiers.push(Record(timestamp_ms=t, values={"x": quantize(v, channel.spec.resolution)}))
+        tiers.push(Record(timestamp_ms=t, values={"x": snap(v, channel.spec.resolution)}))
     return tiers
 
 
@@ -429,7 +433,7 @@ class CountingGate:
 
 
 def push_cycle(tiers, t, value):
-    tiers.push(Record(timestamp_ms=t, values={"x": quantize(value, RES)}))
+    tiers.push(Record(timestamp_ms=t, values={"x": snap(value, RES)}))
 
 
 def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
@@ -734,7 +738,7 @@ def test_measure_writes_nothing_in_the_pipe(x, lead):
     sums only read the ring: every reading and stamp keeps its bits."""
     n = len(x)
     tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
-    readings = [quantize(v, RES) for v in lead + x.tolist()]
+    readings = [snap(v, RES) for v in lead + x.tolist()]
     grid_push(tiers, [i * 1000 for i in range(len(readings))], readings)
     pipe = tiers.short
     required = {"gradient": {"per_hour": 1.0}, "cyclical": {"lag": 1}}
@@ -794,7 +798,7 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
     returns exactly what the formula it replaced returns."""
     n = len(x)
     tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
-    readings = [quantize(v, RES) for v in lead + x.tolist()]
+    readings = [snap(v, RES) for v in lead + x.tolist()]
     grid_push(tiers, np.cumsum(gaps[: len(readings)]).tolist(), readings)
     x = np.array(readings[-n:])
     now = int(tiers.short.timestamps_ms(1)[0])

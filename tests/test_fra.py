@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phytolab import fra
-from phytolab.channels import quantize
+from phytolab.channels import ChannelId, ChannelKind, quantize_for
 from phytolab.simulator import (
     PlantSimulator,
     SimParams,
@@ -780,5 +780,6 @@ def test_a_sweep_with_a_tiny_gain_reads_what_the_loop_reads(gain):
         sweep_responder(TissueModel(), gain=gain),
         gain=gain,
     )
-    assert loop == quantize(point.magnitude, 1e-3) == 1058.991
+    imp1 = ChannelId("imp1", ChannelKind.IMPEDANCE_1)
+    assert loop == quantize_for(imp1, point.magnitude) == 1058.991
     assert point.vi_rms > 0.0

@@ -21,6 +21,7 @@ or refactoring change must leave them as they are.
 
 import hashlib
 import io
+import re
 from pathlib import Path
 
 from phytolab.config import load_config, parse_config
@@ -32,7 +33,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 NOISY_SWEEP_CSV_SHA256 = "6a4c6ada2766eaa0"
 NOISY_SWEEP_20_SEEDS_SHA256 = "550f0e04061169e3"
-TOUCH_DEMO_RUN_SHA256 = "ec36bdddb902bbe6"
+TOUCH_DEMO_RUN_SHA256 = "c7416ea2439a244f"
 STIMULATION_RUN_SHA256 = "9e33616e243bcd4f"
 
 # 30 stimulation slots of noisy impedance on two channels; the stimulation
@@ -125,6 +126,11 @@ def _run_digest(config, out_dir: Path, cycles: int) -> str:
 def test_touch_demo_run_digest(tmp_path):
     config = load_config(CONFIGS / "touch_demo.ini")
     assert _run_digest(config, tmp_path, 200) == TOUCH_DEMO_RUN_SHA256
+    # a reading that rounds to 0 is 0.0: the two cells these records once
+    # wrote as -0.0 moved the pin, and no such cell is left
+    records = b"".join(p.read_bytes() for p in (tmp_path / "records").glob("*.csv"))
+    assert b",0.0" in records
+    assert not re.search(rb"(^|,)-0\.0(,|$)", records, re.M)
 
 
 def test_stimulated_noisy_impedance_run_digest(tmp_path):

@@ -678,8 +678,8 @@ def planned_plants(draw):
     chans = draw(st.permutations(default_channels()))
     chans = chans[: draw(st.integers(1, len(chans)))]
     params = sim.SimParams(
-        # 0 V with a tiny noise quantizes to -0.0; +-0.9999 V with 10 mV
-        # noise clamps at the +-1 V range ends
+        # 0 V with a tiny noise quantizes to 0.0 from either side; +-0.9999 V
+        # with 10 mV noise clamps at the +-1 V range ends
         bio_baseline_v=draw(st.sampled_from([-0.05, 0.0, 0.9999, -0.9999])),
         bio_noise_rms_v=draw(st.sampled_from([0.0, 1e-12, 5e-6, 0.01])),
         impedance_noise_rms_v=draw(st.sampled_from([0.0, 1e-4])),
@@ -711,7 +711,7 @@ def test_record_at_matches_the_per_channel_path_bit_for_bit(case):
 @pytest.mark.parametrize(
     "baseline,noise,t,want",
     [
-        (0.0, 1e-12, 1, None),  # some reading is -0.0
+        (0.0, 1e-12, 1, None),  # readings round to 0 from below, to 0.0
         (0.9999, 0.01, 1, 1.0),  # clamps high
         (-0.9999, 0.01, 1, -1.0),  # clamps low
     ],
@@ -724,7 +724,9 @@ def test_record_at_matches_the_per_channel_path_at_the_edges(baseline, noise, t,
         got = assert_matches_reference(plant, t)
         bio = [got.values["bio1"], got.values["bio2"]]
         if want is None:
-            reached |= any(v == 0.0 and math.copysign(1.0, v) < 0 for v in bio)
+            # a code has no sign: no reading is -0.0
+            assert [math.copysign(1.0, v) for v in bio] == [1.0, 1.0]
+            reached |= 0.0 in bio
         else:
             reached |= want in bio
     assert reached
