@@ -41,6 +41,8 @@ MIN_FREQUENCY_HZ = 8.0
 MAX_FREQUENCY_HZ = 6.5e5
 MIN_AMPLITUDE_V = 0.01
 MAX_AMPLITUDE_V = 1.0
+MAX_SAMPLES = 2**16  # the basis and excitation_side caches then hold 64 and 32 MiB
+MAX_POINTS = 10_000  # a sweep keeps every point; this many are 0.11% apart
 
 # Tolerance for "f * N / rate is an integer" under float arithmetic.
 _CYCLE_TOL = 1e-9
@@ -119,6 +121,8 @@ def check_excitation(
     frequency: float, amplitude: float, n_samples: int, sample_rate: float
 ) -> int:
     """Cycles per buffer of an excitation inside the device envelope, or raise."""
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"buffer of {n_samples} samples, more than {MAX_SAMPLES}")
     if not (MIN_FREQUENCY_HZ <= frequency <= MAX_FREQUENCY_HZ):
         raise ValueError(
             f"frequency {frequency} Hz outside "
@@ -387,8 +391,8 @@ class SweepSpec:
                 f"sweep range [{self.start_hz}, {self.stop_hz}] Hz outside "
                 f"[{MIN_FREQUENCY_HZ}, {MAX_FREQUENCY_HZ}] Hz or inverted"
             )
-        if self.points < 1:
-            raise ValueError(f"need at least one sweep point, got {self.points}")
+        if not 1 <= (points := self.points) <= MAX_POINTS:
+            raise ValueError(f"need at least one sweep point, at most {MAX_POINTS}: {points}")
         if self.mode not in ("adaptive", "fixed"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.mode == "adaptive" and not (1 <= self.cycles < self.n_samples / 2):

@@ -38,6 +38,7 @@ import numpy as np
 from .channels import ChannelId, ChannelSpec, Record, not_after, row_values
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
+MAX_CAPACITY = 2**16  # 17 MiB for 16 channels; a longer window reads a slower tier
 
 
 class WindowSums:
@@ -249,8 +250,9 @@ class TierLayout:
     long_stride: int = 3600
 
     def __post_init__(self) -> None:
-        if min(self.short_capacity, self.middle_capacity, self.long_capacity) < 1:
-            raise ValueError("tier capacities must be >= 1")
+        for name in ("short_capacity", "middle_capacity", "long_capacity"):
+            if not 1 <= (capacity := getattr(self, name)) <= MAX_CAPACITY:
+                raise ValueError(f"{name} must be 1 to {MAX_CAPACITY}, got {capacity}")
         if self.middle_stride < 2 or self.long_stride <= self.middle_stride:
             raise ValueError(
                 f"strides must grow: 1 < {self.middle_stride} < {self.long_stride}"

@@ -464,6 +464,27 @@ BAD_CASES = [
         "[sweep]\nmode = fixed\nstop_hz = 1000\nfixed_rate = 6144\n",
         r"^\[sweep\]: frequency 6.0 Hz outside .* \(fixed_rate = 6144\)$",
     ),
+    # each of these loaded and then asked for terabytes of memory
+    (
+        "[impedance]\nsamples = 10000000000\n",
+        r"^\[impedance\]: buffer of 10000000000 samples, more than 65536 "
+        r"\(samples = 10000000000\)$",
+    ),
+    (
+        "[sweep]\nsamples = 1000000000000\n",
+        r"^\[sweep\]: buffer of 1000000000000 samples, more than 65536 "
+        r"\(samples = 1000000000000\)$",
+    ),
+    (
+        "[sweep]\npoints = 1000000000000\n",
+        r"^\[sweep\]: need at least one sweep point, at most 10000: 1000000000000 "
+        r"\(points = 1000000000000\)$",
+    ),
+    (
+        "[pipe]\nshort_capacity = 10000000000\n",
+        r"^\[pipe\]: short_capacity must be 1 to 65536, got 10000000000 "
+        r"\(short_capacity = 10000000000\)$",
+    ),
     # a detector that needs more samples than its tier ever holds
     (
         "[pipe]\nshort_capacity = 10\n"
@@ -578,6 +599,23 @@ BAD_CASES = [
 def test_bad_configs_are_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section,key,bound",
+    [
+        ("impedance", "samples", 2**16),
+        ("sweep", "samples", 2**16),
+        ("sweep", "points", 10_000),
+        ("pipe", "short_capacity", 2**16),
+        ("pipe", "middle_capacity", 2**16),
+        ("pipe", "long_capacity", 2**16),
+    ],
+)
+def test_a_size_loads_at_its_bound_and_not_past_it(section, key, bound):
+    parse_config(f"[{section}]\n{key} = {bound}\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\]: .* \({key} = {bound + 1}\)$"):
+        parse_config(f"[{section}]\n{key} = {bound + 1}\n")
 
 
 HOMEOSTAT_BINDING = (
