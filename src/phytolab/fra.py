@@ -219,23 +219,23 @@ def rms(samples: np.ndarray | Sequence[float]) -> float:
     Bit for bit np.sqrt(np.mean(np.square(x))): the same squares, the same
     pairwise sum (np.mean's), the same division and a correctly rounded
     square root, without np.mean's dispatch.  np.dot would sum in another
-    order.  Only where that sum of squares underflows to 0 although a sample
-    is not 0, or overflows to inf although every sample is finite, is the
-    buffer first scaled by a power of two that brings its largest magnitude
-    into [0.5, 1), and the RMS scaled back; every other buffer keeps the
-    plain form's bits.
+    order.  Only where that form reads 0 although a sample is not 0 (the sum
+    of squares, or its mean, underflows), or inf although every sample is
+    finite, is the buffer first scaled by a power of two that brings its
+    largest magnitude into [0.5, 1), and the RMS scaled back; every other
+    buffer keeps the plain form's bits.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("rms of an empty buffer")
-    total = float(np.add.reduce(x * x, axis=None))
-    if total == 0.0 or total == math.inf:
+    plain = math.sqrt(float(np.add.reduce(x * x, axis=None)) / x.size)
+    if plain == 0.0 or plain == math.inf:
         peak = float(np.max(np.abs(x)))
         if 0.0 < peak < math.inf:
             shift = math.frexp(peak)[1]
             y = np.ldexp(x, -shift)
             return math.ldexp(math.sqrt(float(np.add.reduce(y * y, axis=None)) / x.size), shift)
-    return math.sqrt(total / x.size)
+    return plain
 
 
 def rms_resistivity(vv_rms: float, vi_rms: float) -> float:

@@ -745,6 +745,8 @@ def rms_buffers(draw):
 @example(x=np.array([5e-324, -5e-324]))
 @example(x=np.array([1e200, 1.0]))
 @example(x=np.array([1e-170] * 8))
+# the sum of squares is subnormal, not 0, but its mean underflows to 0
+@example(x=np.array([2.99540781e-162, -1.32104863e-163, 6.40422650e-163, 1.04900117e-163]))
 @example(x=np.array([math.inf, 1.0]))
 @example(x=np.array([math.nan, math.inf]))
 @settings(max_examples=300, deadline=None)
