@@ -148,13 +148,16 @@ def test_quantize_for_clamps_to_range():
 
 
 @pytest.mark.parametrize("raw", [1.2e301, -1.2e301, 1e308, -1e308])
-def test_huge_finite_readings_clamp_in_quantize_for(raw):
+def test_huge_finite_readings_clamp_in_quantize_for_and_raise_in_quantize(raw):
     # |raw| / resolution overflows a float, so no quotient exists; the code
     # saturates at the range end all the same
     end = 1.0 if raw > 0 else -1.0
     assert ch.quantize_for(BIO, raw) == ch.quantize_for(BIO, end)
     imp = ch.ChannelId("imp1", ch.ChannelKind.IMPEDANCE_1)
     assert ch.quantize_for(imp, raw).hex() == (1e9 if raw > 0 else 0.0).hex()
+    # a grid whose range reaches raw has no exact code for it, and refuses it
+    with pytest.raises(ValueError, match="2\\*\\*51"):
+        ch.ChannelSpec("V", min(raw, 0.0), max(raw, 0.0), BIO.spec.resolution)
 
 
 def test_validate_record_schema_and_range():
