@@ -14,10 +14,12 @@ reuses that value otherwise: a middle-tier detector runs once per
 middle_stride cycles, a long-tier one once per long_stride.  Gates read only
 the clock, are handed None for a pipe and run on every cycle.
 
-Every windowed detector but the peak reads its tier's exact integer sums
-(pipes.WindowSums), never the window itself.  Over the window's n codes k_i
-(reading = r * k_i, r the channel's resolution, itself an exact ratio),
-with S = sum k_i, Q = sum k_i**2 and D = n * Q - S**2:
+Every windowed detector reads sliding state its tier keeps (pipes), never
+the window itself.  The peak reads the window's readings and absolute first
+differences in sorted order (pipes.WindowOrder); every other windowed
+detector reads exact integer sums (pipes.WindowSums).  Over the window's n
+codes k_i (reading = r * k_i, r the channel's resolution, itself an exact
+ratio), with S = sum k_i, Q = sum k_i**2 and D = n * Q - S**2:
 
 - mean is r * S / n, and stddev, the population deviation, r * sqrt(D) / n;
 - noise_level is r * sqrt(sum (k_i - k_(i-1))**2 / (2 * (n - 1)));
@@ -34,18 +36,18 @@ pathogenicity_status compares that z, gradient the least-squares slope over
 (t in ms, k) and cyclical the lag autocorrelation with their thresholds in
 integers, with no rounding at all.  A window is flat exactly when D == 0:
 its stddev is 0.0, a flat reference scores z = 0.0 (green), and a flat
-cyclical window is QUIET.  The peak detector sorts a float copy of its
-window.
+cyclical window is QUIET.  The peak's medians are index reads of the
+sorted lists, and its spread MAD a selection from them (_mad_about), each
+with the bits numpy's median of the same window gives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol, Sequence
-
-import numpy as np
 
 from .channels import check_unique_names
 from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes, WindowSums
@@ -61,7 +63,7 @@ QUIET = -1.0
 MS_PER_HOUR = 3_600_000
 
 
-def _median_of_sorted(s: np.ndarray) -> float:
+def _median_of_sorted(s: Sequence[float]) -> float:
     """np.median of a window already sorted ascending (NaNs last, as sort
     puts them): NaN if any, else the middle element or the middle pair's mean.
 
@@ -76,8 +78,49 @@ def _median_of_sorted(s: np.ndarray) -> float:
         return math.nan
     h = n // 2
     if n % 2:
-        return 0.0 + s.item(h)
-    return (0.0 + s.item(h - 1) + s.item(h)) / 2
+        return 0.0 + s[h]
+    return (0.0 + s[h - 1] + s[h]) / 2
+
+
+def _mad_about(s: Sequence[float], m: float) -> float:
+    """np.median(np.abs(x - m)) for the window x sorted as s, NaN-free.
+
+    fl(x - m) is monotone in x, so the deviations of the readings left of m,
+    read right to left, ascend, and so do those of the readings from m on.
+    The middle deviation, the k-th smallest of those two runs, is found by a
+    binary search over how many come from the left run; the (k+1)-th, which
+    an even window also needs, is the smaller of the two runs' next ones.
+    Each is |x - m| computed as numpy computes it, so the median has its bits.
+    """
+    n = len(s)
+    p = bisect_left(s, m)  # s[:p] < m <= s[p:]
+    k = (n - 1) // 2  # the (first) middle rank, from 0
+    # |fl(x - m)| is m - x left of m and x - m from m on, since fl(m - x)
+    # is -fl(x - m); take i from the left run, k + 1 - i from the right
+    lo, hi = max(0, k + 1 - (n - p)), min(k + 1, p)
+    q = p + k
+    while lo < hi:
+        i = (lo + hi) >> 1
+        if m - s[p - 1 - i] < s[q - i] - m:
+            lo = i + 1  # the left run's next deviation is among the k + 1
+        else:
+            hi = i
+    i, j = lo, p + k + 1 - lo  # s[p - i:j] are the readings of the k + 1
+    if not i:
+        kth = s[j - 1] - m
+    elif j == p:
+        kth = m - s[p - i]
+    else:
+        kth = max(m - s[p - i], s[j - 1] - m)
+    if n % 2:
+        return 0.0 + kth
+    if i == p:
+        after = s[j] - m
+    elif j == n:
+        after = m - s[p - 1 - i]
+    else:
+        after = min(m - s[p - 1 - i], s[j] - m)
+    return (0.0 + kth + after) / 2
 
 
 def _latest_z(w: WindowSums) -> tuple[int, int]:
@@ -184,22 +227,14 @@ class PeakDetector(WindowedDetector):
             raise ValueError(f"{self.id}: sigma must be positive and finite")
 
     def _measure(self, pipe: Pipe) -> float:
-        x = pipe.values(self.channel, self.window)
-        # one sorted copy gives the median; the same buffer then takes |x - m|
-        s = x.copy()
-        s.sort()
-        dev = np.subtract(x, _median_of_sorted(s), out=s)
-        np.abs(dev, out=dev)
-        peak = dev.item(-1)
-        dev.sort()
-        diff = x[1:] - x[:-1]
-        np.abs(diff, out=diff)
-        diff.sort()
-        diff_mad = _median_of_sorted(diff) / math.sqrt(2.0)
-        scale = MAD_SIGMA * max(_median_of_sorted(dev), diff_mad)
+        w = pipe.order(self.channel, self.window)
+        m = _median_of_sorted(w.values)
+        peak = abs(w.last - m)
+        diff_mad = _median_of_sorted(w.diffs) / math.sqrt(2.0)
+        scale = MAD_SIGMA * max(_mad_about(w.values, m), diff_mad)
         if scale == 0.0:
             return FIRED if peak > 0.0 else QUIET
-        return FIRED if peak > _peak_bar(self.sigma, len(x)) * scale else QUIET
+        return FIRED if peak > _peak_bar(self.sigma, w.n) * scale else QUIET
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -19,17 +19,24 @@ ChannelSpec checks of every range.  Per (channel, samples held, lag) a
 tier keeps one WindowSums: the push count it was last advanced at and the
 sums of k, k**2 and the squared first differences over the window, plus the
 time sums a gradient reads or the lag products a cyclical detector reads.
-Read after p more pushes, the sums slide by adding each sample that entered
-and subtracting each that left, both read back from the tier's own ring,
+The peak's order statistics read a WindowOrder, kept per (channel, samples
+held): the window's readings and their absolute first differences, each a
+sorted list.
+Read after p more pushes, a state slides by adding each sample that entered
+and removing each that left, both read back from the tier's own ring,
 which keeps one slot beyond the capacity so that the sample that just left a
 full window is still there.  A slide longer than the ring allows, or than
-the window, recomputes the sums from the window.  Python ints neither round
+the window, rebuilds the state from the window.  Python ints neither round
 nor overflow, so the sums are the same on every machine, whatever order they
-were added in.
+were added in; a sorted list holds the same values whatever order they
+entered in.  A state raises on a reading that is not finite and keeps what
+it held.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +75,8 @@ class WindowSums:
     def __init__(
         self, window: int, lag: int, timed: bool, row: np.ndarray, spec: ChannelSpec
     ) -> None:
+        if lag > window:
+            raise ValueError(f"lag {lag} longer than the window of {window} samples")
         self.window, self.lag, self.timed = window, lag, timed
         self.grid, self._at, self._resolution = spec.grid, row.item, spec.resolution
         self.count = self.n = self.last = 0
@@ -133,13 +142,9 @@ class WindowSums:
             s2 -= old * old
             d2 -= (round(at(lo + 1) / res) - old) ** 2
             if lag:
-                if window >= lag:
-                    ahead = round(at(lo + lag) / res)
-                    lagged -= old * ahead
-                    head += ahead - old
-                else:
-                    head -= old
-                    tail -= old
+                ahead = round(at(lo + lag) / res)
+                lagged -= old * ahead
+                head += ahead - old
             if timed:
                 t = stamps.item(lo)
                 st -= t
@@ -153,6 +158,71 @@ class WindowSums:
             self.lagged, self.head, self.tail = lagged, head, tail
         if timed:
             self.st, self.stt, self.stk = st, stt, stk
+
+
+class WindowOrder:
+    """The last n = min(count, window) readings of a channel in order.
+
+    values holds the readings sorted ascending, diffs the n - 1 absolute
+    first differences |x_i - x_(i-1)| of the window sorted ascending, and
+    last the newest reading.  Each float is the one the window holds or the
+    one its subtraction gives, so a statistic read by index has the bits of
+    the same statistic of a sorted copy of the window.  -0.0 and 0.0 compare
+    equal, so either may stand where the other was pushed.  Pipe.order hands
+    out the one instance it advances; read it before the next push.
+    """
+
+    __slots__ = ("window", "count", "n", "last", "values", "diffs", "_at")
+
+    def __init__(self, window: int, row: np.ndarray) -> None:
+        self.window, self._at = window, row.item
+        self.count = self.n = 0
+        self.last = 0.0
+        self.values: list[float] = []
+        self.diffs: list[float] = []
+
+    def advance(self, total: int, end: int, ring: int) -> None:
+        """Slide from self.count to total pushes, as WindowSums.advance does."""
+        count, window, at = self.count, self.window, self._at
+        if total == count + 1 and self.n == window:
+            # the bank's every-cycle case, the loop below unrolled
+            x = at(end - 1)
+            if not math.isfinite(x):
+                raise ValueError(f"reading {x} is not finite")
+            old = at(end - 1 - window)
+            values, diffs = self.values, self.diffs
+            del values[bisect_left(values, old)]
+            insort(values, x)
+            del diffs[bisect_left(diffs, abs(at(end - window) - old))]
+            insort(diffs, abs(x - self.last))
+            self.count, self.last = total, x
+            return
+        rebuild = total - count > min(window, ring - window)
+        first = end - (min(total, window) if rebuild else total - count)
+        entering = [at(j) for j in range(first, end)]
+        # checked before any list changes, so a reading that is not finite
+        # (bisect has no order over NaN) leaves the state as it was
+        for x in entering:
+            if not math.isfinite(x):
+                raise ValueError(f"reading {x} is not finite")
+        values, diffs, n = self.values, self.diffs, self.n
+        if rebuild:
+            values[:] = sorted(entering)
+            diffs[:] = sorted([abs(b - a) for a, b in zip(entering, entering[1:])])
+            n = len(entering)
+        else:
+            for j, x in enumerate(entering, first):
+                if n:
+                    insort(diffs, abs(x - at(j - 1)))
+                insort(values, x)
+                if n < window:
+                    n += 1
+                    continue
+                # the window was full: its oldest sample leaves
+                old = at(j - window)
+                del values[bisect_left(values, old)]
+                del diffs[bisect_left(diffs, abs(at(j - window + 1) - old))]
+        self.count, self.n, self.last = total, n, entering[-1]
 
 
 class Pipe:
@@ -171,8 +241,8 @@ class Pipe:
     and the one evicted last, always sit oldest first before end, one past
     the newest.  values() and timestamps_ms() return copies of such slices,
     which later pushes cannot change; the pushed Record itself is not kept.
-    sums() returns the window's exact sums (WindowSums), advanced to the
-    current push count.
+    sums() returns the window's exact sums (WindowSums) and order() its
+    sorted readings (WindowOrder), each advanced to the current push count.
     """
 
     def __init__(self, name: str, capacity: int, channels: Sequence[ChannelId]) -> None:
@@ -189,6 +259,7 @@ class Pipe:
         self._ts = np.zeros(2 * self._ring, dtype=np.int64)
         self._end = self._ring
         self._sums: dict[tuple[str, int, int, bool], WindowSums] = {}
+        self._orders: dict[tuple[str, int], WindowOrder] = {}
 
     def push(self, record: Record) -> None:
         if self.total_pushed and record.timestamp_ms <= self._ts[self._end - 1]:
@@ -231,6 +302,18 @@ class Pipe:
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
             state.advance(self.total_pushed, self._end, self._ring, self._ts)
+        return state
+
+    def order(self, channel: str, window: int) -> WindowOrder:
+        """The last min(window, capacity) readings of channel, sorted, one
+        state per window held."""
+        window = min(window, self.capacity)
+        state = self._orders.get((channel, window))
+        if state is None:
+            state = WindowOrder(window, self._data[self._rows[channel]])
+            self._orders[channel, window] = state
+        if state.count != self.total_pushed:
+            state.advance(self.total_pushed, self._end, self._ring)
         return state
 
 
