@@ -27,6 +27,7 @@ from .channels import Record, check_unique_names, not_after, row_values
 SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
 _TAIL_BLOCK = 4096  # a reopen reads a segment's end back in blocks this size
+_MEMO_ENTRIES = 4096  # per column of a store's record rows; see LogStore
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.csv$")
 _BAD_NAME_RE = re.compile(r"[,\n\r]")
@@ -118,6 +119,15 @@ class LogStore:
     newline, so a line a crash left torn is dropped (torn_bytes counts the
     bytes cut), and takes the newest row's timestamp from the end of the
     files, so a reopened store refuses what it would have refused before.
+
+    append(record) writes the cells append_row would, through one memo per
+    column from value to text: a device's readings repeat (a bench_loop
+    episode writes about 1,150 distinct values on each biopotential column,
+    at most 62 on any other), so most cells skip repr.  Equal values other
+    than zeros have equal texts.  A memo is cleared when it holds 4,096
+    values, so the memos of 16 columns stay within about 8 MiB.  append_row,
+    which the vector store and other rows of fresh values take, writes
+    csv_cells directly: every cell would miss there.
     """
 
     def __init__(
@@ -146,6 +156,7 @@ class LogStore:
         self._active_bytes = 0
         self._torn_bytes = 0
         self._last_ms: int | None = None
+        self._memos: tuple[dict[float, str], ...] = tuple({} for _ in self.columns)
         self._resume()
 
     # -- segment management
@@ -204,15 +215,40 @@ class LogStore:
     # -- public API
 
     def append(self, record: Record) -> None:
-        self.append_row(record.timestamp_ms, record.values)
+        """append_row of the record, each cell's text read from its column's
+        memo of the values it wrote last (see the class docstring)."""
+        self._write(record.timestamp_ms, record.values, self._memo_cells)
 
     def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
+        self._write(timestamp_ms, values, csv_cells)
+
+    def _memo_cells(self, values: Sequence[float]) -> str:
+        """csv_cells(values), each text looked up by value in its column's
+        memo; a zero is never kept, since -0.0 == 0.0 and their texts differ."""
+        cells = []
+        for v, memo in zip(values, self._memos):
+            text = memo.get(v)
+            if text is None:
+                text = repr(float(v))
+                if v:
+                    if len(memo) >= _MEMO_ENTRIES:
+                        memo.clear()
+                    memo[v] = text
+            cells.append(text)
+        return ",".join(cells)
+
+    def _write(
+        self,
+        timestamp_ms: int,
+        values: Mapping[str, float],
+        cells: Callable[[Sequence[float]], str],
+    ) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
         timestamp_ms = operator.index(timestamp_ms)  # a float is refused, not cut
         if self._last_ms is not None and timestamp_ms <= self._last_ms:
             raise not_after(f"store at {self.root}", timestamp_ms, self._last_ms)
-        line = csv_row(timestamp_ms, row_values(values, self.columns))
+        line = f"{timestamp_ms},{cells(row_values(values, self.columns))}\n"
         self._fh.write(line)
         self._last_ms = timestamp_ms
         # an int and repr(float) cells: ASCII, one byte per character
