@@ -4,7 +4,8 @@ Every acquisition cycle pushes one record into the short tier.  Each time a
 tier completes a full span of pushes it hands the span's last record to the
 tier above, so the middle tier sees one record per minute of base pushes and
 the long tier one per hour, without any averaging or resampling.  Detectors
-read fixed-length windows out of whichever tier matches their time scale.
+read the state of fixed-length windows kept by whichever tier matches their
+time scale.
 
 Each tier stores its readings column-wise: one float64 row per channel and
 one int64 timestamp row, every sample written twice, at its ring slot and
@@ -12,7 +13,8 @@ again one ring length further on.  The last n samples, for any n up to the
 ring length, are then one contiguous slice of the doubled row, so a window is
 a slice copy with no gathering or concatenation.
 
-The window statistics read exact integer sums instead of windows.  Readings
+The window statistics read sliding state instead of windows: exact integer
+sums, or sorted lists for the peak.  Readings
 sit on their channel's device grid, v = k * resolution, so each reading has
 an integer code k = round(v / resolution), exact while |k| < 2**51, as
 ChannelSpec checks of every range.  Per (channel, samples held, lag) a
@@ -161,7 +163,7 @@ class WindowSums:
 
 
 class WindowOrder:
-    """The last n = min(count, window) readings of a channel in order.
+    """The last n = min(count, window) readings of a channel, in sorted order.
 
     values holds the readings sorted ascending, diffs the n - 1 absolute
     first differences |x_i - x_(i-1)| of the window sorted ascending, and

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
 from phytolab.detectors import (
@@ -29,11 +30,12 @@ from phytolab.detectors import (
     TimeOfDayGate,
     WindowedDetector,
     ZScoreDetector,
+    _mad_about,
     _median_of_sorted,
     _peak_bar,
     build_detector,
 )
-from phytolab.pipes import TierLayout, TieredPipes
+from phytolab.pipes import Pipe, TierLayout, TieredPipes
 
 # one channel named x on a 1 uV grid; readings pushed into it are quantized
 # to that grid, as the simulator's are
@@ -768,16 +770,6 @@ def parent_peak(x, sigma):
     return FIRED if peak > sigma * scale else QUIET
 
 
-def parent_peak(x, sigma):
-    dev = np.abs(x - np.median(x))
-    peak = float(dev[-1])
-    diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
-    scale = MAD_SIGMA * max(float(np.median(dev)), diff_mad)
-    if scale == 0.0:
-        return FIRED if peak > 0.0 else QUIET
-    return FIRED if peak > sigma * scale else QUIET
-
-
 def on_the_edge(value, fallback, lo=0.0, hi=math.inf):
     """A threshold equal to the parent's own statistic, so a result one ulp
     off on either side flips the decision; the fallback when it is unusable."""
@@ -818,6 +810,113 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
     with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
         check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
     check(PeakDetector(id="p", sigma=5.0, **common), parent_peak(x, _peak_bar(5.0, n)))
+
+
+def test_peak_refuses_a_window_holding_a_reading_that_is_not_finite():
+    """A NaN or infinite reading has no place in a sorted window: the peak
+    raises, as every other windowed kind does, where it once read QUIET."""
+    det = PeakDetector(id="p", channel="x", window=60)
+    for bad in (math.nan, math.inf):
+        tiers = feed(PEAK_BASE)
+        tiers.push(Record(timestamp_ms=99_000, values={"x": bad}))
+        with pytest.raises(ValueError, match="not finite"):
+            det.evaluate(pipe_of(det, tiers), 99_000)
+
+
+def sort_kernel(x):
+    """(peak, scale) by the peak's kernel before its window slid: a sorted
+    copy gives the median, the same buffer then takes |x - m| and is sorted,
+    and the first differences are sorted too."""
+    with np.errstate(over="ignore"):  # huge readings may subtract to inf
+        s = x.copy()
+        s.sort()
+        dev = np.subtract(x, _median_of_sorted(s), out=s)
+        np.abs(dev, out=dev)
+        peak = dev.item(-1)
+        dev.sort()
+        diff = x[1:] - x[:-1]
+        np.abs(diff, out=diff)
+        diff.sort()
+        diff_mad = _median_of_sorted(diff) / math.sqrt(2.0)
+        return peak, float(MAD_SIGMA * max(_median_of_sorted(dev), diff_mad))
+
+
+def verdict(peak, scale, bar):
+    if scale == 0.0:
+        return FIRED if peak > 0.0 else QUIET
+    return FIRED if peak > bar * scale else QUIET
+
+
+# ties, both zeros, subnormals and readings whose deviations overflow
+PEAK_POOL = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308, 3.0, 3.0000000000000004]
+)
+PEAK_READINGS = st.one_of(
+    PEAK_POOL, st.integers(-4, 4).map(float), st.floats(-1e6, 1e6, allow_nan=False)
+)
+
+
+class PeakOracle(RuleBasedStateMachine):
+    """Pushes and skipped reads, slides longer than the ring, ties, -0.0 and
+    0.0, constant windows and windows past the capacity, interleaved: after
+    every read the peak's verdict is the sort kernel's, at the widened bar
+    and with the bar set to the statistic itself, so a scale one ulp off
+    would flip it; the order state holds the sorted window and its sorted
+    differences, and its spread MAD has numpy's bits."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pipe = Pipe("p", 7, X)
+        self.t = 0
+
+    def _push(self, x):
+        self.t += 1
+        self.pipe.push(Record(timestamp_ms=self.t, values={"x": x}))
+
+    @rule(x=PEAK_READINGS)
+    def push(self, x):
+        self._push(x)
+
+    @rule(count=st.integers(2, 20), pool=st.lists(PEAK_READINGS, min_size=1, max_size=3))
+    def push_many(self, count, pool):
+        for i in range(count):  # a one-value pool makes a constant window
+            self._push(pool[i % len(pool)])
+
+    @rule(window=st.integers(2, 10), data=st.data())
+    def read(self, window, data):
+        self.check(window, data.draw)
+
+    @invariant()
+    def eager_reads_match_the_sort_kernel(self):
+        for window in (7, 4):
+            self.check(window, lambda strategy: 5.0)
+
+    def check(self, window, draw):
+        det = PeakDetector(id="p", channel="x", window=window, min_samples=2)
+        got = det.evaluate(self.pipe, 0)
+        n = min(window, len(self.pipe))
+        if n < 2:
+            assert got == NO_DATA
+            return
+        x = self.pipe.values("x", window)
+        peak, scale = sort_kernel(x)
+        assert got == verdict(peak, scale, _peak_bar(5.0, n))
+        state = self.pipe.order("x", window)
+        assert state.n == n and same_bits(state.last, x[-1])
+        assert state.values == sorted(x.tolist())
+        with np.errstate(over="ignore"):
+            assert state.diffs == sorted(np.abs(np.diff(x)).tolist())
+            m = _median_of_sorted(state.values)
+            assert same_bits(_mad_about(state.values, m), np.median(np.abs(x - m)))
+        edge = on_the_edge(peak / scale if 0.0 < scale < math.inf else None, 5.0)
+        sigma = draw(st.sampled_from([edge, 5.0]))
+        with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
+            edged = PeakDetector(id="p", channel="x", window=window, min_samples=2, sigma=sigma)
+            assert edged.evaluate(self.pipe, 0) == verdict(peak, scale, sigma)
+
+
+TestPeakOracle = PeakOracle.TestCase
+TestPeakOracle.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
 def edges(value, fallback, lo=0.0, hi=math.inf):

@@ -4,12 +4,14 @@ import math
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phytolab.channels import Record
+from phytolab import logstore
 from phytolab.logstore import (
     LogStore,
     count_rows,
@@ -184,6 +186,47 @@ def test_reopen_takes_the_newest_row_and_cuts_only_a_torn_tail(width, stamps, to
             assert store.torn_bytes == len(torn)
             assert store.last_ms == (stamps[-1] if stamps else None)
         assert [r.timestamp_ms for r in iter_store(root)] == stamps
+
+
+# cells whose texts a value memo could confuse: both zeros, NaNs, infinities,
+# subnormals, numpy scalars, and ints and bools equal to floats
+CELLS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.0, 0, 1, True, False, np.float64(-0.0)]
+    ),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-(2**60), 2**60),
+    st.booleans(),
+)
+
+
+@given(
+    pool=st.lists(CELLS, min_size=1, max_size=8),
+    picks=st.lists(st.lists(st.integers(0, 7), min_size=3, max_size=3), max_size=40),
+    bound=st.sampled_from([1, 2, 3, logstore._MEMO_ENTRIES]),
+)
+@example(pool=[0.0, -0.0], picks=[[0, 1, 0], [1, 0, 1], [0, 0, 1]], bound=4096)
+@example(pool=[-0.0, 0.0, 0, False], picks=[[0, 1, 2], [3, 2, 1], [1, 0, 3]], bound=2)
+@settings(max_examples=100, deadline=None)
+def test_append_writes_the_bytes_append_row_writes(pool, picks, bound):
+    """Rows drawn from a small pool, so values repeat in a column and across
+    columns: append(record) and append_row(ts, record.values) write the same
+    bytes, also with the memo bound lowered so that memos fill and clear,
+    and no column's memo ever holds more values than its bound."""
+    columns = ["a", "b", "c"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(logstore, "_MEMO_ENTRIES", bound):
+        memo = LogStore(Path(tmp) / "memo", columns)
+        plain = LogStore(Path(tmp) / "plain", columns)
+        with memo, plain:
+            for t, row in enumerate(picks):
+                record = Record(t, {c: pool[i % len(pool)] for c, i in zip(columns, row)})
+                memo.append(record)
+                plain.append_row(t, record.values)
+                assert max(len(m) for m in memo._memos) <= bound
+        (got,), (want,) = memo.segments(), plain.segments()
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_append_validates_schema_and_state(tmp_path):

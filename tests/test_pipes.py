@@ -1,5 +1,5 @@
 """Tier cadence and ring-buffer behaviour, checked by direct enumeration,
-and the window sums, checked against a recompute from the window."""
+and the window sums and order, checked against a recompute from the window."""
 
 from collections import deque
 
@@ -338,6 +338,55 @@ def test_sums_left_as_they_were_by_a_reading_without_a_code():
         pipe.push(rec(t, 0.5 * t))
     want = recomputed(pipe, "x", 2, 0, False)
     assert held(pipe.sums("x", 2), want) == want
+
+
+def test_sums_refuse_a_lag_longer_than_the_window():
+    pipe = Pipe("p", 4, X)
+    with pytest.raises(ValueError, match="lag 4 longer than the window of 3"):
+        pipe.sums("x", 3, 4)
+    # the window held is min(window, capacity)
+    with pytest.raises(ValueError, match="lag 5 longer than the window of 4"):
+        pipe.sums("x", 60, 5)
+    assert pipe.sums("x", 4, 4).lag == 4
+
+
+def sorted_window(pipe, window):
+    """The readings and absolute first differences WindowOrder must hold."""
+    x = pipe.values("x", window).tolist()
+    return sorted(x), sorted(abs(b - a) for a, b in zip(x, x[1:]))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_order_left_as_it_was_by_a_reading_that_is_not_finite(bad):
+    """bisect has no order over NaN, so the order state refuses a reading
+    that is not finite, as the sums do one without a code: it keeps its
+    count and lists, each read raises while the slide would cross it, and
+    the state is exact again once a rebuild no longer reads it."""
+    pipe = Pipe("p", 3, X)
+    for t in range(3):
+        pipe.push(rec(t, 1.0 + t))
+    state = pipe.order("x", 2)
+    before = (state.values[:], state.diffs[:], state.last)
+    pipe.push(rec(3, bad))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not finite"):
+            pipe.order("x", 2)
+    assert state.count == 3 and (state.values, state.diffs, state.last) == before
+    for t in range(4, 7):
+        pipe.push(rec(t, 0.5 * t))
+    state = pipe.order("x", 2)
+    assert (state.values, state.diffs) == sorted_window(pipe, 2)
+    assert (state.n, state.last) == (2, 3.0)
+
+
+def test_order_window_is_capped_at_the_capacity():
+    pipe = Pipe("p", 4, X)
+    for t in range(9):
+        pipe.push(rec(t, (-1.0) ** t * t))
+    state = pipe.order("x", 60)
+    assert state is pipe.order("x", 4) is pipe.order("x", 5)
+    assert (state.values, state.diffs) == sorted_window(pipe, 4)
+    assert (state.n, state.last) == (4, 8.0)
 
 
 def test_sums_window_is_capped_at_the_capacity():
