@@ -90,7 +90,9 @@ def _mad_about(s: Sequence[float], m: float) -> float:
     The middle deviation, the k-th smallest of those two runs, is found by a
     binary search over how many come from the left run; the (k+1)-th, which
     an even window also needs, is the smaller of the two runs' next ones.
-    Each is |x - m| computed as numpy computes it, so the median has its bits.
+    Each is |x - m| computed as numpy computes it, so the median has its bits
+    (x = -0.0 at m = 0.0 gives -0.0 for numpy's 0.0, which 0.0 + ... turns
+    back into 0.0).
     """
     n = len(s)
     p = bisect_left(s, m)  # s[:p] < m <= s[p:]
