@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -336,7 +337,9 @@ class CyclicalDetector(WindowedDetector):
 
 @dataclass(frozen=True)
 class TimeIntervalGate:
-    """Fires inside [start_ms, end_ms): closed at the start, open at the end."""
+    """Fires inside [start_ms, end_ms): closed at the start, open at the end.
+
+    Both bounds go through operator.index, as every timestamp does."""
 
     id: str
     start_ms: int
@@ -345,6 +348,8 @@ class TimeIntervalGate:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("detector id must be non-empty")
+        for name in ("start_ms", "end_ms"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.end_ms <= self.start_ms:
             raise ValueError(f"{self.id}: empty interval")
 

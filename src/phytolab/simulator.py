@@ -163,8 +163,8 @@ class Event:
         object.__setattr__(self, "at_ms", operator.index(self.at_ms))
         if self.at_ms < 0:
             raise ValueError(f"event time must be non-negative, got {self.at_ms}")
-        if self.scale <= 0:
-            raise ValueError(f"event scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"event scale must be positive and finite, got {self.scale}")
         if self.kind is EventKind.ELECTRICAL:
             if self.scale > 1.0:
                 raise ValueError(

@@ -289,6 +289,19 @@ def test_time_interval_gate_boundaries():
     assert gate.evaluate(None, 2000) == -1.0  # open end
 
 
+@pytest.mark.parametrize(
+    "start_ms, end_ms", [(math.nan, 5), (0.5, 5), (0, 5.0), (0, math.inf), (1.0, 5.0)]
+)
+def test_time_interval_gate_refuses_bounds_that_are_not_integers(start_ms, end_ms):
+    # a NaN start once built a gate that never opened, and 0.5 was taken
+    with pytest.raises(TypeError):
+        TimeIntervalGate(id="t", start_ms=start_ms, end_ms=end_ms)
+    with pytest.raises(ValueError, match="bad parameters for 'time_interval'"):
+        build_detector("time_interval", id="t", start_ms=start_ms, end_ms=end_ms)
+    gate = TimeIntervalGate(id="t", start_ms=np.int64(0), end_ms=5)
+    assert type(gate.start_ms) is int and gate.evaluate(None, 4) == FIRED
+
+
 def test_time_of_day_gate_wraps_midnight():
     gate = TimeOfDayGate(id="t", start_hour=22.0, end_hour=6.0)
 

@@ -184,6 +184,25 @@ def test_touch_and_wound_refuse_a_channel_that_is_not_a_biopotential_one(channel
     assert plant.events == ()
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", list(sim.EventKind))
+def test_an_event_scale_that_is_not_positive_and_finite_is_refused(kind, scale):
+    # a NaN scale once loaded and failed only at the next record, as a cell
+    # with rp=nan; an infinite touch failed there too, unable to quantize
+    plant = sim.PlantSimulator(seed=1)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        plant.add_event(sim.Event(kind, 0, scale=scale))
+    assert plant.events == ()
+    plant.record_at(0)
+
+
+def test_an_electrical_intensity_above_one_is_refused():
+    with pytest.raises(ValueError, match=r"intensity must be in \(0, 1\]"):
+        sim.Event(sim.EventKind.ELECTRICAL, 0, scale=1.5)
+    assert sim.Event(sim.EventKind.ELECTRICAL, 0, scale=1.0).scale == 1.0
+    assert sim.Event(sim.EventKind.TOUCH, 0, scale=1e6).scale == 1e6
+
+
 def test_an_event_time_that_is_not_an_integer_is_refused():
     # a NaN time once loaded and sorted last in the event list, where
     # bisect_right then skipped every event: the touch at 10 s went unseen
