@@ -15,11 +15,12 @@ middle_stride cycles, a long-tier one once per long_stride.  Gates read only
 the clock, are handed None for a pipe and run on every cycle.
 
 Every windowed detector reads sliding state its tier keeps (pipes), never
-the window itself.  The peak reads the window's readings and absolute first
-differences in sorted order (pipes.WindowOrder); every other windowed
-detector reads exact integer sums (pipes.WindowSums).  Over the window's n
-codes k_i (reading = r * k_i, r the channel's resolution, itself an exact
-ratio), with S = sum k_i, Q = sum k_i**2 and D = n * Q - S**2:
+the window itself, and decides in the window's integer codes.  The peak
+reads the codes and their absolute first differences in sorted order
+(pipes.WindowOrder); every other windowed detector reads exact integer sums
+(pipes.WindowSums).  Over the window's n codes k_i (reading = r * k_i, r the
+channel's resolution, itself an exact ratio), with S = sum k_i,
+Q = sum k_i**2 and D = n * Q - S**2:
 
 - mean is r * S / n, and stddev, the population deviation, r * sqrt(D) / n;
 - noise_level is r * sqrt(sum (k_i - k_(i-1))**2 / (2 * (n - 1)));
@@ -37,8 +38,9 @@ pathogenicity_status compares that z, gradient the least-squares slope over
 integers, with no rounding at all.  A window is flat exactly when D == 0:
 its stddev is 0.0, a flat reference scores z = 0.0 (green), and a flat
 cyclical window is QUIET.  The peak's medians are index reads of the
-sorted lists, and its spread MAD a selection from them (_mad_about), each
-with the bits numpy's median of the same window gives.
+sorted lists and its spread MAD a selection from them (_twice_mad), each
+doubled to stay an integer; it compares squares, so sqrt(2) drops out, and
+reads its bar times MAD_SIGMA as an exact ratio, so it rounds nothing either.
 """
 
 from __future__ import annotations
@@ -64,66 +66,47 @@ QUIET = -1.0
 MS_PER_HOUR = 3_600_000
 
 
-def _median_of_sorted(s: Sequence[float]) -> float:
-    """np.median of a window already sorted ascending (NaNs last, as sort
-    puts them): NaN if any, else the middle element or the middle pair's mean.
+def _twice_median(s: Sequence[int]) -> int:
+    """Twice the median of the codes s, sorted ascending, an integer."""
+    h = len(s) // 2
+    return 2 * s[h] if len(s) % 2 else s[h - 1] + s[h]
 
-    numpy sums the middle with np.add.reduce, which starts from +0.0, so a
-    middle of -0.0 comes out +0.0.  0.0 + ... repeats that sign rule and
-    changes no other value.  The peak detector, the one detector that takes
-    a median, reads it only through |x - m| anyway, so a zero's sign cannot
-    reach its output.
+
+def _twice_mad(s: Sequence[int], m2: int) -> int:
+    """Twice the median of |2 k - m2| over the codes k of s, sorted ascending.
+
+    With m2 twice the median, that is four times the MAD of s.  The
+    deviations of the codes left of m2 / 2, read right to left, ascend, and
+    so do those of the codes from m2 / 2 on.  The middle deviation, the k-th
+    smallest of those two runs, is found by a binary search over how many
+    come from the left run; the (k+1)-th, which an even window also needs,
+    is the smaller of the two runs' next ones.
     """
     n = len(s)
-    if math.isnan(s[-1]):
-        return math.nan
-    h = n // 2
-    if n % 2:
-        return 0.0 + s[h]
-    return (0.0 + s[h - 1] + s[h]) / 2
-
-
-def _mad_about(s: Sequence[float], m: float) -> float:
-    """np.median(np.abs(x - m)) for the window x sorted as s, NaN-free.
-
-    fl(x - m) is monotone in x, so the deviations of the readings left of m,
-    read right to left, ascend, and so do those of the readings from m on.
-    The middle deviation, the k-th smallest of those two runs, is found by a
-    binary search over how many come from the left run; the (k+1)-th, which
-    an even window also needs, is the smaller of the two runs' next ones.
-    Each is |x - m| computed as numpy computes it, so the median has its bits
-    (x = -0.0 at m = 0.0 gives -0.0 for numpy's 0.0, which 0.0 + ... turns
-    back into 0.0).
-    """
-    n = len(s)
-    p = bisect_left(s, m)  # s[:p] < m <= s[p:]
+    p = bisect_left(s, (m2 + 1) >> 1)  # 2 * s[:p] < m2 <= 2 * s[p:]
     k = (n - 1) // 2  # the (first) middle rank, from 0
-    # |fl(x - m)| is m - x left of m and x - m from m on, since fl(m - x)
-    # is -fl(x - m); take i from the left run, k + 1 - i from the right
+    # the deviation is m2 - 2 x left of m2 / 2 and 2 x - m2 from it on; take
+    # i from the left run, k + 1 - i from the right
     lo, hi = max(0, k + 1 - (n - p)), min(k + 1, p)
     q = p + k
     while lo < hi:
         i = (lo + hi) >> 1
-        if m - s[p - 1 - i] < s[q - i] - m:
+        if m2 < s[p - 1 - i] + s[q - i]:
             lo = i + 1  # the left run's next deviation is among the k + 1
         else:
             hi = i
-    i, j = lo, p + k + 1 - lo  # s[p - i:j] are the readings of the k + 1
-    if not i:
-        kth = s[j - 1] - m
-    elif j == p:
-        kth = m - s[p - i]
-    else:
-        kth = max(m - s[p - i], s[j - 1] - m)
+    i, j = lo, q + 1 - lo  # s[p - i:j] are the codes of the k + 1
+    # the larger deviation of its ends; an end on the other side reads < 0
+    kth = max(m2 - 2 * s[p - i], 2 * s[j - 1] - m2)
     if n % 2:
-        return 0.0 + kth
+        return 2 * kth
     if i == p:
-        after = s[j] - m
+        after = 2 * s[j] - m2
     elif j == n:
-        after = m - s[p - 1 - i]
+        after = m2 - 2 * s[p - 1 - i]
     else:
-        after = min(m - s[p - 1 - i], s[j] - m)
-    return (0.0 + kth + after) / 2
+        after = min(m2 - 2 * s[p - 1 - i], 2 * s[j] - m2)
+    return kth + after
 
 
 def _latest_z(w: WindowSums) -> tuple[int, int]:
@@ -157,6 +140,13 @@ def _peak_bar(sigma: float, n: int) -> float:
     """
     nu = max(0.65 * n, 3.0)
     return math.sqrt(nu * math.expm1(sigma * sigma * (nu - 1.5) / (nu - 1.0) ** 2))
+
+
+@functools.lru_cache(maxsize=256)
+def _squared_scale_bar(bar: float) -> tuple[int, int]:
+    """(bar * MAD_SIGMA)**2 as an exact ratio (num, den) of the two floats."""
+    (a, b), (c, d) = bar.as_integer_ratio(), MAD_SIGMA.as_integer_ratio()
+    return (a * c) ** 2, (b * d) ** 2
 
 
 class Detector(Protocol):
@@ -230,14 +220,16 @@ class PeakDetector(WindowedDetector):
             raise ValueError(f"{self.id}: sigma must be positive and finite")
 
     def _measure(self, pipe: Pipe) -> float:
+        # in codes, the resolution cancelling: with m the median and k the
+        # newest code, peak is 2 (k - m), spread four times the spread MAD
+        # and diff twice the difference median; the verdict is |k - m| >
+        # bar * MAD_SIGMA * max(spread / 4, diff / (2 sqrt 2)), squared
         w = pipe.order(self.channel, self.window)
-        m = _median_of_sorted(w.values)
-        peak = abs(w.last - m)
-        diff_mad = _median_of_sorted(w.diffs) / math.sqrt(2.0)
-        scale = MAD_SIGMA * max(_mad_about(w.values, m), diff_mad)
-        if scale == 0.0:
-            return FIRED if peak > 0.0 else QUIET
-        return FIRED if peak > _peak_bar(self.sigma, w.n) * scale else QUIET
+        m2 = _twice_median(w.values)
+        peak, spread, diff = 2 * w.last - m2, _twice_mad(w.values, m2), _twice_median(w.diffs)
+        num, den = _squared_scale_bar(_peak_bar(self.sigma, w.n))
+        fired = 4 * peak * peak * den > num * max(spread * spread, 2 * diff * diff)
+        return FIRED if fired else QUIET
 
 
 @dataclass(frozen=True, kw_only=True)

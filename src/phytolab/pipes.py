@@ -7,37 +7,37 @@ the long tier one per hour, without any averaging or resampling.  Detectors
 read the state of fixed-length windows kept by whichever tier matches their
 time scale.
 
-Each tier stores its readings column-wise: one float64 row per channel and
-one int64 timestamp row, every sample written twice, at its ring slot and
-again one ring length further on.  The last n samples, for any n up to the
-ring length, are then one contiguous slice of the doubled row, so a window is
-a slice copy with no gathering or concatenation.
+Readings sit on their channel's device grid, v = k * resolution, and a tier
+stores each as its integer code k = round(v / resolution); k * resolution
+gives v back exactly while |k| < 2**51, as ChannelSpec checks of every
+range, and a reading off the grid reads back as its code's grid point.  A
+reading with no int64 code (NaN, an infinity, or a code of 2**63 or more in
+size) is refused at push, before any slot changes.  The codes are stored
+column-wise: one int64 row per channel and one int64 timestamp row, every
+sample written twice, at its ring slot and again one ring length further on.
+The last n samples, for any n up to the ring length, are then one contiguous
+slice of the doubled row, so a window is a slice copy with no gathering or
+concatenation.
 
 The window statistics read sliding state instead of windows: exact integer
-sums, or sorted lists for the peak.  Readings
-sit on their channel's device grid, v = k * resolution, so each reading has
-an integer code k = round(v / resolution), exact while |k| < 2**51, as
-ChannelSpec checks of every range.  Per (channel, samples held, lag) a
-tier keeps one WindowSums: the push count it was last advanced at and the
-sums of k, k**2 and the squared first differences over the window, plus the
-time sums a gradient reads or the lag products a cyclical detector reads.
-The peak's order statistics read a WindowOrder, kept per (channel, samples
-held): the window's readings and their absolute first differences, each a
-sorted list.
-Read after p more pushes, a state slides by adding each sample that entered
-and removing each that left, both read back from the tier's own ring,
-which keeps one slot beyond the capacity so that the sample that just left a
-full window is still there.  A slide longer than the ring allows, or than
-the window, rebuilds the state from the window.  Python ints neither round
-nor overflow, so the sums are the same on every machine, whatever order they
-were added in; a sorted list holds the same values whatever order they
-entered in.  A state raises on a reading that is not finite and keeps what
-it held.
+sums, or sorted lists of codes for the peak.  Per (channel, samples held,
+lag) a tier keeps one WindowSums: the push count it was last advanced at and
+the sums of k, k**2 and the squared first differences over the window, plus
+the time sums a gradient reads or the lag products a cyclical detector
+reads.  The peak's order statistics read a WindowOrder, kept per (channel,
+samples held): the window's codes and their absolute first differences, each
+a sorted list.  Read after p more pushes, a state slides by adding each
+sample that entered and removing each that left, both read back from the
+tier's own ring, which keeps one slot beyond the capacity so that the sample
+that just left a full window is still there.  A slide longer than the ring
+allows, or than the window, rebuilds the state from the window.  Python ints
+neither round nor overflow, so the sums are the same on every machine,
+whatever order they were added in; a sorted list holds the same codes
+whatever order they entered in.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,8 +70,7 @@ class WindowSums:
 
     __slots__ = (
         "window", "lag", "timed", "grid", "count", "n", "last",
-        "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk",
-        "_at", "_resolution",
+        "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk", "_at",
     )
 
     def __init__(
@@ -80,7 +79,7 @@ class WindowSums:
         if lag > window:
             raise ValueError(f"lag {lag} longer than the window of {window} samples")
         self.window, self.lag, self.timed = window, lag, timed
-        self.grid, self._at, self._resolution = spec.grid, row.item, spec.resolution
+        self.grid, self._at = spec.grid, row.item
         self.count = self.n = self.last = 0
         self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
         self.st = self.stt = self.stk = 0
@@ -93,10 +92,8 @@ class WindowSums:
             # the bank's every-cycle case, the loop below unrolled: one
             # sample enters a full window, and the one before the window
             # leaves, read from the ring's extra slot
-            at, res = self._at, self._resolution
-            k = round(at(end - 1) / res)
-            old = round(at(end - 1 - window) / res)
-            first = round(at(end - window) / res)
+            at = self._at
+            k, old, first = at(end - 1), at(end - 1 - window), at(end - window)
             self.s1 += k - old
             self.s2 += k * k - old * old
             self.d2 += (k - self.last) ** 2 - (first - old) ** 2
@@ -111,18 +108,18 @@ class WindowSums:
                 lagged, head, tail = self.lagged, self.head, self.tail
             if timed:
                 st, stt, stk = self.st, self.stt, self.stk
-        at, res = self._at, self._resolution
+        at = self._at
         base = end - total  # column of sample 0, an offset only
 
         for j in range(base + count, end):  # the columns of the entering samples
-            k = round(at(j) / res)
+            k = at(j)
             s1 += k
             s2 += k * k
             if n:
                 d2 += (k - last) ** 2
             if lag:
                 if n >= lag:
-                    back = round(at(j - lag) / res)
+                    back = at(j - lag)
                     lagged += back * k
                     tail += k - back
                 else:
@@ -139,12 +136,12 @@ class WindowSums:
                 continue
             # the window was full: its oldest sample leaves
             lo = j - window
-            old = round(at(lo) / res)
+            old = at(lo)
             s1 -= old
             s2 -= old * old
-            d2 -= (round(at(lo + 1) / res) - old) ** 2
+            d2 -= (at(lo + 1) - old) ** 2
             if lag:
-                ahead = round(at(lo + lag) / res)
+                ahead = at(lo + lag)
                 lagged -= old * ahead
                 head += ahead - old
             if timed:
@@ -153,8 +150,6 @@ class WindowSums:
                 stt -= t * t
                 stk -= t * old
 
-        # committed only once every code was read, so a reading that has no
-        # code (round raises on inf and NaN) leaves the sums as they were
         self.count, self.n, self.last, self.s1, self.s2, self.d2 = total, n, last, s1, s2, d2
         if lag:
             self.lagged, self.head, self.tail = lagged, head, tail
@@ -163,68 +158,55 @@ class WindowSums:
 
 
 class WindowOrder:
-    """The last n = min(count, window) readings of a channel, in sorted order.
+    """The last n = min(count, window) codes of a channel, in sorted order.
 
-    values holds the readings sorted ascending, diffs the n - 1 absolute
-    first differences |x_i - x_(i-1)| of the window sorted ascending, and
-    last the newest reading.  Each float is the one the window holds or the
-    one its subtraction gives, so a statistic read by index has the bits of
-    the same statistic of a sorted copy of the window.  -0.0 and 0.0 compare
-    equal, so either may stand where the other was pushed.  Pipe.order hands
-    out the one instance it advances; read it before the next push.
+    values holds the codes sorted ascending, diffs the n - 1 absolute first
+    differences |k_i - k_(i-1)| of the window sorted ascending, and last the
+    newest code.  Pipe.order hands out the one instance it advances; read it
+    before the next push.
     """
 
     __slots__ = ("window", "count", "n", "last", "values", "diffs", "_at")
 
     def __init__(self, window: int, row: np.ndarray) -> None:
         self.window, self._at = window, row.item
-        self.count = self.n = 0
-        self.last = 0.0
-        self.values: list[float] = []
-        self.diffs: list[float] = []
+        self.count = self.n = self.last = 0
+        self.values: list[int] = []
+        self.diffs: list[int] = []
 
     def advance(self, total: int, end: int, ring: int) -> None:
         """Slide from self.count to total pushes, as WindowSums.advance does."""
         count, window, at = self.count, self.window, self._at
+        values, diffs = self.values, self.diffs
         if total == count + 1 and self.n == window:
             # the bank's every-cycle case, the loop below unrolled
-            x = at(end - 1)
-            if not math.isfinite(x):
-                raise ValueError(f"reading {x} is not finite")
-            old = at(end - 1 - window)
-            values, diffs = self.values, self.diffs
+            k, old = at(end - 1), at(end - 1 - window)
             del values[bisect_left(values, old)]
-            insort(values, x)
+            insort(values, k)
             del diffs[bisect_left(diffs, abs(at(end - window) - old))]
-            insort(diffs, abs(x - self.last))
-            self.count, self.last = total, x
+            insort(diffs, abs(k - self.last))
+            self.count, self.last = total, k
             return
-        rebuild = total - count > min(window, ring - window)
-        first = end - (min(total, window) if rebuild else total - count)
-        entering = [at(j) for j in range(first, end)]
-        # checked before any list changes, so a reading that is not finite
-        # (bisect has no order over NaN) leaves the state as it was
-        for x in entering:
-            if not math.isfinite(x):
-                raise ValueError(f"reading {x} is not finite")
-        values, diffs, n = self.values, self.diffs, self.n
-        if rebuild:
+        if total - count > min(window, ring - window):
+            entering = [at(j) for j in range(end - min(total, window), end)]
             values[:] = sorted(entering)
             diffs[:] = sorted([abs(b - a) for a, b in zip(entering, entering[1:])])
-            n = len(entering)
-        else:
-            for j, x in enumerate(entering, first):
-                if n:
-                    insort(diffs, abs(x - at(j - 1)))
-                insort(values, x)
-                if n < window:
-                    n += 1
-                    continue
-                # the window was full: its oldest sample leaves
-                old = at(j - window)
-                del values[bisect_left(values, old)]
-                del diffs[bisect_left(diffs, abs(at(j - window + 1) - old))]
-        self.count, self.n, self.last = total, n, entering[-1]
+            self.count, self.n, self.last = total, len(entering), entering[-1]
+            return
+        n = self.n
+        for j in range(end - (total - count), end):
+            k = at(j)
+            if n:
+                insort(diffs, abs(k - at(j - 1)))
+            insort(values, k)
+            if n < window:
+                n += 1
+                continue
+            # the window was full: its oldest sample leaves
+            old = at(j - window)
+            del values[bisect_left(values, old)]
+            del diffs[bisect_left(diffs, abs(at(j - window + 1) - old))]
+        self.count, self.n, self.last = total, n, k
 
 
 class Pipe:
@@ -236,15 +218,17 @@ class Pipe:
     The channels, given at construction, fix the columns, their order and
     each one's grid (its spec).  A record must hold exactly those names, in any
     order, and is read by name (channels.row_values).  A record that breaks
-    that rule, or whose timestamp is not after the newest one's, is refused
-    and changes nothing.  Sample j lands in slot i = j mod (capacity + 1) of
-    a (channels, 2 * (capacity + 1)) float64 array and of a timestamp array
-    as long, at i and again at i + capacity + 1, so the retained samples,
-    and the one evicted last, always sit oldest first before end, one past
-    the newest.  values() and timestamps_ms() return copies of such slices,
-    which later pushes cannot change; the pushed Record itself is not kept.
-    sums() returns the window's exact sums (WindowSums) and order() its
-    sorted readings (WindowOrder), each advanced to the current push count.
+    that rule, whose timestamp is not after the newest one's, or that holds a
+    reading with no int64 code, round(v / resolution), is refused and changes
+    nothing.  Sample j's codes land in slot i = j mod (capacity + 1) of a
+    (channels, 2 * (capacity + 1)) int64 array, and its timestamp in an
+    array as long, at i and again at i + capacity + 1, so the retained
+    samples, and the one evicted last, always sit oldest first before end,
+    one past the newest.  values() returns such a slice times the resolution,
+    the grid readings pushed, and timestamps_ms() a copy of one; later pushes
+    change neither, and the pushed Record itself is not kept.  sums() returns
+    the window's exact sums (WindowSums) and order() its sorted codes
+    (WindowOrder), each advanced to the current push count.
     """
 
     def __init__(self, name: str, capacity: int, channels: Sequence[ChannelId]) -> None:
@@ -256,8 +240,9 @@ class Pipe:
         self._names = tuple(ch.name for ch in channels)
         self._rows = {ch.name: row for row, ch in enumerate(channels)}
         self._specs = tuple(ch.spec for ch in channels)
+        self._resolutions = tuple(spec.resolution for spec in self._specs)
         self._ring = capacity + 1
-        self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.float64)
+        self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.int64)
         self._ts = np.zeros(2 * self._ring, dtype=np.int64)
         self._end = self._ring
         self._sums: dict[tuple[str, int, int, bool], WindowSums] = {}
@@ -268,8 +253,18 @@ class Pipe:
             raise not_after(
                 f"pipe {self.name!r}", record.timestamp_ms, self._ts[self._end - 1]
             )
-        names = self._names
-        column = np.fromiter(row_values(record.values, names), np.float64, len(names))
+        names, resolutions = self._names, self._resolutions
+        readings = row_values(record.values, names)
+        try:
+            column = np.array([round(v / r) for v, r in zip(readings, resolutions)], np.int64)
+        except (OverflowError, ValueError):  # round of inf or NaN, or past int64
+            name, v = next(
+                (name, v) for name, v, r in zip(names, readings, resolutions)
+                if not -(2.0**63) <= v / r < 2.0**63
+            )
+            raise ValueError(
+                f"pipe {self.name!r}: reading {v} on {name!r} has no int64 code"
+            ) from None
         ring = self._ring
         i = self._end % ring
         self._data[:, i] = self._data[:, i + ring] = column
@@ -281,10 +276,12 @@ class Pipe:
         return self.total_pushed if self.total_pushed < self.capacity else self.capacity
 
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
-        """Last n (all if None) of the len(self) readings of channel, oldest first."""
+        """Last n (all if None) of the len(self) readings of channel, oldest
+        first: their codes times the resolution."""
         size = len(self)
         k = size if n is None or n > size else n
-        return self._data[self._rows[channel], self._end - k : self._end].copy()
+        row = self._rows[channel]
+        return self._data[row, self._end - k : self._end] * self._resolutions[row]
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
         size = len(self)
@@ -307,7 +304,7 @@ class Pipe:
         return state
 
     def order(self, channel: str, window: int) -> WindowOrder:
-        """The last min(window, capacity) readings of channel, sorted, one
+        """The last min(window, capacity) codes of channel, sorted, one
         state per window held."""
         window = min(window, self.capacity)
         state = self._orders.get((channel, window))

@@ -30,9 +30,8 @@ from phytolab.detectors import (
     TimeOfDayGate,
     WindowedDetector,
     ZScoreDetector,
-    _mad_about,
-    _median_of_sorted,
     _peak_bar,
+    _twice_mad,
     build_detector,
 )
 from phytolab.pipes import Pipe, TierLayout, TieredPipes
@@ -706,9 +705,9 @@ def test_config_validation_errors():
             gate()
 
 
-# --- oracles: the peak's float kernel reproduces numpy's median bit for bit
-# and the parent's peak formula exactly; every other windowed detector is its
-# exact value rounded once or twice, or decides exactly.
+# --- oracles: the peak decides exactly as its formula does in rationals;
+# every other windowed detector is its exact value rounded once or twice, or
+# decides exactly.
 
 magnitudes = st.floats(min_value=1e-9, max_value=1e9)
 window_values = st.one_of(
@@ -731,16 +730,6 @@ def same_bits(a, b):
     return float(a).hex() == float(b).hex()
 
 
-@given(x=float_windows(values=st.one_of(window_values, st.just(math.nan))))
-@example(x=np.array([-0.0, -0.0, -0.0]))
-@example(x=np.array([-0.0, -0.0]))
-@example(x=np.array([-0.0, math.nan, 0.0]))
-@example(x=np.array([math.nan, -0.0]))
-@settings(max_examples=400, deadline=None)
-def test_median_kernel_matches_numpy_bit_for_bit(x):
-    assert same_bits(_median_of_sorted(np.sort(x)), np.median(x))
-
-
 def grid_push(tiers, stamps, readings):
     for t, v in zip(stamps, readings):
         tiers.push(Record(timestamp_ms=t, values={"x": v}))
@@ -749,8 +738,8 @@ def grid_push(tiers, stamps, readings):
 @given(x=float_windows(min_size=3), lead=st.lists(window_values, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_measure_writes_nothing_in_the_pipe(x, lead):
-    """The peak sorts and takes |x - m| only in buffers it made, and the
-    sums only read the ring: every reading and stamp keeps its bits."""
+    """Every windowed detector only reads its tier: every reading and stamp
+    keeps its bits."""
     n = len(x)
     tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
     readings = [snap(v, RES) for v in lead + x.tolist()]
@@ -766,170 +755,12 @@ def test_measure_writes_nothing_in_the_pipe(x, lead):
         assert (pipe.values("x").tobytes(), pipe.timestamps_ms().tobytes()) == held, kind
 
 
-def test_median_kernel_odd_even_and_nan():
-    assert _median_of_sorted(np.array([1.0, 2.0, 3.0])) == 2.0
-    assert _median_of_sorted(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
-    assert same_bits(_median_of_sorted(np.array([-0.0, -0.0])), np.median([-0.0, -0.0]))
-    assert math.isnan(_median_of_sorted(np.array([1.0, 2.0, math.nan])))
-
-
-def parent_peak(x, sigma):
-    dev = np.abs(x - np.median(x))
-    peak = float(dev[-1])
-    diff_mad = float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
-    scale = MAD_SIGMA * max(float(np.median(dev)), diff_mad)
-    if scale == 0.0:
-        return FIRED if peak > 0.0 else QUIET
-    return FIRED if peak > sigma * scale else QUIET
-
-
 def on_the_edge(value, fallback, lo=0.0, hi=math.inf):
     """A threshold equal to the parent's own statistic, so a result one ulp
     off on either side flips the decision; the fallback when it is unusable."""
     if value is not None and math.isfinite(value) and lo < value < hi:
         return value
     return fallback
-
-
-@given(
-    x=float_windows(min_size=3),
-    lead=st.lists(window_values, max_size=10),
-    gaps=st.lists(st.integers(min_value=1, max_value=10**6), min_size=130, max_size=130),
-    data=st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_peak_matches_the_parent_formula(x, lead, gaps, data):
-    """The peak, reading its window back out of a ring that has wrapped,
-    returns exactly what the formula it replaced returns."""
-    n = len(x)
-    tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
-    readings = [snap(v, RES) for v in lead + x.tolist()]
-    grid_push(tiers, np.cumsum(gaps[: len(readings)]).tolist(), readings)
-    x = np.array(readings[-n:])
-    now = int(tiers.short.timestamps_ms(1)[0])
-    common = dict(channel="x", tier="short", window=n, min_samples=2)
-
-    def check(det, want):
-        assert same_bits(det.evaluate(pipe_of(det, tiers), now), want)
-
-    dev = np.abs(x - np.median(x))
-    scale = MAD_SIGMA * max(
-        float(np.median(dev)), float(np.median(np.abs(np.diff(x)))) / math.sqrt(2.0)
-    )
-    edge_sigma = float(dev[-1]) / scale if scale > 0.0 else None
-    sigma = data.draw(st.sampled_from([on_the_edge(edge_sigma, 5.0), 5.0]))
-    # the parent's bar was sigma itself; with it restored, the statistic
-    # is checked at its own edge, then the widened bar at sigma 5
-    with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
-        check(PeakDetector(id="p", sigma=sigma, **common), parent_peak(x, sigma))
-    check(PeakDetector(id="p", sigma=5.0, **common), parent_peak(x, _peak_bar(5.0, n)))
-
-
-def test_peak_refuses_a_window_holding_a_reading_that_is_not_finite():
-    """A NaN or infinite reading has no place in a sorted window: the peak
-    raises, as every other windowed kind does, where it once read QUIET."""
-    det = PeakDetector(id="p", channel="x", window=60)
-    for bad in (math.nan, math.inf):
-        tiers = feed(PEAK_BASE)
-        tiers.push(Record(timestamp_ms=99_000, values={"x": bad}))
-        with pytest.raises(ValueError, match="not finite"):
-            det.evaluate(pipe_of(det, tiers), 99_000)
-
-
-def sort_kernel(x):
-    """(peak, scale) by the peak's kernel before its window slid: a sorted
-    copy gives the median, the same buffer then takes |x - m| and is sorted,
-    and the first differences are sorted too."""
-    with np.errstate(over="ignore"):  # huge readings may subtract to inf
-        s = x.copy()
-        s.sort()
-        dev = np.subtract(x, _median_of_sorted(s), out=s)
-        np.abs(dev, out=dev)
-        peak = dev.item(-1)
-        dev.sort()
-        diff = x[1:] - x[:-1]
-        np.abs(diff, out=diff)
-        diff.sort()
-        diff_mad = _median_of_sorted(diff) / math.sqrt(2.0)
-        return peak, float(MAD_SIGMA * max(_median_of_sorted(dev), diff_mad))
-
-
-def verdict(peak, scale, bar):
-    if scale == 0.0:
-        return FIRED if peak > 0.0 else QUIET
-    return FIRED if peak > bar * scale else QUIET
-
-
-# ties, both zeros, subnormals and readings whose deviations overflow
-PEAK_POOL = st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308, 3.0, 3.0000000000000004]
-)
-PEAK_READINGS = st.one_of(
-    PEAK_POOL, st.integers(-4, 4).map(float), st.floats(-1e6, 1e6, allow_nan=False)
-)
-
-
-class PeakOracle(RuleBasedStateMachine):
-    """Pushes and skipped reads, slides longer than the ring, ties, -0.0 and
-    0.0, constant windows and windows past the capacity, interleaved: after
-    every read the peak's verdict is the sort kernel's, at the widened bar
-    and with the bar set to the statistic itself, so a scale one ulp off
-    would flip it; the order state holds the sorted window and its sorted
-    differences, and its spread MAD has numpy's bits."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.pipe = Pipe("p", 7, X)
-        self.t = 0
-
-    def _push(self, x):
-        self.t += 1
-        self.pipe.push(Record(timestamp_ms=self.t, values={"x": x}))
-
-    @rule(x=PEAK_READINGS)
-    def push(self, x):
-        self._push(x)
-
-    @rule(count=st.integers(2, 20), pool=st.lists(PEAK_READINGS, min_size=1, max_size=3))
-    def push_many(self, count, pool):
-        for i in range(count):  # a one-value pool makes a constant window
-            self._push(pool[i % len(pool)])
-
-    @rule(window=st.integers(2, 10), data=st.data())
-    def read(self, window, data):
-        self.check(window, data.draw)
-
-    @invariant()
-    def eager_reads_match_the_sort_kernel(self):
-        for window in (7, 4):
-            self.check(window, lambda strategy: 5.0)
-
-    def check(self, window, draw):
-        det = PeakDetector(id="p", channel="x", window=window, min_samples=2)
-        got = det.evaluate(self.pipe, 0)
-        n = min(window, len(self.pipe))
-        if n < 2:
-            assert got == NO_DATA
-            return
-        x = self.pipe.values("x", window)
-        peak, scale = sort_kernel(x)
-        assert got == verdict(peak, scale, _peak_bar(5.0, n))
-        state = self.pipe.order("x", window)
-        assert state.n == n and same_bits(state.last, x[-1])
-        assert state.values == sorted(x.tolist())
-        with np.errstate(over="ignore"):
-            assert state.diffs == sorted(np.abs(np.diff(x)).tolist())
-            m = _median_of_sorted(state.values)
-            assert same_bits(_mad_about(state.values, m), np.median(np.abs(x - m)))
-        edge = on_the_edge(peak / scale if 0.0 < scale < math.inf else None, 5.0)
-        sigma = draw(st.sampled_from([edge, 5.0]))
-        with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
-            edged = PeakDetector(id="p", channel="x", window=window, min_samples=2, sigma=sigma)
-            assert edged.evaluate(self.pipe, 0) == verdict(peak, scale, sigma)
-
-
-TestPeakOracle = PeakOracle.TestCase
-TestPeakOracle.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
 def edges(value, fallback, lo=0.0, hi=math.inf):
@@ -941,6 +772,151 @@ def edges(value, fallback, lo=0.0, hi=math.inf):
         return [fallback]
     near = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
     return [t for t in near if lo < t < hi]
+
+
+def exact_median(v):
+    v = sorted(v)
+    h = len(v) // 2
+    return Fraction(v[h]) if len(v) % 2 else Fraction(v[h - 1] + v[h], 2)
+
+
+def exact_peak(x):
+    """The peak's statistic over the window x (ints or Fractions), exactly:
+    (|x_last - m|**2, (scale / MAD_SIGMA)**2), m the median and the scale
+    MAD_SIGMA * max(spread MAD, difference median / sqrt(2))."""
+    m = exact_median(x)
+    mad = exact_median([abs(v - m) for v in x])
+    diff = exact_median([abs(b - a) for a, b in zip(x, x[1:])])
+    return (x[-1] - m) ** 2, max(mad * mad, diff * diff / 2)
+
+
+def exact_verdict(peak2, scale2, bar):
+    """FIRED iff |x_last - m| > bar * scale, bar and MAD_SIGMA as the floats
+    they are; a zero scale fires on any deviation."""
+    return FIRED if peak2 > (Fraction(bar) * Fraction(MAD_SIGMA)) ** 2 * scale2 else QUIET
+
+
+def edge_bars(peak2, scale2):
+    """Bars at the statistic |x_last - m| / scale (see edges), and 5.0."""
+    ratio = peak2 / (scale2 * Fraction(MAD_SIGMA) ** 2) if scale2 else None
+    return edges(None if ratio is None else math.sqrt(ratio), 5.0) + [5.0]
+
+
+@given(
+    x=float_windows(min_size=3),
+    lead=st.lists(window_values, max_size=10),
+    gaps=st.lists(st.integers(min_value=1, max_value=10**6), min_size=130, max_size=130),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_peak_matches_the_parent_formula(x, lead, gaps, data):
+    """The peak, reading its window back out of a ring that has wrapped,
+    returns the verdict of the formula it replaced taken in exact rationals,
+    over the grid values k * resolution, so the resolution must cancel: at
+    bars one ulp either side of the statistic, then at the widened bar at
+    sigma 5."""
+    n = len(x)
+    tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
+    readings = [snap(v, RES) for v in lead + x.tolist()]
+    grid_push(tiers, np.cumsum(gaps[: len(readings)]).tolist(), readings)
+    peak2, scale2 = exact_peak([round(v / RES) * Fraction(RES) for v in readings[-n:]])
+    now = int(tiers.short.timestamps_ms(1)[0])
+    common = dict(channel="x", tier="short", window=n, min_samples=2)
+
+    def check(det, bar):
+        assert det.evaluate(pipe_of(det, tiers), now) == exact_verdict(peak2, scale2, bar)
+
+    sigma = data.draw(st.sampled_from(edge_bars(peak2, scale2)))
+    # the parent's bar was sigma itself; with it restored, the statistic
+    # is checked at its own edge, then the widened bar at sigma 5
+    with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
+        check(PeakDetector(id="p", sigma=sigma, **common), sigma)
+    check(PeakDetector(id="p", sigma=5.0, **common), _peak_bar(5.0, n))
+
+
+def test_peak_refuses_a_window_holding_a_reading_that_is_not_finite():
+    """A NaN or infinite reading has no code, so it never reaches a window:
+    the tiers refuse it at push, and the peak reads the window as it was."""
+    det = PeakDetector(id="p", channel="x", window=60)
+    want = det.evaluate(pipe_of(det, feed(PEAK_BASE)), 11_000)
+    for bad in (math.nan, math.inf):
+        tiers = feed(PEAK_BASE)
+        with pytest.raises(ValueError, match="'x' has no int64 code"):
+            tiers.push(Record(timestamp_ms=99_000, values={"x": bad}))
+        assert det.evaluate(pipe_of(det, tiers), 99_000) == want == QUIET
+
+
+# codes across the biopotential range: ties, both ends and small codes
+BIO = (ChannelId("x", ChannelKind.BIOPOTENTIAL_1),)
+BIO_SPEC = BIO[0].spec
+PEAK_CODES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, BIO_SPEC.code_lo, BIO_SPEC.code_hi, BIO_SPEC.code_hi - 1]),
+    st.integers(-4, 4),
+    st.integers(BIO_SPEC.code_lo, BIO_SPEC.code_hi),
+)
+
+
+class PeakOracle(RuleBasedStateMachine):
+    """Pushes and skipped reads, slides longer than the ring, ties, constant
+    windows and windows past the capacity, interleaved, on biopotential grid
+    codes: after every read the peak's verdict is the exact one, at the
+    widened bar and with the bar set one ulp either side of the statistic
+    itself, where any rounding would flip it; the order state holds the
+    window's codes and their absolute differences sorted, and four times
+    its spread MAD is _twice_mad's."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pipe = Pipe("p", 7, BIO)
+        self.codes: list[int] = []
+
+    def _push(self, k):
+        self.codes.append(k)
+        values = {"x": k * BIO_SPEC.resolution}
+        self.pipe.push(Record(timestamp_ms=len(self.codes), values=values))
+
+    @rule(k=PEAK_CODES)
+    def push(self, k):
+        self._push(k)
+
+    @rule(count=st.integers(2, 20), pool=st.lists(PEAK_CODES, min_size=1, max_size=3))
+    def push_many(self, count, pool):
+        for i in range(count):  # a one-value pool makes a constant window
+            self._push(pool[i % len(pool)])
+
+    @rule(window=st.integers(2, 10), data=st.data())
+    def read(self, window, data):
+        self.check(window, data.draw)
+
+    @invariant()
+    def eager_reads_are_exact(self):
+        for window in (7, 4):
+            self.check(window, lambda strategy: 5.0)
+
+    def check(self, window, draw):
+        det = PeakDetector(id="p", channel="x", window=window, min_samples=2)
+        got = det.evaluate(self.pipe, 0)
+        n = min(window, self.pipe.capacity, len(self.codes))
+        if n < 2:
+            assert got == NO_DATA
+            return
+        k = self.codes[-n:]
+        peak2, scale2 = exact_peak(k)
+        assert got == exact_verdict(peak2, scale2, _peak_bar(5.0, n))
+        state = self.pipe.order("x", window)
+        assert (state.n, state.last) == (n, k[-1])
+        assert state.values == sorted(k)
+        assert state.diffs == sorted(abs(b - a) for a, b in zip(k, k[1:]))
+        m = exact_median(k)
+        assert _twice_mad(state.values, int(2 * m)) == 4 * exact_median([abs(v - m) for v in k])
+        sigma = draw(st.sampled_from(edge_bars(peak2, scale2)))
+        with mock.patch("phytolab.detectors._peak_bar", lambda sigma, n: sigma):
+            edged = PeakDetector(id="p", channel="x", window=window, min_samples=2, sigma=sigma)
+            assert edged.evaluate(self.pipe, 0) == exact_verdict(peak2, scale2, sigma)
+
+
+TestPeakOracle = PeakOracle.TestCase
+TestPeakOracle.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
 @st.composite

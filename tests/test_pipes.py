@@ -1,11 +1,12 @@
 """Tier cadence and ring-buffer behaviour, checked by direct enumeration,
 and the window sums and order, checked against a recompute from the window."""
 
+import re
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
@@ -178,20 +179,39 @@ def _window(model, n):
     return kept[len(kept) - k:]
 
 
-readings = st.floats(allow_nan=False, width=64)
+# codes across each channel's range: impedance codes reach 10**12, and the
+# biopotential grid of 64 nV is not a power of ten
+IMPEDANCE_CODES = st.one_of(
+    st.integers(0, 10**12), st.integers(10**12 - 50, 10**12), st.integers(0, 3)
+)
+BIO_CODES = st.integers(-round(1.0 / 64e-9), round(1.0 / 64e-9))
+RES_A, RES_B = (ch.spec.resolution for ch in AB)
 # a gap <= 0 after the first push is a stale timestamp, which must be refused
 gaps = st.one_of(st.integers(min_value=1, max_value=10**9), st.integers(-3, 0))
 
 
+def grid_point(v, res):
+    """The reading a tier gives back for v: the grid point of its code."""
+    return round(v / res) * res
+
+
 @given(
     capacity=st.integers(min_value=1, max_value=8),
-    pushes=st.lists(st.tuples(gaps, readings, readings), max_size=25),
+    pushes=st.lists(
+        st.tuples(
+            gaps, IMPEDANCE_CODES.map(lambda k: k * RES_A), BIO_CODES.map(lambda k: k * RES_B)
+        ),
+        max_size=25,
+    ),
 )
+# off the grid: 0.4 codes of a, 1.5625 of b, and b's -0.0, whose code is 0
+@example(capacity=2, pushes=[(1, 4e-4, 1e-7), (1, 1.0, -0.0), (1, 0.0, -1e-7)])
 @settings(max_examples=200, deadline=None)
 def test_pipe_matches_a_deque_of_records(capacity, pushes):
     """The columnar ring reads back exactly what a deque(maxlen) of the same
-    records holds, bit for bit, and arrays handed out earlier never change.
-    A stale push raises and leaves the ring as it was, also once wrapped."""
+    records holds, bit for bit for grid readings and as its code's grid point
+    for one off the grid, and arrays handed out earlier never change.  A
+    stale push raises and leaves the ring as it was, also once wrapped."""
     pipe = Pipe("p", capacity, AB)
     model: deque[Record] = deque(maxlen=capacity)
     handed_out: list[tuple[np.ndarray, bytes]] = []
@@ -205,7 +225,8 @@ def test_pipe_matches_a_deque_of_records(capacity, pushes):
         else:
             t += gap
             pipe.push(record)
-            model.append(record)
+            values = {"a": grid_point(a, RES_A), "b": grid_point(b, RES_B)}
+            model.append(Record(timestamp_ms=t, values=values))
             pushed += 1
         assert len(pipe) == len(model)
         assert pipe.total_pushed == pushed
@@ -255,14 +276,6 @@ def recomputed(pipe, channel, window, lag, timed):
 
 def held(state, want):
     return {name: getattr(state, name) for name in want}
-
-
-# codes across each channel's range: impedance codes reach 10**12, and the
-# biopotential grid of 64 nV is not a power of ten
-IMPEDANCE_CODES = st.one_of(
-    st.integers(0, 10**12), st.integers(10**12 - 50, 10**12), st.integers(0, 3)
-)
-BIO_CODES = st.integers(-round(1.0 / 64e-9), round(1.0 / 64e-9))
 
 
 class SlidingSums(RuleBasedStateMachine):
@@ -320,26 +333,6 @@ TestSlidingSums = SlidingSums.TestCase
 TestSlidingSums.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
-def test_sums_left_as_they_were_by_a_reading_without_a_code():
-    """round() raises on an infinite reading; the sums keep their count, so
-    each read raises while the slide would cross it, and the sums are exact
-    again once a recompute no longer reads it."""
-    pipe = Pipe("p", 3, X)
-    for t in range(3):
-        pipe.push(rec(t, 1.0 + t))
-    state = pipe.sums("x", 2)
-    before = held(state, recomputed(pipe, "x", 2, 0, False))
-    pipe.push(rec(3, float("inf")))
-    for _ in range(2):
-        with pytest.raises(OverflowError):
-            pipe.sums("x", 2)
-    assert state.count == 3 and held(state, before) == before
-    for t in range(4, 7):
-        pipe.push(rec(t, 0.5 * t))
-    want = recomputed(pipe, "x", 2, 0, False)
-    assert held(pipe.sums("x", 2), want) == want
-
-
 def test_sums_refuse_a_lag_longer_than_the_window():
     pipe = Pipe("p", 4, X)
     with pytest.raises(ValueError, match="lag 4 longer than the window of 3"):
@@ -350,43 +343,65 @@ def test_sums_refuse_a_lag_longer_than_the_window():
     assert pipe.sums("x", 4, 4).lag == 4
 
 
-def sorted_window(pipe, window):
-    """The readings and absolute first differences WindowOrder must hold."""
-    x = pipe.values("x", window).tolist()
-    return sorted(x), sorted(abs(b - a) for a, b in zip(x, x[1:]))
+def sorted_window(codes):
+    """The codes and absolute first differences WindowOrder must hold."""
+    return sorted(codes), sorted(abs(b - a) for a, b in zip(codes, codes[1:]))
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-def test_order_left_as_it_was_by_a_reading_that_is_not_finite(bad):
-    """bisect has no order over NaN, so the order state refuses a reading
-    that is not finite, as the sums do one without a code: it keeps its
-    count and lists, each read raises while the slide would cross it, and
-    the state is exact again once a rebuild no longer reads it."""
-    pipe = Pipe("p", 3, X)
-    for t in range(3):
-        pipe.push(rec(t, 1.0 + t))
-    state = pipe.order("x", 2)
-    before = (state.values[:], state.diffs[:], state.last)
-    pipe.push(rec(3, bad))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not finite"):
-            pipe.order("x", 2)
-    assert state.count == 3 and (state.values, state.diffs, state.last) == before
-    for t in range(4, 7):
-        pipe.push(rec(t, 0.5 * t))
-    state = pipe.order("x", 2)
-    assert (state.values, state.diffs) == sorted_window(pipe, 2)
-    assert (state.n, state.last) == (2, 3.0)
+SUMS = ("count", "n", "last", "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk")
+
+
+def states(pipe):
+    """Every state a read makes, with what it holds: the order of a and b
+    and sums of b, plain, lagged and timed."""
+    held = {}
+    for window in (2, 3):
+        state = pipe.order("b", window)
+        held["order", window] = (state.count, state.n, state.last, state.values[:], state.diffs[:])
+    for key in (("b", 2, 0, False), ("b", 3, 1, True), ("a", 3, 2, False)):
+        state = pipe.sums(*key)
+        held[key] = {name: getattr(state, name) for name in SUMS}
+    return held
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 1e300])
+def test_push_refuses_a_reading_without_a_code(bad):
+    """A reading with no int64 code, round(v / resolution), is refused at
+    push, naming its channel, before any slot changes: total_pushed, every
+    reading and stamp, and every state read before are as they were, and
+    the states stay exact as pushes go on."""
+    pipe = Pipe("p", 3, AB)
+    for t in range(4):
+        pipe.push(Record(timestamp_ms=t, values={"a": 0.001 * t, "b": 64e-9 * (t % 3)}))
+    before = states(pipe)
+    ring = [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"]
+    refusal = re.escape(f"pipe 'p': reading {bad} on 'b' has no int64 code")
+    with pytest.raises(ValueError, match=refusal):
+        pipe.push(Record(timestamp_ms=9, values={"a": 0.5, "b": bad}))
+    assert pipe.total_pushed == 4
+    assert [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"] == ring
+    assert states(pipe) == before
+    codes = [0, 1, 2, 0]
+    for t, k in enumerate([-5, 7, 7], start=4):
+        pipe.push(Record(timestamp_ms=t, values={"a": 0.25, "b": k * 64e-9}))
+        codes.append(k)
+        for window in (2, 3):
+            state = pipe.order("b", window)
+            assert (state.values, state.diffs) == sorted_window(codes[-window:])
+        for key in (("b", 2, 0, False), ("b", 3, 1, True), ("a", 3, 2, False)):
+            want = recomputed(pipe, *key)
+            assert held(pipe.sums(*key), want) == want
 
 
 def test_order_window_is_capped_at_the_capacity():
     pipe = Pipe("p", 4, X)
-    for t in range(9):
-        pipe.push(rec(t, (-1.0) ** t * t))
+    codes = [(-1) ** t * 10 * t for t in range(9)]  # light's grid is 0.1
+    for t, k in enumerate(codes):
+        pipe.push(rec(t, k * 0.1))
     state = pipe.order("x", 60)
     assert state is pipe.order("x", 4) is pipe.order("x", 5)
-    assert (state.values, state.diffs) == sorted_window(pipe, 4)
-    assert (state.n, state.last) == (4, 8.0)
+    assert (state.values, state.diffs) == sorted_window(codes[-4:])
+    assert (state.n, state.last) == (4, 80)
 
 
 def test_sums_window_is_capped_at_the_capacity():
