@@ -28,7 +28,6 @@ from .channels import (
     Record,
     default_channels,
     quantize_for,
-    validate_record,
 )
 from .config import BenchConfig, ConfigError, load_config, parse_config
 from .detectors import DETECTOR_KINDS, DetectorBank, build_detector
@@ -125,6 +124,5 @@ __all__ = [
     "sweep_responder",
     "synthesize_excitation",
     "tissue_response",
-    "validate_record",
     "write_sweep_csv",
 ]

@@ -1,10 +1,11 @@
 """Channel registry, sample records, acquisition order and quantization.
 
 Every value that enters the system passes through here: channels declare
-their unit, range and device resolution, records carry one quantized
-reading per configured channel.  CHANNEL_SPECS holds one row per kind:
-its device behaviour, its category (biopotential, impedance or environment,
-the order the simulator samples them in) and its default channel name.
+their unit, range and device resolution, and records carry one device code
+per configured channel, encoded once; a reading is its code times the
+resolution.  CHANNEL_SPECS holds one row per kind: its device behaviour, its
+category (biopotential, impedance or environment, the order the simulator
+samples them in) and its default channel name.
 """
 
 from __future__ import annotations
@@ -185,28 +186,53 @@ def quantize_for(channel: ChannelId, raw: float) -> float:
     return spec.encode(raw) * spec.resolution
 
 
+def named_index(what: str, value: object) -> int:
+    """operator.index(value), refusing a float; its TypeError names what."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Record:
-    """One acquisition cycle: millisecond timestamp plus one reading per channel.
+    """One acquisition cycle: a millisecond timestamp and one device code per
+    channel, codes[i] that of channels[i], in the channels' (config) order.
 
-    `values`, keyed by channel name in insertion order, is copied into a
-    read-only view; timestamp_ms goes through operator.index, refusing a float.
+    timestamp_ms and every code go through operator.index, refusing a float,
+    so every reading is on its channel's grid.  values is the readings by
+    name, code * resolution, in a read-only view built on each access.
     """
 
     timestamp_ms: int
-    values: Mapping[str, float] = field(default_factory=dict)
+    codes: tuple[int, ...]
+    channels: tuple[ChannelId, ...]
 
     def __post_init__(self) -> None:
         if type(self.timestamp_ms) is not int:
-            object.__setattr__(self, "timestamp_ms", index(self.timestamp_ms))
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+            stamp = named_index("timestamp_ms", self.timestamp_ms)
+            object.__setattr__(self, "timestamp_ms", stamp)
+        try:
+            object.__setattr__(self, "codes", tuple(map(index, self.codes)))
+        except TypeError:
+            for ch, k in zip(self.channels, self.codes):
+                named_index(f"code on {ch.name!r}", k)
+            raise
+        object.__setattr__(self, "channels", tuple(self.channels))
+        if len(self.codes) != len(self.channels):
+            raise ValueError(f"{len(self.codes)} codes for {len(self.channels)} channels")
+
+    @property
+    def values(self) -> Mapping[str, float]:
+        pairs = zip(self.channels, self.codes)
+        return MappingProxyType({ch.name: k * ch.spec.resolution for ch, k in pairs})
 
 
 def row_values(values: Mapping[str, float], names: Sequence[str]) -> tuple[float, ...]:
     """The readings of values in the order of names, taken by name.
 
-    This is the row rule every reader of records applies: values must hold
-    exactly the reader's names, in any order.  Otherwise ValueError names the
+    This is the rule a store applies to a row of values: they must hold
+    exactly its column names, in any order.  Otherwise ValueError names the
     missing and the extra ones.
     """
     if len(values) == len(names):
@@ -228,17 +254,3 @@ def not_after(where: str, timestamp_ms: int, last_ms: int) -> ValueError:
     """The error for a row whose timestamp is not after the reader's last
     one, the other half of the row rule; where names the reader."""
     return ValueError(f"{where}: timestamp {timestamp_ms} not after {last_ms}")
-
-
-def validate_record(record: Record, channels: Sequence[ChannelId]) -> None:
-    """Check a record against the configured channel set: a reading is valid
-    only if quantize_for leaves it as it is, on its grid and in its range."""
-    readings = row_values(record.values, [ch.name for ch in channels])
-    for ch, value in zip(channels, readings):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite reading on {ch.name!r}: {value}")
-        if quantize_for(ch, value) != value:
-            raise ValueError(
-                f"reading on {ch.name!r} off the grid of {ch.spec.resolution} in range "
-                f"[{ch.spec.lo}, {ch.spec.hi}]: {value}"
-            )

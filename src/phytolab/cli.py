@@ -69,14 +69,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args.config)
     sim = config.build_simulator()
     period_ms, cycles = config.period_ms, config.cycles_in(args.seconds)
-    names = [c.name for c in config.channels]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
-        out.write(csv_header(names))
+        out.write(csv_header(c.name for c in config.channels))
         for i in range(cycles):
             record = sim.record_at(i * period_ms)
-            row = map(record.values.__getitem__, names)
-            out.write(csv_row(record.timestamp_ms, row))
+            out.write(csv_row(record.timestamp_ms, record.values.values()))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .channels import check_unique_names
+from .channels import check_unique_names, named_index
 from .pipes import LONG, MIDDLE, SHORT, Pipe, TieredPipes, WindowSums
 
 # Unbiased sigma estimate from the median absolute deviation for a normal
@@ -331,7 +330,7 @@ class CyclicalDetector(WindowedDetector):
 class TimeIntervalGate:
     """Fires inside [start_ms, end_ms): closed at the start, open at the end.
 
-    Both bounds go through operator.index, as every timestamp does."""
+    Both bounds go through channels.named_index, as every timestamp does."""
 
     id: str
     start_ms: int
@@ -341,7 +340,7 @@ class TimeIntervalGate:
         if not self.id:
             raise ValueError("detector id must be non-empty")
         for name in ("start_ms", "end_ms"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, named_index(name, getattr(self, name)))
         if self.end_ms <= self.start_ms:
             raise ValueError(f"{self.id}: empty interval")
 

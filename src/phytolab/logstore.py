@@ -4,7 +4,8 @@ Records append to a CSV segment until it reaches the segment size, then a new
 segment starts; when the store's total size passes its capacity the oldest
 whole segments are deleted first.  Floats are written with repr, the shortest
 string that round-trips exactly, so a store written twice from the same data
-is byte-identical and reading it back loses nothing.
+is byte-identical and reading it back (as Row, the floats by column name:
+a store knows no channel kinds) loses nothing.
 
 Reports are single-file HTML with inline SVG, their names and titles escaped,
 written to a temp file and moved into place so a half-written report is
@@ -15,14 +16,14 @@ from __future__ import annotations
 
 import html
 import math
-import operator
 import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .channels import Record, check_unique_names, not_after, row_values
+from .channels import ChannelId, Record, check_unique_names, named_index, not_after, row_values
 
 SEGMENT_BYTES = 2**20  # 1 MiB per segment
 CAPACITY_BYTES = 2**29  # 512 MiB per store
@@ -120,14 +121,16 @@ class LogStore:
     bytes cut), and takes the newest row's timestamp from the end of the
     files, so a reopened store refuses what it would have refused before.
 
-    append(record) writes the cells append_row would, through one memo per
-    column from value to text: a device's readings repeat (a bench_loop
-    episode writes about 1,150 distinct values on each biopotential column,
-    at most 62 on any other), so most cells skip repr.  Equal values other
-    than zeros have equal texts.  A memo is cleared when it holds 4,096
-    values, so the memos of 16 columns stay within about 8 MiB.  append_row,
-    which the vector store and other rows of fresh values take, writes
-    csv_cells directly: every cell would miss there.
+    append(record) writes the cells append_row(record.timestamp_ms,
+    record.values) would, through one memo per column from code to text,
+    repr(code * resolution): a device's codes repeat (a bench_loop episode
+    writes about 1,150 distinct codes on each biopotential column, at most 62
+    on any other), so most cells skip repr.  The record's channels must carry
+    the column names in order; the memos hold the texts of the channels they
+    were filled for.  A memo is cleared when it holds 4,096 codes, so the
+    memos of 16 columns stay within about 8 MiB.  append_row, which the
+    vector store and other rows of fresh values take, writes csv_cells
+    directly: every cell would miss there.
     """
 
     def __init__(
@@ -156,7 +159,8 @@ class LogStore:
         self._active_bytes = 0
         self._torn_bytes = 0
         self._last_ms: int | None = None
-        self._memos: tuple[dict[float, str], ...] = tuple({} for _ in self.columns)
+        self._channels: tuple[ChannelId, ...] = ()  # those the memos hold texts for
+        self._memos: tuple[dict[int, str], ...] = ()
         self._resume()
 
     # -- segment management
@@ -216,39 +220,32 @@ class LogStore:
 
     def append(self, record: Record) -> None:
         """append_row of the record, each cell's text read from its column's
-        memo of the values it wrote last (see the class docstring)."""
-        self._write(record.timestamp_ms, record.values, self._memo_cells)
+        memo by code (see the class docstring)."""
+        channels = record.channels
+        if channels is not self._channels and channels != self._channels:
+            if (names := [ch.name for ch in channels]) != list(self.columns):
+                raise ValueError(f"record channels {names} differ from {list(self.columns)}")
+            self._channels, self._memos = channels, tuple({} for _ in channels)
+        cells = []
+        for k, memo, ch in zip(record.codes, self._memos, channels):
+            text = memo.get(k)
+            if text is None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                text = memo[k] = repr(k * ch.spec.resolution)
+            cells.append(text)
+        self._write(record.timestamp_ms, ",".join(cells))
 
     def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
-        self._write(timestamp_ms, values, csv_cells)
+        self._write(timestamp_ms, csv_cells(row_values(values, self.columns)))
 
-    def _memo_cells(self, values: Sequence[float]) -> str:
-        """csv_cells(values), each text looked up by value in its column's
-        memo; a zero is never kept, since -0.0 == 0.0 and their texts differ."""
-        cells = []
-        for v, memo in zip(values, self._memos):
-            text = memo.get(v)
-            if text is None:
-                text = repr(float(v))
-                if v:
-                    if len(memo) >= _MEMO_ENTRIES:
-                        memo.clear()
-                    memo[v] = text
-            cells.append(text)
-        return ",".join(cells)
-
-    def _write(
-        self,
-        timestamp_ms: int,
-        values: Mapping[str, float],
-        cells: Callable[[Sequence[float]], str],
-    ) -> None:
+    def _write(self, timestamp_ms: int, cells: str) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
-        timestamp_ms = operator.index(timestamp_ms)  # a float is refused, not cut
+        timestamp_ms = named_index("timestamp_ms", timestamp_ms)  # refused, not cut
         if self._last_ms is not None and timestamp_ms <= self._last_ms:
             raise not_after(f"store at {self.root}", timestamp_ms, self._last_ms)
-        line = f"{timestamp_ms},{cells(row_values(values, self.columns))}\n"
+        line = f"{timestamp_ms},{cells}\n"
         self._fh.write(line)
         self._last_ms = timestamp_ms
         # an int and repr(float) cells: ASCII, one byte per character
@@ -289,7 +286,14 @@ class LogStore:
         return self._torn_bytes
 
 
-def iter_store(root: str | Path) -> Iterator[Record]:
+class Row(NamedTuple):
+    """A stored row: its timestamp and its readings by column name, read-only."""
+
+    timestamp_ms: int
+    values: Mapping[str, float]
+
+
+def iter_store(root: str | Path) -> Iterator[Row]:
     """Read a store back, oldest segment first, exact float round-trip."""
     root = Path(root)
     for _, path in _scan_segments(root):
@@ -302,10 +306,8 @@ def iter_store(root: str | Path) -> Iterator[Record]:
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != len(names) + 1:
                     raise ValueError(f"malformed row in {path}: {line!r}")
-                yield Record(
-                    timestamp_ms=int(cells[0]),
-                    values={n: float(v) for n, v in zip(names, cells[1:])},
-                )
+                values = dict(zip(names, map(float, cells[1:])))
+                yield Row(int(cells[0]), MappingProxyType(values))
 
 
 def count_rows(root: str | Path) -> int:
@@ -323,11 +325,11 @@ def count_rows(root: str | Path) -> int:
 
 def replay(
     root: str | Path,
-    on_record: Callable[[Record], None],
+    on_record: Callable[[Row], None],
     speed: float = 0.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> int:
-    """Re-deliver stored records in order; returns the count delivered.
+    """Re-deliver stored rows in order; returns the count delivered.
 
     speed > 0 paces delivery at that multiple of recorded time (1.0 is real
     time); speed 0 delivers as fast as possible; NaN or inf raises ValueError.

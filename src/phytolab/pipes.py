@@ -7,12 +7,11 @@ the long tier one per hour, without any averaging or resampling.  Detectors
 read the state of fixed-length windows kept by whichever tier matches their
 time scale.
 
-Readings sit on their channel's device grid, v = k * resolution, and a tier
-stores each as its integer code k = round(v / resolution); k * resolution
-gives v back exactly while |k| < 2**51, as ChannelSpec checks of every
-range, and a reading off the grid reads back as its code's grid point.  A
-reading with no int64 code (NaN, an infinity, or a code of 2**63 or more in
-size) is refused at push, before any slot changes.  The codes are stored
+A record carries its readings as device codes, k with v = k * resolution,
+and a tier stores those codes as they are, with no division or rounding;
+k * resolution gives v back exactly while |k| < 2**51, as ChannelSpec checks
+of every range.  A record on other channels, or with a code of 2**63 or more
+in size, is refused at push, before any slot changes.  The codes are stored
 column-wise: one int64 row per channel and one int64 timestamp row, every
 sample written twice, at its ring slot and again one ring length further on.
 The last n samples, for any n up to the ring length, are then one contiguous
@@ -44,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelId, ChannelSpec, Record, not_after, row_values
+from .channels import ChannelId, ChannelSpec, Record, not_after
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
 MAX_CAPACITY = 2**16  # 17 MiB for 16 channels; a longer window reads a slower tier
@@ -216,11 +215,10 @@ class Pipe:
     counts every record ever pushed, not just the retained ones.
 
     The channels, given at construction, fix the columns, their order and
-    each one's grid (its spec).  A record must hold exactly those names, in any
-    order, and is read by name (channels.row_values).  A record that breaks
-    that rule, whose timestamp is not after the newest one's, or that holds a
-    reading with no int64 code, round(v / resolution), is refused and changes
-    nothing.  Sample j's codes land in slot i = j mod (capacity + 1) of a
+    each one's grid (its spec).  A record must carry equal channels in the
+    same order; one that does not, whose timestamp is not after the newest
+    one's, or that holds a code past int64 is refused and changes nothing.
+    Sample j's codes land in slot i = j mod (capacity + 1) of a
     (channels, 2 * (capacity + 1)) int64 array, and its timestamp in an
     array as long, at i and again at i + capacity + 1, so the retained
     samples, and the one evicted last, always sit oldest first before end,
@@ -237,10 +235,8 @@ class Pipe:
         self.name = name
         self.capacity = capacity
         self.total_pushed = 0
-        self._names = tuple(ch.name for ch in channels)
+        self._channels = tuple(channels)
         self._rows = {ch.name: row for row, ch in enumerate(channels)}
-        self._specs = tuple(ch.spec for ch in channels)
-        self._resolutions = tuple(spec.resolution for spec in self._specs)
         self._ring = capacity + 1
         self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.int64)
         self._ts = np.zeros(2 * self._ring, dtype=np.int64)
@@ -253,18 +249,17 @@ class Pipe:
             raise not_after(
                 f"pipe {self.name!r}", record.timestamp_ms, self._ts[self._end - 1]
             )
-        names, resolutions = self._names, self._resolutions
-        readings = row_values(record.values, names)
-        try:
-            column = np.array([round(v / r) for v, r in zip(readings, resolutions)], np.int64)
-        except (OverflowError, ValueError):  # round of inf or NaN, or past int64
-            name, v = next(
-                (name, v) for name, v, r in zip(names, readings, resolutions)
-                if not -(2.0**63) <= v / r < 2.0**63
-            )
+        channels = self._channels
+        if record.channels is not channels and record.channels != channels:
             raise ValueError(
-                f"pipe {self.name!r}: reading {v} on {name!r} has no int64 code"
-            ) from None
+                f"pipe {self.name!r}: record channels {list(record.channels)} "
+                f"differ from channels {list(channels)}"
+            )
+        try:
+            column = np.array(record.codes, np.int64)
+        except OverflowError:
+            big = [c.name for c, k in zip(channels, record.codes) if not -2**63 <= k < 2**63]
+            raise ValueError(f"pipe {self.name!r}: codes on {big} past int64") from None
         ring = self._ring
         i = self._end % ring
         self._data[:, i] = self._data[:, i + ring] = column
@@ -281,7 +276,7 @@ class Pipe:
         size = len(self)
         k = size if n is None or n > size else n
         row = self._rows[channel]
-        return self._data[row, self._end - k : self._end] * self._resolutions[row]
+        return self._data[row, self._end - k : self._end] * self._channels[row].spec.resolution
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
         size = len(self)
@@ -297,7 +292,7 @@ class Pipe:
         state = self._sums.get((channel, window, lag, timed))
         if state is None:
             row = self._rows[channel]
-            state = WindowSums(window, lag, timed, self._data[row], self._specs[row])
+            state = WindowSums(window, lag, timed, self._data[row], self._channels[row].spec)
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
             state.advance(self.total_pushed, self._end, self._ring, self._ts)

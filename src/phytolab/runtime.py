@@ -184,13 +184,9 @@ class Runtime:
         # memory; the picking pass parses, and so checks, every row
         stride = max(1, count_rows(root) // REPORT_MAX_POINTS)
         picked = list(itertools.islice(iter_store(root), 0, None, stride))
-        series = []
-        if picked:
-            ts = [r.timestamp_ms for r in picked]
-            for chan in self.config.channels:
-                series.append(
-                    (chan.name, ts, [r.values[chan.name] for r in picked])
-                )
+        ts = [r.timestamp_ms for r in picked]
+        names = [chan.name for chan in self.config.channels] if picked else []
+        series = [(name, ts, [r.values[name] for r in picked]) for name in names]
         out = self.out_dir / filename
         title = (
             f"bench run: {self._cycles} cycles, {self.fired_total} actuations"

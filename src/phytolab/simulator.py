@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -24,7 +23,7 @@ from .channels import (
     Record,
     check_unique_names,
     default_channels,
-    quantize_for,
+    named_index,
 )
 
 
@@ -160,7 +159,7 @@ class Event:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "at_ms", operator.index(self.at_ms))
+        object.__setattr__(self, "at_ms", named_index("at_ms", self.at_ms))
         if self.at_ms < 0:
             raise ValueError(f"event time must be non-negative, got {self.at_ms}")
         if not 0 < self.scale < math.inf:
@@ -276,9 +275,9 @@ class PlantSimulator:
     in two lists sorted by time (touch/wound, electrical), and a reading
     visits only the events whose kernel can still be non-zero at t_ms, so its
     cost does not grow with the number of expired events.  The hold is one
-    slot state: entering a slot measures and quantizes every impedance
+    slot state: entering a slot measures and encodes every impedance
     channel, unless impedance_noise_rms_v == 0 and the slot's cell is the
-    one held, and every other cycle of the slot copies the held readings.
+    one held, and every other cycle of the slot copies the held codes.
 
     Electrical stimulation events close the actuation loop: each one scales
     the cell's parallel resistance by (1 - 0.1 * intensity) for
@@ -305,7 +304,7 @@ class PlantSimulator:
         # the channel plan: one list per category, each entry carrying the
         # channel's position in the noise vector (its stream)
         self._bio: list[tuple[ChannelId, int]] = []
-        self._imp: list[ChannelId] = []
+        self._imp: list[tuple[ChannelId, int]] = []
         self._env: list[tuple[ChannelId, int, float, float, str]] = []
         noise_rms = []
         for i, ch in enumerate(self.channels):
@@ -313,7 +312,7 @@ class PlantSimulator:
                 self._bio.append((ch, i))
                 noise_rms.append(p.bio_noise_rms_v)
             elif ch.category is ChannelCategory.IMPEDANCE:
-                self._imp.append(ch)
+                self._imp.append((ch, i))
                 noise_rms.append(0.0)
             else:
                 rms, offset, coefficient, basis = _ENV_MODEL[ch.kind]
@@ -330,10 +329,10 @@ class PlantSimulator:
         # each an (at_ms list, event list) pair sorted by at_ms, for _window
         self._bio_events: tuple[list[int], list[Event]] = ([], [])
         self._electrical_events: tuple[list[int], list[Event]] = ([], [])
-        # the held slot, its cell and its quantized impedance readings by name
+        # the held slot, its cell and its impedance (position, code) pairs
         self._held_slot: int | None = None
         self._held_cell: TissueModel | None = None
-        self._held: dict[str, float] = {}
+        self._held: tuple[tuple[int, int], ...] = ()
         self._excitation = fra.synthesize_excitation(
             p.excitation_hz, p.excitation_amplitude_v,
             p.excitation_samples, p.excitation_rate_hz,
@@ -369,7 +368,7 @@ class PlantSimulator:
     # -- reading generation ---------------------------------------------------
 
     def record_at(self, t_ms: int) -> Record:
-        """One full acquisition cycle at absolute time t_ms, quantized.
+        """One full acquisition cycle at absolute time t_ms, in config order.
 
         Channels are sampled biopotential -> impedance -> environment no
         matter how they were configured, so the voltage readings never sit
@@ -378,24 +377,25 @@ class PlantSimulator:
         t_ms = int(t_ms)
         z = self._reading_noise.at(t_ms).standard_normal(len(self.channels))
         noise = (z * self._noise_rms).tolist()
-        values: dict[str, float] = {}
+        codes = [0] * len(self.channels)
         blanked = self._blanked(t_ms)
         for ch, i in self._bio:
             if blanked:
                 raw = self.params.bio_baseline_v
             else:
                 raw = self._bio_clean(ch.name, t_ms) + noise[i]
-            values[ch.name] = quantize_for(ch, raw)
+            codes[i] = ch.spec.encode(raw)
         slot = self._slot(t_ms)
         if slot != self._held_slot:
             self._hold(slot)
-        values.update(self._held)
+        for i, k in self._held:
+            codes[i] = k
         if self._env:
             bases = self._env_bases(t_ms)
             for ch, i, offset, coefficient, basis in self._env:
                 raw = offset + coefficient * bases[basis] + noise[i]
-                values[ch.name] = quantize_for(ch, raw)
-        return Record(timestamp_ms=t_ms, values=values)
+                codes[i] = ch.spec.encode(raw)
+        return Record(t_ms, codes, self.channels)
 
     def expected_value(self, name: str, t_ms: int) -> float:
         """Noiseless, unquantized reading: the oracle for record_at."""
@@ -451,13 +451,13 @@ class PlantSimulator:
 
     def _hold(self, slot_ms: int) -> None:
         """Enter slot_ms: measure every impedance channel, or keep the held
-        readings when they are noise-free and the cell has not changed."""
+        codes when they are noise-free and the cell has not changed."""
         cell = self._cell_at(slot_ms)
         if self.params.impedance_noise_rms_v != 0.0 or cell != self._held_cell:
-            self._held = {
-                ch.name: quantize_for(ch, self._measure_impedance(ch.name, slot_ms, cell))
-                for ch in self._imp
-            }
+            self._held = tuple(
+                (i, ch.spec.encode(self._measure_impedance(ch.name, slot_ms, cell)))
+                for ch, i in self._imp
+            )
         self._held_slot, self._held_cell = slot_ms, cell
 
     def _cell_at(self, slot_ms: int) -> TissueModel:

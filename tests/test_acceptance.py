@@ -132,9 +132,10 @@ def test_criterion_04_scope_mode_resolves_ten_percent_third_harmonic():
 
 
 def test_criterion_05_tier_cadence_over_one_day():
-    tiers = TieredPipes([ChannelId("x", ChannelKind.LIGHT)])
+    x = (ChannelId("x", ChannelKind.LIGHT),)
+    tiers = TieredPipes(x)
     for i in range(86400):
-        tiers.push(Record(timestamp_ms=i * 1000, values={"x": float(i)}))
+        tiers.push(Record(i * 1000, (10 * i,), x))  # i lux on the 0.1 lux grid
 
     def spacing(pipe):
         ts = pipe.timestamps_ms()

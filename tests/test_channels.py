@@ -160,79 +160,73 @@ def test_huge_finite_readings_clamp_in_quantize_for_and_raise_in_quantize(raw):
         ch.ChannelSpec("V", min(raw, 0.0), max(raw, 0.0), BIO.spec.resolution)
 
 
-def test_validate_record_schema_and_range():
+def test_record_holds_one_code_per_channel():
     chans = (
         ch.ChannelId("bio1", ch.ChannelKind.BIOPOTENTIAL_1),
         ch.ChannelId("leaf_temp", ch.ChannelKind.EXTERNAL_TEMPERATURE),
     )
-    on_grid = [ch.quantize_for(c, v) for c, v in zip(chans, (0.25, 21.5))]
-    good = ch.Record(timestamp_ms=1000, values=dict(zip(["bio1", "leaf_temp"], on_grid)))
-    ch.validate_record(good, chans)
-    temp = on_grid[1]
-
-    with pytest.raises(ValueError, match="missing"):
-        ch.validate_record(ch.Record(1000, {"bio1": 0.25}), chans)
-    with pytest.raises(ValueError, match="extra"):
-        ch.validate_record(
-            ch.Record(1000, {"bio1": 0.25, "leaf_temp": temp, "ghost": 1.0}), chans
-        )
-    with pytest.raises(ValueError, match="range"):
-        ch.validate_record(
-            ch.Record(1000, {"bio1": 1.5, "leaf_temp": temp}), chans
-        )
-    # NaN is inside no range, and is refused before the range is read
-    with pytest.raises(ValueError, match="non-finite reading on 'bio1': nan"):
-        ch.validate_record(
-            ch.Record(1000, {"bio1": math.nan, "leaf_temp": temp}), chans
-        )
+    codes = [c.spec.encode(v) for c, v in zip(chans, (0.25, 21.5))]
+    good = ch.Record(1000, codes, list(chans))
+    assert (good.codes, good.channels) == (tuple(codes), chans)
+    assert dict(good.values) == {
+        c.name: ch.quantize_for(c, v) for c, v in zip(chans, (0.25, 21.5))
+    }
+    with pytest.raises(ValueError, match="1 codes for 2 channels"):
+        ch.Record(1000, codes[:1], chans)
+    with pytest.raises(ValueError, match="3 codes for 2 channels"):
+        ch.Record(1000, [*codes, 7], chans)
+    # a float code would be off the grid: refused, naming its channel
+    with pytest.raises(TypeError, match="^code on 'leaf_temp' must be an integer, got 2.5$"):
+        ch.Record(1000, [codes[0], 2.5], chans)
+    assert type(ch.Record(1000, [np.int64(3), True], chans).codes[0]) is int
     with pytest.raises(ValueError, match="channel name must be non-empty"):
         ch.ChannelId("", ch.ChannelKind.BIOPOTENTIAL_1)
 
 
 @pytest.mark.parametrize("value", [-0.1, 0.05, 2e5 + 0.1, 21.5 + 0.1 / 3])
-def test_validate_record_refuses_what_quantize_for_would_change(value):
+def test_a_record_reads_what_quantize_for_leaves_as_it_is(value):
     # light reads 0 .. 2e5 lux in steps of 0.1: -0.1 is below the range and
-    # 0.05 between two steps, though within one step of the range
+    # 0.05 between two steps, though within one step of the range; a record
+    # of light's code reads the grid point quantize_for gives
     light = ch.ChannelId("light", ch.ChannelKind.LIGHT)
-    assert ch.quantize_for(light, value) != value
-    with pytest.raises(ValueError, match=r"reading on 'light' off the grid .* range"):
-        ch.validate_record(ch.Record(1000, {"light": value}), [light])
-    ch.validate_record(ch.Record(1000, {"light": ch.quantize_for(light, value)}), [light])
+    got = ch.Record(1000, [light.spec.encode(value)], [light]).values["light"]
+    assert got == ch.quantize_for(light, value) != value
+    assert ch.quantize_for(light, got) == got
 
 
 def test_record_is_immutable():
-    rec = ch.Record(timestamp_ms=5, values={"a": 1.0})
+    a = ch.ChannelId("a", ch.ChannelKind.LIGHT)
+    rec = ch.Record(5, [10], [a])
     with pytest.raises(TypeError):
         rec.values["a"] = 2.0  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        rec.codes = (20,)  # type: ignore[misc]
+    assert rec.values == {"a": 1.0}
 
 
 def test_record_rejects_non_integer_timestamp():
-    with pytest.raises(TypeError):
-        ch.Record(timestamp_ms=1.5, values={})  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="^timestamp_ms must be an integer, got 1.5$"):
+        ch.Record(1.5, (), ())  # type: ignore[arg-type]
 
 
 @pytest.mark.parametrize("stamp", [1000.0, math.inf, math.nan])
 def test_record_timestamp_is_an_integer_by_the_store_rule(stamp):
     # the rule LogStore.append_row applies: operator.index
     with pytest.raises(TypeError):
-        ch.Record(timestamp_ms=stamp, values={})
-    rec = ch.Record(timestamp_ms=np.int64(1000), values={})
+        ch.Record(stamp, (), ())
+    rec = ch.Record(np.int64(1000), (), ())
     assert type(rec.timestamp_ms) is int and rec.timestamp_ms == 1000
 
 
 def test_schedule_orders_biopotential_before_impedance_before_environment():
+    # the simulator samples biopotential, then impedance, then environment
+    # channels (test_simulator checks that), and its record holds them in
+    # config order, as a store reads them back
     chans = tuple(reversed(ch.default_channels()))
     rec = PlantSimulator(channels=chans, seed=0).record_at(0)
-    category = {c.name: c.category for c in chans}
-    cats = [category[name] for name in rec.values]
-    first_imp = cats.index(ch.ChannelCategory.IMPEDANCE)
-    assert all(c is ch.ChannelCategory.BIOPOTENTIAL for c in cats[:first_imp])
-    first_env = cats.index(ch.ChannelCategory.ENVIRONMENT)
-    assert all(c is not ch.ChannelCategory.ENVIRONMENT for c in cats[:first_env])
-    # within a category the configured order stands
-    assert list(rec.values) == [
-        c.name for cat in ch.ChannelCategory for c in chans if c.category is cat
-    ]
+    assert rec.channels == chans
+    assert list(rec.values) == [c.name for c in chans]
+    assert [c.category for c in chans][0] is ch.ChannelCategory.ENVIRONMENT
 
 
 @pytest.mark.parametrize(

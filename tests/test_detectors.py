@@ -42,8 +42,10 @@ X = (ChannelId("x", ChannelKind.SAP_FLOW),)
 RES = X[0].spec.resolution
 
 
-def snap(value, res):
-    return res * round(value / res)  # on the grid of step res, in no range
+def x_record(t, value, channel=X[0]):
+    """A record of the one channel x holding the code of value's nearest
+    grid point, round(value / resolution), in no range."""
+    return Record(t, (round(value / channel.spec.resolution),), (channel,))
 
 
 def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
@@ -54,7 +56,7 @@ def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
     if timestamps_ms is None:
         timestamps_ms = [i * period_ms for i in range(len(values))]
     for t, v in zip(timestamps_ms, values):
-        tiers.push(Record(timestamp_ms=t, values={"x": snap(v, channel.spec.resolution)}))
+        tiers.push(x_record(t, v, channel))
     return tiers
 
 
@@ -301,6 +303,15 @@ def test_time_interval_gate_refuses_bounds_that_are_not_integers(start_ms, end_m
     assert type(gate.start_ms) is int and gate.evaluate(None, 4) == FIRED
 
 
+@pytest.mark.parametrize("field", ["start_ms", "end_ms"])
+def test_a_time_interval_refusal_names_its_bound(field):
+    bounds = dict(start_ms=0, end_ms=5) | {field: 0.5}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got 0.5$"):
+        TimeIntervalGate(id="t", **bounds)
+    with pytest.raises(ValueError, match=f"'time_interval': {field} must be an integer"):
+        build_detector("time_interval", id="t", **bounds)
+
+
 def test_time_of_day_gate_wraps_midnight():
     gate = TimeOfDayGate(id="t", start_hour=22.0, end_hour=6.0)
 
@@ -447,7 +458,7 @@ class CountingGate:
 
 
 def push_cycle(tiers, t, value):
-    tiers.push(Record(timestamp_ms=t, values={"x": snap(value, RES)}))
+    tiers.push(x_record(t, value))
 
 
 def test_bank_recomputes_a_windowed_detector_only_when_its_tier_moves():
@@ -730,9 +741,9 @@ def same_bits(a, b):
     return float(a).hex() == float(b).hex()
 
 
-def grid_push(tiers, stamps, readings):
-    for t, v in zip(stamps, readings):
-        tiers.push(Record(timestamp_ms=t, values={"x": v}))
+def grid_push(tiers, stamps, codes, channel=X[0]):
+    for t, k in zip(stamps, codes):
+        tiers.push(Record(t, (k,), (channel,)))
 
 
 @given(x=float_windows(min_size=3), lead=st.lists(window_values, max_size=10))
@@ -742,8 +753,8 @@ def test_measure_writes_nothing_in_the_pipe(x, lead):
     keeps its bits."""
     n = len(x)
     tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
-    readings = [snap(v, RES) for v in lead + x.tolist()]
-    grid_push(tiers, [i * 1000 for i in range(len(readings))], readings)
+    codes = [round(v / RES) for v in lead + x.tolist()]
+    grid_push(tiers, [i * 1000 for i in range(len(codes))], codes)
     pipe = tiers.short
     required = {"gradient": {"per_hour": 1.0}, "cyclical": {"lag": 1}}
     for kind, cls in DETECTOR_KINDS.items():
@@ -817,9 +828,9 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
     sigma 5."""
     n = len(x)
     tiers = TieredPipes(X, layout=TierLayout(short_capacity=n))
-    readings = [snap(v, RES) for v in lead + x.tolist()]
-    grid_push(tiers, np.cumsum(gaps[: len(readings)]).tolist(), readings)
-    peak2, scale2 = exact_peak([round(v / RES) * Fraction(RES) for v in readings[-n:]])
+    codes = [round(v / RES) for v in lead + x.tolist()]
+    grid_push(tiers, np.cumsum(gaps[: len(codes)]).tolist(), codes)
+    peak2, scale2 = exact_peak([k * Fraction(RES) for k in codes[-n:]])
     now = int(tiers.short.timestamps_ms(1)[0])
     common = dict(channel="x", tier="short", window=n, min_samples=2)
 
@@ -836,13 +847,17 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
 
 def test_peak_refuses_a_window_holding_a_reading_that_is_not_finite():
     """A NaN or infinite reading has no code, so it never reaches a window:
-    the tiers refuse it at push, and the peak reads the window as it was."""
+    encode refuses it, the tiers refuse a code past int64 at push, and the
+    peak reads the window as it was."""
     det = PeakDetector(id="p", channel="x", window=60)
     want = det.evaluate(pipe_of(det, feed(PEAK_BASE)), 11_000)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            X[0].spec.encode(bad)
+    for bad in (2**63, -(2**63) - 1):
         tiers = feed(PEAK_BASE)
-        with pytest.raises(ValueError, match="'x' has no int64 code"):
-            tiers.push(Record(timestamp_ms=99_000, values={"x": bad}))
+        with pytest.raises(ValueError, match=r"codes on \['x'\] past int64"):
+            tiers.push(Record(99_000, (bad,), X))
         assert det.evaluate(pipe_of(det, tiers), 99_000) == want == QUIET
 
 
@@ -872,8 +887,7 @@ class PeakOracle(RuleBasedStateMachine):
 
     def _push(self, k):
         self.codes.append(k)
-        values = {"x": k * BIO_SPEC.resolution}
-        self.pipe.push(Record(timestamp_ms=len(self.codes), values=values))
+        self.pipe.push(Record(len(self.codes), (k,), BIO))
 
     @rule(k=PEAK_CODES)
     def push(self, k):
@@ -965,7 +979,7 @@ def test_windowed_statistics_are_exact(case, t0, gaps, data):
     n = len(codes)
     tiers = TieredPipes([channel], TierLayout(short_capacity=n))
     stamps = [t0 + t for t in np.cumsum(gaps[: len(lead) + n]).tolist()]
-    grid_push(tiers, stamps, [k * res for k in lead + codes])
+    grid_push(tiers, stamps, lead + codes, channel)
     now, t_ms = stamps[-1], stamps[-n:]
     x = [k * Fraction(res) for k in codes]
     common = dict(channel="x", tier="short", window=n, min_samples=2)

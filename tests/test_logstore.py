@@ -1,6 +1,7 @@
 """Store round-trip, segmentation, eviction, replay and report tests."""
 
 import math
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phytolab.channels import Record
+from phytolab.channels import ChannelId, ChannelKind, Record
 from phytolab import logstore
 from phytolab.logstore import (
     LogStore,
@@ -188,56 +189,83 @@ def test_reopen_takes_the_newest_row_and_cuts_only_a_torn_tail(width, stamps, to
         assert [r.timestamp_ms for r in iter_store(root)] == stamps
 
 
-# cells whose texts a value memo could confuse: both zeros, NaNs, infinities,
-# subnormals, numpy scalars, and ints and bools equal to floats
-CELLS = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-         2.2250738585072014e-308, 1.0, 0, 1, True, False, np.float64(-0.0)]
-    ),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.integers(-(2**60), 2**60),
-    st.booleans(),
-)
+# one channel of every kind, so every grid; a store holds what encode gives
+KINDS = tuple(ChannelId(kind.value, kind) for kind in ChannelKind)
 
 
-@given(
-    pool=st.lists(CELLS, min_size=1, max_size=8),
-    picks=st.lists(st.lists(st.integers(0, 7), min_size=3, max_size=3), max_size=40),
-    bound=st.sampled_from([1, 2, 3, logstore._MEMO_ENTRIES]),
-)
-@example(pool=[0.0, -0.0], picks=[[0, 1, 0], [1, 0, 1], [0, 0, 1]], bound=4096)
-@example(pool=[-0.0, 0.0, 0, False], picks=[[0, 1, 2], [3, 2, 1], [1, 0, 3]], bound=2)
+@st.composite
+def code_rows(draw):
+    """Rows of one code per kind, each column's codes drawn from a small
+    pool, so they repeat in a column: the range ends, 0 where the range
+    holds it, codes near both ends and any code in the range."""
+    pools = []
+    for ch in KINDS:
+        lo, hi = ch.spec.code_lo, ch.spec.code_hi
+        code = st.one_of(
+            st.sampled_from([k for k in (lo, hi, 0) if lo <= k <= hi]),
+            st.integers(lo, lo + 3),
+            st.integers(hi - 3, hi),
+            st.integers(lo, hi),
+        )
+        pools.append(draw(st.lists(code, min_size=1, max_size=4)))
+    picks = draw(st.lists(st.lists(st.integers(0, 3), min_size=16, max_size=16), max_size=30))
+    return [tuple(pool[i % len(pool)] for pool, i in zip(pools, row)) for row in picks]
+
+
+ENDS = [tuple(ch.spec.code_lo for ch in KINDS), tuple(ch.spec.code_hi for ch in KINDS)]
+
+
+@given(rows=code_rows(), bound=st.sampled_from([1, 2, 3, logstore._MEMO_ENTRIES]))
+@example(rows=ENDS + ENDS[::-1] + [tuple(max(0, ch.spec.code_lo) for ch in KINDS)], bound=1)
 @settings(max_examples=100, deadline=None)
-def test_append_writes_the_bytes_append_row_writes(pool, picks, bound):
-    """Rows drawn from a small pool, so values repeat in a column and across
-    columns: append(record) and append_row(ts, record.values) write the same
-    bytes, also with the memo bound lowered so that memos fill and clear,
-    and no column's memo ever holds more values than its bound."""
-    columns = ["a", "b", "c"]
+def test_append_writes_the_bytes_append_row_writes(rows, bound):
+    """Code records of every channel kind, codes repeating in a column:
+    append(record) and append_row(ts, record.values) write the same bytes,
+    also with the memo bound lowered so that memos fill and clear, and no
+    column's memo ever holds more codes than its bound.  Every cell that
+    iter_store reads back encodes to the code appended."""
+    columns = [ch.name for ch in KINDS]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(logstore, "_MEMO_ENTRIES", bound):
         memo = LogStore(Path(tmp) / "memo", columns)
         plain = LogStore(Path(tmp) / "plain", columns)
         with memo, plain:
-            for t, row in enumerate(picks):
-                record = Record(t, {c: pool[i % len(pool)] for c, i in zip(columns, row)})
+            for t, codes in enumerate(rows):
+                record = Record(t, codes, KINDS)
                 memo.append(record)
                 plain.append_row(t, record.values)
                 assert max(len(m) for m in memo._memos) <= bound
         (got,), (want,) = memo.segments(), plain.segments()
         assert got.read_bytes() == want.read_bytes()
+        stored = list(iter_store(memo.root))
+    assert [row.timestamp_ms for row in stored] == list(range(len(rows)))
+    for row, codes in zip(stored, rows):
+        assert tuple(ch.spec.encode(row.values[ch.name]) for ch in KINDS) == codes
 
 
 def test_append_validates_schema_and_state(tmp_path):
     store = LogStore(tmp_path / "s", columns=["x", "y"])
+    x, y, z = (ChannelId(name, ChannelKind.LIGHT) for name in "xyz")
+    with pytest.raises(ValueError, match=re.escape("record channels ['x'] differ from ['x', 'y']")):
+        store.append(Record(0, [10], [x]))
+    # codes are in their channels' order, so a reordered record is refused
+    for chans in ((x, z), (y, x), (x, y, z)):
+        with pytest.raises(ValueError, match="differ from"):
+            store.append(Record(0, [10] * len(chans), chans))
     with pytest.raises(ValueError, match="values"):
-        store.append(Record(0, {"x": 1.0}))
+        store.append_row(0, {"x": 1.0})
     with pytest.raises(ValueError, match="missing column"):
-        store.append(Record(0, {"x": 1.0, "z": 2.0}))
+        store.append_row(0, {"x": 1.0, "z": 2.0})
+    store.append(Record(0, [10, 20], (x, y)))
+    # the same names on another grid: the memos start over
+    store.append(Record(1, [10, 20], (ChannelId("x", ChannelKind.SOIL_MOISTURE), y)))
+    store.append(Record(2, [10, 20], [x, y]))
     store.close()
+    rows = "0,1.0,2.0\n1,0.1,2.0\n2,1.0,2.0\n"
+    assert store.segments()[0].read_text() == "timestamp_ms,x,y\n" + rows
     with pytest.raises(ValueError, match="closed"):
-        store.append_row(0, {"x": 1.0, "y": 2.0})
+        store.append_row(3, {"x": 1.0, "y": 2.0})
+    with pytest.raises(ValueError, match="closed"):
+        store.append(Record(3, [10, 20], (x, y)))
 
 
 @pytest.mark.parametrize("stamp", [100.9, 1000.0, math.inf, math.nan])

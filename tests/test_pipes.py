@@ -17,7 +17,9 @@ AB = (ChannelId("a", ChannelKind.IMPEDANCE_1), ChannelId("b", ChannelKind.BIOPOT
 
 
 def rec(t_s, v=0.0):
-    return Record(timestamp_ms=t_s * 1000, values={"x": v})
+    """A record of X holding the code of v's nearest 0.1 lux grid point,
+    round(v / resolution), in no range."""
+    return Record(t_s * 1000, (round(v / X[0].spec.resolution),), X)
 
 
 def test_pipe_capacity_and_eviction_order():
@@ -130,31 +132,45 @@ def test_counts_match_integer_division(n):
     assert len(tiers.long) == min(n // 50, 3)
 
 
+C = ChannelId("c", ChannelKind.LIGHT)
+OTHERS = (AB[:1], (AB[0], C), (*AB, C))
+
+
 def test_pipe_refuses_records_with_other_channels():
     p = Pipe("short", 4, AB)
-    others = ({"a": 1.0}, {"a": 1.0, "c": 2.0}, {"a": 1.0, "b": 2.0, "c": 3.0})
     # the channels are fixed at construction, so a first record is held to
     # them too, and a refused one leaves the ring empty
-    for values in others:
+    for chans in OTHERS:
         with pytest.raises(ValueError, match="channels"):
-            p.push(Record(timestamp_ms=0, values=values))
+            p.push(Record(0, [1] * len(chans), chans))
     assert len(p) == 0 and p.total_pushed == 0
-    p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
-    for values in others:
+    p.push(Record(0, (1000, 2), AB))
+    for chans in OTHERS:
         with pytest.raises(ValueError, match="channels"):
-            p.push(Record(timestamp_ms=1000, values=values))
+            p.push(Record(1000, [1] * len(chans), chans))
     # a refused record leaves the ring as it was
     assert len(p) == 1 and p.total_pushed == 1
-    np.testing.assert_array_equal(p.values("b"), [2.0])
+    np.testing.assert_array_equal(p.values("b"), [2 * 64e-9])
     np.testing.assert_array_equal(p.timestamps_ms(), [0])
 
 
-def test_pipe_reads_a_reordered_record_by_name():
+def test_pipe_refuses_a_reordered_record():
+    """A record's codes are in its channels' order, so a record whose
+    channels are the pipe's reordered, or the same names of other kinds, is
+    refused before any slot changes; one with equal channels is taken."""
     p = Pipe("short", 4, AB)
-    p.push(Record(timestamp_ms=0, values={"a": 1.0, "b": 2.0}))
-    p.push(Record(timestamp_ms=1000, values={"b": 4.0, "a": 3.0}))
+    p.push(Record(0, (1000, 2), AB))
+    before = states(p)
+    ring = [(p.values(ch).tobytes(), p.timestamps_ms().tobytes()) for ch in "ab"]
+    swapped = (ChannelId("a", ChannelKind.BIOPOTENTIAL_1), ChannelId("b", ChannelKind.IMPEDANCE_1))
+    for chans in (AB[::-1], swapped):
+        with pytest.raises(ValueError, match="differ from channels"):
+            p.push(Record(1000, (2, 1000), chans))
+        assert p.total_pushed == 1 and states(p) == before
+        assert [(p.values(ch).tobytes(), p.timestamps_ms().tobytes()) for ch in "ab"] == ring
+    p.push(Record(1000, (3000, 4), [ChannelId(c.name, c.kind) for c in AB]))
     np.testing.assert_array_equal(p.values("a"), [1.0, 3.0])
-    np.testing.assert_array_equal(p.values("b"), [2.0, 4.0])
+    np.testing.assert_array_equal(p.values("b"), [2 * 64e-9, 4 * 64e-9])
 
 
 def test_pipe_unknown_channel_and_empty_windows():
@@ -184,49 +200,43 @@ def _window(model, n):
 IMPEDANCE_CODES = st.one_of(
     st.integers(0, 10**12), st.integers(10**12 - 50, 10**12), st.integers(0, 3)
 )
-BIO_CODES = st.integers(-round(1.0 / 64e-9), round(1.0 / 64e-9))
-RES_A, RES_B = (ch.spec.resolution for ch in AB)
+BIO_SPEC = AB[1].spec
+BIO_CODES = st.integers(BIO_SPEC.code_lo, BIO_SPEC.code_hi)
 # a gap <= 0 after the first push is a stale timestamp, which must be refused
 gaps = st.one_of(st.integers(min_value=1, max_value=10**9), st.integers(-3, 0))
-
-
-def grid_point(v, res):
-    """The reading a tier gives back for v: the grid point of its code."""
-    return round(v / res) * res
 
 
 @given(
     capacity=st.integers(min_value=1, max_value=8),
     pushes=st.lists(
-        st.tuples(
-            gaps, IMPEDANCE_CODES.map(lambda k: k * RES_A), BIO_CODES.map(lambda k: k * RES_B)
-        ),
+        st.tuples(gaps, IMPEDANCE_CODES, BIO_CODES),
         max_size=25,
     ),
 )
-# off the grid: 0.4 codes of a, 1.5625 of b, and b's -0.0, whose code is 0
-@example(capacity=2, pushes=[(1, 4e-4, 1e-7), (1, 1.0, -0.0), (1, 0.0, -1e-7)])
+# both ends of each range, and zero codes
+@example(
+    capacity=2,
+    pushes=[(1, 10**12, BIO_SPEC.code_lo), (1, 0, BIO_SPEC.code_hi), (1, 0, 0), (0, 1, 1)],
+)
 @settings(max_examples=200, deadline=None)
 def test_pipe_matches_a_deque_of_records(capacity, pushes):
     """The columnar ring reads back exactly what a deque(maxlen) of the same
-    records holds, bit for bit for grid readings and as its code's grid point
-    for one off the grid, and arrays handed out earlier never change.  A
-    stale push raises and leaves the ring as it was, also once wrapped."""
+    records holds, bit for bit, and arrays handed out earlier never change.
+    A stale push raises and leaves the ring as it was, also once wrapped."""
     pipe = Pipe("p", capacity, AB)
     model: deque[Record] = deque(maxlen=capacity)
     handed_out: list[tuple[np.ndarray, bytes]] = []
     t = 0
     pushed = 0
     for gap, a, b in pushes:
-        record = Record(timestamp_ms=t + gap, values={"a": a, "b": b})
+        record = Record(t + gap, (a, b), AB)
         if gap <= 0 and model:
             with pytest.raises(ValueError, match="not after"):
                 pipe.push(record)
         else:
             t += gap
             pipe.push(record)
-            values = {"a": grid_point(a, RES_A), "b": grid_point(b, RES_B)}
-            model.append(Record(timestamp_ms=t, values=values))
+            model.append(record)
             pushed += 1
         assert len(pipe) == len(model)
         assert pipe.total_pushed == pushed
@@ -291,8 +301,7 @@ class SlidingSums(RuleBasedStateMachine):
 
     def _push(self, gap, a, b):
         self.t += gap
-        values = {"a": a * 1e-3, "b": b * 64e-9}
-        self.pipe.push(Record(timestamp_ms=self.t, values=values))
+        self.pipe.push(Record(self.t, (a, b), AB))
 
     @rule(gap=st.integers(1, 10**9), a=IMPEDANCE_CODES, b=BIO_CODES)
     def push(self, gap, a, b):
@@ -364,26 +373,29 @@ def states(pipe):
     return held
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 1e300])
-def test_push_refuses_a_reading_without_a_code(bad):
-    """A reading with no int64 code, round(v / resolution), is refused at
-    push, naming its channel, before any slot changes: total_pushed, every
-    reading and stamp, and every state read before are as they were, and
-    the states stay exact as pushes go on."""
+@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 10**300])
+def test_push_refuses_a_code_past_int64(bad):
+    """A code past int64 is refused at push, naming its channel, before any
+    slot changes: total_pushed, every reading and stamp, and every state
+    read before are as they were, and the states stay exact as pushes go
+    on.  The int64 ends themselves are taken."""
     pipe = Pipe("p", 3, AB)
     for t in range(4):
-        pipe.push(Record(timestamp_ms=t, values={"a": 0.001 * t, "b": 64e-9 * (t % 3)}))
+        pipe.push(Record(t, (t, t % 3), AB))
     before = states(pipe)
     ring = [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"]
-    refusal = re.escape(f"pipe 'p': reading {bad} on 'b' has no int64 code")
+    refusal = re.escape("pipe 'p': codes on ['b'] past int64")
     with pytest.raises(ValueError, match=refusal):
-        pipe.push(Record(timestamp_ms=9, values={"a": 0.5, "b": bad}))
+        pipe.push(Record(9, (500, bad), AB))
     assert pipe.total_pushed == 4
     assert [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"] == ring
     assert states(pipe) == before
+    ends = Pipe("p", 3, AB)
+    ends.push(Record(0, (2**63 - 1, -(2**63)), AB))
+    assert (ends.order("a", 3).values, ends.order("b", 3).values) == ([2**63 - 1], [-(2**63)])
     codes = [0, 1, 2, 0]
     for t, k in enumerate([-5, 7, 7], start=4):
-        pipe.push(Record(timestamp_ms=t, values={"a": 0.25, "b": k * 64e-9}))
+        pipe.push(Record(t, (250, k), AB))
         codes.append(k)
         for window in (2, 3):
             state = pipe.order("b", window)

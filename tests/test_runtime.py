@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from phytolab.channels import Record
 from phytolab.config import parse_config
 from phytolab.logstore import emit_report, iter_store
 from phytolab.pipes import SHORT, Pipe
@@ -210,20 +211,30 @@ def test_emit_report_names_a_file_in_the_run_directory(tmp_path):
 
 
 def test_stored_and_live_records_share_a_tier(tmp_path):
-    # stored records come in [channels] order, live ones in acquisition
-    # order (biopotential first); a tier takes both by name
+    # stored rows and live records are both in [channels] order; a stored
+    # row's readings, each re-encoded, are the live record's codes, and the
+    # two fill a tier identically
     ini = "[system]\nduration_s = 5\n[channels]\nlight = light\nbio1 = biopotential1\n"
     runtime = Runtime(parse_config(ini), out_dir=tmp_path / "run")
     runtime.run()
-    records = list(iter_store(tmp_path / "run" / "records"))
-    records.append(runtime.simulator.record_at(runtime.now_ms))
-    assert list(records[0].values) == ["light", "bio1"]
-    assert list(records[-1].values) == ["bio1", "light"]
-    pipe = Pipe(SHORT, 60, runtime.config.channels)
-    for record in records:
-        pipe.push(record)
+    chans = runtime.config.channels
+    rows = list(iter_store(tmp_path / "run" / "records"))
+    live = [runtime.simulator.record_at(r.timestamp_ms) for r in rows]
+    assert [list(r.values) for r in rows] == [["light", "bio1"]] * 5
+    assert [lr.channels for lr in live] == [chans] * 5
+    stored = [
+        Record(r.timestamp_ms, [ch.spec.encode(r.values[ch.name]) for ch in chans], chans)
+        for r in rows
+    ]
+    assert stored == live
+    pipes = Pipe(SHORT, 60, chans), Pipe(SHORT, 60, chans)
+    for pipe, records in zip(pipes, (stored, live)):
+        for record in records:
+            pipe.push(record)
     for name in ("light", "bio1"):
-        assert pipe.values(name).tolist() == [r.values[name] for r in records]
+        assert pipes[0].values(name).tobytes() == pipes[1].values(name).tobytes()
+        assert pipes[0].values(name).tolist() == [r.values[name] for r in rows]
+    assert pipes[0].timestamps_ms().tolist() == pipes[1].timestamps_ms().tolist()
 
 
 def test_context_manager_closes_stores(tmp_path):

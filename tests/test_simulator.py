@@ -14,10 +14,10 @@ from phytolab.channels import (
     ChannelCategory,
     ChannelId,
     ChannelKind,
+    ChannelSpec,
     Record,
     default_channels,
     quantize_for,
-    validate_record,
 )
 
 
@@ -148,10 +148,16 @@ def test_records_are_deterministic_and_order_independent():
 
 
 def test_records_validate_against_channel_specs():
+    # a record is on its channels' grids by construction; its codes are in
+    # their ranges too, and its readings are those quantize_for leaves alone
     plant = sim.PlantSimulator(seed=1)
     chans = default_channels()
     for t in range(0, 86_400_000, 3_600_000):
-        validate_record(plant.record_at(t), chans)
+        rec = plant.record_at(t)
+        assert rec.channels == chans
+        for ch, k in zip(chans, rec.codes):
+            assert type(k) is int and ch.spec.code_lo <= k <= ch.spec.code_hi
+            assert quantize_for(ch, rec.values[ch.name]) == rec.values[ch.name]
 
 
 def test_touch_event_produces_spike_on_all_bio_channels():
@@ -194,6 +200,13 @@ def test_an_event_scale_that_is_not_positive_and_finite_is_refused(kind, scale):
         plant.add_event(sim.Event(kind, 0, scale=scale))
     assert plant.events == ()
     plant.record_at(0)
+
+
+@pytest.mark.parametrize("kind", list(sim.EventKind))
+def test_an_event_time_refusal_names_at_ms(kind):
+    for bad in (math.nan, 10.5):
+        with pytest.raises(TypeError, match=f"^at_ms must be an integer, got {bad}$"):
+            sim.Event(kind, bad)
 
 
 def test_an_electrical_intensity_above_one_is_refused():
@@ -365,7 +378,8 @@ def test_record_samples_bio_then_impedance_then_environment(monkeypatch):
     )
     rec = plant.record_at(0)
     assert seen == ["bio1", "excitation", "environment"]
-    assert list(rec.values) == ["bio1", "imp1", "light"]
+    # the record holds them in config order
+    assert rec.channels == chans and list(rec.values) == ["light", "imp1", "bio1"]
 
 
 def test_blanking_holds_bio_at_baseline_during_stimulation():
@@ -613,7 +627,7 @@ def reference_env_clean(plant, kind, t_ms):
 def reference_record_at(plant, t_ms):
     """record_at with a category lookup per reading, sorted stably by category.
 
-    Returns the record and the (name, raw.hex()) pairs it quantized.
+    Returns the record and the (name, raw.hex()) pairs it encoded.
     """
     rank = {
         ChannelCategory.BIOPOTENTIAL: 0,
@@ -631,7 +645,7 @@ def reference_record_at(plant, t_ms):
     z = Source(plant.seed, READING_NOISE).at(t_ms).standard_normal(len(plant.channels))
     noise = (z * np.array(rms)).tolist()
     stream = {ch.name: i for i, ch in enumerate(plant.channels)}
-    values, raws = {}, []
+    codes, raws = [0] * len(plant.channels), []
     for ch in sorted(plant.channels, key=lambda ch: rank[ch.category]):
         if ch.category is ChannelCategory.BIOPOTENTIAL:
             if plant._blanked(t_ms):
@@ -644,8 +658,8 @@ def reference_record_at(plant, t_ms):
         else:
             raw = reference_env_clean(plant, ch.kind, t_ms) + noise[stream[ch.name]]
         raws.append((ch.name, raw.hex()))
-        values[ch.name] = quantize_for(ch, raw)
-    return Record(timestamp_ms=t_ms, values=values), raws
+        codes[stream[ch.name]] = ch.spec.encode(raw)
+    return Record(t_ms, codes, plant.channels), raws
 
 
 def hexed(rec):
@@ -653,22 +667,24 @@ def hexed(rec):
 
 
 def planned_record_at(plant, t_ms):
-    """record_at(t_ms) and the (name, raw.hex()) pairs it passed to quantize_for.
+    """record_at(t_ms) and the (name, raw.hex()) pairs it passed to encode,
+    each channel's spec told apart by identity (every kind has its own).
 
     The raw values are compared too: quantization would hide a clean value
     or a sum that moved by an ulp.
     """
-    raws = []
+    raws, names = [], {id(ch.spec): ch.name for ch in plant.channels}
+    encode = ChannelSpec.encode
 
-    def spy(ch, raw):
-        raws.append((ch.name, raw.hex()))
-        return quantize_for(ch, raw)
+    def spy(spec, raw):
+        raws.append((names[id(spec)], raw.hex()))
+        return encode(spec, raw)
 
-    sim.quantize_for = spy
+    ChannelSpec.encode = spy
     try:
         return plant.record_at(t_ms), raws
     finally:
-        sim.quantize_for = quantize_for
+        ChannelSpec.encode = encode
 
 
 def assert_matches_reference(plant, t_ms):
@@ -678,7 +694,7 @@ def assert_matches_reference(plant, t_ms):
     if plant._held is held:
         # a cycle that keeps the held readings quantizes no impedance raw;
         # hexed() below still compares the readings bit for bit
-        imp = {ch.name for ch in plant._imp}
+        imp = {ch.name for ch, _ in plant._imp}
         want_raws = [(name, raw) for name, raw in want_raws if name not in imp]
     assert got_raws == want_raws
     assert hexed(got) == hexed(want)
