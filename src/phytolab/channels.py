@@ -200,7 +200,8 @@ class Record:
     channel, codes[i] that of channels[i], in the channels' (config) order.
 
     timestamp_ms and every code go through operator.index, refusing a float,
-    so every reading is on its channel's grid.  values is the readings by
+    so every reading is on its channel's grid, and a code outside its
+    channel's [code_lo, code_hi] is refused.  values is the readings by
     name, code * resolution, in a read-only view built on each access.
     """
 
@@ -221,6 +222,11 @@ class Record:
         object.__setattr__(self, "channels", tuple(self.channels))
         if len(self.codes) != len(self.channels):
             raise ValueError(f"{len(self.codes)} codes for {len(self.channels)} channels")
+        for ch, k in zip(self.channels, self.codes):
+            spec = ch.spec
+            if not spec.code_lo <= k <= spec.code_hi:
+                lo, hi = spec.code_lo, spec.code_hi
+                raise ValueError(f"code {k} on {ch.name!r} outside its range [{lo}, {hi}]")
 
     @property
     def values(self) -> Mapping[str, float]:

@@ -59,13 +59,14 @@ class OpenCircuitError(ValueError):
 
 
 def exact_cycles(frequency: float, n_samples: int, sample_rate: float) -> int:
-    """Integer cycles per buffer, or raise if the triple is not period-stable."""
+    """Integer cycles per buffer, or raise if the triple is not period-stable;
+    a frequency or rate that is not finite, or cycles past a float, is not."""
     if n_samples < 2:
         raise PeriodStabilityError(f"buffer too short: N={n_samples}")
     if sample_rate <= 0:
         raise PeriodStabilityError(f"sample rate must be positive, got {sample_rate}")
     cycles = frequency * n_samples / sample_rate
-    rounded = round(cycles)
+    rounded = round(cycles) if math.isfinite(cycles) else 0
     if rounded < 1 or abs(cycles - rounded) > _CYCLE_TOL * max(1.0, abs(cycles)):
         raise PeriodStabilityError(
             f"not period-stable: f={frequency} Hz, N={n_samples}, "

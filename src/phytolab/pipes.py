@@ -8,31 +8,23 @@ read the state of fixed-length windows kept by whichever tier matches their
 time scale.
 
 A record carries its readings as device codes, k with v = k * resolution,
-and a tier stores those codes as they are, with no division or rounding;
-k * resolution gives v back exactly while |k| < 2**51, as ChannelSpec checks
-of every range.  A record on other channels, or with a code of 2**63 or more
-in size, is refused at push, before any slot changes.  The codes are stored
-column-wise: one int64 row per channel and one int64 timestamp row, every
-sample written twice, at its ring slot and again one ring length further on.
-The last n samples, for any n up to the ring length, are then one contiguous
-slice of the doubled row, so a window is a slice copy with no gathering or
-concatenation.
+each in its channel's range, so |k| < 2**51 and k * resolution gives v back
+exactly.  A tier stores the codes as they are, column-wise: one int64 row per
+channel and one int64 timestamp row, every sample written twice, at its ring
+slot and again one ring length further on.  The last n samples, for any n up
+to the ring length, are then one contiguous slice of the doubled row, so a
+window is a slice copy with no gathering or concatenation.
 
-The window statistics read sliding state instead of windows: exact integer
-sums, or sorted lists of codes for the peak.  Per (channel, samples held,
-lag) a tier keeps one WindowSums: the push count it was last advanced at and
-the sums of k, k**2 and the squared first differences over the window, plus
-the time sums a gradient reads or the lag products a cyclical detector
-reads.  The peak's order statistics read a WindowOrder, kept per (channel,
-samples held): the window's codes and their absolute first differences, each
-a sorted list.  Read after p more pushes, a state slides by adding each
-sample that entered and removing each that left, both read back from the
-tier's own ring, which keeps one slot beyond the capacity so that the sample
-that just left a full window is still there.  A slide longer than the ring
-allows, or than the window, rebuilds the state from the window.  Python ints
-neither round nor overflow, so the sums are the same on every machine,
-whatever order they were added in; a sorted list holds the same codes
-whatever order they entered in.
+Detectors read sliding state instead of windows.  Per (channel, samples
+held, lag) a tier keeps one WindowSums, exact integer sums over the window,
+and per (channel, samples held) one WindowOrder, the window's codes and
+absolute first differences as sorted lists, for the peak.  Read one push
+after its last read, a state slides: the sample that entered is added and,
+in a full window, the one that left is removed, read back from the ring's
+slot beyond the capacity.  Read after any other number of pushes, it is
+recomputed from the window.  Python ints neither round nor overflow, so the
+sums are the same on every machine, whatever order they were added in; a
+sorted list holds the same codes whatever order they entered in.
 """
 
 from __future__ import annotations
@@ -75,6 +67,8 @@ class WindowSums:
     def __init__(
         self, window: int, lag: int, timed: bool, row: np.ndarray, spec: ChannelSpec
     ) -> None:
+        if window < 1 or lag < 0:
+            raise ValueError(f"need window >= 1 and lag >= 0, got {window} and {lag}")
         if lag > window:
             raise ValueError(f"lag {lag} longer than the window of {window} samples")
         self.window, self.lag, self.timed = window, lag, timed
@@ -83,77 +77,60 @@ class WindowSums:
         self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
         self.st = self.stt = self.stk = 0
 
-    def advance(self, total: int, end: int, ring: int, stamps: np.ndarray) -> None:
-        """Slide from self.count to total pushes; the newest sample sits at
-        column end - 1 of the doubled rows, sample j at end - (total - j)."""
-        count, window, lag, timed = self.count, self.window, self.lag, self.timed
-        if total == count + 1 and self.n == window and not (lag or timed):
-            # the bank's every-cycle case, the loop below unrolled: one
-            # sample enters a full window, and the one before the window
-            # leaves, read from the ring's extra slot
-            at = self._at
-            k, old, first = at(end - 1), at(end - 1 - window), at(end - window)
-            self.s1 += k - old
-            self.s2 += k * k - old * old
-            self.d2 += (k - self.last) ** 2 - (first - old) ** 2
-            self.last, self.count = k, total
+    def advance(self, total: int, end: int, stamps: np.ndarray) -> None:
+        """Move to total pushes, the newest sample at column end - 1 of the
+        doubled rows: one push slides the state in a few ring reads, whatever
+        the window; any other move recomputes it from the definitions."""
+        at, n, lag, timed = self._at, self.n, self.lag, self.timed
+        if total != self.count + 1:
+            n = min(total, self.window)
+            k = [at(j) for j in range(end - n, end)]
+            self.count, self.n, self.last = total, n, k[-1]
+            self.s1, self.s2 = sum(k), sum(c * c for c in k)
+            self.d2 = sum((b - a) ** 2 for a, b in zip(k, k[1:]))
+            if lag:
+                self.lagged = sum(a * b for a, b in zip(k, k[lag:]))
+                self.head, self.tail = sum(k[:lag]), sum(k[-lag:])
+            if timed:
+                t = stamps[end - n : end].tolist()
+                self.st, self.stt = sum(t), sum(s * s for s in t)
+                self.stk = sum(s * c for s, c in zip(t, k))
             return
-        if total - count > min(window, ring - window):
-            count = max(0, total - window)
-            n = last = s1 = s2 = d2 = lagged = head = tail = st = stt = stk = 0
-        else:
-            n, last, s1, s2, d2 = self.n, self.last, self.s1, self.s2, self.d2
-            if lag:
-                lagged, head, tail = self.lagged, self.head, self.tail
-            if timed:
-                st, stt, stk = self.st, self.stt, self.stk
-        at = self._at
-        base = end - total  # column of sample 0, an offset only
-
-        for j in range(base + count, end):  # the columns of the entering samples
-            k = at(j)
-            s1 += k
-            s2 += k * k
-            if n:
-                d2 += (k - last) ** 2
-            if lag:
-                if n >= lag:
-                    back = at(j - lag)
-                    lagged += back * k
-                    tail += k - back
-                else:
-                    head += k
-                    tail += k
-            if timed:
-                t = stamps.item(j)
-                st += t
-                stt += t * t
-                stk += t * k
-            last = k
-            if n < window:
-                n += 1
-                continue
-            # the window was full: its oldest sample leaves
-            lo = j - window
-            old = at(lo)
-            s1 -= old
-            s2 -= old * old
-            d2 -= (at(lo + 1) - old) ** 2
-            if lag:
-                ahead = at(lo + lag)
-                lagged -= old * ahead
-                head += ahead - old
-            if timed:
-                t = stamps.item(lo)
-                st -= t
-                stt -= t * t
-                stk -= t * old
-
-        self.count, self.n, self.last, self.s1, self.s2, self.d2 = total, n, last, s1, s2, d2
-        if lag:
-            self.lagged, self.head, self.tail = lagged, head, tail
+        k = at(end - 1)
+        self.s1 += k
+        self.s2 += k * k
+        if n:
+            self.d2 += (k - self.last) ** 2
+        if lag:  # k's partner lag samples back, once the window holds that many
+            back = at(end - 1 - lag) if n >= lag else 0
+            self.lagged += back * k
+            self.tail += k - back
+            if n < lag:
+                self.head += k
         if timed:
-            self.st, self.stt, self.stk = st, stt, stk
+            t = stamps.item(end - 1)
+            self.st += t
+            self.stt += t * t
+            self.stk += t * k
+        self.last, self.count = k, total
+        if n < self.window:
+            self.n = n + 1
+            return
+        # the window was full: the sample before it leaves, from the ring's extra slot
+        lo = end - 1 - self.window
+        old = at(lo)
+        self.s1 -= old
+        self.s2 -= old * old
+        self.d2 -= (at(lo + 1) - old) ** 2
+        if lag:
+            ahead = at(lo + lag)
+            self.lagged -= old * ahead
+            self.head += ahead - old
+        if timed:
+            t = stamps.item(lo)
+            self.st -= t
+            self.stt -= t * t
+            self.stk -= t * old
 
 
 class WindowOrder:
@@ -168,44 +145,35 @@ class WindowOrder:
     __slots__ = ("window", "count", "n", "last", "values", "diffs", "_at")
 
     def __init__(self, window: int, row: np.ndarray) -> None:
+        if window < 1:
+            raise ValueError(f"need window >= 1, got {window}")
         self.window, self._at = window, row.item
         self.count = self.n = self.last = 0
         self.values: list[int] = []
         self.diffs: list[int] = []
 
-    def advance(self, total: int, end: int, ring: int) -> None:
-        """Slide from self.count to total pushes, as WindowSums.advance does."""
-        count, window, at = self.count, self.window, self._at
-        values, diffs = self.values, self.diffs
-        if total == count + 1 and self.n == window:
-            # the bank's every-cycle case, the loop below unrolled
-            k, old = at(end - 1), at(end - 1 - window)
-            del values[bisect_left(values, old)]
-            insort(values, k)
-            del diffs[bisect_left(diffs, abs(at(end - window) - old))]
-            insort(diffs, abs(k - self.last))
-            self.count, self.last = total, k
+    def advance(self, total: int, end: int) -> None:
+        """Move to total pushes as WindowSums.advance does: one push inserts
+        and deletes by binary search, any other move sorts the window."""
+        at, n = self._at, self.n
+        if total != self.count + 1:
+            n = min(total, self.window)
+            codes = [at(j) for j in range(end - n, end)]
+            self.values = sorted(codes)
+            self.diffs = sorted([abs(b - a) for a, b in zip(codes, codes[1:])])
+            self.count, self.n, self.last = total, n, codes[-1]
             return
-        if total - count > min(window, ring - window):
-            entering = [at(j) for j in range(end - min(total, window), end)]
-            values[:] = sorted(entering)
-            diffs[:] = sorted([abs(b - a) for a, b in zip(entering, entering[1:])])
-            self.count, self.n, self.last = total, len(entering), entering[-1]
+        k = at(end - 1)
+        insort(self.values, k)
+        if n:
+            insort(self.diffs, abs(k - self.last))
+        self.last, self.count = k, total
+        if n < self.window:
+            self.n = n + 1
             return
-        n = self.n
-        for j in range(end - (total - count), end):
-            k = at(j)
-            if n:
-                insort(diffs, abs(k - at(j - 1)))
-            insort(values, k)
-            if n < window:
-                n += 1
-                continue
-            # the window was full: its oldest sample leaves
-            old = at(j - window)
-            del values[bisect_left(values, old)]
-            del diffs[bisect_left(diffs, abs(at(j - window + 1) - old))]
-        self.count, self.n, self.last = total, n, k
+        old = at(end - 1 - self.window)  # the window was full: the sample before it leaves
+        del self.values[bisect_left(self.values, old)]
+        del self.diffs[bisect_left(self.diffs, abs(at(end - self.window) - old))]
 
 
 class Pipe:
@@ -216,8 +184,8 @@ class Pipe:
 
     The channels, given at construction, fix the columns, their order and
     each one's grid (its spec).  A record must carry equal channels in the
-    same order; one that does not, whose timestamp is not after the newest
-    one's, or that holds a code past int64 is refused and changes nothing.
+    same order; one that does not, or whose timestamp is not after the
+    newest one's, is refused and changes nothing.
     Sample j's codes land in slot i = j mod (capacity + 1) of a
     (channels, 2 * (capacity + 1)) int64 array, and its timestamp in an
     array as long, at i and again at i + capacity + 1, so the retained
@@ -255,11 +223,7 @@ class Pipe:
                 f"pipe {self.name!r}: record channels {list(record.channels)} "
                 f"differ from channels {list(channels)}"
             )
-        try:
-            column = np.array(record.codes, np.int64)
-        except OverflowError:
-            big = [c.name for c, k in zip(channels, record.codes) if not -2**63 <= k < 2**63]
-            raise ValueError(f"pipe {self.name!r}: codes on {big} past int64") from None
+        column = np.array(record.codes, np.int64)  # in range: Record checks every code
         ring = self._ring
         i = self._end % ring
         self._data[:, i] = self._data[:, i + ring] = column
@@ -295,7 +259,7 @@ class Pipe:
             state = WindowSums(window, lag, timed, self._data[row], self._channels[row].spec)
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
-            state.advance(self.total_pushed, self._end, self._ring, self._ts)
+            state.advance(self.total_pushed, self._end, self._ts)
         return state
 
     def order(self, channel: str, window: int) -> WindowOrder:
@@ -307,7 +271,7 @@ class Pipe:
             state = WindowOrder(window, self._data[self._rows[channel]])
             self._orders[channel, window] = state
         if state.count != self.total_pushed:
-            state.advance(self.total_pushed, self._end, self._ring)
+            state.advance(self.total_pushed, self._end)
         return state
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
+from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, ChannelSpec, Record
 from phytolab.detectors import (
     DETECTOR_KINDS,
     FIRED,
@@ -36,22 +36,25 @@ from phytolab.detectors import (
 )
 from phytolab.pipes import Pipe, TierLayout, TieredPipes
 
-# one channel named x on a 1 uV grid; readings pushed into it are quantized
-# to that grid, as the simulator's are
+# one channel named x on sap flow's 1 uV grid; readings pushed into it are
+# quantized to that grid, as the simulator's are.  A Record takes only codes
+# in its channel's range, so x's range is widened from +-1 V to +-10**9 V,
+# codes below 2**51, which holds every series here, the drawn and scaled too
 X = (ChannelId("x", ChannelKind.SAP_FLOW),)
+object.__setattr__(X[0], "spec", ChannelSpec("V", -1e9, 1e9, X[0].spec.resolution))
 RES = X[0].spec.resolution
 
 
 def x_record(t, value, channel=X[0]):
     """A record of the one channel x holding the code of value's nearest
-    grid point, round(value / resolution), in no range."""
+    grid point, round(value / resolution)."""
     return Record(t, (round(value / channel.spec.resolution),), (channel,))
 
 
-def feed(values, period_ms=1000, timestamps_ms=None, kind=ChannelKind.SAP_FLOW):
-    """Short-tier fixture: one channel named x of the given kind, fed the
-    values on its grid."""
-    channel = ChannelId("x", kind)
+def feed(values, period_ms=1000, timestamps_ms=None, kind=None):
+    """Short-tier fixture: one channel named x, X's or one of the given
+    kind, fed the values on its grid."""
+    channel = X[0] if kind is None else ChannelId("x", kind)
     tiers = TieredPipes([channel])
     if timestamps_ms is None:
         timestamps_ms = [i * period_ms for i in range(len(values))]
@@ -847,16 +850,16 @@ def test_peak_matches_the_parent_formula(x, lead, gaps, data):
 
 def test_peak_refuses_a_window_holding_a_reading_that_is_not_finite():
     """A NaN or infinite reading has no code, so it never reaches a window:
-    encode refuses it, the tiers refuse a code past int64 at push, and the
-    peak reads the window as it was."""
+    encode refuses it, a Record refuses a code outside its channel's range,
+    and the peak reads the window as it was."""
     det = PeakDetector(id="p", channel="x", window=60)
     want = det.evaluate(pipe_of(det, feed(PEAK_BASE)), 11_000)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             X[0].spec.encode(bad)
-    for bad in (2**63, -(2**63) - 1):
+    for bad in (2**63, -(2**63) - 1, X[0].spec.code_hi + 1):
         tiers = feed(PEAK_BASE)
-        with pytest.raises(ValueError, match=r"codes on \['x'\] past int64"):
+        with pytest.raises(ValueError, match=r"on 'x' outside its range"):
             tiers.push(Record(99_000, (bad,), X))
         assert det.evaluate(pipe_of(det, tiers), 99_000) == want == QUIET
 

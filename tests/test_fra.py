@@ -128,6 +128,12 @@ def test_exact_cycles_accepts_and_rejects():
         fra.exact_cycles(0.5, 1024, 64000.0)
     with pytest.raises(fra.PeriodStabilityError):  # at Nyquist
         fra.exact_cycles(32000.0, 1024, 64000.0)
+    # a frequency or rate that is not finite, or cycles past a float
+    inf, nan = math.inf, math.nan
+    for f, rate in ((inf, 64000.0), (-inf, 64000.0), (nan, 64000.0), (500.0, nan),
+                    (inf, inf), (500.0, inf), (1e308, 1.0)):
+        with pytest.raises(fra.PeriodStabilityError, match="not period-stable"):
+            fra.exact_cycles(f, 1024, rate)
 
 
 def test_synthesize_rejects_out_of_envelope():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from phytolab.channels import CHANNEL_SPECS, ChannelId, ChannelKind, Record
+from phytolab.logstore import LogStore, iter_store
 from phytolab.pipes import Pipe, TierLayout, TieredPipes
 
 X = (ChannelId("x", ChannelKind.LIGHT),)
@@ -18,7 +19,7 @@ AB = (ChannelId("a", ChannelKind.IMPEDANCE_1), ChannelId("b", ChannelKind.BIOPOT
 
 def rec(t_s, v=0.0):
     """A record of X holding the code of v's nearest 0.1 lux grid point,
-    round(v / resolution), in no range."""
+    round(v / resolution)."""
     return Record(t_s * 1000, (round(v / X[0].spec.resolution),), X)
 
 
@@ -259,10 +260,15 @@ def test_pipe_matches_a_deque_of_records(capacity, pushes):
 # --- window sums: the sliding state against a recompute from the window
 
 
+def window_codes(pipe, channel, window):
+    """The codes of the pipe's last window readings of channel."""
+    resolution = {c.name: c for c in X + AB}[channel].spec.resolution
+    return [round(v / resolution) for v in pipe.values(channel, window).tolist()]
+
+
 def recomputed(pipe, channel, window, lag, timed):
     """The sums WindowSums must hold, from the pipe's window and stamps."""
-    resolution = {c.name: c for c in X + AB}[channel].spec.resolution
-    k = [round(v / resolution) for v in pipe.values(channel, window).tolist()]
+    k = window_codes(pipe, channel, window)
     t = pipe.timestamps_ms(window).tolist()
     n = len(k)
     want = {
@@ -288,16 +294,31 @@ def held(state, want):
     return {name: getattr(state, name) for name in want}
 
 
+def sorted_window(codes):
+    """The codes and absolute first differences WindowOrder must hold."""
+    return sorted(codes), sorted(abs(b - a) for a, b in zip(codes, codes[1:]))
+
+
+def assert_order_is_recomputed(pipe, channel, window):
+    codes = window_codes(pipe, channel, window)
+    state = pipe.order(channel, window)
+    assert (state.values, state.diffs) == sorted_window(codes)
+    assert (state.n, state.last) == (len(codes), codes[-1] if codes else 0)
+
+
 class SlidingSums(RuleBasedStateMachine):
     """Pushes, skipped reads and slides longer than the ring, interleaved:
-    every read of the sums equals a recompute from the window, for sums read
-    after every step (eager) and for sums read only now and then (lazy)."""
+    every read of the sums or of the order equals a recompute from the
+    window, for states read after every step (eager) and for states read
+    only now and then (lazy), so both moves of each, the one-push slide and
+    the recompute, are checked."""
 
     def __init__(self) -> None:
         super().__init__()
         self.pipe = Pipe("p", 7, AB)
         self.t = 0
         self.eager = [("a", 7, 0, False), ("b", 3, 2, True), ("a", 60, 6, True)]
+        self.eager_orders = [("a", 7), ("b", 3)]
 
     def _push(self, gap, a, b):
         self.t += gap
@@ -330,12 +351,15 @@ class SlidingSums(RuleBasedStateMachine):
             return
         want = recomputed(self.pipe, channel, window, lag, timed)
         assert held(self.pipe.sums(channel, window, lag, timed), want) == want
+        assert_order_is_recomputed(self.pipe, channel, window)
 
     @invariant()
-    def eager_sums_equal_a_recompute(self):
+    def eager_states_equal_a_recompute(self):
         for key in self.eager:
             want = recomputed(self.pipe, *key)
             assert held(self.pipe.sums(*key), want) == want
+        for key in self.eager_orders:
+            assert_order_is_recomputed(self.pipe, *key)
 
 
 TestSlidingSums = SlidingSums.TestCase
@@ -352,9 +376,64 @@ def test_sums_refuse_a_lag_longer_than_the_window():
     assert pipe.sums("x", 4, 4).lag == 4
 
 
-def sorted_window(codes):
-    """The codes and absolute first differences WindowOrder must hold."""
-    return sorted(codes), sorted(abs(b - a) for a, b in zip(codes, codes[1:]))
+def test_states_refuse_a_window_below_one_or_a_negative_lag():
+    pipe = Pipe("p", 4, X)
+    for t in range(4):
+        pipe.push(rec(t, 0.1 * t))
+    for window, lag in ((0, 0), (-3, 0), (3, -1), (0, -1)):
+        refusal = re.escape(f"need window >= 1 and lag >= 0, got {window} and {lag}")
+        for timed in (False, True):
+            with pytest.raises(ValueError, match=refusal):
+                pipe.sums("x", window, lag, timed)
+    for window in (0, -3):
+        with pytest.raises(ValueError, match=re.escape(f"need window >= 1, got {window}")):
+            pipe.order("x", window)
+    # the shortest window is taken: it holds the newest code
+    assert (pipe.sums("x", 1).n, pipe.sums("x", 1).s1) == (1, 3)
+    assert pipe.order("x", 1).values == [3]
+
+
+def counting(at, reads):
+    """at, a state's row reader, counting each call in reads[0]."""
+
+    def read(j):
+        reads[0] += 1
+        return at(j)
+
+    return read
+
+
+@pytest.mark.parametrize("window", [1, 1000])
+@pytest.mark.parametrize("kind", ["plain", "lagged", "timed", "order"])
+def test_a_one_push_move_reads_the_ring_a_fixed_number_of_times(kind, window):
+    """Read after every push, a state slides by one push in a number of ring
+    reads fixed by its kind and by whether the window is full, whatever the
+    window: the code that entered (and, lagged, its partner lag back) while
+    the window fills, and the code that left and its neighbour (and, lagged,
+    its partner) once it is full.  A recompute would read the whole window."""
+    pipe = Pipe("p", 1000, X)
+    lag = min(5, window) if kind == "lagged" else 0
+    read = {
+        "plain": lambda: pipe.sums("x", window),
+        "lagged": lambda: pipe.sums("x", window, lag),
+        "timed": lambda: pipe.sums("x", window, timed=True),
+        "order": lambda: pipe.order("x", window),
+    }[kind]
+    state, reads = read(), [0]
+    state._at = counting(state._at, reads)
+    counts = []
+    for t in range(2000):
+        pipe.push(rec(t, 0.1 * (t * 7919 % 1000)))
+        before = reads[0]
+        assert read() is state
+        counts.append(reads[0] - before)
+    filling = [1] * lag + [1 + bool(lag)] * (window - lag)
+    assert counts == filling + [3 + 2 * bool(lag)] * (2000 - window)
+    if kind == "order":
+        assert_order_is_recomputed(pipe, "x", window)
+    else:
+        want = recomputed(pipe, "x", window, lag, kind == "timed")
+        assert held(state, want) == want
 
 
 SUMS = ("count", "n", "last", "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk")
@@ -373,47 +452,65 @@ def states(pipe):
     return held
 
 
-@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 10**300])
-def test_push_refuses_a_code_past_int64(bad):
-    """A code past int64 is refused at push, naming its channel, before any
-    slot changes: total_pushed, every reading and stamp, and every state
-    read before are as they were, and the states stay exact as pushes go
-    on.  The int64 ends themselves are taken."""
+IMPEDANCE_SPEC = AB[0].spec
+OUTSIDE = {
+    "code_hi+1": BIO_SPEC.code_hi + 1,
+    "code_lo-1": BIO_SPEC.code_lo - 1,
+    "2**63": 2**63,
+    "-2**63-1": -(2**63) - 1,
+    "10**300": 10**300,
+}
+
+
+@pytest.mark.parametrize("bad", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_record_refuses_a_code_outside_its_range(bad, tmp_path):
+    """A code outside its channel's [code_lo, code_hi] is refused when the
+    Record is made, naming the channel and the range, so no tier or store
+    meets it.  Both range ends are taken, the tier and the store agree on
+    them (the stored cell encodes back to the code the tier holds), and the
+    states read before stay exact as the ends are pushed."""
+    refusal = re.escape(
+        f"code {bad} on 'b' outside its range [{BIO_SPEC.code_lo}, {BIO_SPEC.code_hi}]"
+    )
+    with pytest.raises(ValueError, match=refusal):
+        Record(9, (500, bad), AB)
     pipe = Pipe("p", 3, AB)
     for t in range(4):
         pipe.push(Record(t, (t, t % 3), AB))
-    before = states(pipe)
-    ring = [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"]
-    refusal = re.escape("pipe 'p': codes on ['b'] past int64")
-    with pytest.raises(ValueError, match=refusal):
-        pipe.push(Record(9, (500, bad), AB))
-    assert pipe.total_pushed == 4
-    assert [(pipe.values(ch).tobytes(), pipe.timestamps_ms().tobytes()) for ch in "ab"] == ring
-    assert states(pipe) == before
-    ends = Pipe("p", 3, AB)
-    ends.push(Record(0, (2**63 - 1, -(2**63)), AB))
-    assert (ends.order("a", 3).values, ends.order("b", 3).values) == ([2**63 - 1], [-(2**63)])
+    states(pipe)  # read every state once, so each end slides it by one push
+    ends = [
+        (IMPEDANCE_SPEC.code_hi, BIO_SPEC.code_lo),
+        (IMPEDANCE_SPEC.code_lo, BIO_SPEC.code_hi),
+        (IMPEDANCE_SPEC.code_hi, BIO_SPEC.code_hi),
+    ]
     codes = [0, 1, 2, 0]
-    for t, k in enumerate([-5, 7, 7], start=4):
-        pipe.push(Record(t, (250, k), AB))
-        codes.append(k)
-        for window in (2, 3):
-            state = pipe.order("b", window)
-            assert (state.values, state.diffs) == sorted_window(codes[-window:])
-        for key in (("b", 2, 0, False), ("b", 3, 1, True), ("a", 3, 2, False)):
-            want = recomputed(pipe, *key)
-            assert held(pipe.sums(*key), want) == want
+    with LogStore(tmp_path / "s", columns=["a", "b"]) as store:
+        for t, pair in enumerate(ends, start=4):
+            record = Record(t, pair, AB)
+            pipe.push(record)
+            store.append(record)
+            codes.append(pair[1])
+            for window in (2, 3):
+                state = pipe.order("b", window)
+                assert (state.values, state.diffs) == sorted_window(codes[-window:])
+            for key in (("b", 2, 0, False), ("b", 3, 1, True), ("a", 3, 2, False)):
+                want = recomputed(pipe, *key)
+                assert held(pipe.sums(*key), want) == want
+    stored = list(iter_store(tmp_path / "s"))
+    for i, ch in enumerate(AB):
+        assert [ch.spec.encode(row.values[ch.name]) for row in stored] == [e[i] for e in ends]
+        assert pipe.values(ch.name).tolist() == [row.values[ch.name] for row in stored]
 
 
 def test_order_window_is_capped_at_the_capacity():
     pipe = Pipe("p", 4, X)
-    codes = [(-1) ** t * 10 * t for t in range(9)]  # light's grid is 0.1
+    codes = [100 + (-1) ** t * 10 * t for t in range(9)]  # light's grid is 0.1
     for t, k in enumerate(codes):
         pipe.push(rec(t, k * 0.1))
     state = pipe.order("x", 60)
     assert state is pipe.order("x", 4) is pipe.order("x", 5)
     assert (state.values, state.diffs) == sorted_window(codes[-4:])
-    assert (state.n, state.last) == (4, 80)
+    assert (state.n, state.last) == (4, 180)
 
 
 def test_sums_window_is_capped_at_the_capacity():
