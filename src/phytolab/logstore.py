@@ -293,33 +293,54 @@ class Row(NamedTuple):
     values: Mapping[str, float]
 
 
+def _segment_lines(path: Path, newest: bool) -> Iterator[str]:
+    """The whole lines of a store segment, header first, each with its
+    newline: what a reopen keeps.  Only the newest segment is written to, so
+    only its last line can be torn by a crash; its bytes after the last
+    newline are skipped, as a reopen cuts them.  An older segment was closed
+    whole, so an unterminated line in it is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line[-1] != "\n":
+                if newest:
+                    return
+                raise ValueError(f"unterminated row in {path}: {line!r}")
+            yield line
+
+
 def iter_store(root: str | Path) -> Iterator[Row]:
-    """Read a store back, oldest segment first, exact float round-trip."""
-    root = Path(root)
-    for _, path in _scan_segments(root):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if header[0] != "timestamp_ms":
-                raise ValueError(f"{path} is not a record segment")
-            names = header[1:]
-            for line in fh:
-                cells = line.rstrip("\n").split(",")
-                if len(cells) != len(names) + 1:
-                    raise ValueError(f"malformed row in {path}: {line!r}")
-                values = dict(zip(names, map(float, cells[1:])))
-                yield Row(int(cells[0]), MappingProxyType(values))
+    """Read a store back, oldest segment first, exact float round-trip,
+    without a torn final line."""
+    segments = [path for _, path in _scan_segments(Path(root))]
+    for path in segments:
+        newest = path is segments[-1]
+        lines = _segment_lines(path, newest)
+        header = next(lines, None)
+        if header is None and newest:
+            return  # a crash tore the newest segment's header: it holds no row
+        names = (header or "").rstrip("\n").split(",")
+        if names.pop(0) != "timestamp_ms":
+            raise ValueError(f"{path} is not a record segment")
+        for line in lines:
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(names) + 1:
+                raise ValueError(f"malformed row in {path}: {line!r}")
+            values = dict(zip(names, map(float, cells[1:])))
+            yield Row(int(cells[0]), MappingProxyType(values))
 
 
 def count_rows(root: str | Path) -> int:
     """Rows iter_store would yield, counted by line without parsing a value.
 
-    It checks nothing: only iter_store validates a row.
+    It checks only that an older segment's lines are whole: iter_store
+    validates a row.
     """
     rows = 0
-    for _, path in _scan_segments(Path(root)):
-        with open(path, "rb") as fh:
-            fh.readline()
-            rows += sum(1 for _ in fh)
+    segments = [path for _, path in _scan_segments(Path(root))]
+    for path in segments:
+        lines = _segment_lines(path, path is segments[-1])
+        if next(lines, None) is not None:  # the header
+            rows += sum(1 for _ in lines)
     return rows
 
 

@@ -7,13 +7,9 @@ the long tier one per hour, without any averaging or resampling.  Detectors
 read the state of fixed-length windows kept by whichever tier matches their
 time scale.
 
-A record carries its readings as device codes, k with v = k * resolution,
-each in its channel's range, so |k| < 2**51 and k * resolution gives v back
-exactly.  A tier stores the codes as they are, column-wise: one int64 row per
-channel and one int64 timestamp row, every sample written twice, at its ring
-slot and again one ring length further on.  The last n samples, for any n up
-to the ring length, are then one contiguous slice of the doubled row, so a
-window is a slice copy with no gathering or concatenation.
+A record carries its readings as a tuple of device codes, k with v = k *
+resolution.  A tier is a ring of those tuples, each record's own, beside a
+ring of their timestamps: two plain lists, each written once a push.
 
 Detectors read sliding state instead of windows.  Per (channel, samples
 held, lag) a tier keeps one WindowSums, exact integer sums over the window,
@@ -31,14 +27,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import ChannelId, ChannelSpec, Record, not_after
 
 SHORT, MIDDLE, LONG = "short", "middle", "long"
-MAX_CAPACITY = 2**16  # 17 MiB for 16 channels; a longer window reads a slower tier
+MAX_CAPACITY = 2**16  # up to 46 MiB for 16 channels; a longer window reads a slower tier
 
 
 class WindowSums:
@@ -55,33 +51,35 @@ class WindowSums:
 
     A reading is resolution * k with resolution = num / den exactly (den a
     power of two; grid holds the channel spec's (num, den)), so every
-    statistic of the window is a ratio of these integers.  Pipe.sums hands
-    out the one instance it advances; read it before the next push.
+    statistic of the window is a ratio of these integers.  at(j) reads the
+    code at ring index j and stamps[j] its timestamp.  Pipe.sums hands out
+    the one instance it advances; read it before the next push.
     """
 
     __slots__ = (
         "window", "lag", "timed", "grid", "count", "n", "last",
-        "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk", "_at",
+        "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk", "_at", "_stamps",
     )
 
     def __init__(
-        self, window: int, lag: int, timed: bool, row: np.ndarray, spec: ChannelSpec
+        self, window: int, lag: int, timed: bool,
+        at: Callable[[int], int], stamps: list[int], spec: ChannelSpec,
     ) -> None:
         if window < 1 or lag < 0:
             raise ValueError(f"need window >= 1 and lag >= 0, got {window} and {lag}")
         if lag > window:
             raise ValueError(f"lag {lag} longer than the window of {window} samples")
         self.window, self.lag, self.timed = window, lag, timed
-        self.grid, self._at = spec.grid, row.item
+        self.grid, self._at, self._stamps = spec.grid, at, stamps
         self.count = self.n = self.last = 0
         self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
         self.st = self.stt = self.stk = 0
 
-    def advance(self, total: int, end: int, stamps: np.ndarray) -> None:
-        """Move to total pushes, the newest sample at column end - 1 of the
-        doubled rows: one push slides the state in a few ring reads, whatever
-        the window; any other move recomputes it from the definitions."""
-        at, n, lag, timed = self._at, self.n, self.lag, self.timed
+    def advance(self, total: int, end: int) -> None:
+        """Move to total pushes, the newest sample at ring index end - 1: one
+        push slides the state in a few ring reads, whatever the window; any
+        other move recomputes it from the definitions."""
+        at, stamps, n, lag, timed = self._at, self._stamps, self.n, self.lag, self.timed
         if total != self.count + 1:
             n = min(total, self.window)
             k = [at(j) for j in range(end - n, end)]
@@ -92,7 +90,7 @@ class WindowSums:
                 self.lagged = sum(a * b for a, b in zip(k, k[lag:]))
                 self.head, self.tail = sum(k[:lag]), sum(k[-lag:])
             if timed:
-                t = stamps[end - n : end].tolist()
+                t = [stamps[j] for j in range(end - n, end)]
                 self.st, self.stt = sum(t), sum(s * s for s in t)
                 self.stk = sum(s * c for s, c in zip(t, k))
             return
@@ -108,7 +106,7 @@ class WindowSums:
             if n < lag:
                 self.head += k
         if timed:
-            t = stamps.item(end - 1)
+            t = stamps[end - 1]
             self.st += t
             self.stt += t * t
             self.stk += t * k
@@ -127,7 +125,7 @@ class WindowSums:
             self.lagged -= old * ahead
             self.head += ahead - old
         if timed:
-            t = stamps.item(lo)
+            t = stamps[lo]
             self.st -= t
             self.stt -= t * t
             self.stk -= t * old
@@ -144,10 +142,10 @@ class WindowOrder:
 
     __slots__ = ("window", "count", "n", "last", "values", "diffs", "_at")
 
-    def __init__(self, window: int, row: np.ndarray) -> None:
+    def __init__(self, window: int, at: Callable[[int], int]) -> None:
         if window < 1:
             raise ValueError(f"need window >= 1, got {window}")
-        self.window, self._at = window, row.item
+        self.window, self._at = window, at
         self.count = self.n = self.last = 0
         self.values: list[int] = []
         self.diffs: list[int] = []
@@ -177,7 +175,7 @@ class WindowOrder:
 
 
 class Pipe:
-    """Fixed-capacity ring of records at a single cadence, stored by column.
+    """Fixed-capacity ring of records at a single cadence.
 
     Once capacity is reached the oldest record is evicted.  total_pushed
     counts every record ever pushed, not just the retained ones.
@@ -186,15 +184,14 @@ class Pipe:
     each one's grid (its spec).  A record must carry equal channels in the
     same order; one that does not, or whose timestamp is not after the
     newest one's, is refused and changes nothing.
-    Sample j's codes land in slot i = j mod (capacity + 1) of a
-    (channels, 2 * (capacity + 1)) int64 array, and its timestamp in an
-    array as long, at i and again at i + capacity + 1, so the retained
-    samples, and the one evicted last, always sit oldest first before end,
-    one past the newest.  values() returns such a slice times the resolution,
-    the grid readings pushed, and timestamps_ms() a copy of one; later pushes
-    change neither, and the pushed Record itself is not kept.  sums() returns
-    the window's exact sums (WindowSums) and order() its sorted codes
-    (WindowOrder), each advanced to the current push count.
+    A push writes the record's own codes tuple and its timestamp once, in
+    slot end % ring of two lists of ring = capacity + 1 slots, and sets end
+    to that slot plus one, so 0 < end <= ring.  The retained samples, and
+    the one evicted last, sit at indices end - ring to end - 1, oldest
+    first; a window state reads no other index, and Python's negative
+    indexing wraps those below 0.  values() and timestamps_ms() build a
+    fresh array of a window; sums() returns its exact sums (WindowSums) and
+    order() its sorted codes (WindowOrder), advanced to the push count.
     """
 
     def __init__(self, name: str, capacity: int, channels: Sequence[ChannelId]) -> None:
@@ -206,46 +203,49 @@ class Pipe:
         self._channels = tuple(channels)
         self._rows = {ch.name: row for row, ch in enumerate(channels)}
         self._ring = capacity + 1
-        self._data = np.zeros((len(channels), 2 * self._ring), dtype=np.int64)
-        self._ts = np.zeros(2 * self._ring, dtype=np.int64)
+        self._codes: list[tuple[int, ...]] = [()] * self._ring
+        self._stamps = [0] * self._ring
         self._end = self._ring
         self._sums: dict[tuple[str, int, int, bool], WindowSums] = {}
         self._orders: dict[tuple[str, int], WindowOrder] = {}
 
     def push(self, record: Record) -> None:
-        if self.total_pushed and record.timestamp_ms <= self._ts[self._end - 1]:
-            raise not_after(
-                f"pipe {self.name!r}", record.timestamp_ms, self._ts[self._end - 1]
-            )
+        if self.total_pushed and record.timestamp_ms <= (newest := self._stamps[self._end - 1]):
+            raise not_after(f"pipe {self.name!r}", record.timestamp_ms, newest)
         channels = self._channels
         if record.channels is not channels and record.channels != channels:
             raise ValueError(
                 f"pipe {self.name!r}: record channels {list(record.channels)} "
                 f"differ from channels {list(channels)}"
             )
-        column = np.array(record.codes, np.int64)  # in range: Record checks every code
-        ring = self._ring
-        i = self._end % ring
-        self._data[:, i] = self._data[:, i + ring] = column
-        self._ts[i] = self._ts[i + ring] = record.timestamp_ms
-        self._end = i + ring + 1
+        i = self._end % self._ring
+        self._codes[i] = record.codes  # in range: Record checks every code
+        self._stamps[i] = record.timestamp_ms
+        self._end = i + 1
         self.total_pushed += 1
 
     def __len__(self) -> int:
         return self.total_pushed if self.total_pushed < self.capacity else self.capacity
 
+    def _window(self, n: int | None) -> range:
+        """Ring indices of the last n (all if None) of the len(self) samples."""
+        size = len(self)
+        return range(self._end - (size if n is None or n > size else n), self._end)
+
     def values(self, channel: str, n: int | None = None) -> np.ndarray:
         """Last n (all if None) of the len(self) readings of channel, oldest
         first: their codes times the resolution."""
-        size = len(self)
-        k = size if n is None or n > size else n
-        row = self._rows[channel]
-        return self._data[row, self._end - k : self._end] * self._channels[row].spec.resolution
+        row, codes = self._rows[channel], self._codes
+        column = np.array([codes[j][row] for j in self._window(n)], np.float64)
+        return column * self._channels[row].spec.resolution
 
     def timestamps_ms(self, n: int | None = None) -> np.ndarray:
-        size = len(self)
-        k = size if n is None or n > size else n
-        return self._ts[self._end - k : self._end].copy()
+        return np.array([self._stamps[j] for j in self._window(n)], np.int64)
+
+    def _at(self, channel: str) -> Callable[[int], int]:
+        """The reader of channel's code at a ring index, as window states take it."""
+        codes, row = self._codes, self._rows[channel]
+        return lambda j: codes[j][row]
 
     def sums(
         self, channel: str, window: int, lag: int = 0, timed: bool = False
@@ -255,11 +255,11 @@ class Pipe:
         window = min(window, self.capacity)
         state = self._sums.get((channel, window, lag, timed))
         if state is None:
-            row = self._rows[channel]
-            state = WindowSums(window, lag, timed, self._data[row], self._channels[row].spec)
+            spec = self._channels[self._rows[channel]].spec
+            state = WindowSums(window, lag, timed, self._at(channel), self._stamps, spec)
             self._sums[channel, window, lag, timed] = state
         if state.count != self.total_pushed:
-            state.advance(self.total_pushed, self._end, self._ts)
+            state.advance(self.total_pushed, self._end)
         return state
 
     def order(self, channel: str, window: int) -> WindowOrder:
@@ -268,7 +268,7 @@ class Pipe:
         window = min(window, self.capacity)
         state = self._orders.get((channel, window))
         if state is None:
-            state = WindowOrder(window, self._data[self._rows[channel]])
+            state = WindowOrder(window, self._at(channel))
             self._orders[channel, window] = state
         if state.count != self.total_pushed:
             state.advance(self.total_pushed, self._end)

@@ -36,15 +36,17 @@ class RunSummary:
 class Runtime:
     """Wires a BenchConfig into a runnable bench in a fresh output directory.
 
-    A directory whose record store already holds a row, or whose
+    A directory whose record or vector store already holds a row, or whose
     firings.log already holds a byte, is refused at construction, before
     any actuator can fire: a second run into it would start its timeline
     over at 0 ms.  The firing log is checked too because it is flushed at
-    every firing while the record store is not, so a run killed early can
-    leave firings beside a store that reads back empty.  It is checked
-    first, before anything is built or opened, so its refusal writes
-    nothing; refusing a store that holds rows still reopens it, and that
-    reopen cuts a torn final line.
+    every firing while the stores are not, so a run killed early can leave
+    firings beside stores that read back empty, and each store because
+    either can reach disk first.  The log is checked first, before
+    anything is built or opened, so its refusal writes nothing.  A store
+    already on disk is opened before one that is not, so refusing it
+    creates no other store; that reopen cuts a torn final line, and every
+    store opened is closed again.
     """
 
     def __init__(
@@ -71,26 +73,30 @@ class Runtime:
         )
         self.engine = ActuationEngine(bindings, seed=config.seed)
 
-        self.record_store = LogStore(
-            self.out_dir / "records",
-            columns=[c.name for c in config.channels],
-            segment_bytes=config.store.segment_bytes,
-            capacity_bytes=config.store.capacity_bytes,
-        )
-        if self.record_store.last_ms is not None:
-            self.record_store.close()
-            raise ValueError(
-                f"run directory {self.out_dir} already holds records "
-                f"(the newest at {self.record_store.last_ms} ms)"
-            )
-        self.vector_store = None
+        columns = {"records": [c.name for c in config.channels]}
         if config.detectors:
-            self.vector_store = LogStore(
-                self.out_dir / "vectors",
-                columns=[d.id for d in config.detectors],
-                segment_bytes=config.store.segment_bytes,
-                capacity_bytes=config.store.capacity_bytes,
-            )
+            columns["vectors"] = [d.id for d in config.detectors]
+        stores: dict[str, LogStore] = {}
+        try:
+            # a store already on disk is opened first, so its refusal creates no other
+            for name in sorted(columns, key=lambda n: not (self.out_dir / n).is_dir()):
+                store = stores[name] = LogStore(
+                    self.out_dir / name,
+                    columns=columns[name],
+                    segment_bytes=config.store.segment_bytes,
+                    capacity_bytes=config.store.capacity_bytes,
+                )
+                if store.last_ms is not None:
+                    raise ValueError(
+                        f"run directory {self.out_dir} already holds {name} "
+                        f"(the newest at {store.last_ms} ms)"
+                    )
+        except BaseException:
+            for store in stores.values():
+                store.close()
+            raise
+        self.record_store = stores["records"]
+        self.vector_store = stores.get("vectors")
         self._firing_log = open(firing_log, "a", encoding="utf-8")
         self.fired_total = 0
         self._wall_seconds = 0.0

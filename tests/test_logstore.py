@@ -167,26 +167,80 @@ def test_reopen_rewrites_a_torn_header(tmp_path):
     assert [r.values for r in iter_store(root)] == [{"x": 1.0}]
 
 
-@given(
+TORN_TAILS = dict(
     width=st.integers(min_value=1, max_value=300),  # 300 columns pass a tail block
     stamps=st.lists(st.integers(-(10**6), 10**12), unique=True, max_size=4).map(sorted),
     torn=st.text(alphabet="0123456789,.e-", max_size=40),
 )
+
+
+def torn_store(tmp, width, stamps, torn):
+    """A one-segment store of width columns holding a row at each of stamps,
+    then the torn bytes; its root and columns."""
+    columns = [f"c{i}" for i in range(width)]
+    root = Path(tmp) / "s"
+    with LogStore(root, columns) as store:
+        for t in stamps:
+            store.append_row(t, {c: t / 3 for c in columns})
+    (seg,) = store.segments()
+    with open(seg, "a", encoding="utf-8") as fh:
+        fh.write(torn)
+    return root, columns
+
+
+@given(**TORN_TAILS)
 @settings(max_examples=60, deadline=None)
 def test_reopen_takes_the_newest_row_and_cuts_only_a_torn_tail(width, stamps, torn):
-    columns = [f"c{i}" for i in range(width)]
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "s"
-        with LogStore(root, columns) as store:
-            for t in stamps:
-                store.append_row(t, {c: t / 3 for c in columns})
-        (seg,) = store.segments()
-        with open(seg, "a", encoding="utf-8") as fh:
-            fh.write(torn)
+        root, columns = torn_store(tmp, width, stamps, torn)
         with LogStore(root, columns) as store:
             assert store.torn_bytes == len(torn)
             assert store.last_ms == (stamps[-1] if stamps else None)
         assert [r.timestamp_ms for r in iter_store(root)] == stamps
+
+
+@given(**TORN_TAILS)
+# the last cell torn short of its digits: "…,21.75" read as 21.0
+@example(width=2, stamps=[0], torn="1000,0.5,21")
+@example(width=1, stamps=[], torn="")
+@settings(max_examples=60, deadline=None)
+def test_a_torn_tail_is_read_as_a_reopen_keeps_it(width, stamps, torn):
+    """Before any reopen, iter_store, replay and count_rows skip the bytes
+    after the newest segment's last newline, as the reopen cuts them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root, columns = torn_store(tmp, width, stamps, torn)
+        before = list(iter_store(root))
+        replayed = []
+        assert replay(root, replayed.append) == count_rows(root) == len(before)
+        assert replayed == before
+        with LogStore(root, columns):
+            pass
+        assert list(iter_store(root)) == before
+        assert [r.timestamp_ms for r in before] == stamps
+
+
+def test_a_torn_header_reads_as_an_empty_segment(tmp_path):
+    # a crash before the first flush of a new segment: the reopen rewrites it
+    root = tmp_path / "s"
+    root.mkdir()
+    for text in ("", "timestamp_ms,"):
+        (root / "segment-00000001.csv").write_text(text)
+        assert (list(iter_store(root)), count_rows(root)) == ([], 0)
+
+
+def test_an_older_segment_with_an_unterminated_line_is_refused(tmp_path):
+    # only the newest segment is written to, so only its last line can tear
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x"], segment_bytes=256, capacity_bytes=1024) as store:
+        t = 0
+        while len(store.segments()) < 2:
+            t += 1000
+            store.append_row(t, {"x": 0.5})
+    older = store.segments()[0]
+    older.write_bytes(older.read_bytes()[:-1])
+    for read in (lambda: list(iter_store(root)), lambda: count_rows(root)):
+        with pytest.raises(ValueError, match="unterminated row in .*segment-00000001"):
+            read()
 
 
 # one channel of every kind, so every grid; a store holds what encode gives

@@ -311,18 +311,25 @@ class SlidingSums(RuleBasedStateMachine):
     every read of the sums or of the order equals a recompute from the
     window, for states read after every step (eager) and for states read
     only now and then (lazy), so both moves of each, the one-push slide and
-    the recompute, are checked."""
+    the recompute, are checked.  Two pipes take the same pushes: one of
+    capacity 7, and one of capacity 1, whose ring has two slots, so every
+    other push its full windows read the sample that leaves them, and its
+    lag partner and timestamp, through a negative index."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.pipe = Pipe("p", 7, AB)
+        self.pipes = (Pipe("p", 7, AB), Pipe("one", 1, AB))
         self.t = 0
-        self.eager = [("a", 7, 0, False), ("b", 3, 2, True), ("a", 60, 6, True)]
-        self.eager_orders = [("a", 7), ("b", 3)]
+        self.eager = {
+            self.pipes[0]: [("a", 7, 0, False), ("b", 3, 2, True), ("a", 60, 6, True)],
+            self.pipes[1]: [("a", 1, 0, False), ("b", 3, 1, True), ("a", 60, 1, True)],
+        }
+        self.eager_orders = {self.pipes[0]: [("a", 7), ("b", 3)], self.pipes[1]: [("a", 7)]}
 
     def _push(self, gap, a, b):
         self.t += gap
-        self.pipe.push(Record(self.t, (a, b), AB))
+        for pipe in self.pipes:
+            pipe.push(Record(self.t, (a, b), AB))
 
     @rule(gap=st.integers(1, 10**9), a=IMPEDANCE_CODES, b=BIO_CODES)
     def push(self, gap, a, b):
@@ -344,22 +351,24 @@ class SlidingSums(RuleBasedStateMachine):
         timed=st.booleans(),
     )
     def read(self, channel, window, lag, timed):
-        if lag > min(window, self.pipe.capacity):
-            # no lag product spans a window that short: refused, not summed
-            with pytest.raises(ValueError, match="longer than the window"):
-                self.pipe.sums(channel, window, lag, timed)
-            return
-        want = recomputed(self.pipe, channel, window, lag, timed)
-        assert held(self.pipe.sums(channel, window, lag, timed), want) == want
-        assert_order_is_recomputed(self.pipe, channel, window)
+        for pipe in self.pipes:
+            if lag > min(window, pipe.capacity):
+                # no lag product spans a window that short: refused, not summed
+                with pytest.raises(ValueError, match="longer than the window"):
+                    pipe.sums(channel, window, lag, timed)
+                continue
+            want = recomputed(pipe, channel, window, lag, timed)
+            assert held(pipe.sums(channel, window, lag, timed), want) == want
+            assert_order_is_recomputed(pipe, channel, window)
 
     @invariant()
     def eager_states_equal_a_recompute(self):
-        for key in self.eager:
-            want = recomputed(self.pipe, *key)
-            assert held(self.pipe.sums(*key), want) == want
-        for key in self.eager_orders:
-            assert_order_is_recomputed(self.pipe, *key)
+        for pipe in self.pipes:
+            for key in self.eager[pipe]:
+                want = recomputed(pipe, *key)
+                assert held(pipe.sums(*key), want) == want
+            for key in self.eager_orders[pipe]:
+                assert_order_is_recomputed(pipe, *key)
 
 
 TestSlidingSums = SlidingSums.TestCase

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import shutil
 import time
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 from phytolab.channels import Record
 from phytolab.config import parse_config
-from phytolab.logstore import emit_report, iter_store
+from phytolab.logstore import LogStore, emit_report, iter_store
 from phytolab.pipes import SHORT, Pipe
 from phytolab.runtime import REPORT_MAX_POINTS, Runtime
 
@@ -273,3 +274,50 @@ def test_a_step_that_raises_still_closes_the_run_files(tmp_path):
         del runtime
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+GATE_INI = """
+[channels]
+bio1 = biopotential1
+
+[detector.open]
+kind = time_interval
+start_ms = 0
+end_ms = 86400000
+
+[actuator.out]
+kind = message_to_file
+path = alerts.txt
+
+[binding.now]
+expression = open == 1
+actuator = out
+"""
+
+
+def test_a_run_directory_whose_vector_store_holds_a_row_is_refused(tmp_path):
+    # a run killed after its vector rows reached disk but before its record
+    # rows or any firing did: a second run would fire the open gate at 0 ms
+    # and then fail to append its vector row at 0 ms
+    config = parse_config(GATE_INI)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "firings.log").write_text("", encoding="utf-8")
+    with LogStore(out / "records", ["bio1"]):
+        pass  # on disk with its header, no row: opened first, then closed again
+    with LogStore(out / "vectors", ["open"]) as store:
+        store.append_row(0, {"open": 1.0})
+    listed = sorted(out.rglob("*"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"run directory {out} already holds vectors"):
+            Runtime(config, out_dir=out).run(cycles=3)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert sorted(out.rglob("*")) == listed  # nothing fired: no alerts.txt
+    assert (out / "firings.log").read_text(encoding="utf-8") == ""
+    # the same directory without the vector row runs, and the gate fires at 0 ms
+    shutil.rmtree(out / "vectors")
+    Runtime(config, out_dir=out).run(cycles=3)
+    fired = (out / "firings.log").read_text(encoding="utf-8")
+    assert fired.startswith("1970-01-01T00:00:00.000+00:00\tnow\t")
