@@ -21,13 +21,14 @@ target, within a bounded adjustment factor.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Protocol, Sequence
 
 from . import streams
-from .channels import check_unique_names
+from .channels import check_unique_names, named_index
 from .detectors import NO_DATA
 
 _CMP_OPS = {
@@ -469,7 +470,7 @@ class HomeostatConfig:
     The firing rate is smoothed with an exponential window (alpha per cycle).
     When it runs above target_per_cycle the adjustment factor grows by step,
     dividing the probability of every BERNOULLI term; below target it shrinks.
-    The factor stays inside [lo, hi].
+    The factor stays inside [lo, hi], each bound finite.
     """
 
     target_per_cycle: float = 0.0  # 0 disables the homeostat
@@ -479,6 +480,8 @@ class HomeostatConfig:
     hi: float = 10.0
 
     def __post_init__(self) -> None:
+        if math.inf in (self.target_per_cycle, self.step, self.hi):  # alpha, lo <= 1
+            raise ValueError("target rate, step and hi must be finite")
         if not self.target_per_cycle >= 0:
             raise ValueError(f"target rate must be >= 0, got {self.target_per_cycle}")
         if not (0.0 < self.alpha <= 1.0):
@@ -592,6 +595,7 @@ class ActuationEngine:
         return self._state[binding_id]
 
     def cycle(self, vector: dict[str, float], now_ms: int) -> list[Firing]:
+        now_ms = named_index("now_ms", now_ms)
         firings: list[Firing] = []
         for stream, binding in enumerate(self.bindings):
             state = self._state[binding.id]
@@ -599,7 +603,7 @@ class ActuationEngine:
             uniforms: Sequence[float] = ()
             if n:
                 # random(n) gives uniform(size=n)'s bits without its scaling
-                uniforms = self._bernoulli.at(int(now_ms), stream).random(n)
+                uniforms = self._bernoulli.at(now_ms, stream).random(n)
             result = binding.expression.evaluate(
                 vector, uniforms, adjust=state.adjust
             )

@@ -60,7 +60,7 @@ def csv_cells(values: Iterable[float]) -> str:
 
 def csv_row(timestamp_ms: int, values: Iterable[float]) -> str:
     """One CSV line: the timestamp, then the values' csv_cells."""
-    return f"{int(timestamp_ms)},{csv_cells(values)}\n"
+    return f"{named_index('timestamp_ms', timestamp_ms)},{csv_cells(values)}\n"
 
 
 def _segment_name(index: int) -> str:
@@ -220,7 +220,7 @@ class LogStore:
 
     def append(self, record: Record) -> None:
         """append_row of the record, each cell's text read from its column's
-        memo by code (see the class docstring)."""
+        memo by code (see the class docstring), its int timestamp as is."""
         channels = record.channels
         if channels is not self._channels and channels != self._channels:
             if (names := [ch.name for ch in channels]) != list(self.columns):
@@ -237,12 +237,12 @@ class LogStore:
         self._write(record.timestamp_ms, ",".join(cells))
 
     def append_row(self, timestamp_ms: int, values: Mapping[str, float]) -> None:
-        self._write(timestamp_ms, csv_cells(row_values(values, self.columns)))
+        stamp = named_index("timestamp_ms", timestamp_ms)  # refused, not cut
+        self._write(stamp, csv_cells(row_values(values, self.columns)))
 
     def _write(self, timestamp_ms: int, cells: str) -> None:
         if self._fh is None:
             raise ValueError("store is closed")
-        timestamp_ms = named_index("timestamp_ms", timestamp_ms)  # refused, not cut
         if self._last_ms is not None and timestamp_ms <= self._last_ms:
             raise not_after(f"store at {self.root}", timestamp_ms, self._last_ms)
         line = f"{timestamp_ms},{cells}\n"
@@ -308,19 +308,24 @@ def _segment_lines(path: Path, newest: bool) -> Iterator[str]:
             yield line
 
 
-def iter_store(root: str | Path) -> Iterator[Row]:
-    """Read a store back, oldest segment first, exact float round-trip,
-    without a torn final line."""
+def _store_segments(root: str | Path) -> Iterator[tuple[Path, list[str], Iterator[str]]]:
+    """Each segment of the store at root, oldest first: its path, its column
+    names and its _segment_lines after the header, which must be a record's."""
     segments = [path for _, path in _scan_segments(Path(root))]
     for path in segments:
-        newest = path is segments[-1]
-        lines = _segment_lines(path, newest)
-        header = next(lines, None)
-        if header is None and newest:
+        lines = _segment_lines(path, path is segments[-1])
+        if (header := next(lines, None)) is None and path is segments[-1]:
             return  # a crash tore the newest segment's header: it holds no row
         names = (header or "").rstrip("\n").split(",")
         if names.pop(0) != "timestamp_ms":
             raise ValueError(f"{path} is not a record segment")
+        yield path, names, lines
+
+
+def iter_store(root: str | Path) -> Iterator[Row]:
+    """Read a store back, oldest segment first, exact float round-trip,
+    without a torn final line."""
+    for path, names, lines in _store_segments(root):
         for line in lines:
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(names) + 1:
@@ -330,18 +335,8 @@ def iter_store(root: str | Path) -> Iterator[Row]:
 
 
 def count_rows(root: str | Path) -> int:
-    """Rows iter_store would yield, counted by line without parsing a value.
-
-    It checks only that an older segment's lines are whole: iter_store
-    validates a row.
-    """
-    rows = 0
-    segments = [path for _, path in _scan_segments(Path(root))]
-    for path in segments:
-        lines = _segment_lines(path, path is segments[-1])
-        if next(lines, None) is not None:  # the header
-            rows += sum(1 for _ in lines)
-    return rows
+    """Rows iter_store would yield, counted by line without parsing a value."""
+    return sum(sum(1 for _ in lines) for _, _, lines in _store_segments(root))
 
 
 def replay(

@@ -374,7 +374,7 @@ class PlantSimulator:
         matter how they were configured, so the voltage readings never sit
         downstream of the excitation within a cycle.
         """
-        t_ms = int(t_ms)
+        t_ms = named_index("t_ms", t_ms)
         z = self._reading_noise.at(t_ms).standard_normal(len(self.channels))
         noise = (z * self._noise_rms).tolist()
         codes = [0] * len(self.channels)
@@ -399,6 +399,7 @@ class PlantSimulator:
 
     def expected_value(self, name: str, t_ms: int) -> float:
         """Noiseless, unquantized reading: the oracle for record_at."""
+        t_ms = named_index("t_ms", t_ms)
         ch = self.channels[self._streams[name]]
         if ch.category is ChannelCategory.BIOPOTENTIAL:
             if self._blanked(t_ms):
@@ -414,12 +415,12 @@ class PlantSimulator:
         return bool(
             self.params.blank_bio_during_stimulation
             and self._imp
-            and int(t_ms) % self._interval_ms == 0
+            and t_ms % self._interval_ms == 0
         )
 
     def _slot(self, t_ms: int) -> int:
         """Start of the stimulation slot holding t_ms."""
-        return (int(t_ms) // self._interval_ms) * self._interval_ms
+        return (t_ms // self._interval_ms) * self._interval_ms
 
     @staticmethod
     def _window(

@@ -760,6 +760,10 @@ def test_homeostat_config_validation():
         HomeostatConfig(step=1.0)
     with pytest.raises(ValueError):
         HomeostatConfig(lo=2.0, hi=10.0)
+    # an infinite hi once let the adjustment factor grow without bound
+    for field in ("target_per_cycle", "step", "hi"):
+        with pytest.raises(ValueError, match="^target rate, step and hi must be finite$"):
+            HomeostatConfig(**{"target_per_cycle": 0.1, field: float("inf")})
     assert not HomeostatConfig().enabled
     assert HomeostatConfig(target_per_cycle=0.1).enabled
 
@@ -817,3 +821,39 @@ def test_numpy_scalar_readings_fire_like_floats():
     engine = ActuationEngine([binding("a == 1 and b > 2", sink)])
     engine.cycle({"a": np.float64(1.0), "b": np.float64(3.0)}, 0)
     assert [c[0] for c in sink.calls] == [0]
+
+
+def test_a_cycle_time_that_is_not_an_integer_is_refused_and_changes_nothing():
+    # a float time once keyed the BERNOULLI draws at its integer part but
+    # stamped the firing with the float
+    def run(times):
+        sink = Sink()
+        b = binding(
+            "a == 1 AND BERNOULLI(0.5)",
+            sink,
+            cooldown_s=2.0,
+            homeostat=HomeostatConfig(target_per_cycle=0.1),
+        )
+        engine = ActuationEngine([b], seed=3)
+        firings = []
+        for t in times:
+            vec = {"a": 1.0 if (t // 1000) % 2 == 0 else -1.0}
+            if isinstance(t, float):
+                state = engine.state_of("b1")
+                before = [getattr(state, k) for k in state.__slots__]
+                with pytest.raises(TypeError, match=f"^now_ms must be an integer, got {t}$"):
+                    engine.cycle(vec, t)
+                assert [getattr(state, k) for k in state.__slots__] == before
+            else:
+                firings += engine.cycle(vec, t)
+        return firings, sink.calls, engine.dispatch_errors
+
+    plain = [t * 1000 for t in range(40)]
+    want = run(plain)
+    assert want[0], "the run must fire for the comparison to mean anything"
+    with_refused = [s for t in plain for s in (t, t + 500.7)]
+    assert run(with_refused) == want
+    # an integer of another type is a millisecond count, stamped as int
+    got = run([np.int64(t) for t in plain])
+    assert got == want
+    assert {type(f.at_ms) for f in got[0]} == {type(c[0]) for c in got[1]} == {int}

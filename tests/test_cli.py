@@ -268,6 +268,19 @@ def test_replay_refuses_a_speed_that_is_not_finite(tmp_path, bench_ini, capsys, 
     assert captured.out == ""
 
 
+def test_replay_reports_a_gap_too_long_to_sleep(tmp_path, bench_ini, capsys):
+    # a 1 s gap at speed 1e-300 is too long for time.sleep, which raises
+    # OverflowError before it sleeps; it once ended in a traceback
+    out = tmp_path / "run"
+    main(["run", "--config", str(bench_ini), "--out", str(out), "--cycles", "3"])
+    capsys.readouterr()
+    code = main(["replay", str(out / "records"), "--speed", "1e-300"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.out.splitlines()) == 2  # the header and the first row
+
+
 def test_missing_store_exits_1(tmp_path, capsys):
     code = main(["replay", str(tmp_path / "nowhere")])
     assert code == 1

@@ -410,6 +410,13 @@ BAD_CASES = [
         "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_step = nan\n",
         r"\[binding\.x\]: homeostat_step nan must exceed 1 \(homeostat_step = nan\)",
     ),
+    # an infinite ceiling once left the adjustment factor without a bound
+    (
+        "[actuator.r]\nkind = relay\n"
+        "[binding.x]\nexpression = a == 1\nactuator = r\nhomeostat_hi = inf\n",
+        r"^\[binding\.x\]: target rate, homeostat_step and homeostat_hi must be "
+        r"finite \(homeostat_hi = inf\)$",
+    ),
     # a homeostat value is reported against its INI key, in the key's words,
     # and checked as written, before it converts to a per-cycle rate
     (
@@ -644,7 +651,7 @@ ONE_KEY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "1000000000000"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1000000000000"])
 @pytest.mark.parametrize(
     "base,section,key,renamed", ONE_KEY_CASES, ids=[c[2] for c in ONE_KEY_CASES]
 )

@@ -60,3 +60,23 @@ def test_module_reads_no_other_modules_private_names(path):
             if node.value.id in modules:
                 read.append(f"{node.value.id}.{node.attr}")
     assert [name for name in read if name.rsplit(".", 1)[1].startswith("_")] == []
+
+
+def test_no_timestamp_is_cut_by_int():
+    """A millisecond time goes through channels.named_index, which refuses a
+    float; int() would cut one, so no int(...) takes a name ending in _ms."""
+    cut = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "int"
+                and any(
+                    (arg.id if isinstance(arg, ast.Name) else arg.attr).endswith("_ms")
+                    for arg in node.args
+                    if isinstance(arg, (ast.Name, ast.Attribute))
+                )
+            ):
+                cut.append(f"{path.name}:{node.lineno}")
+    assert cut == []

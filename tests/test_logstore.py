@@ -335,6 +335,27 @@ def test_append_row_refuses_a_timestamp_that_is_not_an_integer(tmp_path, stamp):
     assert after == before == ("timestamp_ms,x\n50,1.0\n", 50, 22)
 
 
+def test_csv_row_refuses_a_timestamp_that_is_not_an_integer():
+    # a float was once cut: csv_row(1500.7, [1.0]) wrote "1500,1.0"
+    for bad in (1500.7, 1500.0, math.nan):
+        with pytest.raises(TypeError, match=f"^timestamp_ms must be an integer, got {bad}$"):
+            logstore.csv_row(bad, [1.0])
+    assert logstore.csv_row(np.int64(1500), [1.0]) == "1500,1.0\n"
+
+
+def test_append_takes_the_record_timestamp_unchecked_and_refuses_a_stale_one(tmp_path):
+    # a Record took its timestamp through named_index already
+    x = ChannelId("x", ChannelKind.LIGHT)
+    with LogStore(tmp_path / "s", columns=["x"]) as store:
+        with mock.patch.object(logstore, "named_index", side_effect=AssertionError):
+            store.append(Record(1000, [10], (x,)))
+            for stale in (1000, 0):
+                with pytest.raises(ValueError, match="timestamp .* not after 1000"):
+                    store.append(Record(stale, [20], (x,)))
+        assert store.last_ms == 1000
+    assert [r.timestamp_ms for r in iter_store(store.root)] == [1000]
+
+
 def test_store_construction_validation(tmp_path):
     with pytest.raises(ValueError):
         LogStore(tmp_path / "a", columns=[])
@@ -365,6 +386,14 @@ def test_iter_store_rejects_a_segment_without_the_record_header(tmp_path):
     (root / "segment-00000001.csv").write_text("time,x\n0,1.0\n")
     with pytest.raises(ValueError, match="is not a record segment"):
         list(iter_store(root))
+    # count_rows takes the header as iter_store does, also an older
+    # segment's empty one
+    for text in ("time,x\n0,1.0\n", ""):
+        (root / "segment-00000001.csv").write_text(text)
+        (root / "segment-00000002.csv").write_text("timestamp_ms,x\n1,1.0\n")
+        for read in (lambda: list(iter_store(root)), lambda: count_rows(root)):
+            with pytest.raises(ValueError, match="is not a record segment"):
+                read()
 
 
 def test_reopen_refuses_a_newest_row_whose_timestamp_is_not_an_integer(tmp_path):

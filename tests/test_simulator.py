@@ -235,6 +235,24 @@ def test_an_event_time_that_is_not_an_integer_is_refused():
     assert [type(e.at_ms) for e in plant.events] == [int, int]
 
 
+def test_a_reading_time_that_is_not_an_integer_is_refused_not_cut():
+    # a float time was once cut to its integer part: 1500.7 read at 1500
+    plant = sim.PlantSimulator(seed=1)
+    plant.add_touch(1_000)
+    names = ("bio1", "imp1", "light")
+    for bad in (1500.7, 1500.0, math.nan):
+        with pytest.raises(TypeError, match=f"^t_ms must be an integer, got {bad}$"):
+            plant.record_at(bad)
+        for name in names:
+            with pytest.raises(TypeError, match=f"^t_ms must be an integer, got {bad}$"):
+                plant.expected_value(name, bad)
+    # an integer of another type is a millisecond count, read as int
+    rec = plant.record_at(np.int64(1500))
+    assert rec == plant.record_at(1500) and type(rec.timestamp_ms) is int
+    for name in names:
+        assert plant.expected_value(name, np.int64(1500)) == plant.expected_value(name, 1500)
+
+
 def test_events_do_not_act_before_their_time():
     plant = quiet_sim()
     plant.add_touch(10_000)
