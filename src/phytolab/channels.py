@@ -213,15 +213,16 @@ class Record:
         if type(self.timestamp_ms) is not int:
             stamp = named_index("timestamp_ms", self.timestamp_ms)
             object.__setattr__(self, "timestamp_ms", stamp)
+        codes, channels = tuple(self.codes), tuple(self.channels)
+        if len(codes) != len(channels):
+            raise ValueError(f"{len(codes)} codes for {len(channels)} channels")
         try:
-            object.__setattr__(self, "codes", tuple(map(index, self.codes)))
+            object.__setattr__(self, "codes", tuple(map(index, codes)))
         except TypeError:
-            for ch, k in zip(self.channels, self.codes):
+            for ch, k in zip(channels, codes):
                 named_index(f"code on {ch.name!r}", k)
             raise
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if len(self.codes) != len(self.channels):
-            raise ValueError(f"{len(self.codes)} codes for {len(self.channels)} channels")
+        object.__setattr__(self, "channels", channels)
         for ch, k in zip(self.channels, self.codes):
             spec = ch.spec
             if not spec.code_lo <= k <= spec.code_hi:

@@ -178,15 +178,15 @@ class LogStore:
             header = fh.readline()
             line, torn = _tail(fh)
             size = fh.seek(0, os.SEEK_END) - len(torn)
-            if torn:
+            if size and header != self._header.encode("utf-8"):
+                got = header.decode(errors="replace").strip()
+                raise ValueError(
+                    f"store at {self.root} has columns {got!r}, "
+                    f"expected {self._header.strip()!r}"
+                )
+            if torn:  # cut only once the header shows the store is this one
                 fh.truncate(size)
         self._torn_bytes = len(torn)
-        if size and header != self._header.encode("utf-8"):
-            got = header.decode(errors="replace").strip()
-            raise ValueError(
-                f"store at {self.root} has columns {got!r}, "
-                f"expected {self._header.strip()!r}"
-            )
         self._last_ms = _last_ms(line, path, [p for _, p in existing[:-1]])
         if not size:  # the crash tore the header itself
             self._open_segment(index)
@@ -348,7 +348,8 @@ def replay(
     """Re-deliver stored rows in order; returns the count delivered.
 
     speed > 0 paces delivery at that multiple of recorded time (1.0 is real
-    time); speed 0 delivers as fast as possible; NaN or inf raises ValueError.
+    time); speed 0 delivers as fast as possible; NaN or inf raises ValueError,
+    as does a speed so small that sleep cannot take the gap it makes.
     """
     if not 0 <= speed < math.inf:
         raise ValueError(f"speed must be finite and >= 0, got {speed}")
@@ -356,9 +357,16 @@ def replay(
     count = 0
     for rec in iter_store(root):
         if speed > 0 and prev_ms is not None:
-            gap = (rec.timestamp_ms - prev_ms) / 1000.0 / speed
+            gap_ms = rec.timestamp_ms - prev_ms
+            gap = gap_ms / 1000.0 / speed
             if gap > 0:
-                sleep(gap)
+                try:
+                    sleep(gap)
+                except OverflowError:
+                    raise ValueError(
+                        f"speed {speed} stretches a {gap_ms} ms gap to {gap} s, "
+                        "too long to sleep"
+                    ) from None
         prev_ms = rec.timestamp_ms
         on_record(rec)
         count += 1

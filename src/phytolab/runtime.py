@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,31 +37,34 @@ class RunSummary:
 class Runtime:
     """Wires a BenchConfig into a runnable bench in a fresh output directory.
 
-    A directory whose record or vector store already holds a row, or whose
-    firings.log already holds a byte, is refused at construction, before
-    any actuator can fire: a second run into it would start its timeline
-    over at 0 ms.  The firing log is checked too because it is flushed at
-    every firing while the stores are not, so a run killed early can leave
-    firings beside stores that read back empty, and each store because
-    either can reach disk first.  The log is checked first, before
-    anything is built or opened, so its refusal writes nothing.  A store
-    already on disk is opened before one that is not, so refusing it
-    creates no other store; that reopen cuts a torn final line, and every
-    store opened is closed again.
+    The directory is judged before anything is built or opened, so a
+    refusal writes nothing: a firings.log holding a byte, or a record or
+    vector store holding a row, refuses it, since a second run would start
+    its timeline over at 0 ms.  The log is flushed at every firing and the
+    stores are not, so either can reach disk without the others.
     """
 
     def __init__(
         self, config: BenchConfig, out_dir: str | Path | None = None
     ) -> None:
         self.config = config
-        self.out_dir = Path(out_dir) if out_dir is not None else Path(config.log_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        firing_log = self.out_dir / "firings.log"
+        self.out_dir = out = Path(out_dir) if out_dir is not None else Path(config.log_dir)
+        columns = {"records": [c.name for c in config.channels]}
+        if config.detectors:
+            columns["vectors"] = [d.id for d in config.detectors]
+        firing_log = out / "firings.log"
         if firing_log.exists() and (size := firing_log.stat().st_size):
             raise ValueError(
-                f"run directory {self.out_dir} already holds firings "
+                f"run directory {out} already holds firings "
                 f"({size} bytes in {firing_log.name})"
             )
+        for name in columns:
+            root = out / name
+            if root.is_dir() and (row := next(iter_store(root), None)) is not None:
+                raise ValueError(
+                    f"run directory {out} already holds {name} "
+                    f"(its oldest row at {row.timestamp_ms} ms)"
+                )
         self.now_ms = 0  # the virtual clock, advanced one period per step
         self._period_ms = config.period_ms
 
@@ -68,36 +72,22 @@ class Runtime:
 
         self.tiers = TieredPipes(config.channels, config.tier_layout)
         self.bank = DetectorBank(config.detectors, self.tiers)
-        bindings, self.actuators = config.build_bindings(
-            self.out_dir, simulator=self.simulator
-        )
+        bindings, self.actuators = config.build_bindings(out, simulator=self.simulator)
         self.engine = ActuationEngine(bindings, seed=config.seed)
 
-        columns = {"records": [c.name for c in config.channels]}
-        if config.detectors:
-            columns["vectors"] = [d.id for d in config.detectors]
-        stores: dict[str, LogStore] = {}
-        try:
-            # a store already on disk is opened first, so its refusal creates no other
-            for name in sorted(columns, key=lambda n: not (self.out_dir / n).is_dir()):
-                store = stores[name] = LogStore(
-                    self.out_dir / name,
-                    columns=columns[name],
-                    segment_bytes=config.store.segment_bytes,
-                    capacity_bytes=config.store.capacity_bytes,
-                )
-                if store.last_ms is not None:
-                    raise ValueError(
-                        f"run directory {self.out_dir} already holds {name} "
-                        f"(the newest at {store.last_ms} ms)"
-                    )
-        except BaseException:
-            for store in stores.values():
-                store.close()
-            raise
+        out.mkdir(parents=True, exist_ok=True)
+        sizes = config.store.segment_bytes, config.store.capacity_bytes
+        with ExitStack() as outputs:
+            # a store already on disk is opened first, so one whose header
+            # names other columns refuses the run before another is created
+            stores = {
+                name: outputs.enter_context(LogStore(out / name, columns[name], *sizes))
+                for name in sorted(columns, key=lambda n: not (out / n).is_dir())
+            }
+            self._firing_log = outputs.enter_context(open(firing_log, "a", encoding="utf-8"))
+            self._outputs = outputs.pop_all()
         self.record_store = stores["records"]
         self.vector_store = stores.get("vectors")
-        self._firing_log = open(firing_log, "a", encoding="utf-8")
         self.fired_total = 0
         self._wall_seconds = 0.0
         self._cycles = 0
@@ -167,11 +157,7 @@ class Runtime:
         )
 
     def close(self) -> None:
-        self.record_store.close()
-        if self.vector_store is not None:
-            self.vector_store.close()
-        if not self._firing_log.closed:
-            self._firing_log.close()
+        self._outputs.close()
 
     def __enter__(self) -> "Runtime":
         return self

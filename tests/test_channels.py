@@ -175,6 +175,10 @@ def test_record_holds_one_code_per_channel():
         ch.Record(1000, codes[:1], chans)
     with pytest.raises(ValueError, match="3 codes for 2 channels"):
         ch.Record(1000, [*codes, 7], chans)
+    # the count is checked before the codes, so an extra float code is
+    # refused by the count, not as an unnamed TypeError
+    with pytest.raises(ValueError, match="^2 codes for 1 channels$"):
+        ch.Record(1000, (codes[0], 2.5), chans[:1])
     # a float code would be off the grid: refused, naming its channel
     with pytest.raises(TypeError, match="^code on 'leaf_temp' must be an integer, got 2.5$"):
         ch.Record(1000, [codes[0], 2.5], chans)

@@ -277,7 +277,8 @@ def test_replay_reports_a_gap_too_long_to_sleep(tmp_path, bench_ini, capsys):
     code = main(["replay", str(out / "records"), "--speed", "1e-300"])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: speed 1e-300 stretches a 1000 ms gap")
+    assert captured.err.count("\n") == 1
     assert len(captured.out.splitlines()) == 2  # the header and the first row
 
 

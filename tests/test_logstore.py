@@ -98,6 +98,14 @@ def test_reopen_rejects_different_columns(tmp_path):
         pass
     with pytest.raises(ValueError, match="columns"):
         LogStore(root, columns=["y"])
+    # a torn tail is cut only once the header shows the store is this one,
+    # so refusing a store of other columns writes nothing
+    segment = root / "segment-00000001.csv"
+    segment.write_bytes(segment.read_bytes() + b"0,1.")
+    torn = segment.read_bytes()
+    with pytest.raises(ValueError, match="columns"):
+        LogStore(root, columns=["y"])
+    assert segment.read_bytes() == torn
 
 
 def test_a_store_takes_a_row_only_after_its_newest_also_across_a_reopen(tmp_path):
@@ -435,6 +443,37 @@ def test_replay_refuses_a_speed_that_is_negative_or_not_finite(tmp_path, speed):
         replay(root, seen.append, speed=speed)
     assert seen == []
 
+
+def test_replay_refuses_a_speed_whose_gap_sleep_cannot_take(tmp_path):
+    # at speed 1e-300 a 1 s gap is about 1e+300 s, which time.sleep refuses
+    # with an OverflowError about time_t: replay names the speed and the gap
+    root = tmp_path / "s"
+    with LogStore(root, columns=["x"]) as store:
+        store.append_row(0, {"x": 1.0})
+        store.append_row(1000, {"x": 2.0})
+    seen = []
+    with pytest.raises(ValueError, match="^speed 1e-300 stretches a 1000 ms gap to .+ s, too long"):
+        replay(root, seen.append, speed=1e-300)
+    assert [r.timestamp_ms for r in seen] == [0]
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 40), data=st.data())
+def test_iter_store_and_a_reopen_agree_on_whether_a_store_holds_a_row(rows, data):
+    # a run directory is judged by iter_store's first row, read-only, where a
+    # reopen would take last_ms; the newest segment is cut at any byte, as a
+    # crash can leave it, torn header and torn tail included
+    sizes = dict(segment_bytes=256, capacity_bytes=512)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "s"
+        with LogStore(root, ["x"], **sizes) as store:
+            for i in range(rows):
+                store.append_row(1000 * i, {"x": i / 7})
+        newest = store.segments()[-1]
+        cut = data.draw(st.integers(0, newest.stat().st_size), label="cut")
+        newest.write_bytes(newest.read_bytes()[:cut])
+        empty = next(iter_store(root), None) is None
+        with LogStore(root, ["x"], **sizes) as reopened:
+            assert (reopened.last_ms is None) == empty
 
 def test_reopen_over_several_segments_counts_bytes_and_evicts(tmp_path):
     root = tmp_path / "s"

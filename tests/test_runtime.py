@@ -3,15 +3,19 @@
 import gc
 import math
 import shutil
+import tempfile
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phytolab.actuation import firing_line
 from phytolab.channels import Record
 from phytolab.config import parse_config
-from phytolab.logstore import LogStore, emit_report, iter_store
+from phytolab.logstore import LogStore, csv_header, csv_row, emit_report, iter_store
 from phytolab.pipes import SHORT, Pipe
 from phytolab.runtime import REPORT_MAX_POINTS, Runtime
 
@@ -321,3 +325,77 @@ def test_a_run_directory_whose_vector_store_holds_a_row_is_refused(tmp_path):
     Runtime(config, out_dir=out).run(cycles=3)
     fired = (out / "firings.log").read_text(encoding="utf-8")
     assert fired.startswith("1970-01-01T00:00:00.000+00:00\tnow\t")
+
+
+def _segment_text(column: str, state: str) -> str | None:
+    """The one segment of a store in state, None for a directory without one."""
+    header = csv_header([column])
+    rows = header + csv_row(0, [1.0]) + csv_row(1000, [0.5])
+    return {
+        "empty": None,
+        "header only": header,
+        "rows": rows,
+        "rows and a torn tail": rows + csv_row(2000, [0.25])[:-3],
+        "a torn header": header[:-4],
+    }[state]
+
+
+def _files(out: Path) -> dict[Path, bytes | None]:
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))}
+
+
+STORE_STATES = ["absent", "empty", "header only", "rows", "rows and a torn tail", "a torn header"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log=st.sampled_from(["absent", "empty", "a firing"]),
+    records=st.sampled_from(STORE_STATES),
+    vectors=st.sampled_from(STORE_STATES),
+)
+def test_a_run_directory_is_refused_exactly_when_used_and_then_left_as_it_was(
+    log, records, vectors
+):
+    # used: firings.log holds a byte or a store yields a row; a torn tail is
+    # the next row a crash cut short, which a resume will need as it is
+    config = parse_config(GATE_INI)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        out.mkdir()
+        if log != "absent":
+            text = firing_line(0, "now", "1") if log == "a firing" else ""
+            (out / "firings.log").write_text(text, encoding="utf-8")
+        for name, column, state in [("records", "bio1", records), ("vectors", "open", vectors)]:
+            if state != "absent":
+                (out / name).mkdir()
+                if (text := _segment_text(column, state)) is not None:
+                    (out / name / "segment-00000001.csv").write_text(text, encoding="utf-8")
+        before = _files(out)
+        used = log == "a firing" or {records, vectors} & {"rows", "rows and a torn tail"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                Runtime(config, out_dir=out).close()
+                refused = False
+            except ValueError as exc:
+                assert str(exc).startswith(f"run directory {out} already holds ")
+                refused = True
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert refused == bool(used)
+        if refused:
+            assert _files(out) == before
+
+
+def test_a_firing_log_that_cannot_be_opened_leaves_no_store_open(tmp_path):
+    # firings.log a dangling symlink into a missing directory: the stores
+    # are open when its open fails, and are closed again
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "firings.log").symlink_to(tmp_path / "missing" / "firings.log")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FileNotFoundError):
+            Runtime(parse_config(GATE_INI), out_dir=out)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
