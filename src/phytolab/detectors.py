@@ -14,8 +14,9 @@ reuses that value otherwise: a middle-tier detector runs once per
 middle_stride cycles, a long-tier one once per long_stride.  Gates read only
 the clock, are handed None for a pipe and run on every cycle.
 
-Every windowed detector reads sliding state its tier keeps (pipes), never
-the window itself, and decides in the window's integer codes.  The peak
+Every windowed detector reads sliding state its tier keeps (pipes), made at
+its first read and slid by every push after, never the window itself, and
+decides in the window's integer codes.  The peak
 reads the codes and their absolute first differences in sorted order
 (pipes.WindowOrder); every other windowed detector reads exact integer sums
 (pipes.WindowSums).  Over the window's n codes k_i (reading = r * k_i, r the

@@ -14,13 +14,14 @@ ring of their timestamps: two plain lists, each written once a push.
 Detectors read sliding state instead of windows.  Per (channel, samples
 held, lag) a tier keeps one WindowSums, exact integer sums over the window,
 and per (channel, samples held) one WindowOrder, the window's codes and
-absolute first differences as sorted lists, for the peak.  Read one push
-after its last read, a state slides: the sample that entered is added and,
-in a full window, the one that left is removed, read back from the ring's
-slot beyond the capacity.  Read after any other number of pushes, it is
-recomputed from the window.  Python ints neither round nor overflow, so the
-sums are the same on every machine, whatever order they were added in; a
-sorted list holds the same codes whatever order they entered in.
+absolute first differences as sorted lists, for the peak.  A state moves one
+way only, by a slide: every push slides every state of its tier, adding the
+sample that entered and, in a full window, removing the one that left, read
+back from the ring's slot beyond the capacity; a new state is slid over the
+samples its window holds, oldest first.  Python ints neither round nor
+overflow, so the sums are the same on every machine, whatever order they
+were added in; a sorted list holds the same codes whatever order they
+entered in.
 """
 
 from __future__ import annotations
@@ -38,26 +39,25 @@ MAX_CAPACITY = 2**16  # up to 46 MiB for 16 channels; a longer window reads a sl
 
 
 class WindowSums:
-    """Exact sums over the last n = min(count, window) samples of a channel.
+    """Exact sums over the last n (at most window) samples of a channel.
 
-    With k_i the codes of samples lo <= i < count (lo = count - n) and t_i
+    With k_0 ... k_(n-1) the codes of those samples, oldest first, and t_i
     their timestamps in ms:
 
     - s1 = sum k_i, s2 = sum k_i**2, d2 = sum (k_i - k_(i-1))**2 over
-      lo < i < count, and last = k_(count - 1), the newest code;
-    - with lag L > 0: lagged = sum k_i * k_(i+L) over lo <= i < count - L,
+      0 < i < n, and last = k_(n - 1), the newest code;
+    - with lag L > 0: lagged = sum k_i * k_(i+L) over 0 <= i < n - L,
       head and tail the sums of the first and of the last min(L, n) codes;
     - when timed: st = sum t_i, stt = sum t_i**2 and stk = sum t_i * k_i.
 
     A reading is resolution * k with resolution = num / den exactly (den a
     power of two; grid holds the channel spec's (num, den)), so every
     statistic of the window is a ratio of these integers.  at(j) reads the
-    code at ring index j and stamps[j] its timestamp.  Pipe.sums hands out
-    the one instance it advances; read it before the next push.
+    code at ring index j and stamps[j] its timestamp.
     """
 
     __slots__ = (
-        "window", "lag", "timed", "grid", "count", "n", "last",
+        "window", "lag", "timed", "grid", "n", "last",
         "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk", "_at", "_stamps",
     )
 
@@ -71,29 +71,14 @@ class WindowSums:
             raise ValueError(f"lag {lag} longer than the window of {window} samples")
         self.window, self.lag, self.timed = window, lag, timed
         self.grid, self._at, self._stamps = spec.grid, at, stamps
-        self.count = self.n = self.last = 0
+        self.n = self.last = 0
         self.s1 = self.s2 = self.d2 = self.lagged = self.head = self.tail = 0
         self.st = self.stt = self.stk = 0
 
-    def advance(self, total: int, end: int) -> None:
-        """Move to total pushes, the newest sample at ring index end - 1: one
-        push slides the state in a few ring reads, whatever the window; any
-        other move recomputes it from the definitions."""
+    def push(self, end: int) -> None:
+        """Slide in the code at ring index end - 1 in a few ring reads,
+        whatever the window, and, in a full window, drop the one before it."""
         at, stamps, n, lag, timed = self._at, self._stamps, self.n, self.lag, self.timed
-        if total != self.count + 1:
-            n = min(total, self.window)
-            k = [at(j) for j in range(end - n, end)]
-            self.count, self.n, self.last = total, n, k[-1]
-            self.s1, self.s2 = sum(k), sum(c * c for c in k)
-            self.d2 = sum((b - a) ** 2 for a, b in zip(k, k[1:]))
-            if lag:
-                self.lagged = sum(a * b for a, b in zip(k, k[lag:]))
-                self.head, self.tail = sum(k[:lag]), sum(k[-lag:])
-            if timed:
-                t = [stamps[j] for j in range(end - n, end)]
-                self.st, self.stt = sum(t), sum(s * s for s in t)
-                self.stk = sum(s * c for s, c in zip(t, k))
-            return
         k = at(end - 1)
         self.s1 += k
         self.s2 += k * k
@@ -110,7 +95,7 @@ class WindowSums:
             self.st += t
             self.stt += t * t
             self.stk += t * k
-        self.last, self.count = k, total
+        self.last = k
         if n < self.window:
             self.n = n + 1
             return
@@ -132,40 +117,32 @@ class WindowSums:
 
 
 class WindowOrder:
-    """The last n = min(count, window) codes of a channel, in sorted order.
+    """The last n (at most window) codes of a channel, in sorted order.
 
     values holds the codes sorted ascending, diffs the n - 1 absolute first
     differences |k_i - k_(i-1)| of the window sorted ascending, and last the
-    newest code.  Pipe.order hands out the one instance it advances; read it
-    before the next push.
+    newest code.
     """
 
-    __slots__ = ("window", "count", "n", "last", "values", "diffs", "_at")
+    __slots__ = ("window", "n", "last", "values", "diffs", "_at")
 
     def __init__(self, window: int, at: Callable[[int], int]) -> None:
         if window < 1:
             raise ValueError(f"need window >= 1, got {window}")
         self.window, self._at = window, at
-        self.count = self.n = self.last = 0
+        self.n = self.last = 0
         self.values: list[int] = []
         self.diffs: list[int] = []
 
-    def advance(self, total: int, end: int) -> None:
-        """Move to total pushes as WindowSums.advance does: one push inserts
-        and deletes by binary search, any other move sorts the window."""
+    def push(self, end: int) -> None:
+        """Slide as WindowSums.push does, inserting and deleting by binary
+        search."""
         at, n = self._at, self.n
-        if total != self.count + 1:
-            n = min(total, self.window)
-            codes = [at(j) for j in range(end - n, end)]
-            self.values = sorted(codes)
-            self.diffs = sorted([abs(b - a) for a, b in zip(codes, codes[1:])])
-            self.count, self.n, self.last = total, n, codes[-1]
-            return
         k = at(end - 1)
         insort(self.values, k)
         if n:
             insort(self.diffs, abs(k - self.last))
-        self.last, self.count = k, total
+        self.last = k
         if n < self.window:
             self.n = n + 1
             return
@@ -191,7 +168,9 @@ class Pipe:
     first; a window state reads no other index, and Python's negative
     indexing wraps those below 0.  values() and timestamps_ms() build a
     fresh array of a window; sums() returns its exact sums (WindowSums) and
-    order() its sorted codes (WindowOrder), advanced to the push count.
+    order() its sorted codes (WindowOrder).  The pipe keeps each state it
+    handed out and slides every one at each push, after the push's checks,
+    so a state is current whenever it is read.
     """
 
     def __init__(self, name: str, capacity: int, channels: Sequence[ChannelId]) -> None:
@@ -206,8 +185,8 @@ class Pipe:
         self._codes: list[tuple[int, ...]] = [()] * self._ring
         self._stamps = [0] * self._ring
         self._end = self._ring
-        self._sums: dict[tuple[str, int, int, bool], WindowSums] = {}
-        self._orders: dict[tuple[str, int], WindowOrder] = {}
+        # sums keyed (channel, window, lag, timed), orders (channel, window)
+        self._states: dict[tuple, WindowSums | WindowOrder] = {}
 
     def push(self, record: Record) -> None:
         if self.total_pushed and record.timestamp_ms <= (newest := self._stamps[self._end - 1]):
@@ -221,8 +200,10 @@ class Pipe:
         i = self._end % self._ring
         self._codes[i] = record.codes  # in range: Record checks every code
         self._stamps[i] = record.timestamp_ms
-        self._end = i + 1
+        self._end = end = i + 1
         self.total_pushed += 1
+        for state in self._states.values():
+            state.push(end)
 
     def __len__(self) -> int:
         return self.total_pushed if self.total_pushed < self.capacity else self.capacity
@@ -247,31 +228,33 @@ class Pipe:
         codes, row = self._codes, self._rows[channel]
         return lambda j: codes[j][row]
 
+    def _hold(self, key: tuple, state: WindowSums | WindowOrder) -> None:
+        """Slide state over the samples its window holds, oldest first, and
+        keep it under key, to slide at every push."""
+        for j in self._window(state.window):
+            state.push(j + 1)
+        self._states[key] = state
+
     def sums(
         self, channel: str, window: int, lag: int = 0, timed: bool = False
     ) -> WindowSums:
         """Exact sums over the last min(window, capacity) samples of channel,
         one state per window held; lag products if lag, time sums if timed."""
         window = min(window, self.capacity)
-        state = self._sums.get((channel, window, lag, timed))
-        if state is None:
+        key = channel, window, lag, timed
+        if (state := self._states.get(key)) is None:
             spec = self._channels[self._rows[channel]].spec
             state = WindowSums(window, lag, timed, self._at(channel), self._stamps, spec)
-            self._sums[channel, window, lag, timed] = state
-        if state.count != self.total_pushed:
-            state.advance(self.total_pushed, self._end)
+            self._hold(key, state)
         return state
 
     def order(self, channel: str, window: int) -> WindowOrder:
         """The last min(window, capacity) codes of channel, sorted, one
         state per window held."""
         window = min(window, self.capacity)
-        state = self._orders.get((channel, window))
-        if state is None:
+        if (state := self._states.get((channel, window))) is None:
             state = WindowOrder(window, self._at(channel))
-            self._orders[channel, window] = state
-        if state.count != self.total_pushed:
-            state.advance(self.total_pushed, self._end)
+            self._hold((channel, window), state)
         return state
 
 

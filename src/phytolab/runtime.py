@@ -40,8 +40,11 @@ class Runtime:
     The directory is judged before anything is built or opened, so a
     refusal writes nothing: a firings.log holding a byte, or a record or
     vector store holding a row, refuses it, since a second run would start
-    its timeline over at 0 ms.  The log is flushed at every firing and the
-    stores are not, so either can reach disk without the others.
+    its timeline over at 0 ms, and so does a firings.log that is not a
+    regular file.  The log is flushed at every firing and the stores are
+    not, so either can reach disk without the others.  Once closed, the
+    runtime refuses step before the clock, tiers, engine or any actuator
+    moves.
     """
 
     def __init__(
@@ -53,6 +56,8 @@ class Runtime:
         if config.detectors:
             columns["vectors"] = [d.id for d in config.detectors]
         firing_log = out / "firings.log"
+        if firing_log.exists() and not firing_log.is_file():
+            raise ValueError(f"run directory {out}: {firing_log.name} is not a file")
         if firing_log.exists() and (size := firing_log.stat().st_size):
             raise ValueError(
                 f"run directory {out} already holds firings "
@@ -95,6 +100,8 @@ class Runtime:
     # -- single cycle
 
     def step(self) -> list[Firing]:
+        if self._firing_log.closed:  # close() closes it with every other output
+            raise ValueError("runtime is closed")
         started = time.perf_counter()
         now = self.now_ms
         record = self.simulator.record_at(now)

@@ -112,6 +112,22 @@ def test_a_run_directory_holding_firings_without_records_is_refused(tmp_path, ca
     assert main(args) == 0
 
 
+def test_a_firings_log_that_is_not_a_file_is_named_as_such(tmp_path, capsys):
+    # a directory in its place is refused read-only, by what it is, not by
+    # the bytes a directory entry reports
+    out = tmp_path / "run"
+    (out / "firings.log").mkdir(parents=True)
+    refusal = f"run directory {out}: firings.log is not a file"
+    with pytest.raises(ValueError, match=refusal) as exc:
+        Runtime(load_config(CONFIGS / "touch_demo.ini"), out_dir=out)
+    assert "firings (" not in str(exc.value) and "bytes" not in str(exc.value)
+    args = ["run", "--config", str(CONFIGS / "touch_demo.ini"), "--cycles", "20",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert refusal in capsys.readouterr().err
+    assert list(out.rglob("*")) == [out / "firings.log"]
+
+
 def test_sweep_command_writes_csv_and_report(tmp_path, capsys):
     ini = tmp_path / "sweep.ini"
     ini.write_text("[sweep]\npoints = 5\n", encoding="utf-8")

@@ -537,7 +537,7 @@ def test_windows_past_the_capacity_share_one_state_in_a_bank():
         assert same_bits(vector["a"], vector["b"])
     assert vector["a"] != NO_DATA
     assert tiers.short.sums("x", 60) is tiers.short.sums("x", 100)
-    assert len(tiers.short._sums) == 1
+    assert len(tiers.short._states) == 1
 
 
 def test_a_detector_needing_more_than_its_tier_holds_reads_no_data():

@@ -174,6 +174,20 @@ def test_pipe_refuses_a_reordered_record():
     np.testing.assert_array_equal(p.values("b"), [2 * 64e-9, 4 * 64e-9])
 
 
+def test_a_stale_record_leaves_every_state_as_it_was():
+    """A record whose timestamp is not after the newest one's is refused
+    before any state slides, also once the windows are full and the ring
+    wraps."""
+    p = Pipe("short", 3, AB)
+    for t in range(1, 7):
+        p.push(Record(t, (t, t % 3), AB))
+        before = states(p)
+        for stale in (t, t - 1):
+            with pytest.raises(ValueError, match="not after"):
+                p.push(Record(stale, (7, 1), AB))
+            assert p.total_pushed == t and states(p) == before
+
+
 def test_pipe_unknown_channel_and_empty_windows():
     p = Pipe("short", 4, X)
     # nothing pushed yet: every window of a known channel is empty, and an
@@ -307,11 +321,12 @@ def assert_order_is_recomputed(pipe, channel, window):
 
 
 class SlidingSums(RuleBasedStateMachine):
-    """Pushes, skipped reads and slides longer than the ring, interleaved:
-    every read of the sums or of the order equals a recompute from the
-    window, for states read after every step (eager) and for states read
-    only now and then (lazy), so both moves of each, the one-push slide and
-    the recompute, are checked.  Two pipes take the same pushes: one of
+    """Pushes, skipped reads and runs of pushes longer than the ring,
+    interleaved: every read of the sums or of the order equals a recompute
+    from the window, for states made early and read after every step
+    (eager), so slid by every push, and for states first read late (lazy),
+    so slid in over the window they hold at that moment, at their creation,
+    and by every push after.  Two pipes take the same pushes: one of
     capacity 7, and one of capacity 1, whose ring has two slots, so every
     other push its full windows read the sample that leaves them, and its
     lag partner and timestamp, through a negative index."""
@@ -415,11 +430,11 @@ def counting(at, reads):
 @pytest.mark.parametrize("window", [1, 1000])
 @pytest.mark.parametrize("kind", ["plain", "lagged", "timed", "order"])
 def test_a_one_push_move_reads_the_ring_a_fixed_number_of_times(kind, window):
-    """Read after every push, a state slides by one push in a number of ring
-    reads fixed by its kind and by whether the window is full, whatever the
-    window: the code that entered (and, lagged, its partner lag back) while
-    the window fills, and the code that left and its neighbour (and, lagged,
-    its partner) once it is full.  A recompute would read the whole window."""
+    """Each push slides a state in a number of ring reads fixed by its kind
+    and by whether the window is full, whatever the window: the code that
+    entered (and, lagged, its partner lag back) while the window fills, and
+    the code that left and its neighbour (and, lagged, its partner) once it
+    is full.  A read after the push reads the ring no more."""
     pipe = Pipe("p", 1000, X)
     lag = min(5, window) if kind == "lagged" else 0
     read = {
@@ -432,10 +447,12 @@ def test_a_one_push_move_reads_the_ring_a_fixed_number_of_times(kind, window):
     state._at = counting(state._at, reads)
     counts = []
     for t in range(2000):
-        pipe.push(rec(t, 0.1 * (t * 7919 % 1000)))
         before = reads[0]
+        pipe.push(rec(t, 0.1 * (t * 7919 % 1000)))
+        pushed = reads[0]
         assert read() is state
-        counts.append(reads[0] - before)
+        assert reads[0] == pushed
+        counts.append(pushed - before)
     filling = [1] * lag + [1 + bool(lag)] * (window - lag)
     assert counts == filling + [3 + 2 * bool(lag)] * (2000 - window)
     if kind == "order":
@@ -445,7 +462,7 @@ def test_a_one_push_move_reads_the_ring_a_fixed_number_of_times(kind, window):
         assert held(state, want) == want
 
 
-SUMS = ("count", "n", "last", "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk")
+SUMS = ("n", "last", "s1", "s2", "d2", "lagged", "head", "tail", "st", "stt", "stk")
 
 
 def states(pipe):
@@ -454,7 +471,7 @@ def states(pipe):
     held = {}
     for window in (2, 3):
         state = pipe.order("b", window)
-        held["order", window] = (state.count, state.n, state.last, state.values[:], state.diffs[:])
+        held["order", window] = (state.n, state.last, state.values[:], state.diffs[:])
     for key in (("b", 2, 0, False), ("b", 3, 1, True), ("a", 3, 2, False)):
         state = pipe.sums(*key)
         held[key] = {name: getattr(state, name) for name in SUMS}

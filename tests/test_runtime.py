@@ -251,6 +251,28 @@ def test_context_manager_closes_stores(tmp_path):
         runtime.record_store.append_row(99_000, {"bio1": 0.0})
 
 
+def test_a_closed_runtime_refuses_a_step_before_any_layer_moves(tmp_path):
+    # a gate opening at 300 ms: a run or step after close must not fire the
+    # sink, which would act with no line in firings.log to record it
+    config = parse_config(
+        "[system]\nperiod_s = 0.1\n[channels]\nbio1 = biopotential1\n"
+        "[detector.gate]\nkind = time_interval\nstart_ms = 300\nend_ms = 86400000\n"
+        "[actuator.sink]\nkind = generic_sink\n"
+        "[binding.b]\nexpression = gate == 1\nactuator = sink\n"
+    )
+    out = tmp_path / "run"
+    runtime = Runtime(config, out_dir=out)
+    assert runtime.run(cycles=3).cycles == 3
+    for again in (lambda: runtime.run(cycles=1), runtime.step, runtime.step):
+        with pytest.raises(ValueError, match="runtime is closed"):
+            again()
+        assert runtime.now_ms == 300 and runtime.tiers.short.total_pushed == 3
+        assert runtime.actuators["sink"].commands == []
+        assert (runtime.fired_total, runtime.summary().cycles) == (0, 3)
+    assert (out / "firings.log").read_text(encoding="utf-8") == ""
+    assert len(list(iter_store(out / "records"))) == 3
+
+
 def test_a_step_that_raises_still_closes_the_run_files(tmp_path):
     # the cycles before the one that raised are on disk, and the stores and
     # firings.log are closed, not left to garbage collection
